@@ -21,6 +21,13 @@
 //     counter CI floors (scripts/bench_diff.py --floor).
 //   * BM_GeometryMemoSkewedMix — the same trace shape against the
 //     SimilarityModel geometry memo, policy vs strict-LRU twin.
+//   * BM_ServingTermCold — BM_ServingCold with RELAX-by-term requests
+//     (exact and one-typo KB instance names), so every request pays the
+//     EDIT term mapping too. The counter term_vs_concept divides the
+//     per-request time of the same concepts submitted by id by the
+//     per-request time of the term path, both measured in one run: 1.0
+//     means mapping is free, and CI floors it so the mapping cost cannot
+//     quietly grow back to dominate a request.
 //
 // All run closed-loop (submit a batch, wait for every future) over
 // worker-count args. Worker threads do the serving, so wall time is the
@@ -32,10 +39,12 @@
 // cost without coalescing" across the introduction of batch drain.
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -48,6 +57,7 @@
 #include "medrelax/relax/similarity.h"
 #include "medrelax/serve/relaxation_service.h"
 #include "medrelax/serve/result_cache.h"
+#include "medrelax/text/normalize.h"
 
 using namespace medrelax;  // NOLINT — bench brevity
 
@@ -90,18 +100,22 @@ std::vector<ConceptId> QueryPool(const Snapshot& snap) {
 
 // Submits one closed-loop batch and blocks until every answer lands.
 void ServeBatch(RelaxationService& service,
-                const std::vector<ConceptId>& pool, size_t offset) {
+                const std::vector<RelaxRequest>& pool, size_t offset) {
   std::vector<std::future<Result<RelaxResponse>>> futures;
   futures.reserve(kBatch);
   for (size_t i = 0; i < kBatch; ++i) {
-    RelaxRequest request;
-    request.concept_id = pool[(offset + i) % pool.size()];
-    futures.push_back(service.Submit(std::move(request)));
+    futures.push_back(service.Submit(pool[(offset + i) % pool.size()]));
   }
   for (auto& future : futures) {
     Result<RelaxResponse> response = future.get();
     benchmark::DoNotOptimize(response);
   }
+}
+
+std::vector<RelaxRequest> ConceptRequests(const std::vector<ConceptId>& ids) {
+  std::vector<RelaxRequest> requests(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) requests[i].concept_id = ids[i];
+  return requests;
 }
 
 void RunServingBench(benchmark::State& state, bool warm_cache) {
@@ -110,7 +124,7 @@ void RunServingBench(benchmark::State& state, bool warm_cache) {
     state.SkipWithError("snapshot build failed");
     return;
   }
-  std::vector<ConceptId> pool = QueryPool(*snap);
+  const std::vector<RelaxRequest> pool = ConceptRequests(QueryPool(*snap));
   if (pool.empty()) {
     state.SkipWithError("no flagged query pool");
     return;
@@ -146,7 +160,7 @@ void RunCoalescingBench(benchmark::State& state, size_t pool_stride) {
     state.SkipWithError("snapshot build failed");
     return;
   }
-  std::vector<ConceptId> pool = QueryPool(*snap);
+  std::vector<RelaxRequest> pool = ConceptRequests(QueryPool(*snap));
   if (pool.empty()) {
     state.SkipWithError("no flagged query pool");
     return;
@@ -212,6 +226,97 @@ BENCHMARK(BM_ServingWarm)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// ---- Term-path bench ------------------------------------------------------
+//
+// The requests a user sends: KB instance names, half of them with one
+// typo. Each typo deletes the middle character of a name the snapshot
+// mapped at ingest, and is kept only if it still maps, so both halves
+// exercise EDIT (FindExact first, then the sound candidate filter). The
+// concept path submits exactly the concepts the terms map to.
+
+struct TermPool {
+  std::vector<RelaxRequest> terms;
+  std::vector<RelaxRequest> concepts;  // the same requests by concept id
+};
+
+TermPool MakeTermPool(const Snapshot& snap) {
+  TermPool pool;
+  const auto add = [&](std::string term) {
+    std::optional<ConceptMatch> match = snap.mapper().Map(term);
+    if (!match.has_value()) return;
+    RelaxRequest by_term;
+    by_term.term = std::move(term);
+    pool.terms.push_back(std::move(by_term));
+    RelaxRequest by_id;
+    by_id.concept_id = match->id;
+    pool.concepts.push_back(by_id);
+  };
+  std::vector<ConceptId> seen;
+  for (const auto& [instance, concept_id] : snap.ingestion().mappings) {
+    if (pool.terms.size() >= 2 * kPoolSize) break;
+    if (std::find(seen.begin(), seen.end(), concept_id) != seen.end()) {
+      continue;
+    }
+    seen.push_back(concept_id);
+    const std::string name =
+        NormalizeTerm(snap.kb().instances.instance(instance).name);
+    if (name.size() < 4) continue;
+    add(name);
+    std::string typo = name;
+    typo.erase(typo.size() / 2, 1);
+    add(std::move(typo));
+  }
+  return pool;
+}
+
+void BM_ServingTermCold(benchmark::State& state) {
+  std::shared_ptr<Snapshot> snap = SharedSnapshot();
+  if (snap == nullptr) {
+    state.SkipWithError("snapshot build failed");
+    return;
+  }
+  const TermPool pool = MakeTermPool(*snap);
+  if (pool.terms.empty()) {
+    state.SkipWithError("no mapped instance names");
+    return;
+  }
+
+  ServiceOptions options;
+  options.num_workers = static_cast<unsigned>(state.range(0));
+  options.queue_capacity = 4 * kBatch;
+  options.cache.capacity = 0;
+  options.max_batch = 1;
+  RelaxationService service(snap, options);
+
+  using Clock = std::chrono::steady_clock;
+  size_t batches = 0;
+  const Clock::time_point term_start = Clock::now();
+  for (auto _ : state) {
+    ServeBatch(service, pool.terms, batches * kBatch);
+    ++batches;
+  }
+  const Clock::duration term_time = Clock::now() - term_start;
+  // The same number of batches over the same concepts, by id, off the
+  // benchmark clock.
+  const Clock::time_point concept_start = Clock::now();
+  for (size_t b = 0; b < batches; ++b) {
+    ServeBatch(service, pool.concepts, b * kBatch);
+  }
+  const Clock::duration concept_time = Clock::now() - concept_start;
+
+  state.SetItemsProcessed(static_cast<int64_t>(batches * kBatch));
+  state.counters["term_vs_concept"] =
+      term_time.count() > 0 ? static_cast<double>(concept_time.count()) /
+                                  static_cast<double>(term_time.count())
+                            : 0.0;
+  state.SetLabel("cache=off terms=exact+typo");
+}
+BENCHMARK(BM_ServingTermCold)
+    ->Arg(1)
+    ->Arg(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -31,6 +31,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
           medrelax::NormalizeTerm(text.substr(0, 64));
       (void)index.FindExact(probe);
       (void)index.CandidatesByTrigram(probe, 8);
+      (void)index.CandidatesWithin(probe, 2);
     }
   }
   {

@@ -23,7 +23,8 @@
 # snapshot_source provenance line), and a live server must hot-swap
 # onto the image via `RELOAD <path>` in well under 1s with a concurrent
 # load burst running — no delay hook, the swap really skips the offline
-# phase.
+# phase. Finally, bad numeric flags on the server and the client must
+# exit nonzero with a message instead of hanging or truncating.
 #
 # Usage: scripts/server_smoke.sh   (MEDRELAX_BUILD_DIR overrides ./build)
 set -euo pipefail
@@ -428,5 +429,49 @@ SERVER_PID=""
 "${SERVER}" load "${WORLD}" --requests 500 --workers 2 --queue 32 \
   --distinct 8 > "${WORK}/load.out" 2>/dev/null
 grep -q '^ok load requests=500 ' "${WORK}/load.out"
+
+# --- Bad numeric flags -------------------------------------------------
+# Every malformed or out-of-range number must exit nonzero with a message
+# naming the flag, before anything loads: never a hang (--workers 0 over
+# TCP admits RELAXes no thread serves), never a silent truncation
+# (--listen 70000 used to bind 70000 mod 65536). `timeout` turns a
+# regression into a failed probe instead of a stuck job. --listen 0 (an
+# ephemeral port) stays valid: every TCP stage above relies on it.
+expect_flag_error() {
+  local what=$1 pattern=$2
+  shift 2
+  local out rc=0
+  out=$(timeout 10 "$@" < /dev/null 2>&1) || rc=$?
+  if [[ ${rc} -eq 0 || ${rc} -eq 124 ]]; then
+    echo "server_smoke: ${what}: expected a prompt nonzero exit, got" \
+         "rc=${rc} (output: ${out})" >&2
+    exit 1
+  fi
+  if ! grep -q -- "${pattern}" <<<"${out}"; then
+    echo "server_smoke: ${what}: output missing '${pattern}'" \
+         "(got: ${out})" >&2
+    exit 1
+  fi
+}
+expect_flag_error "server --workers abc" "--workers" \
+  "${SERVER}" serve "${WORLD}" --exact --workers abc
+expect_flag_error "server --listen 70000" "exceeds the maximum 65535" \
+  "${SERVER}" serve "${WORLD}" --exact --listen 70000
+expect_flag_error "server --listen abc" "--listen" \
+  "${SERVER}" serve "${WORLD}" --exact --listen abc
+expect_flag_error "server --workers 0 --listen 0" "--workers >= 1" \
+  "${SERVER}" serve "${WORLD}" --exact --workers 0 --listen 0
+expect_flag_error "server --deadline-ms overflow" "--deadline-ms" \
+  "${SERVER}" serve "${WORLD}" --exact --deadline-ms 18446744073709551616
+expect_flag_error "server load --requests abc" "--requests" \
+  "${SERVER}" load "${WORLD}" --requests abc
+expect_flag_error "client port 70000" "exceeds the maximum 65535" \
+  "${CLIENT}" load 70000
+expect_flag_error "client port abc" "port" \
+  "${CLIENT}" session abc
+expect_flag_error "client --connections abc" "--connections" \
+  "${CLIENT}" load 9 --connections abc
+expect_flag_error "client --zipf junk" "--zipf" \
+  "${CLIENT}" load 9 --zipf 1.1x
 
 echo "server_smoke: PASS"

@@ -14,14 +14,21 @@ namespace medrelax {
 struct EditMatcherOptions {
   /// Edit-distance acceptance threshold τ (paper uses τ = 2, Section 7.2).
   size_t max_distance = 2;
-  /// Trigram-blocking fan-out: how many index entries are verified with the
-  /// banded Levenshtein per query.
-  size_t max_candidates = 256;
 };
 
 /// EDIT mapping method of Section 7.2: approximate string matching with an
-/// edit-distance threshold. Exact hits (distance 0) win; otherwise the
-/// candidate with the smallest distance, Jaro-Winkler as tie-break.
+/// edit-distance threshold.
+///
+/// Map is exact-first: a term whose normalized form is an indexed surface
+/// maps to FindExact()[0], the concept of the lowest-index entry with
+/// that surface. Otherwise every entry NameIndex::CandidatesWithin
+/// returns is verified with BoundedLevenshtein, and the winner is the
+/// minimum distance, then the highest Jaro-Winkler similarity, then the
+/// lowest entry index. Because CandidatesWithin is a superset of the
+/// entries within τ, the answer equals a brute-force scan of the whole
+/// vocabulary and never depends on the blocking step. Map is const and
+/// safe to call concurrently (the index's counting scratch is
+/// thread-local).
 class EditDistanceMatcher : public MappingFunction {
  public:
   /// Borrows `index`, which must outlive the matcher.

@@ -1,6 +1,7 @@
 #include "medrelax/matching/name_index.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "medrelax/text/normalize.h"
 
@@ -32,6 +33,51 @@ void ForEachTrigramKey(std::string_view s, Fn&& fn) {
     return;
   }
   for (size_t i = 0; i + 3 <= s.size(); ++i) fn(PackGram(s.substr(i, 3)));
+}
+
+/// The calling thread's shared-trigram counts, one slot per entry of the
+/// largest index the thread has queried. A slot counts for the current
+/// lookup only while its stamp equals the current epoch, so starting a
+/// lookup is one increment rather than a clear, and the slots left by a
+/// lookup on another index can never leak into this one.
+class SharedGramCounter {
+ public:
+  /// Starts a lookup over an index of `num_entries` entries.
+  void Begin(size_t num_entries) {
+    if (slots_.size() < num_entries) slots_.resize(num_entries);
+    if (++epoch_ == 0) {
+      // Wrapped: a stamp from 2^32 lookups ago would alias the new epoch.
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      epoch_ = 1;
+    }
+  }
+
+  /// Adds one to `entry`'s count and returns the new count. Saturates,
+  /// so a count passes each value at most once.
+  uint32_t Add(uint32_t entry) {
+    Slot& slot = slots_[entry];
+    if (slot.epoch != epoch_) slot = {epoch_, 0};
+    if (slot.count != std::numeric_limits<uint32_t>::max()) ++slot.count;
+    return slot.count;
+  }
+
+  [[nodiscard]] uint32_t Count(uint32_t entry) const {
+    const Slot& slot = slots_[entry];
+    return slot.epoch == epoch_ ? slot.count : 0;
+  }
+
+ private:
+  struct Slot {
+    uint32_t epoch = 0;
+    uint32_t count = 0;
+  };
+  std::vector<Slot> slots_;
+  uint32_t epoch_ = 0;
+};
+
+SharedGramCounter& ThreadCounter() {
+  thread_local SharedGramCounter counter;
+  return counter;
 }
 
 }  // namespace
@@ -139,26 +185,87 @@ std::vector<ConceptId> NameIndex::FindExact(std::string_view surface) const {
   return out;
 }
 
+void NameIndex::EnsureFuzzyTables() const {
+  std::call_once(fuzzy_once_, [this] {
+    trigram_postings_.Build(entries_);
+    // Counting sort of entry indexes by surface length; the stable
+    // placement keeps each bucket in ascending entry order.
+    size_t max_length = 0;
+    for (const NameEntry& entry : entries_) {
+      max_length = std::max(max_length, entry.surface.size());
+    }
+    length_offsets_.assign(max_length + 2, 0);
+    for (const NameEntry& entry : entries_) {
+      ++length_offsets_[entry.surface.size() + 1];
+    }
+    for (size_t n = 1; n < length_offsets_.size(); ++n) {
+      length_offsets_[n] += length_offsets_[n - 1];
+    }
+    by_length_.resize(entries_.size());
+    std::vector<uint32_t> cursor(length_offsets_.begin(),
+                                 length_offsets_.end() - 1);
+    for (size_t e = 0; e < entries_.size(); ++e) {
+      by_length_[cursor[entries_[e].surface.size()]++] =
+          static_cast<uint32_t>(e);
+    }
+  });
+}
+
+std::vector<uint32_t> NameIndex::CountSharedTrigrams(
+    std::string_view normalized, uint32_t min_shared) const {
+  SharedGramCounter& counter = ThreadCounter();
+  counter.Begin(entries_.size());
+  std::vector<uint32_t> reached;
+  ForEachTrigramKey(normalized, [&](uint32_t gram) {
+    for (uint32_t entry : trigram_postings_.Find(gram)) {
+      if (counter.Add(entry) == min_shared) reached.push_back(entry);
+    }
+  });
+  return reached;
+}
+
+std::vector<size_t> NameIndex::CandidatesWithin(std::string_view normalized,
+                                                size_t max_distance) const {
+  EnsureFuzzyTables();
+  const size_t length = normalized.size();
+  const size_t max_length = length_offsets_.size() - 2;
+  const size_t lo = length > max_distance ? length - max_distance : 0;
+  const size_t hi = length < max_length && max_length - length > max_distance
+                        ? length + max_distance
+                        : max_length;
+  std::vector<size_t> out;
+  // T = |s| - 2 - 3 * max_distance >= 1, written so a huge max_distance
+  // cannot overflow.
+  if (length >= 3 && (length - 3) / 3 >= max_distance) {
+    const size_t threshold = length - 2 - 3 * max_distance;
+    const auto min_shared = static_cast<uint32_t>(std::min<size_t>(
+        threshold, std::numeric_limits<uint32_t>::max()));
+    for (uint32_t entry : CountSharedTrigrams(normalized, min_shared)) {
+      const size_t n = entries_[entry].surface.size();
+      if (n >= lo && n <= hi) out.push_back(entry);
+    }
+  } else if (lo <= hi) {
+    out.assign(by_length_.begin() + length_offsets_[lo],
+               by_length_.begin() + length_offsets_[hi + 1]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::vector<size_t> NameIndex::CandidatesByTrigram(
     std::string_view normalized, size_t max_candidates) const {
-  std::call_once(trigram_once_, [this] { trigram_postings_.Build(entries_); });
-  std::unordered_map<size_t, size_t> shared;
-  ForEachTrigramKey(normalized, [&](uint32_t gram) {
-    for (uint32_t entry : trigram_postings_.Find(gram)) ++shared[entry];
-  });
-  std::vector<std::pair<size_t, size_t>> ranked(shared.begin(), shared.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  std::vector<size_t> out;
-  out.reserve(std::min(max_candidates, ranked.size()));
-  for (const auto& [entry, count] : ranked) {
-    (void)count;
-    if (out.size() >= max_candidates) break;
-    out.push_back(entry);
-  }
-  return out;
+  EnsureFuzzyTables();
+  std::vector<uint32_t> touched = CountSharedTrigrams(normalized, 1);
+  const SharedGramCounter& counter = ThreadCounter();
+  const size_t keep = std::min(max_candidates, touched.size());
+  std::partial_sort(touched.begin(), touched.begin() + keep, touched.end(),
+                    [&counter](uint32_t a, uint32_t b) {
+                      const uint32_t count_a = counter.Count(a);
+                      const uint32_t count_b = counter.Count(b);
+                      if (count_a != count_b) return count_a > count_b;
+                      return a < b;
+                    });
+  return std::vector<size_t>(touched.begin(), touched.begin() + keep);
 }
 
 }  // namespace medrelax

@@ -27,11 +27,20 @@ struct NameEntry {
 /// concepts with exactly the same names, very similar names in terms of
 /// edit distance, or similar names in terms of word embeddings").
 ///
-/// Exact lookup is hash-based; fuzzy lookups use character-trigram blocking
-/// so the edit-distance matcher does not scan the whole vocabulary.
-/// Trigrams are packed into integer keys (length tag + up to 3 bytes)
-/// rather than heap strings: index construction is on the snapshot load
-/// path, where a 64k-concept vocabulary means millions of postings.
+/// Exact lookup is hash-based; fuzzy lookups use character-trigram
+/// postings plus length buckets so the edit-distance matcher verifies
+/// only entries that can be within its threshold, without scanning the
+/// whole vocabulary. Trigrams are packed into integer keys (length tag +
+/// up to 3 bytes) rather than heap strings: index construction is on the
+/// snapshot load path, where a 64k-concept vocabulary means millions of
+/// postings.
+///
+/// Both fuzzy lookups share one counting kernel: per-entry shared-trigram
+/// counts live in a thread-local, epoch-stamped array sized to the
+/// largest index the thread has queried, so a lookup allocates no map and
+/// never clears the array (one epoch bump per call; a full reset only
+/// when the 32-bit epoch wraps). Concurrent lookups on one index, and one
+/// thread alternating between indexes of different sizes, are safe.
 class NameIndex {
  public:
   /// Builds the index from every concept's canonical name and synonyms.
@@ -39,20 +48,44 @@ class NameIndex {
   explicit NameIndex(const ConceptDag* dag);
 
   /// Concepts whose canonical name or synonym normalizes to exactly the
-  /// normalized input (usually 0 or 1; synonym collisions can yield more).
+  /// normalized input (usually 0 or 1; synonym collisions can yield more),
+  /// in ascending order of their first matching entry index.
   [[nodiscard]]
   std::vector<ConceptId> FindExact(std::string_view surface) const;
 
-  /// Entry indexes of surface forms sharing at least one character trigram
-  /// with the normalized input, ordered by shared-trigram count (blocking
-  /// set for the fuzzy matchers). At most `max_candidates` entries.
+  /// Entry indexes, ascending, of every surface that can be within
+  /// `max_distance` edits of the normalized input: a superset of the
+  /// entries a brute-force BoundedLevenshtein scan would accept, so a
+  /// matcher that verifies all of them is exact.
   ///
-  /// The postings table behind this is built lazily on first call (under
-  /// std::call_once — concurrent queries are safe): exact-matcher
-  /// deployments never look at trigrams, so booting a snapshot from a
-  /// flat image stays free of the one vocabulary-sized pass this needs,
-  /// and a fuzzy deployment pays it once on its first non-exact lookup
-  /// (during ingestion for built snapshots).
+  /// With T = |s| - 2 - 3 * max_distance >= 1 this is the q-gram count
+  /// filter (Gravano et al., VLDB 2001): every edit destroys at most 3 of
+  /// the |s| - 2 trigrams of s, so a surface within max_distance edits
+  /// shares at least T of them, and its length is within max_distance of
+  /// |s|. Repeated trigrams are counted once per occurrence on each side,
+  /// which can only over-count, so the filter never drops a true match.
+  /// Otherwise (short inputs) the whole length window
+  /// [|s| - max_distance, |s| + max_distance] is returned, which also
+  /// covers 1-2 character surfaces whose packed gram never equals a
+  /// true trigram.
+  ///
+  /// The postings and length buckets behind this are built lazily on
+  /// the first fuzzy lookup (under std::call_once — concurrent queries
+  /// are safe): exact-matcher deployments never look at trigrams, so
+  /// booting a snapshot from a flat image stays free of the one
+  /// vocabulary-sized pass this needs, and a fuzzy deployment pays it
+  /// once on its first non-exact lookup (during ingestion for built
+  /// snapshots).
+  [[nodiscard]]
+  std::vector<size_t> CandidatesWithin(std::string_view normalized,
+                                       size_t max_distance) const;
+
+  /// Entry indexes of surface forms sharing at least one character trigram
+  /// with the normalized input, ranked by shared-trigram count (ties:
+  /// lower entry index first). At most `max_candidates` entries. A
+  /// diagnostic view over the same counting kernel as CandidatesWithin;
+  /// the ranked cut is not a sound blocking step, so no matcher uses it.
+  [[nodiscard]]
   std::vector<size_t> CandidatesByTrigram(std::string_view normalized,
                                           size_t max_candidates) const;
 
@@ -95,6 +128,17 @@ class NameIndex {
     std::vector<uint32_t> postings_;
   };
 
+  /// Builds the trigram postings and length buckets on first use (see
+  /// CandidatesWithin's contract).
+  void EnsureFuzzyTables() const;
+  /// The counting kernel: adds one to the calling thread's count of entry
+  /// e for every pair of equal trigram occurrences in `normalized` and in
+  /// e's surface, and returns the entries whose count reached
+  /// `min_shared`, in the order they reached it. Final counts stay
+  /// readable through the thread-local counter until the thread's next call.
+  std::vector<uint32_t> CountSharedTrigrams(std::string_view normalized,
+                                            uint32_t min_shared) const;
+
   const ConceptDag* dag_;
   std::vector<NameEntry> entries_;
   /// Keys view into entries_' surfaces (no second copy of the
@@ -103,10 +147,15 @@ class NameIndex {
   /// (SSO) strings live inside the vector's buffer, so a reallocation
   /// would dangle these views.
   std::unordered_map<std::string_view, std::vector<ConceptId>> exact_;
-  /// Lazily built by CandidatesByTrigram (see its contract); mutable so
-  /// the logically-const first lookup can materialize it.
-  mutable std::once_flag trigram_once_;
+  /// Lazily built by EnsureFuzzyTables; mutable so the logically-const
+  /// first lookup can materialize them.
+  mutable std::once_flag fuzzy_once_;
   mutable TrigramTable trigram_postings_;
+  /// Entry indexes grouped by surface length, ascending within a group:
+  /// entries of length n live in
+  /// by_length_[length_offsets_[n] .. length_offsets_[n + 1]).
+  mutable std::vector<uint32_t> length_offsets_;
+  mutable std::vector<uint32_t> by_length_;
 };
 
 }  // namespace medrelax

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "medrelax/common/string_util.h"
 #include "medrelax/corpus/corpus_stats.h"
 #include "medrelax/corpus/document.h"
 
@@ -68,7 +69,7 @@ TEST(MentionStats, TfIdfPenalizesUbiquity) {
   Corpus corpus;
   for (int d = 0; d < 2; ++d) {
     Document doc;
-    doc.name = "d" + std::to_string(d);
+    doc.name = StrFormat("d%d", d);
     DocumentSection s;
     s.context = 0;
     s.tokens = {"common"};

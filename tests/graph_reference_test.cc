@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "medrelax/common/random.h"
+#include "medrelax/common/string_util.h"
 #include "medrelax/graph/concept_dag.h"
 #include "medrelax/graph/geometry.h"
 #include "medrelax/graph/lcs.h"
@@ -28,7 +29,7 @@ ConceptDag RandomDag(size_t n, uint64_t seed) {
   Rng rng(seed);
   ConceptDag dag;
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(dag.AddConcept("n" + std::to_string(i)).ok());
+    EXPECT_TRUE(dag.AddConcept(StrFormat("n%zu", i)).ok());
   }
   for (ConceptId i = 1; i < n; ++i) {
     size_t parents = 1 + rng.UniformU64(3);

@@ -1,15 +1,26 @@
 // Tests of the name index and the three mapping functions of Section 7.2.
 
+#include <algorithm>
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "medrelax/common/random.h"
+#include "medrelax/common/string_util.h"
 #include "medrelax/datasets/paper_fixtures.h"
+#include "medrelax/datasets/snomed_generator.h"
 #include "medrelax/embedding/word_vectors.h"
 #include "medrelax/matching/edit_matcher.h"
 #include "medrelax/matching/embedding_matcher.h"
 #include "medrelax/matching/exact_matcher.h"
 #include "medrelax/matching/name_index.h"
+#include "medrelax/text/edit_distance.h"
+#include "medrelax/text/normalize.h"
 #include "medrelax/text/tokenize.h"
 
 namespace medrelax {
@@ -89,6 +100,245 @@ TEST(EditMatcher, MatchesSynonymSurfaces) {
   EXPECT_EQ(m->id, fx->kidney_disease);
 }
 
+// ---- EDIT matcher against a brute-force oracle -------------------------
+
+// The EDIT contract spelled out as a whole-vocabulary scan: minimum
+// BoundedLevenshtein, then highest Jaro-Winkler, then lowest entry index.
+std::optional<ConceptMatch> BruteForceEdit(const NameIndex& index,
+                                           std::string_view term,
+                                           size_t max_distance) {
+  const std::string normalized = NormalizeTerm(term);
+  if (normalized.empty()) return std::nullopt;
+  size_t best_distance = max_distance + 1;
+  double best_jw = -1.0;
+  ConceptId best = kInvalidConcept;
+  for (const NameEntry& entry : index.entries()) {
+    std::optional<size_t> d =
+        BoundedLevenshtein(normalized, entry.surface, max_distance);
+    if (!d.has_value()) continue;
+    const double jw = JaroWinkler(normalized, entry.surface);
+    if (*d < best_distance || (*d == best_distance && jw > best_jw)) {
+      best_distance = *d;
+      best_jw = jw;
+      best = entry.concept_id;
+    }
+  }
+  if (best == kInvalidConcept) return std::nullopt;
+  return ConceptMatch{best, 1.0 - static_cast<double>(best_distance) /
+                                      (static_cast<double>(max_distance) + 1)};
+}
+
+// One random edit: deletion, insertion, substitution or transposition
+// (a transposition is two Levenshtein edits).
+std::string RandomEdit(std::string s, Rng& rng) {
+  static constexpr char kAlphabet[] = "abcdefghijklmnopqrstuvwxyz 0123456789";
+  const auto pick = [&rng] {
+    return kAlphabet[rng.UniformU64(sizeof(kAlphabet) - 1)];
+  };
+  const size_t pos = s.empty() ? 0 : rng.UniformU64(s.size());
+  switch (s.size() < 2 ? 1 : rng.UniformU64(4)) {
+    case 0:
+      s.erase(pos, 1);
+      break;
+    case 1:
+      s.insert(s.begin() + static_cast<std::ptrdiff_t>(pos), pick());
+      break;
+    case 2:
+      s[pos] = pick();
+      break;
+    default:
+      if (pos + 1 < s.size()) std::swap(s[pos], s[pos + 1]);
+      break;
+  }
+  return s;
+}
+
+// A generated vocabulary plus hand-added 1-2 character surfaces, whose
+// packed gram never equals a true trigram.
+struct OracleWorld {
+  ConceptDag dag;
+  std::unique_ptr<NameIndex> index;
+};
+
+std::unique_ptr<OracleWorld> MakeOracleWorld(size_t num_concepts,
+                                             uint64_t seed) {
+  SnomedGeneratorOptions options;
+  options.num_concepts = num_concepts;
+  options.seed = seed;
+  Result<GeneratedEks> eks = GenerateSnomedLike(options);
+  EXPECT_TRUE(eks.ok());
+  if (!eks.ok()) return nullptr;
+  auto world = std::make_unique<OracleWorld>();
+  world->dag = std::move(eks->dag);
+  Result<ConceptId> short_name = world->dag.AddConcept("ab");
+  EXPECT_TRUE(short_name.ok());
+  if (short_name.ok()) {
+    EXPECT_TRUE(world->dag.AddSynonym(*short_name, "q").ok());
+  }
+  world->index = std::make_unique<NameIndex>(&world->dag);
+  return world;
+}
+
+// Exact surfaces, their one- and two-edit variants, short prefixes (the
+// length-window path) and the 1-2 character neighbourhood.
+std::vector<std::string> OracleQueries(const NameIndex& index, size_t samples,
+                                       uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> queries = {"ab", "a", "b", "q", "qq", "abc", "xb"};
+  const std::vector<NameEntry>& entries = index.entries();
+  for (size_t i = 0; i < samples; ++i) {
+    const std::string& surface =
+        entries[rng.UniformU64(entries.size())].surface;
+    queries.push_back(surface);
+    const std::string one = RandomEdit(surface, rng);
+    queries.push_back(one);
+    queries.push_back(RandomEdit(surface, rng));
+    queries.push_back(RandomEdit(one, rng));
+    queries.push_back(RandomEdit(RandomEdit(surface, rng), rng));
+    const size_t prefix = 2 + rng.UniformU64(7);  // 2-8 characters
+    queries.push_back(surface.substr(0, prefix));
+    queries.push_back(RandomEdit(surface.substr(0, prefix), rng));
+  }
+  return queries;
+}
+
+TEST(EditMatcher, EqualsBruteForceOracle) {
+  std::unique_ptr<OracleWorld> world = MakeOracleWorld(1500, 91);
+  ASSERT_NE(world, nullptr);
+  for (size_t tau : {size_t{1}, size_t{2}}) {
+    EditMatcherOptions options;
+    options.max_distance = tau;
+    EditDistanceMatcher matcher(world->index.get(), options);
+    size_t mapped = 0;
+    for (const std::string& query :
+         OracleQueries(*world->index, 300, 17 + tau)) {
+      const std::optional<ConceptMatch> got = matcher.Map(query);
+      const std::optional<ConceptMatch> want =
+          BruteForceEdit(*world->index, query, tau);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "tau=" << tau << " query='" << query << "'";
+      if (!want.has_value()) continue;
+      ++mapped;
+      EXPECT_EQ(got->id, want->id)
+          << "tau=" << tau << " query='" << query << "'";
+      EXPECT_DOUBLE_EQ(got->score, want->score) << "query='" << query << "'";
+    }
+    EXPECT_GT(mapped, 700u) << "tau=" << tau;
+  }
+}
+
+TEST(NameIndex, CandidatesWithinCoverEveryEntryWithinTau) {
+  std::unique_ptr<OracleWorld> world = MakeOracleWorld(600, 5);
+  ASSERT_NE(world, nullptr);
+  const NameIndex& index = *world->index;
+  for (const std::string& query : OracleQueries(index, 60, 29)) {
+    const std::string normalized = NormalizeTerm(query);
+    const std::vector<size_t> candidates =
+        index.CandidatesWithin(normalized, 2);
+    ASSERT_TRUE(std::is_sorted(candidates.begin(), candidates.end()));
+    ASSERT_TRUE(std::adjacent_find(candidates.begin(), candidates.end()) ==
+                candidates.end());
+    for (size_t e = 0; e < index.entries().size(); ++e) {
+      if (!BoundedLevenshtein(normalized, index.entries()[e].surface, 2)) {
+        continue;
+      }
+      EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(), e))
+          << "query='" << normalized << "' missed '"
+          << index.entries()[e].surface << "'";
+    }
+  }
+}
+
+// More than 256 "<name> variant N" siblings tie on shared-trigram count
+// with the closest surface, which has the highest entry index: a ranked
+// top-256 cut (ties to the lower index) drops it, an exact filter must
+// not. The query is one edit from "... variant 479" and two from every
+// "... variant 4dd9".
+TEST(EditMatcher, ClosestSiblingBeyondTopRankedTrigramCut) {
+  ConceptDag dag;
+  for (int n = 4000; n < 4300; ++n) {
+    ASSERT_TRUE(
+        dag.AddConcept(StrFormat("imaging of heart variant %d", n)).ok());
+  }
+  Result<ConceptId> target = dag.AddConcept("imaging of heart variant 479");
+  ASSERT_TRUE(target.ok());
+  NameIndex index(&dag);
+  const std::string query = "imaging of heart variant 4x9";
+
+  const std::vector<size_t> ranked = index.CandidatesByTrigram(query, 256);
+  ASSERT_EQ(ranked.size(), 256u);
+  EXPECT_EQ(std::find(ranked.begin(), ranked.end(), size_t{*target}),
+            ranked.end());
+
+  EditDistanceMatcher matcher(&index, EditMatcherOptions{});
+  const std::optional<ConceptMatch> m = matcher.Map(query);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->id, *target);
+  EXPECT_DOUBLE_EQ(m->score, 1.0 - 1.0 / 3.0);
+}
+
+// Many threads map through one index while another thread alternates
+// between a small and a large index, so its thread-local count array is
+// resized mid-run and its epochs interleave across indexes. Every answer
+// must equal the single-threaded one (run under the tsan preset too).
+TEST(EditMatcher, ConcurrentMapsMatchSequentialAcrossIndexes) {
+  std::unique_ptr<OracleWorld> big = MakeOracleWorld(800, 3);
+  ASSERT_NE(big, nullptr);
+  auto fx = BuildFigure5Fixture();
+  ASSERT_TRUE(fx.ok());
+  NameIndex small_index(&fx->dag);
+  const EditDistanceMatcher big_matcher(big->index.get(),
+                                        EditMatcherOptions{});
+  const EditDistanceMatcher small_matcher(&small_index, EditMatcherOptions{});
+
+  const std::vector<std::string> queries = OracleQueries(*big->index, 30, 7);
+  const std::vector<std::string> small_queries = {
+      "kidny disease", "nephropathy", "kidney diseas", "hypertension",
+      "chronic kidney disease"};
+  std::vector<std::optional<ConceptMatch>> want_big;
+  std::vector<std::optional<ConceptMatch>> want_small;
+  for (const std::string& q : queries) want_big.push_back(big_matcher.Map(q));
+  for (const std::string& q : small_queries) {
+    want_small.push_back(small_matcher.Map(q));
+  }
+  const auto same = [](const std::optional<ConceptMatch>& a,
+                       const std::optional<ConceptMatch>& b) {
+    return a.has_value() == b.has_value() &&
+           (!a.has_value() || (a->id == b->id && a->score == b->score));
+  };
+
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads + 1, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < 2; ++round) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const size_t q = (i + static_cast<size_t>(t) * 7) % queries.size();
+          if (!same(big_matcher.Map(queries[q]), want_big[q])) {
+            ++mismatches[static_cast<size_t>(t)];
+          }
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const size_t s = i % small_queries.size();
+      if (!same(small_matcher.Map(small_queries[s]), want_small[s])) {
+        ++mismatches[kThreads];
+      }
+      if (!same(big_matcher.Map(queries[i]), want_big[i])) {
+        ++mismatches[kThreads];
+      }
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t <= kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
+  }
+}
+
 // Embedding matcher needs word vectors; train a small model on a corpus
 // built from the fixture names so every word is in-vocabulary.
 struct EmbeddingRig {
@@ -106,7 +356,7 @@ EmbeddingRig MakeEmbeddingRig() {
   Corpus corpus;
   for (int rep = 0; rep < 12; ++rep) {
     Document doc;
-    doc.name = "d" + std::to_string(rep);
+    doc.name = StrFormat("d%d", rep);
     DocumentSection s;
     s.context = kNoContext;
     for (ConceptId id = 0; id < rig.fx.dag.num_concepts(); ++id) {

@@ -28,6 +28,9 @@
 //       built for (scripts/server_smoke.sh "cache-stress"). Prints
 //       "ok load requests=N answered=A errors=E" on stdout; timing goes
 //       to stderr so stdout stays machine-diffable.
+//
+//   A port outside 1..65535, or a malformed numeric flag, exits 2 with
+//   the reason on stderr.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -40,14 +43,18 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "flags.h"
 
 namespace {
 
@@ -61,21 +68,17 @@ int Usage() {
   return 2;
 }
 
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
+using medrelax::tools::CountFlags;
+using medrelax::tools::FlagValue;
 
-size_t SizeFlag(int argc, char** argv, const char* flag, size_t fallback) {
-  const char* v = FlagValue(argc, argv, flag);
-  return v != nullptr ? std::strtoul(v, nullptr, 10) : fallback;
-}
-
-double DoubleFlag(int argc, char** argv, const char* flag, double fallback) {
-  const char* v = FlagValue(argc, argv, flag);
-  return v != nullptr ? std::strtod(v, nullptr) : fallback;
+/// --zipf THETA: a finite, non-negative decimal; anything else (trailing
+/// junk included) is rejected rather than read as a prefix or as 0.
+bool ParseTheta(const char* text, double* theta) {
+  char* end = nullptr;
+  errno = 0;
+  *theta = std::strtod(text, &end);
+  return end != text && *end == '\0' && errno == 0 && std::isfinite(*theta) &&
+         *theta >= 0;
 }
 
 /// Cumulative Zipf(theta) popularity over `ranks` items: weight of rank r
@@ -278,8 +281,24 @@ void LoadWorker(uint16_t port, size_t requests,
 }
 
 int RunLoad(int argc, char** argv, uint16_t port) {
-  const size_t requests = SizeFlag(argc, argv, "--requests", 100);
-  const size_t connections = SizeFlag(argc, argv, "--connections", 1);
+  CountFlags flags(argc, argv);
+  const size_t requests = flags.Get("--requests", 100);
+  const size_t connections = flags.Get("--connections", 1, 1024);
+  const uint64_t seed = flags.Get("--seed", 42);
+  double zipf_theta = 0.0;
+  const char* zipf_flag = FlagValue(argc, argv, "--zipf");
+  if (!flags.status().ok()) {
+    std::fprintf(stderr, "medrelax_client: %s\n",
+                 flags.status().ToString().c_str());
+    return 2;
+  }
+  if (zipf_flag != nullptr && !ParseTheta(zipf_flag, &zipf_theta)) {
+    std::fprintf(stderr,
+                 "medrelax_client: --zipf wants a non-negative number, got"
+                 " '%s'\n",
+                 zipf_flag);
+    return 2;
+  }
   const char* line_flag = FlagValue(argc, argv, "--line");
   const char* replay_flag = FlagValue(argc, argv, "--replay");
   if (line_flag != nullptr && replay_flag != nullptr) return Usage();
@@ -305,9 +324,6 @@ int RunLoad(int argc, char** argv, uint16_t port) {
     script.push_back(line_flag != nullptr ? line_flag : "GEN");
   }
   if (connections == 0 || requests == 0) return Usage();
-  const double zipf_theta = DoubleFlag(argc, argv, "--zipf", 0.0);
-  if (zipf_theta < 0) return Usage();
-  const uint64_t seed = SizeFlag(argc, argv, "--seed", 42);
   std::vector<double> zipf_cdf;
   if (zipf_theta > 0) zipf_cdf = ZipfCdf(script.size(), zipf_theta);
 
@@ -344,10 +360,18 @@ int RunLoad(int argc, char** argv, uint16_t port) {
 
 int main(int argc, char** argv) {
   if (argc < 3) return Usage();
-  const uint16_t port =
-      static_cast<uint16_t>(std::strtoul(argv[2], nullptr, 10));
-  if (port == 0) return Usage();
-  if (std::strcmp(argv[1], "session") == 0) return RunSession(port);
-  if (std::strcmp(argv[1], "load") == 0) return RunLoad(argc, argv, port);
+  const medrelax::Result<uint64_t> port = medrelax::tools::ParseCount(
+      argv[2], "port", std::numeric_limits<uint16_t>::max());
+  if (!port.ok() || *port == 0) {
+    std::fprintf(stderr, "medrelax_client: %s\n",
+                 port.ok() ? "port 0 is not connectable"
+                           : port.status().ToString().c_str());
+    return 2;
+  }
+  const auto tcp_port = static_cast<uint16_t>(*port);
+  if (std::strcmp(argv[1], "session") == 0) return RunSession(tcp_port);
+  if (std::strcmp(argv[1], "load") == 0) {
+    return RunLoad(argc, argv, tcp_port);
+  }
   return Usage();
 }

@@ -37,6 +37,11 @@
 //       Lines starting with '#' and blank lines are ignored, so a
 //       scripted session file can be commented.
 //
+//       Numeric flags are plain decimal counts. A malformed or
+//       out-of-range value (a port over 65535, more than 1024 workers),
+//       or --workers 0 with --listen, exits 2 with the reason on stderr
+//       before anything is loaded.
+//
 //   medrelax_server load <dir> [--requests N] [--workers N] [--queue N]
 //                        [--cache N] [--deadline-ms D] [--distinct N]
 //       Closed-loop load driver: submits N requests (rotating over
@@ -53,6 +58,7 @@
 #include <functional>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -68,6 +74,7 @@
 #include "medrelax/net/line_server.h"
 #include "medrelax/serve/protocol.h"
 #include "medrelax/serve/relaxation_service.h"
+#include "flags.h"
 
 using namespace medrelax;  // NOLINT — tool brevity
 
@@ -89,23 +96,21 @@ int Usage() {
   return 2;
 }
 
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
+using tools::CountFlags;
+using tools::FlagValue;
+using tools::HasFlag;
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
+/// Upper bound of --workers: each worker is a thread, and a mistyped
+/// count must fail at startup rather than in thread creation.
+constexpr uint64_t kMaxWorkers = 1024;
 
-size_t SizeFlag(int argc, char** argv, const char* flag, size_t fallback) {
-  const char* v = FlagValue(argc, argv, flag);
-  return v != nullptr ? std::strtoul(v, nullptr, 10) : fallback;
+/// Reports a bad numeric flag (see tools::CountFlags) and returns the
+/// usage exit code; 0 when every flag parsed.
+int RejectBadFlags(const CountFlags& flags) {
+  if (flags.status().ok()) return 0;
+  std::fprintf(stderr, "medrelax_server: %s\n",
+               flags.status().ToString().c_str());
+  return 2;
 }
 
 /// Loads <dir>/{eks,kb}.tsv fresh and runs the offline phase into a new
@@ -535,15 +540,27 @@ int RunServe(int argc, char** argv) {
   if (dir.empty() && image.empty()) return Usage();
   SnapshotOptions snapshot_options;
   snapshot_options.use_exact_mapper = HasFlag(argc, argv, "--exact");
+  CountFlags flags(argc, argv);
   ServiceOptions service_options;
   service_options.num_workers =
-      static_cast<unsigned>(SizeFlag(argc, argv, "--workers", 1));
-  service_options.queue_capacity = SizeFlag(argc, argv, "--queue", 64);
-  service_options.cache.capacity = SizeFlag(argc, argv, "--cache", 1024);
-  service_options.default_deadline =
-      std::chrono::milliseconds(SizeFlag(argc, argv, "--deadline-ms", 0));
-  service_options.max_batch =
-      SizeFlag(argc, argv, "--batch", service_options.max_batch);
+      static_cast<unsigned>(flags.Get("--workers", 1, kMaxWorkers));
+  service_options.queue_capacity = flags.Get("--queue", 64);
+  service_options.cache.capacity = flags.Get("--cache", 1024);
+  service_options.default_deadline = std::chrono::milliseconds(
+      flags.Get("--deadline-ms", 0, serve::kMaxTimeoutMs));
+  service_options.max_batch = flags.Get("--batch", service_options.max_batch);
+  const bool listen = FlagValue(argc, argv, "--listen") != nullptr;
+  const auto port = static_cast<uint16_t>(
+      flags.Get("--listen", 0, std::numeric_limits<uint16_t>::max()));
+  const size_t max_conns = flags.Get("--max-conns", 64);
+  const size_t max_line = flags.Get("--max-line", 0);
+  if (const int rc = RejectBadFlags(flags); rc != 0) return rc;
+  // Without workers only the stdio session pumps the queue (RunOnce);
+  // over TCP nothing would ever serve an admitted RELAX.
+  if (listen && service_options.num_workers == 0) {
+    std::fprintf(stderr, "medrelax_server: --listen needs --workers >= 1\n");
+    return 2;
+  }
   // --cache-policy lru|activity: "lru" pins the pre-activity strict-LRU
   // behavior (the golden-parity escape hatch and the A/B baseline the
   // smoke script's cache-stress stage compares against); the default is
@@ -589,11 +606,7 @@ int RunServe(int argc, char** argv) {
   service.TransportStats().RecordSnapshotSource(mapped, load_micros);
   ServerState state{service, dir, image, snapshot_options};
 
-  if (FlagValue(argc, argv, "--listen") != nullptr) {
-    const uint16_t port =
-        static_cast<uint16_t>(SizeFlag(argc, argv, "--listen", 0));
-    const size_t max_conns = SizeFlag(argc, argv, "--max-conns", 64);
-    const size_t max_line = SizeFlag(argc, argv, "--max-line", 0);
+  if (listen) {
     // lint:allow(loop-affinity) EventLoop::Run makes this thread the loop
     return RunTcpServer(state, service_options, port, max_conns, max_line);
   }
@@ -606,15 +619,17 @@ int RunServe(int argc, char** argv) {
 int RunLoad(int argc, char** argv) {
   const std::string dir = argv[2];
   SnapshotOptions snapshot_options;
+  CountFlags flags(argc, argv);
   ServiceOptions service_options;
   service_options.num_workers =
-      static_cast<unsigned>(SizeFlag(argc, argv, "--workers", 2));
-  service_options.queue_capacity = SizeFlag(argc, argv, "--queue", 64);
-  service_options.cache.capacity = SizeFlag(argc, argv, "--cache", 1024);
-  service_options.default_deadline =
-      std::chrono::milliseconds(SizeFlag(argc, argv, "--deadline-ms", 0));
-  const size_t num_requests = SizeFlag(argc, argv, "--requests", 2000);
-  const size_t distinct = SizeFlag(argc, argv, "--distinct", 32);
+      static_cast<unsigned>(flags.Get("--workers", 2, kMaxWorkers));
+  service_options.queue_capacity = flags.Get("--queue", 64);
+  service_options.cache.capacity = flags.Get("--cache", 1024);
+  service_options.default_deadline = std::chrono::milliseconds(
+      flags.Get("--deadline-ms", 0, serve::kMaxTimeoutMs));
+  const size_t num_requests = flags.Get("--requests", 2000);
+  const size_t distinct = flags.Get("--distinct", 32);
+  if (const int rc = RejectBadFlags(flags); rc != 0) return rc;
 
   Result<std::shared_ptr<Snapshot>> snapshot =
       BuildSnapshotFromDir(dir, snapshot_options);
