@@ -9,11 +9,17 @@
 //   * before/after: BM_OnlineRelaxationLegacy replays the pre-engine hot
 //     path (per-radius re-search + per-pair full-graph geometry, no
 //     memoization) against BM_OnlineRelaxation's shared-frontier engine;
-//   * BM_RelaxBatch measures multi-threaded batch throughput.
+//   * BM_RelaxBatch measures multi-threaded batch throughput;
+//   * BM_RelaxationVIndependence times the same small-ball relaxation on a
+//     1k- and a 64k-concept synthetic DAG in one run; its counter
+//     v_independence (small ÷ large time per query) is CI-floored, so a
+//     per-query cost that scales with |V| or with a hub's fan-out cannot
+//     come back unnoticed.
 //
 // google-benchmark binary: run with --benchmark_filter=... to narrow.
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <vector>
@@ -21,6 +27,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
+#include "medrelax/common/random.h"
+#include "medrelax/common/string_util.h"
 #include "medrelax/graph/traversal.h"
 #include "medrelax/relax/relax_stats.h"
 
@@ -37,6 +45,23 @@ std::unique_ptr<StandardWorld>& WorldForSize(size_t num_concepts) {
     slot = BuildStandardWorld(num_concepts, /*drugs=*/80,
                               /*findings=*/num_concepts / 16,
                               /*seed=*/2026);
+  }
+  return slot;
+}
+
+// The finding region of WorldForSize(num_concepts) in a fixed
+// pseudo-random order. The generator emits the region top-down, so its
+// first concepts are the broad ones with the largest balls, and a short
+// run timed only those; every prefix of the shuffled order is a uniform
+// sample, so the mean per query does not depend on how many iterations
+// the timer chose.
+const std::vector<ConceptId>& QueryOrder(size_t num_concepts) {
+  static std::map<size_t, std::vector<ConceptId>> cache;
+  auto& slot = cache[num_concepts];
+  if (slot.empty() && WorldForSize(num_concepts) != nullptr) {
+    slot = WorldForSize(num_concepts)->world.eks.finding_concepts;
+    Rng rng(7);
+    rng.Shuffle(&slot);
   }
   return slot;
 }
@@ -146,7 +171,7 @@ void BM_OnlineRelaxation(benchmark::State& state) {
   ropts.top_k = 10;
   QueryRelaxer relaxer(&s->world.eks.dag, &s->with_corpus, s->edit.get(),
                        SimilarityOptions{}, ropts);
-  const std::vector<ConceptId>& region = s->world.eks.finding_concepts;
+  const std::vector<ConceptId>& region = QueryOrder(num_concepts);
   size_t i = 0;
   RelaxStats total;
   for (auto _ : state) {
@@ -192,7 +217,7 @@ void BM_OnlineRelaxationLegacy(benchmark::State& state) {
   sopts.memoize_geometry = false;  // the legacy path cached nothing
   SimilarityModel model(&s->world.eks.dag, &s->with_corpus.frequencies,
                         sopts);
-  const std::vector<ConceptId>& region = s->world.eks.finding_concepts;
+  const std::vector<ConceptId>& region = QueryOrder(num_concepts);
   size_t i = 0;
   for (auto _ : state) {
     RelaxationOutcome outcome =
@@ -246,6 +271,100 @@ BENCHMARK(BM_RelaxBatch)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// A synthetic taxonomy whose query ball is 16 concepts at any |V|:
+// root <- hub <- a <- b <- c <- query, where a, b and c each have three
+// flagged leaf children and every other concept is a leaf child of the
+// hub. The radius-4 ball of `query` ends exactly at the hub, and every
+// candidate's ancestor cone passes through it.
+struct HubWorld {
+  ConceptDag dag;
+  IngestionResult ingestion;
+  ConceptId query = kInvalidConcept;
+};
+
+std::unique_ptr<HubWorld> BuildHubWorld(size_t num_concepts) {
+  auto w = std::make_unique<HubWorld>();
+  ConceptDag& dag = w->dag;
+  std::vector<ConceptId> parent_of;
+  auto add = [&](ConceptId parent) {
+    const ConceptId id = *dag.AddConcept(StrFormat("c%zu", parent_of.size()));
+    parent_of.push_back(parent);
+    if (parent != kInvalidConcept) (void)dag.AddSubsumption(id, parent);
+    return id;
+  };
+  const ConceptId root = add(kInvalidConcept);
+  const ConceptId hub = add(root);
+  std::vector<ConceptId> flagged;
+  ConceptId below = hub;
+  for (int level = 0; level < 3; ++level) {
+    below = add(below);
+    flagged.push_back(below);
+    for (int leaf = 0; leaf < 3; ++leaf) flagged.push_back(add(below));
+  }
+  w->query = add(below);
+  flagged.push_back(w->query);
+  while (parent_of.size() < num_concepts) add(hub);
+
+  // One context; raw frequency = reflexive descendant count, normalized
+  // at the root (Equation 2's propagation on a tree).
+  IngestionResult& ingestion = w->ingestion;
+  ingestion.frequencies = FrequencyModel(num_concepts, 1);
+  std::vector<double> raw(num_concepts, 1.0);
+  for (ConceptId id = static_cast<ConceptId>(num_concepts - 1); id > 0; --id) {
+    raw[parent_of[id]] += raw[id];
+  }
+  for (ConceptId id = 0; id < num_concepts; ++id) {
+    ingestion.frequencies.SetRaw(id, 0, raw[id]);
+  }
+  ingestion.frequencies.Normalize(root);
+  ingestion.flagged.assign(num_concepts, false);
+  InstanceId next_instance = 0;
+  for (ConceptId id : flagged) {
+    ingestion.flagged[id] = true;
+    ingestion.concept_instances[id] = {next_instance, next_instance + 1};
+    next_instance += 2;
+  }
+  return w;
+}
+
+void BM_RelaxationVIndependence(benchmark::State& state) {
+  static std::unique_ptr<HubWorld> small = BuildHubWorld(1000);
+  static std::unique_ptr<HubWorld> large = BuildHubWorld(65536);
+  RelaxationOptions ropts;
+  ropts.radius = 4;
+  ropts.top_k = 10;
+  // Memoization off: every query pays its geometry, so the bench times
+  // the traversal and the LCS check rather than a cache probe.
+  SimilarityOptions sopts;
+  sopts.memoize_geometry = false;
+  QueryRelaxer small_relaxer(&small->dag, &small->ingestion, nullptr, sopts,
+                             ropts);
+  QueryRelaxer large_relaxer(&large->dag, &large->ingestion, nullptr, sopts,
+                             ropts);
+  using Clock = std::chrono::steady_clock;
+  Clock::duration small_time{0}, large_time{0};
+  size_t neighbors = 0;
+  for (auto _ : state) {
+    const Clock::time_point t0 = Clock::now();
+    RelaxationOutcome a = small_relaxer.RelaxConcept(small->query, 0);
+    const Clock::time_point t1 = Clock::now();
+    RelaxationOutcome b = large_relaxer.RelaxConcept(large->query, 0);
+    const Clock::time_point t2 = Clock::now();
+    small_time += t1 - t0;
+    large_time += t2 - t1;
+    neighbors = b.stats.neighbors_visited;
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(b);
+  }
+  state.counters["avg_neighbors"] = static_cast<double>(neighbors);
+  state.counters["v_independence"] =
+      large_time.count() > 0 ? static_cast<double>(small_time.count()) /
+                                   static_cast<double>(large_time.count())
+                             : 0.0;
+  state.SetLabel("concepts=1000 vs 65536, hub-ended ball");
+}
+BENCHMARK(BM_RelaxationVIndependence)->Unit(benchmark::kMicrosecond);
 
 void BM_OnlineRelaxationByRadius(benchmark::State& state) {
   auto& s = WorldForSize(4000);

@@ -36,7 +36,7 @@ void Report(const char* label, const Result<RelaxResponse>& response) {
     return;
   }
   std::printf("%-28s -> gen=%llu hit=%d concepts=%zu instances=%zu\n", label,
-              static_cast<unsigned long long>(response->generation),
+              static_cast<unsigned long long>(response->snapshot->generation()),
               response->cache_hit ? 1 : 0, response->outcome->concepts.size(),
               response->outcome->instances.size());
 }

@@ -3,27 +3,47 @@
 #include <algorithm>
 #include <limits>
 
-#include "medrelax/graph/traversal.h"
-
 namespace medrelax {
 
 namespace {
 constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
 }  // namespace
 
-GeometryEngine::GeometryEngine(const ConceptDag* dag)
-    : dag_(dag),
-      up_target_(dag->num_concepts(), 0),
-      stamp_(dag->num_concepts(), 0) {}
+GeometryEngine::GeometryEngine(const ConceptDag* dag) { Reset(dag); }
+
+void GeometryEngine::Reset(const ConceptDag* dag) {
+  dag_ = dag;
+  source_ = kInvalidConcept;
+  if (slots_.size() < dag->num_concepts()) slots_.resize(dag->num_concepts());
+}
 
 void GeometryEngine::SetSource(ConceptId source) {
   if (source == source_) return;
   source_ = source;
-  if (!dag_->IsValid(source)) {
-    up_source_.assign(dag_->num_concepts(), kUnreachable);
-    return;
+  if (++source_epoch_ == 0) {
+    // Wrapped: a stamp from 2^32 sweeps ago would alias the new epoch.
+    for (Slot& slot : slots_) slot.source_stamp = 0;
+    source_epoch_ = 1;
   }
-  up_source_ = UpDistances(*dag_, source);
+  if (!dag_->IsValid(source)) return;  // nothing reachable
+  // Sparse upward BFS over native edges: original-hop distances to the
+  // source's reflexive ancestors.
+  cone_.clear();
+  slots_[source].source_stamp = source_epoch_;
+  slots_[source].source_up = 0;
+  cone_.push_back(source);
+  for (size_t head = 0; head < cone_.size(); ++head) {
+    ConceptId u = cone_[head];
+    for (const DagEdge& e : dag_->parents(u)) {
+      if (e.is_shortcut) continue;
+      Slot& parent = slots_[e.target];
+      if (parent.source_stamp != source_epoch_) {
+        parent.source_stamp = source_epoch_;
+        parent.source_up = slots_[u].source_up + 1;
+        cone_.push_back(e.target);
+      }
+    }
+  }
 }
 
 PairGeometry GeometryEngine::Compute(ConceptId target) {
@@ -31,24 +51,28 @@ PairGeometry GeometryEngine::Compute(ConceptId target) {
   if (!dag_->IsValid(source_) || !dag_->IsValid(target)) return g;
 
   // Sparse upward BFS from the target over native edges: the reflexive
-  // ancestor cone with original-hop distances, epoch-stamped so the
-  // graph-sized scratch arrays are reused without clearing.
-  if (epoch_ == std::numeric_limits<uint32_t>::max()) {
-    std::fill(stamp_.begin(), stamp_.end(), 0u);
-    epoch_ = 0;
+  // ancestor cone with original-hop distances. The same sweep does the
+  // LCS minimality check parent-side: every native parent of a common
+  // subsumer (a cone member the source also reaches) is a common
+  // subsumer with a common subsumer below it, hence not least.
+  if (++target_epoch_ == 0) {
+    for (Slot& slot : slots_) slot.target_stamp = slot.parent_stamp = 0;
+    target_epoch_ = 1;
   }
-  ++epoch_;
   cone_.clear();
-  stamp_[target] = epoch_;
-  up_target_[target] = 0;
+  slots_[target].target_stamp = target_epoch_;
+  slots_[target].target_up = 0;
   cone_.push_back(target);
   for (size_t head = 0; head < cone_.size(); ++head) {
     ConceptId u = cone_[head];
+    const bool common = ReachedFromSource(u);
     for (const DagEdge& e : dag_->parents(u)) {
       if (e.is_shortcut) continue;
-      if (stamp_[e.target] != epoch_) {
-        stamp_[e.target] = epoch_;
-        up_target_[e.target] = up_target_[u] + 1;
+      Slot& parent = slots_[e.target];
+      if (common) parent.parent_stamp = target_epoch_;
+      if (parent.target_stamp != target_epoch_) {
+        parent.target_stamp = target_epoch_;
+        parent.target_up = slots_[u].target_up + 1;
         cone_.push_back(e.target);
       }
     }
@@ -59,12 +83,13 @@ PairGeometry GeometryEngine::Compute(ConceptId target) {
   uint32_t best_total = kUnreachable;
   uint32_t best_up = kUnreachable;
   for (ConceptId c : cone_) {
-    if (up_source_[c] == kUnreachable) continue;
-    uint32_t total = up_source_[c] + up_target_[c];
+    if (!ReachedFromSource(c)) continue;
+    const Slot& slot = slots_[c];
+    uint32_t total = slot.source_up + slot.target_up;
     if (total < best_total ||
-        (total == best_total && up_source_[c] < best_up)) {
+        (total == best_total && slot.source_up < best_up)) {
       best_total = total;
-      best_up = up_source_[c];
+      best_up = slot.source_up;
     }
   }
   if (best_total == kUnreachable) return g;  // disconnected forest
@@ -80,24 +105,15 @@ PairGeometry GeometryEngine::Compute(ConceptId target) {
   g.gen_exponent = up * d - up * (up + 1.0) / 2.0;
   g.spec_exponent = down * (down - 1.0) / 2.0;
 
-  // LCS (footnote 1): among minimal common subsumers — those with no
-  // native child that is also a common subsumer — keep the shortest
-  // combined distance; ties are all returned. Common subsumers are
-  // exactly the cone members the source also reaches upward.
+  // LCS (footnote 1): among minimal common subsumers — those the sweep
+  // did not mark as the native parent of another common subsumer — keep
+  // the shortest combined distance; ties are all returned.
   uint32_t best_combined = kUnreachable;
   for (ConceptId c : cone_) {
-    if (up_source_[c] == kUnreachable) continue;
-    bool minimal = true;
-    for (const DagEdge& e : dag_->children(c)) {
-      if (e.is_shortcut) continue;
-      if (stamp_[e.target] == epoch_ &&
-          up_source_[e.target] != kUnreachable) {
-        minimal = false;
-        break;
-      }
-    }
-    if (!minimal) continue;
-    uint32_t combined = up_source_[c] + up_target_[c];
+    if (!ReachedFromSource(c)) continue;
+    const Slot& slot = slots_[c];
+    if (slot.parent_stamp == target_epoch_) continue;  // not minimal
+    uint32_t combined = slot.source_up + slot.target_up;
     if (combined < best_combined) {
       best_combined = combined;
       g.lcs.clear();

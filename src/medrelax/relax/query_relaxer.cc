@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "medrelax/common/string_util.h"
+#include "medrelax/graph/geometry.h"
 #include "medrelax/graph/traversal.h"
 
 namespace medrelax {
@@ -16,6 +17,20 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
                    std::chrono::steady_clock::time_point to) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
+
+/// One thread's traversal scratch, shared by every relaxer that runs on
+/// the thread. Both members are epoch-stamped, so re-anchoring them costs
+/// O(1) and no query allocates or fills a |V|-sized array; the arrays
+/// only grow to the largest DAG the thread has relaxed against.
+struct RelaxScratch {
+  RadiusExpander expander;
+  GeometryEngine engine;
+};
+
+RelaxScratch& ThreadScratch() {
+  thread_local RelaxScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -51,14 +66,15 @@ RelaxationOutcome QueryRelaxer::RelaxConcept(ConceptId query,
 RelaxationOutcome QueryRelaxer::RelaxConceptWithK(ConceptId query,
                                                   ContextId context,
                                                   size_t k) const {
-  GeometryEngine engine(eks_);
-  return RelaxWithEngine(query, context, k, engine);
+  ThreadScratch().engine.Reset(eks_);
+  return RelaxOnThread(query, context, k);
 }
 
-RelaxationOutcome QueryRelaxer::RelaxWithEngine(ConceptId query,
-                                                ContextId context, size_t k,
-                                                GeometryEngine& engine) const {
+RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
+                                              ContextId context,
+                                              size_t k) const {
   const auto t_start = std::chrono::steady_clock::now();
+  RelaxScratch& scratch = ThreadScratch();
   RelaxationOutcome outcome;
   outcome.query_concept = query;
 
@@ -73,7 +89,8 @@ RelaxationOutcome QueryRelaxer::RelaxWithEngine(ConceptId query,
   // pays for the newly uncovered ring, and candidate/coverage bookkeeping
   // only touches neighbors not seen at the previous radius.
   uint32_t radius = relaxation_options_.radius;
-  RadiusExpander expander(*eks_, query);
+  RadiusExpander& expander = scratch.expander;
+  expander.Reset(*eks_, query);
   std::vector<Neighbor> neighbors;
   std::vector<ConceptId> candidates;
   size_t covered_instances = 0;
@@ -106,6 +123,7 @@ RelaxationOutcome QueryRelaxer::RelaxWithEngine(ConceptId query,
   // Line 3: score each candidate. Geometry comes from the memoization
   // cache when available, otherwise from the shared-frontier engine (one
   // upward BFS for the query, then one small cone per candidate).
+  GeometryEngine& engine = scratch.engine;
   engine.SetSource(query);
   std::vector<ScoredConcept> scored;
   scored.reserve(candidates.size());
@@ -170,13 +188,12 @@ std::vector<RelaxationOutcome> QueryRelaxer::RelaxBatch(
 
   std::atomic<size_t> next{0};
   auto worker = [&]() {
-    GeometryEngine engine(eks_);
+    ThreadScratch().engine.Reset(eks_);
     for (;;) {
       size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= queries.size()) return;
-      outcomes[i] =
-          RelaxWithEngine(queries[i].concept_id, queries[i].context,
-                          relaxation_options_.top_k, engine);
+      outcomes[i] = RelaxOnThread(queries[i].concept_id, queries[i].context,
+                                  relaxation_options_.top_k);
     }
   };
   if (num_threads == 1) {
@@ -194,12 +211,11 @@ std::vector<RelaxationOutcome> QueryRelaxer::RelaxBatch(
     std::span<const PreparedQuery> queries) const {
   std::vector<RelaxationOutcome> outcomes;
   outcomes.reserve(queries.size());
-  GeometryEngine engine(eks_);
+  ThreadScratch().engine.Reset(eks_);
   for (const PreparedQuery& query : queries) {
     const size_t k =
         query.top_k != 0 ? query.top_k : relaxation_options_.top_k;
-    outcomes.push_back(
-        RelaxWithEngine(query.concept_id, query.context, k, engine));
+    outcomes.push_back(RelaxOnThread(query.concept_id, query.context, k));
   }
   return outcomes;
 }
@@ -207,15 +223,19 @@ std::vector<RelaxationOutcome> QueryRelaxer::RelaxBatch(
 size_t QueryRelaxer::PrecomputeSimilarities() const {
   if (!similarity_.options().memoize_geometry) return 0;
   const std::vector<bool>& flagged = ingestion_->flagged;
-  GeometryEngine engine(eks_);
+  RelaxScratch& scratch = ThreadScratch();
+  scratch.engine.Reset(eks_);
+  std::vector<Neighbor> neighbors;
   for (ConceptId query = 0; query < flagged.size(); ++query) {
     if (!flagged[query]) continue;
-    engine.SetSource(query);
-    for (const Neighbor& n : NeighborsWithinRadius(
-             *eks_, query, relaxation_options_.radius)) {
+    scratch.engine.SetSource(query);
+    scratch.expander.Reset(*eks_, query);
+    neighbors.clear();
+    scratch.expander.ExpandTo(relaxation_options_.radius, &neighbors);
+    for (const Neighbor& n : neighbors) {
       if (n.id < flagged.size() && flagged[n.id] &&
           !similarity_.CachedGeometry(query, n.id)) {
-        similarity_.StoreGeometry(query, n.id, engine.Compute(n.id));
+        similarity_.StoreGeometry(query, n.id, scratch.engine.Compute(n.id));
       }
     }
   }

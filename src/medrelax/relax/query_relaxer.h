@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "medrelax/common/result.h"
-#include "medrelax/graph/geometry.h"
 #include "medrelax/matching/matcher.h"
 #include "medrelax/relax/ingestion.h"
 #include "medrelax/relax/relax_stats.h"
@@ -80,8 +79,11 @@ struct PreparedQuery {
 ///
 /// Thread-safe: all entry points are const and the underlying
 /// SimilarityModel synchronizes its geometry cache, so one relaxer can
-/// serve concurrent queries. RelaxBatch exploits this with a worker pool
-/// holding one GeometryEngine per thread.
+/// serve concurrent queries. The traversal scratch (a RadiusExpander and
+/// a GeometryEngine) is thread_local and shared by every relaxer on the
+/// thread: it is epoch-stamped, so a query allocates and fills nothing
+/// |V|-sized, and each top-level call below re-anchors it, so no call
+/// inherits state from another DAG or an earlier call.
 class QueryRelaxer {
  public:
   QueryRelaxer(const ConceptDag* eks, const IngestionResult* ingestion,
@@ -110,16 +112,16 @@ class QueryRelaxer {
   /// Relaxes a batch of concept-level queries on `num_threads` workers
   /// (0 = hardware concurrency). Outcomes are returned in input order and
   /// are identical to sequential RelaxConcept calls; each worker reuses
-  /// one GeometryEngine across its share of the batch.
+  /// its thread's scratch across its share of the batch.
   [[nodiscard]] std::vector<RelaxationOutcome> RelaxBatch(
       std::span<const ConceptQuery> queries, unsigned num_threads = 0) const;
 
   /// Serving-drain form: relaxes the prepared queries sequentially on the
-  /// calling thread through ONE shared GeometryEngine, so a drained group
-  /// of same-context (often same-concept) requests shares the upward
-  /// sweep instead of paying one per request — the engine's SetSource
-  /// early-out makes consecutive duplicates nearly free. Outcomes are in
-  /// input order and identical to per-query RelaxConceptWithK calls.
+  /// calling thread's scratch, re-anchored once for the batch, so
+  /// consecutive same-concept requests of a drained group share the
+  /// query's upward sweep (the engine's SetSource early-out). Outcomes
+  /// are in input order and identical to per-query RelaxConceptWithK
+  /// calls.
   [[nodiscard]] std::vector<RelaxationOutcome> RelaxBatch(
       std::span<const PreparedQuery> queries) const;
 
@@ -141,12 +143,12 @@ class QueryRelaxer {
   const RelaxationOptions& options() const { return relaxation_options_; }
 
  private:
-  /// The shared-engine core of Algorithm 2: incremental radius growth,
-  /// cache-first geometry through `engine`, scoring, ranking, exact-k
-  /// truncation. `engine` must be anchored on any source or fresh; it is
-  /// re-anchored on `query`.
-  RelaxationOutcome RelaxWithEngine(ConceptId query, ContextId context,
-                                    size_t k, GeometryEngine& engine) const;
+  /// The core of Algorithm 2 on this thread's scratch: incremental
+  /// radius growth, cache-first geometry, scoring, ranking, exact-k
+  /// truncation. Precondition: the calling entry point has Reset the
+  /// thread's GeometryEngine on eks_ during the current top-level call.
+  RelaxationOutcome RelaxOnThread(ConceptId query, ContextId context,
+                                  size_t k) const;
 
   const ConceptDag* eks_;
   const IngestionResult* ingestion_;

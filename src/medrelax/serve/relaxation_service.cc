@@ -140,7 +140,7 @@ void RelaxationService::Serve(PendingRequest pending) {
   // a drained group's (options fingerprint, generation) uniform.
   std::shared_ptr<const Snapshot> snap = registry_.Current();
 
-  std::optional<ComputeItem> leader = Prepare(std::move(pending), *snap);
+  std::optional<ComputeItem> leader = Prepare(std::move(pending), snap);
   if (!leader.has_value()) return;
 
   std::vector<ComputeItem> group;
@@ -154,15 +154,16 @@ void RelaxationService::Serve(PendingRequest pending) {
     for (PendingRequest& extra :
          DrainSameContext(group.front().pending.request.context,
                           options_.max_batch - 1)) {
-      std::optional<ComputeItem> item = Prepare(std::move(extra), *snap);
+      std::optional<ComputeItem> item = Prepare(std::move(extra), snap);
       if (item.has_value()) group.push_back(std::move(*item));
     }
   }
-  ComputeGroup(*snap, std::move(group));
+  ComputeGroup(snap, std::move(group));
 }
 
 std::optional<RelaxationService::ComputeItem> RelaxationService::Prepare(
-    PendingRequest pending, const Snapshot& snap) {
+    PendingRequest pending, const std::shared_ptr<const Snapshot>& pinned) {
+  const Snapshot& snap = *pinned;
   const Clock::time_point start = Clock::now();
   // Fail fast on requests that aged out while queued: no relaxation work,
   // and the client learns immediately instead of receiving a late answer.
@@ -212,7 +213,7 @@ std::optional<RelaxationService::ComputeItem> RelaxationService::Prepare(
   if (std::shared_ptr<const RelaxationOutcome> cached = cache_.Lookup(key)) {
     RelaxResponse response;
     response.outcome = std::move(cached);
-    response.generation = snap.generation();
+    response.snapshot = pinned;
     response.cache_hit = true;
     response.latency_ns = ElapsedNs(pending.enqueued_at, Clock::now());
     stats_.RecordCompleted(/*cache_hit=*/true, response.latency_ns);
@@ -256,8 +257,10 @@ RelaxationService::DrainSameContext(ContextId context, size_t limit) {
   return drained;
 }
 
-void RelaxationService::ComputeGroup(const Snapshot& snap,
-                                     std::vector<ComputeItem> group) {
+void RelaxationService::ComputeGroup(
+    const std::shared_ptr<const Snapshot>& pinned,
+    std::vector<ComputeItem> group) {
+  const Snapshot& snap = *pinned;
   if (options_.pre_compute_hook_for_test) options_.pre_compute_hook_for_test();
 
   std::vector<PreparedQuery> queries;
@@ -266,8 +269,8 @@ void RelaxationService::ComputeGroup(const Snapshot& snap,
     queries.push_back(
         PreparedQuery{item.key.concept_id, item.key.context, item.k});
   }
-  // One shared GeometryEngine across the group: same-context (often
-  // same-concept) queries reuse the frontier sweep.
+  // One RelaxBatch pass over the group: consecutive same-concept queries
+  // reuse the query's upward sweep.
   std::vector<RelaxationOutcome> outcomes = snap.relaxer().RelaxBatch(
       std::span<const PreparedQuery>(queries));
 
@@ -291,7 +294,7 @@ void RelaxationService::ComputeGroup(const Snapshot& snap,
 
     RelaxResponse response;
     response.outcome = outcome;
-    response.generation = snap.generation();
+    response.snapshot = pinned;
     response.cache_hit = false;
     response.latency_ns = ElapsedNs(group[i].pending.enqueued_at,
                                     Clock::now());
@@ -301,7 +304,7 @@ void RelaxationService::ComputeGroup(const Snapshot& snap,
     for (PendingRequest& follower : followers) {
       RelaxResponse fanned;
       fanned.outcome = outcome;
-      fanned.generation = snap.generation();
+      fanned.snapshot = pinned;
       fanned.cache_hit = true;
       fanned.coalesced = true;
       fanned.latency_ns = ElapsedNs(follower.enqueued_at, Clock::now());

@@ -71,8 +71,11 @@ struct RelaxResponse {
   /// Shared with the result cache: never mutated after creation, remains
   /// valid after eviction and snapshot swaps.
   std::shared_ptr<const RelaxationOutcome> outcome;
-  /// Generation of the snapshot that answered.
-  uint64_t generation = 0;
+  /// The snapshot that answered, pinned: the outcome's concept and
+  /// instance ids are only meaningful against it, so reply formatting
+  /// reads names (and the generation) from here, never from the possibly
+  /// since swapped current snapshot.
+  std::shared_ptr<const Snapshot> snapshot;
   bool cache_hit = false;
   /// True when this answer was fanned out from an identical in-flight
   /// computation (single-flight dedup). Coalesced answers also count as
@@ -207,23 +210,26 @@ class RelaxationService {
   /// touches the registry, the cache, or the relaxer
   /// (docs/CONCURRENCY.md).
   void Serve(PendingRequest pending) MEDRELAX_EXCLUDES(queue_mu_);
-  /// Admission-side phases for one dequeued request against the pinned
-  /// `snap`. Returns the compute item when this request became the leader
-  /// of a new in-flight computation; nullopt when it was fully resolved
-  /// here (typed error, cache hit, or coalesced onto an existing leader).
-  std::optional<ComputeItem> Prepare(PendingRequest pending,
-                                     const Snapshot& snap)
+  /// Admission-side phases for one dequeued request against the
+  /// `pinned` snapshot, which a cache hit's response carries. Returns the
+  /// compute item when this request became the leader of a new in-flight
+  /// computation; nullopt when it was fully resolved here (typed error,
+  /// cache hit, or coalesced onto an existing leader).
+  std::optional<ComputeItem> Prepare(
+      PendingRequest pending, const std::shared_ptr<const Snapshot>& pinned)
       MEDRELAX_EXCLUDES(inflight_mu_);
   /// Greedily extracts up to `limit` queued requests whose context equals
   /// `context`, preserving the relative order of everything left behind.
   std::vector<PendingRequest> DrainSameContext(ContextId context,
                                                size_t limit)
       MEDRELAX_EXCLUDES(queue_mu_);
-  /// Runs the relaxer once over the whole group (one shared frontier),
-  /// then per item: caches the outcome, resolves the leader, and fans the
-  /// same outcome out to every follower that attached while it computed.
-  /// All callbacks are invoked with no service lock held.
-  void ComputeGroup(const Snapshot& snap, std::vector<ComputeItem> group)
+  /// Runs the `pinned` snapshot's relaxer once over the whole group, then
+  /// per item: caches the outcome, resolves the leader, and fans the same
+  /// outcome out to every follower that attached while it computed; every
+  /// response carries `pinned`. All callbacks are invoked with no service
+  /// lock held.
+  void ComputeGroup(const std::shared_ptr<const Snapshot>& pinned,
+                    std::vector<ComputeItem> group)
       MEDRELAX_EXCLUDES(inflight_mu_);
 
   const ServiceOptions options_;

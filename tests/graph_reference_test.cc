@@ -2,7 +2,10 @@
 // implementations on random small DAGs: shortest up-distances
 // (Floyd-Warshall oracle), ancestors, LCS (direct spec transcription), and
 // taxonomic path lengths. Any divergence between the optimized library
-// code and the obvious-but-slow definitions fails here.
+// code and the obvious-but-slow definitions fails here. The hub cases
+// pin the deferred frontier shell and the parent-side LCS check against
+// an eager expander and the naive per-pair formulation on DAGs with a
+// 1000+-child concept.
 
 #include <algorithm>
 #include <limits>
@@ -62,6 +65,30 @@ std::vector<std::vector<uint32_t>> RefUpDistances(const ConceptDag& dag) {
     }
   }
   return d;
+}
+
+// Checks one engine's (a, b) geometry against the naive formulation.
+void ExpectMatchesNaive(const ConceptDag& dag, GeometryEngine& engine,
+                        ConceptId a, ConceptId b) {
+  PairGeometry got = engine.Compute(b);
+  TaxonomicPath path = ShortestTaxonomicPath(dag, a, b);
+  ASSERT_EQ(got.connected, path.found) << a << " -> " << b;
+  if (!path.found) return;
+  double gen = 0.0, spec = 0.0;
+  const double d = static_cast<double>(path.hops.size());
+  for (size_t i = 0; i < path.hops.size(); ++i) {
+    double exponent = d - static_cast<double>(i + 1);
+    if (path.hops[i] == HopDirection::kGeneralization) {
+      gen += exponent;
+    } else {
+      spec += exponent;
+    }
+  }
+  EXPECT_DOUBLE_EQ(got.gen_exponent, gen) << a << " -> " << b;
+  EXPECT_DOUBLE_EQ(got.spec_exponent, spec) << a << " -> " << b;
+  LcsResult lcs = LeastCommonSubsumers(dag, a, b);
+  std::sort(lcs.concepts.begin(), lcs.concepts.end());
+  EXPECT_EQ(got.lcs, lcs.concepts) << "lcs(" << a << ", " << b << ")";
 }
 
 class GraphReferenceSweep : public ::testing::TestWithParam<uint64_t> {};
@@ -250,29 +277,245 @@ TEST_P(GraphReferenceSweep, GeometryEngineMatchesNaiveFormulation) {
   GeometryEngine engine(&dag);
   for (ConceptId a = 0; a < n; ++a) {
     engine.SetSource(a);
-    for (ConceptId b = 0; b < n; ++b) {
-      PairGeometry got = engine.Compute(b);
+    for (ConceptId b = 0; b < n; ++b) ExpectMatchesNaive(dag, engine, a, b);
+  }
+}
 
-      TaxonomicPath path = ShortestTaxonomicPath(dag, a, b);
-      EXPECT_EQ(got.connected, path.found) << a << " -> " << b;
-      if (!path.found) continue;
-      double gen = 0.0, spec = 0.0;
-      const double d = static_cast<double>(path.hops.size());
-      for (size_t i = 0; i < path.hops.size(); ++i) {
-        double exponent = d - static_cast<double>(i + 1);
-        if (path.hops[i] == HopDirection::kGeneralization) {
-          gen += exponent;
-        } else {
-          spec += exponent;
-        }
+// RandomDag with every up-distance 2..3 materialized as a shortcut, plus a
+// hub: a concept under a random node with `hub_children` leaf children
+// (every tenth also under a random node, so the hub's fan-out is reachable
+// from both sides) and a native chain hub <- chain[0] <- chain[1] <-
+// chain[2] hanging below it.
+struct HubDag {
+  ConceptDag dag;
+  ConceptId hub = kInvalidConcept;
+  std::vector<ConceptId> chain;
+  std::vector<ConceptId> leaves;
+};
+
+HubDag RandomHubDag(size_t n, size_t hub_children, uint64_t seed) {
+  HubDag h;
+  h.dag = RandomDag(n, seed);
+  auto ref = RefUpDistances(h.dag);
+  for (ConceptId a = 0; a < n; ++a) {
+    for (ConceptId c = 0; c < n; ++c) {
+      if (ref[a][c] != kInf && ref[a][c] >= 2 && ref[a][c] <= 3) {
+        EXPECT_TRUE(h.dag.AddShortcut(a, c, ref[a][c]).ok());
       }
-      EXPECT_DOUBLE_EQ(got.gen_exponent, gen) << a << " -> " << b;
-      EXPECT_DOUBLE_EQ(got.spec_exponent, spec) << a << " -> " << b;
-
-      LcsResult lcs = LeastCommonSubsumers(dag, a, b);
-      std::sort(lcs.concepts.begin(), lcs.concepts.end());
-      EXPECT_EQ(got.lcs, lcs.concepts) << "lcs(" << a << ", " << b << ")";
     }
+  }
+  Rng rng(seed + 1);
+  h.hub = *h.dag.AddConcept("hub");
+  EXPECT_TRUE(h.dag.AddSubsumption(
+                       h.hub, static_cast<ConceptId>(rng.UniformU64(n)))
+                  .ok());
+  ConceptId below = h.hub;
+  for (size_t i = 0; i < 3; ++i) {
+    ConceptId link = *h.dag.AddConcept(StrFormat("chain%zu", i));
+    EXPECT_TRUE(h.dag.AddSubsumption(link, below).ok());
+    h.chain.push_back(link);
+    below = link;
+  }
+  for (size_t i = 0; i < hub_children; ++i) {
+    ConceptId leaf = *h.dag.AddConcept(StrFormat("leaf%zu", i));
+    EXPECT_TRUE(h.dag.AddSubsumption(leaf, h.hub).ok());
+    if (i % 10 == 0) {
+      EXPECT_TRUE(h.dag.AddSubsumption(
+                           leaf, static_cast<ConceptId>(rng.UniformU64(n)))
+                      .ok());
+    }
+    h.leaves.push_back(leaf);
+  }
+  return h;
+}
+
+// The radius search as it was before the frontier shell was deferred:
+// every node's edges are relaxed the moment it settles. The oracle for
+// RadiusExpander's output content and order.
+class EagerExpander {
+ public:
+  EagerExpander(const ConceptDag& dag, ConceptId start)
+      : dag_(&dag), dist_(dag.num_concepts(), kInf) {
+    dist_[start] = 0;
+    buckets_.resize(1);
+    buckets_[0].push_back(start);
+  }
+
+  void ExpandTo(uint32_t radius, std::vector<Neighbor>* out) {
+    while (next_ < buckets_.size() && next_ <= radius) {
+      for (size_t i = 0; i < buckets_[next_].size(); ++i) {
+        ConceptId u = buckets_[next_][i];
+        if (dist_[u] != next_) continue;
+        if (next_ > 0) out->push_back({u, next_});
+        auto relax = [&](const DagEdge& e) {
+          uint32_t candidate = next_ + e.original_distance;
+          if (candidate < dist_[e.target]) {
+            dist_[e.target] = candidate;
+            if (candidate >= buckets_.size()) buckets_.resize(candidate + 1);
+            buckets_[candidate].push_back(e.target);
+          }
+        };
+        for (const DagEdge& e : dag_->parents(u)) relax(e);
+        for (const DagEdge& e : dag_->children(u)) relax(e);
+      }
+      buckets_[next_].clear();
+      ++next_;
+    }
+    if (next_ <= radius) next_ = radius + 1;
+  }
+
+ private:
+  const ConceptDag* dag_;
+  std::vector<uint32_t> dist_;
+  std::vector<std::vector<ConceptId>> buckets_;
+  uint32_t next_ = 0;
+};
+
+std::vector<std::pair<ConceptId, uint32_t>> Pairs(
+    const std::vector<Neighbor>& neighbors) {
+  std::vector<std::pair<ConceptId, uint32_t>> out;
+  for (const Neighbor& nb : neighbors) out.emplace_back(nb.id, nb.hops);
+  return out;
+}
+
+TEST_P(GraphReferenceSweep, IncrementalExpansionMatchesEagerOnHubDag) {
+  HubDag h = RandomHubDag(40, 1200, GetParam() + 700);
+  std::vector<ConceptId> starts;
+  for (ConceptId id = 0; id < 40; ++id) starts.push_back(id);
+  starts.push_back(h.hub);
+  starts.insert(starts.end(), h.chain.begin(), h.chain.end());
+  for (size_t i = 0; i < h.leaves.size(); i += 97) {
+    starts.push_back(h.leaves[i]);
+  }
+  // Single steps, r then r + 1, skipped radii, repeated radii.
+  const std::vector<std::vector<uint32_t>> schedules = {
+      {3}, {0, 1, 2, 3, 4, 5}, {1, 3, 6}, {2, 2, 4, 4, 7}, {0, 8}, {4, 5}};
+  // One expander re-anchored across every run, as the relaxer reuses its
+  // thread's expander.
+  RadiusExpander reused;
+  for (ConceptId start : starts) {
+    for (const std::vector<uint32_t>& schedule : schedules) {
+      EagerExpander eager(h.dag, start);
+      RadiusExpander fresh(h.dag, start);
+      reused.Reset(h.dag, start);
+      std::vector<Neighbor> want, got_fresh, got_reused;
+      for (uint32_t radius : schedule) {
+        eager.ExpandTo(radius, &want);
+        fresh.ExpandTo(radius, &got_fresh);
+        reused.ExpandTo(radius, &got_reused);
+        ASSERT_EQ(Pairs(got_fresh), Pairs(want))
+            << "start " << start << " radius " << radius;
+        ASSERT_EQ(Pairs(got_reused), Pairs(want))
+            << "start " << start << " radius " << radius;
+      }
+    }
+  }
+}
+
+TEST_P(GraphReferenceSweep, BallEndingAtHubSkipsHubFanOut) {
+  HubDag h = RandomHubDag(40, 1200, GetParam() + 800);
+  const size_t hub_degree = h.dag.children(h.hub).size();
+  ASSERT_GE(hub_degree, 1000u);
+  // chain[2] is three native hops below the hub: its radius-3 ball ends
+  // exactly at the hub.
+  RadiusExpander expander(h.dag, h.chain[2]);
+  std::vector<Neighbor> out;
+  expander.ExpandTo(3, &out);
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.back().id, h.hub);
+  EXPECT_EQ(out.back().hops, 3u);
+  EXPECT_LT(expander.edges_relaxed(), hub_degree)
+      << "the radius-3 shell must not relax the hub's edges";
+  // Growing the radius relaxes the deferred shell, and the ball is the
+  // eager one.
+  expander.ExpandTo(4, &out);
+  EXPECT_GE(expander.edges_relaxed(), hub_degree);
+  EagerExpander eager(h.dag, h.chain[2]);
+  std::vector<Neighbor> want;
+  eager.ExpandTo(4, &want);
+  EXPECT_EQ(Pairs(out), Pairs(want));
+}
+
+TEST_P(GraphReferenceSweep, GeometryEngineMatchesNaiveOnHubDag) {
+  HubDag h = RandomHubDag(30, 1000, GetParam() + 900);
+  std::vector<ConceptId> probes;
+  for (ConceptId id = 0; id < 30; ++id) probes.push_back(id);
+  probes.push_back(h.hub);
+  probes.insert(probes.end(), h.chain.begin(), h.chain.end());
+  for (size_t i = 0; i < h.leaves.size(); i += 83) {
+    probes.push_back(h.leaves[i]);
+  }
+  GeometryEngine engine(&h.dag);
+  for (ConceptId a : probes) {
+    engine.SetSource(a);
+    for (ConceptId b : probes) ExpectMatchesNaive(h.dag, engine, a, b);
+  }
+}
+
+TEST(GeometryEngine, TiedLcsUnderAHubMatchesNaive) {
+  // root <- {p1, p2}; x and y each sit under both p1 and p2, so
+  // lcs(x, y) = {p1, p2}; p1 is also a hub with 1000 more children, and
+  // z under x and y adds a tie one level further down.
+  ConceptDag dag;
+  ConceptId root = *dag.AddConcept("root");
+  ConceptId p1 = *dag.AddConcept("p1");
+  ConceptId p2 = *dag.AddConcept("p2");
+  ConceptId x = *dag.AddConcept("x");
+  ConceptId y = *dag.AddConcept("y");
+  ConceptId z = *dag.AddConcept("z");
+  ConceptId w = *dag.AddConcept("w");
+  ASSERT_TRUE(dag.AddSubsumption(p1, root).ok());
+  ASSERT_TRUE(dag.AddSubsumption(p2, root).ok());
+  for (ConceptId c : {x, y}) {
+    ASSERT_TRUE(dag.AddSubsumption(c, p1).ok());
+    ASSERT_TRUE(dag.AddSubsumption(c, p2).ok());
+  }
+  ASSERT_TRUE(dag.AddSubsumption(z, x).ok());
+  ASSERT_TRUE(dag.AddSubsumption(z, y).ok());
+  ASSERT_TRUE(dag.AddSubsumption(w, x).ok());
+  ASSERT_TRUE(dag.AddSubsumption(w, y).ok());
+  for (size_t i = 0; i < 1000; ++i) {
+    ConceptId leaf = *dag.AddConcept(StrFormat("leaf%zu", i));
+    ASSERT_TRUE(dag.AddSubsumption(leaf, p1).ok());
+  }
+  GeometryEngine engine(&dag);
+  engine.SetSource(x);
+  EXPECT_EQ(engine.Compute(y).lcs, (std::vector<ConceptId>{p1, p2}));
+  engine.SetSource(z);
+  EXPECT_EQ(engine.Compute(w).lcs, (std::vector<ConceptId>{x, y}));
+  for (ConceptId a : {root, p1, p2, x, y, z, w, ConceptId{7}}) {
+    engine.SetSource(a);
+    for (ConceptId b : {root, p1, p2, x, y, z, w, ConceptId{7}}) {
+      ExpectMatchesNaive(dag, engine, a, b);
+    }
+  }
+}
+
+TEST(GeometryEngine, ResetDropsTheAnchorAcrossDags) {
+  // Concept 11 has different ancestors in the two DAGs. An engine that
+  // kept its source sweep across Reset would score the second DAG's pairs
+  // with the first DAG's distances.
+  constexpr ConceptId kQuery = 11;
+  HubDag big = RandomHubDag(40, 1000, 31);
+  ConceptDag small = RandomDag(12, 32);
+  std::vector<uint32_t> big_up = UpDistances(big.dag, kQuery);
+  big_up.resize(small.num_concepts());
+  ASSERT_NE(big_up, UpDistances(small, kQuery));
+  GeometryEngine reused(&big.dag);
+  reused.SetSource(kQuery);
+  for (ConceptId b = 0; b < 40; ++b) (void)reused.Compute(b);
+  reused.Reset(&small);
+  EXPECT_EQ(reused.source(), kInvalidConcept);
+  reused.SetSource(kQuery);
+  GeometryEngine fresh(&small);
+  fresh.SetSource(kQuery);
+  for (ConceptId b = 0; b < small.num_concepts(); ++b) {
+    PairGeometry want = fresh.Compute(b);
+    PairGeometry got = reused.Compute(b);
+    EXPECT_EQ(got.connected, want.connected) << b;
+    EXPECT_EQ(got.gen_exponent, want.gen_exponent) << b;
+    EXPECT_EQ(got.spec_exponent, want.spec_exponent) << b;
+    EXPECT_EQ(got.lcs, want.lcs) << b;
   }
 }
 

@@ -1,7 +1,8 @@
 // Concurrency tests of the online relaxation stack: one SimilarityModel /
 // QueryRelaxer instance serving overlapping queries from many threads.
 // Run under the tsan preset, these pin the thread-safety contract of the
-// shared geometry cache and RelaxBatch.
+// shared geometry cache and RelaxBatch, and the per-thread traversal
+// scratch every relaxer on a thread shares.
 
 #include <cstddef>
 #include <memory>
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "medrelax/datasets/kb_generator.h"
 #include "medrelax/datasets/paper_fixtures.h"
 #include "medrelax/matching/exact_matcher.h"
 #include "medrelax/matching/name_index.h"
@@ -46,6 +48,56 @@ ConcurrencyWorld MakeWorld() {
   EXPECT_TRUE(ingestion.ok());
   w.ingestion = std::move(*ingestion);
   return w;
+}
+
+// A generated world large enough for hubs, dynamic radius growth and
+// dozens of distinct queries.
+struct GeneratedRig {
+  GeneratedWorld world;
+  std::unique_ptr<NameIndex> index;
+  std::unique_ptr<ExactMatcher> matcher;
+  IngestionResult ingestion;
+};
+
+std::unique_ptr<GeneratedRig> MakeGeneratedRig(size_t concepts,
+                                               uint64_t seed) {
+  auto rig = std::make_unique<GeneratedRig>();
+  SnomedGeneratorOptions eks;
+  eks.num_concepts = concepts;
+  eks.seed = seed;
+  KbGeneratorOptions kb;
+  kb.num_findings = concepts / 10;
+  kb.seed = seed + 1;
+  Result<GeneratedWorld> world = GenerateWorld(eks, kb);
+  EXPECT_TRUE(world.ok()) << world.status();
+  rig->world = std::move(*world);
+  rig->index = std::make_unique<NameIndex>(&rig->world.eks.dag);
+  rig->matcher = std::make_unique<ExactMatcher>(rig->index.get());
+  Result<IngestionResult> ingestion =
+      RunIngestion(rig->world.kb, &rig->world.eks.dag, *rig->matcher,
+                   nullptr, IngestionOptions{});
+  EXPECT_TRUE(ingestion.ok()) << ingestion.status();
+  rig->ingestion = std::move(*ingestion);
+  return rig;
+}
+
+// Bit-for-bit equality of two outcomes, traversal counters included.
+void ExpectSameOutcome(const RelaxationOutcome& got,
+                       const RelaxationOutcome& want, size_t index) {
+  EXPECT_EQ(got.query_concept, want.query_concept) << "query " << index;
+  EXPECT_EQ(got.effective_radius, want.effective_radius) << "query " << index;
+  EXPECT_EQ(got.stats.neighbors_visited, want.stats.neighbors_visited)
+      << "query " << index;
+  EXPECT_EQ(got.stats.candidates_scanned, want.stats.candidates_scanned)
+      << "query " << index;
+  ASSERT_EQ(got.concepts.size(), want.concepts.size()) << "query " << index;
+  for (size_t j = 0; j < want.concepts.size(); ++j) {
+    EXPECT_EQ(got.concepts[j].concept_id, want.concepts[j].concept_id)
+        << "query " << index << " rank " << j;
+    EXPECT_EQ(got.concepts[j].similarity, want.concepts[j].similarity)
+        << "query " << index << " rank " << j;
+  }
+  EXPECT_EQ(got.instances, want.instances) << "query " << index;
 }
 
 TEST(Concurrency, ConcurrentSimilarityCallsShareTheCache) {
@@ -138,6 +190,78 @@ TEST(Concurrency, ConcurrentBatchesOnOneRelaxer) {
   for (std::thread& worker : workers) worker.join();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
+TEST(Concurrency, ParallelRelaxBatchOnGeneratedWorldMatchesSequential) {
+  std::unique_ptr<GeneratedRig> rig = MakeGeneratedRig(1500, 41);
+  QueryRelaxer relaxer(&rig->world.eks.dag, &rig->ingestion,
+                       rig->matcher.get(), SimilarityOptions{},
+                       RelaxationOptions{});
+  QueryRelaxer reference(&rig->world.eks.dag, &rig->ingestion,
+                         rig->matcher.get(), SimilarityOptions{},
+                         RelaxationOptions{});
+  const std::vector<ConceptId>& region = rig->world.eks.finding_concepts;
+  ASSERT_FALSE(region.empty());
+  std::vector<ConceptQuery> queries;
+  for (size_t i = 0; i < 48; ++i) {
+    // Runs of duplicates exercise the within-batch SetSource early-out.
+    queries.push_back({region[(i / 2 * 7) % region.size()],
+                       i % 3 == 0 ? kNoContext : rig->world.ctx_indication});
+  }
+  std::vector<RelaxationOutcome> parallel = relaxer.RelaxBatch(queries, 4);
+  ASSERT_EQ(parallel.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ExpectSameOutcome(
+        parallel[i],
+        reference.RelaxConcept(queries[i].concept_id, queries[i].context), i);
+  }
+}
+
+TEST(Concurrency, ThreadScratchDoesNotCarryAnchorAcrossDags) {
+  // One thread relaxes a query id on a larger DAG, then the same id on a
+  // smaller, different DAG. The thread_local scratch is shared by both
+  // relaxers; the second answer must equal a fresh thread's. Geometry
+  // memoization is off so every pair is computed by the engine.
+  std::unique_ptr<GeneratedRig> big = MakeGeneratedRig(1500, 51);
+  std::unique_ptr<GeneratedRig> small = MakeGeneratedRig(400, 57);
+  SimilarityOptions no_memo;
+  no_memo.memoize_geometry = false;
+  QueryRelaxer big_relaxer(&big->world.eks.dag, &big->ingestion,
+                           big->matcher.get(), no_memo, RelaxationOptions{});
+  QueryRelaxer small_relaxer(&small->world.eks.dag, &small->ingestion,
+                             small->matcher.get(), no_memo,
+                             RelaxationOptions{});
+  std::vector<ConceptId> queries;
+  const std::vector<bool>& flagged = small->ingestion.flagged;
+  for (ConceptId id = 0; id < flagged.size() && queries.size() < 12; ++id) {
+    if (flagged[id]) queries.push_back(id);
+  }
+  ASSERT_FALSE(queries.empty());
+
+  std::vector<RelaxationOutcome> fresh;
+  std::thread([&] {
+    for (ConceptId q : queries) {
+      fresh.push_back(small_relaxer.RelaxConcept(q, kNoContext));
+    }
+  }).join();
+
+  std::vector<RelaxationOutcome> single, batch;
+  std::thread([&] {
+    for (ConceptId q : queries) {
+      (void)big_relaxer.RelaxConcept(q, kNoContext);
+      single.push_back(small_relaxer.RelaxConcept(q, kNoContext));
+      (void)big_relaxer.RelaxConcept(q, kNoContext);
+      const PreparedQuery prepared[] = {{q, kNoContext, 0}};
+      batch.push_back(small_relaxer.RelaxBatch(prepared).front());
+    }
+  }).join();
+
+  ASSERT_EQ(single.size(), fresh.size());
+  ASSERT_EQ(batch.size(), fresh.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    ExpectSameOutcome(single[i], fresh[i], i);
+    ExpectSameOutcome(batch[i], fresh[i], i);
   }
 }
 

@@ -8,6 +8,8 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -16,7 +18,9 @@
 
 #include "medrelax/common/cache_policy.h"
 #include "medrelax/common/deadlock_detector.h"
+#include "medrelax/common/string_util.h"
 #include "medrelax/datasets/kb_generator.h"
+#include "medrelax/serve/relax_reply.h"
 #include "medrelax/serve/relaxation_service.h"
 
 namespace medrelax {
@@ -84,7 +88,7 @@ TEST(ServeConcurrency, QueriesRaceSnapshotSwaps) {
         if (response.ok()) {
           // The invariant under swaps: an answer is always attributed to
           // a real published generation, and carries a live outcome.
-          EXPECT_GE(response->generation, 1u);
+          EXPECT_GE(response->snapshot->generation(), 1u);
           EXPECT_NE(response->outcome, nullptr);
           EXPECT_FALSE(response->outcome->instances.empty());
           served.fetch_add(1);
@@ -359,20 +363,107 @@ TEST(ServeConcurrency, MidFlightPublishDoesNotFanStaleGeneration) {
   auto late = service.Submit(request);
   Result<RelaxResponse> late_response = late.get();
   ASSERT_TRUE(late_response.ok()) << late_response.status();
-  EXPECT_EQ(late_response->generation, 2u);
+  EXPECT_EQ(late_response->snapshot->generation(), 2u);
   EXPECT_FALSE(late_response->coalesced)
       << "a post-swap request must not be fanned a stale-generation result";
 
   release.store(true);
   Result<RelaxResponse> led = leader.get();
   ASSERT_TRUE(led.ok());
-  EXPECT_EQ(led->generation, 1u);
+  EXPECT_EQ(led->snapshot->generation(), 1u);
   Result<RelaxResponse> fanned = follower.get();
   ASSERT_TRUE(fanned.ok());
   EXPECT_TRUE(fanned->coalesced);
-  EXPECT_EQ(fanned->generation, 1u)
+  EXPECT_EQ(fanned->snapshot->generation(), 1u)
       << "followers that attached before the swap get the answer their "
          "snapshot computed";
+}
+
+TEST(ServeConcurrency, RepliesPrintTheSnapshotThatAnswered) {
+  // Two different worlds, so a reply printed with the wrong snapshot's
+  // names is visibly wrong. Every relaxer computation first publishes the
+  // next pooled snapshot (pre-compute hook), so the answers of the first
+  // kPublishes computations are formatted after a swap, while the other
+  // worker races its own completions and formatting against that publish.
+  constexpr size_t kPublishes = 8;
+  std::vector<std::shared_ptr<Snapshot>> pool;
+  for (size_t i = 0; i < kPublishes; ++i) {
+    pool.push_back(BuildSnapshot(i % 2 == 0 ? 8 : 7));
+  }
+  std::shared_ptr<Snapshot> initial = BuildSnapshot(7);
+  std::vector<ConceptId> queries = FlaggedConcepts(*initial, 12);
+  ASSERT_FALSE(queries.empty());
+  for (const std::shared_ptr<Snapshot>& snap : pool) {
+    ASSERT_GT(snap->dag().num_concepts(), queries.back());
+  }
+
+  std::atomic<size_t> next_publish{0};
+  RelaxationService* publisher = nullptr;  // set before the first Submit
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = 1024;
+  options.cache.capacity = 64;
+  options.pre_compute_hook_for_test = [&] {
+    const size_t i = next_publish.fetch_add(1);
+    if (i < pool.size()) publisher->PublishSnapshot(pool[i]);
+  };
+  RelaxationService service(initial, options);
+  publisher = &service;
+
+  struct Reply {
+    ConceptId concept_id = kInvalidConcept;
+    std::string term;
+    std::string text;
+    std::optional<Result<RelaxResponse>> response;
+    bool swapped_before_print = false;
+  };
+  constexpr size_t kSubmitters = 3;
+  constexpr size_t kPerSubmitter = 30;
+  std::vector<Reply> replies(kSubmitters * kPerSubmitter);
+  std::vector<std::promise<void>> printed(replies.size());
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerSubmitter; ++i) {
+        const size_t slot = t * kPerSubmitter + i;
+        Reply& reply = replies[slot];
+        reply.concept_id = queries[(t * 5 + i) % queries.size()];
+        reply.term = StrFormat("c%u", reply.concept_id);
+        RelaxRequest request;
+        request.concept_id = reply.concept_id;
+        // Formats on the serving thread, as the TCP frontend does.
+        auto print = [&, slot](Result<RelaxResponse> r) {
+          Reply& out = replies[slot];
+          out.swapped_before_print =
+              r.ok() && service.snapshot() != r->snapshot;
+          out.text = FormatRelaxReply(out.term, r);
+          out.response = std::move(r);
+          printed[slot].set_value();
+        };
+        service.SubmitAsync(std::move(request), std::move(print));
+      }
+    });
+  }
+  for (std::thread& thread : submitters) thread.join();
+  for (std::promise<void>& done : printed) done.get_future().wait();
+
+  size_t swapped = 0;
+  for (const Reply& reply : replies) {
+    ASSERT_TRUE(reply.response.has_value());
+    ASSERT_TRUE(reply.response->ok()) << reply.response->status();
+    const RelaxResponse& response = **reply.response;
+    EXPECT_EQ(reply.text.rfind("err", 0), std::string::npos) << reply.text;
+    ASSERT_NE(response.snapshot, nullptr);
+    // The reply must be the pinned snapshot's own answer, named by it.
+    RelaxResponse expected = response;
+    expected.outcome = std::make_shared<const RelaxationOutcome>(
+        response.snapshot->relaxer().RelaxConcept(reply.concept_id,
+                                                  kNoContext));
+    EXPECT_EQ(reply.text, FormatRelaxReply(reply.term, expected));
+    if (reply.swapped_before_print) ++swapped;
+  }
+  EXPECT_GT(swapped, 0u) << "no reply was printed after a swap";
+  EXPECT_EQ(service.Stats().snapshot_swaps, kPublishes);
 }
 
 TEST(ServeConcurrency, PublishStormKeepsLockOrderAcyclic) {

@@ -63,7 +63,7 @@ TEST(RelaxationService, ServesTermAndConceptQueries) {
   Result<RelaxResponse> term_response = service.Relax(by_term);
   ASSERT_TRUE(term_response.ok()) << term_response.status();
   EXPECT_FALSE(term_response->cache_hit);
-  EXPECT_EQ(term_response->generation, 1u);
+  EXPECT_EQ(term_response->snapshot->generation(), 1u);
   EXPECT_FALSE(term_response->outcome->instances.empty());
 
   // The same query by resolved concept id returns the identical answer —
@@ -246,7 +246,7 @@ TEST(RelaxationService, SnapshotSwapInvalidatesCacheByGeneration) {
   EXPECT_EQ(service.PublishSnapshot(BuildSmallSnapshot(7)), 2u);
   Result<RelaxResponse> after = service.Relax(ConceptRequest(query));
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->generation, 2u);
+  EXPECT_EQ(after->snapshot->generation(), 2u);
   EXPECT_FALSE(after->cache_hit)
       << "generation-scoped keys must miss after a swap";
   EXPECT_EQ(after->outcome->instances, cold->outcome->instances)

@@ -73,6 +73,7 @@
 #include "medrelax/net/event_loop.h"
 #include "medrelax/net/line_server.h"
 #include "medrelax/serve/protocol.h"
+#include "medrelax/serve/relax_reply.h"
 #include "medrelax/serve/relaxation_service.h"
 #include "flags.h"
 
@@ -238,45 +239,6 @@ class ReloadExecutor {
   std::thread worker_;  // lint:allow(guarded-by) ctor/join only
 };
 
-std::string FormatOutcome(const Snapshot& snap, const RelaxResponse& response,
-                          const std::string& term) {
-  const RelaxationOutcome& outcome = *response.outcome;
-  std::string out = StrFormat(
-      "ok relax term='%s' gen=%llu hit=%d radius=%u concepts=%zu"
-      " instances=%zu\n",
-      term.c_str(), static_cast<unsigned long long>(response.generation),
-      response.cache_hit ? 1 : 0, outcome.effective_radius,
-      outcome.concepts.size(), outcome.instances.size());
-  for (const ScoredConcept& sc : outcome.concepts) {
-    out += StrFormat("concept %s sim=%.3f\n",
-                     snap.dag().name(sc.concept_id).c_str(), sc.similarity);
-    for (InstanceId i : sc.instances) {
-      out += StrFormat("  instance %s\n",
-                       snap.kb().instances.instance(i).name.c_str());
-    }
-  }
-  out += "end\n";
-  return out;
-}
-
-/// Renders a RELAX answer (or typed error) exactly like the stdin
-/// transport always did; called on whichever thread completed the
-/// request.
-std::string FormatRelaxReply(RelaxationService& service,
-                             const std::string& term,
-                             const Result<RelaxResponse>& response) {
-  if (!response.ok()) {
-    return StrFormat("err %s\n", response.status().ToString().c_str());
-  }
-  // The response pins no snapshot; re-grab the one that answered. The
-  // generation check protects the names against a racing RELOAD.
-  std::shared_ptr<const Snapshot> snap = service.snapshot();
-  if (snap->generation() != response->generation) {
-    return "err FailedPrecondition: snapshot swapped mid-print\n";
-  }
-  return FormatOutcome(*snap, *response, term);
-}
-
 /// RELAX [k=N] [timeout_ms=N] [ctx=LABEL] <term...> — the grammar and
 /// the overflow-checked numeric parsing live in serve/protocol.cc (the
 /// fuzzed surface); this adapter only resolves the context label against
@@ -380,8 +342,7 @@ int RunStdioSession(ServerState& state) {
       } else {
         Result<RelaxResponse> response =
             state.service.Relax(std::move(request));
-        std::fputs(FormatRelaxReply(state.service, term, response).c_str(),
-                   stdout);
+        std::fputs(FormatRelaxReply(term, response).c_str(), stdout);
       }
     } else {
       std::fputs(HandleControlVerb(state, verb, in).c_str(), stdout);
@@ -477,9 +438,8 @@ int RunTcpServer(ServerState& state, const ServiceOptions& service_options,
     const uint64_t conn_id = conn.id();
     state.service.SubmitAsync(
         std::move(request),
-        [&state, &loop, &server, conn_id,
-         term](Result<RelaxResponse> response) {
-          std::string reply = FormatRelaxReply(state.service, term, response);
+        [&loop, &server, conn_id, term](Result<RelaxResponse> response) {
+          std::string reply = FormatRelaxReply(term, response);
           loop.Post([&server, conn_id, reply = std::move(reply)]() {
             net::Connection* target = server.Find(conn_id);
             if (target == nullptr) return;  // client disconnected mid-flight
