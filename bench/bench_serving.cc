@@ -28,6 +28,10 @@
 //     per-request time of the term path, both measured in one run: 1.0
 //     means mapping is free, and CI floors it so the mapping cost cannot
 //     quietly grow back to dominate a request.
+//   * BM_TermMapping — EDIT mapping alone on a 16k/64k vocabulary:
+//     one-edit typos timed, exact names in the same run. CI floors the
+//     counter typo_vs_exact so the trigram filter's cost per typo stays
+//     within a small factor of an exact probe.
 //
 // All run closed-loop (submit a batch, wait for every future) over
 // worker-count args. Worker threads do the serving, so wall time is the
@@ -43,6 +47,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <random>
@@ -52,8 +57,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include "medrelax/common/string_util.h"
 #include "medrelax/datasets/kb_generator.h"
+#include "medrelax/datasets/snomed_generator.h"
 #include "medrelax/graph/geometry.h"
+#include "medrelax/matching/edit_matcher.h"
+#include "medrelax/matching/name_index.h"
 #include "medrelax/relax/similarity.h"
 #include "medrelax/serve/relaxation_service.h"
 #include "medrelax/serve/result_cache.h"
@@ -319,6 +328,99 @@ BENCHMARK(BM_ServingTermCold)
     ->Arg(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// ---- Term-mapping bench ---------------------------------------------------
+//
+// EDIT mapping alone, on a vocabulary the size of a served image, with no
+// Snapshot build. The 2k serving snapshot above hides how long the
+// postings of common trigrams grow; here they are as long as at 16k/64k.
+// The sample is canonical names of 9 or more characters (long enough
+// that a typo takes the trigram filter rather than the length window)
+// from the finding region, which is where the KB generator draws the
+// instance names a RELAX by term carries; the rest of the vocabulary is
+// "<procedure> of <site> variant N" filler that no instance is named
+// after. The benchmark loop maps their one-edit typos (the middle
+// character deleted, kept only when it misses FindExact); the same
+// number of exact names is mapped off the clock. typo_vs_exact = exact
+// per-map time / typo per-map time, so it falls as the filter grows
+// slower than the exact probe, whatever the machine.
+
+struct TermMappingWorld {
+  ConceptDag dag;
+  std::unique_ptr<NameIndex> index;
+  std::vector<std::string> exact;
+  std::vector<std::string> typos;
+};
+
+std::unique_ptr<TermMappingWorld> MakeTermMappingWorld(size_t num_concepts) {
+  SnomedGeneratorOptions options;
+  options.num_concepts = num_concepts;
+  options.seed = 7;
+  Result<GeneratedEks> eks = GenerateSnomedLike(options);
+  if (!eks.ok()) return nullptr;
+  auto world = std::make_unique<TermMappingWorld>();
+  world->dag = std::move(eks->dag);
+  world->index = std::make_unique<NameIndex>(&world->dag);
+  constexpr size_t kSample = 64;
+  const std::vector<ConceptId>& findings = eks->finding_concepts;
+  const size_t stride = std::max<size_t>(1, findings.size() / (2 * kSample));
+  for (size_t i = 0; i < findings.size() && world->typos.size() < kSample;
+       i += stride) {
+    std::string name = NormalizeTerm(world->dag.name(findings[i]));
+    if (name.size() < 9) continue;
+    std::string typo = name;
+    typo.erase(typo.size() / 2, 1);
+    if (!world->index->FindExact(typo).empty()) continue;
+    world->exact.push_back(std::move(name));
+    world->typos.push_back(std::move(typo));
+  }
+  return world;
+}
+
+void BM_TermMapping(benchmark::State& state) {
+  // Built once per size: the framework re-enters this function while it
+  // sizes the iteration count.
+  static std::map<size_t, std::unique_ptr<TermMappingWorld>> worlds;
+  std::unique_ptr<TermMappingWorld>& world =
+      worlds[static_cast<size_t>(state.range(0))];
+  if (world == nullptr) {
+    world = MakeTermMappingWorld(static_cast<size_t>(state.range(0)));
+  }
+  if (world == nullptr || world->typos.empty()) {
+    state.SkipWithError("no term sample");
+    return;
+  }
+  const EditDistanceMatcher matcher(world->index.get(), EditMatcherOptions{});
+  // The first fuzzy lookup builds the trigram postings; keep it off both
+  // clocks.
+  benchmark::DoNotOptimize(matcher.Map(world->typos.front()));
+
+  using Clock = std::chrono::steady_clock;
+  size_t maps = 0;
+  const Clock::time_point typo_start = Clock::now();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        matcher.Map(world->typos[maps % world->typos.size()]));
+    ++maps;
+  }
+  const Clock::duration typo_time = Clock::now() - typo_start;
+  const Clock::time_point exact_start = Clock::now();
+  for (size_t i = 0; i < maps; ++i) {
+    benchmark::DoNotOptimize(
+        matcher.Map(world->exact[i % world->exact.size()]));
+  }
+  const Clock::duration exact_time = Clock::now() - exact_start;
+
+  state.counters["typo_vs_exact"] =
+      typo_time.count() > 0 ? static_cast<double>(exact_time.count()) /
+                                  static_cast<double>(typo_time.count())
+                            : 0.0;
+  state.SetLabel(StrFormat("entries=%zu terms=%zu",
+                           world->index->entries().size(),
+                           world->typos.size()));
+}
+BENCHMARK(BM_TermMapping)->Arg(16000)->Arg(64000)->Unit(
+    benchmark::kMicrosecond);
 
 // ---- Skewed-mix cache-policy benches -------------------------------------
 //

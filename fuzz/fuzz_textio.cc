@@ -31,7 +31,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
           medrelax::NormalizeTerm(text.substr(0, 64));
       (void)index.FindExact(probe);
       (void)index.CandidatesByTrigram(probe, 8);
-      (void)index.CandidatesWithin(probe, 2);
+      // τ = 1, 2, 3: the prefix filter scans a different number of
+      // postings lists for each once the probe is long enough.
+      for (size_t tau : {size_t{1}, size_t{2}, size_t{3}}) {
+        (void)index.CandidatesWithin(probe, tau);
+      }
     }
   }
   {

@@ -212,16 +212,16 @@ void NameIndex::EnsureFuzzyTables() const {
 }
 
 std::vector<uint32_t> NameIndex::CountSharedTrigrams(
-    std::string_view normalized, uint32_t min_shared) const {
+    std::string_view normalized) const {
   SharedGramCounter& counter = ThreadCounter();
   counter.Begin(entries_.size());
-  std::vector<uint32_t> reached;
+  std::vector<uint32_t> touched;
   ForEachTrigramKey(normalized, [&](uint32_t gram) {
     for (uint32_t entry : trigram_postings_.Find(gram)) {
-      if (counter.Add(entry) == min_shared) reached.push_back(entry);
+      if (counter.Add(entry) == 1) touched.push_back(entry);
     }
   });
-  return reached;
+  return touched;
 }
 
 std::vector<size_t> NameIndex::CandidatesWithin(std::string_view normalized,
@@ -235,14 +235,29 @@ std::vector<size_t> NameIndex::CandidatesWithin(std::string_view normalized,
                         : max_length;
   std::vector<size_t> out;
   // T = |s| - 2 - 3 * max_distance >= 1, written so a huge max_distance
-  // cannot overflow.
+  // cannot overflow; then the |s| - 2 trigram occurrences number at
+  // least 3 * max_distance + 1.
   if (length >= 3 && (length - 3) / 3 >= max_distance) {
-    const size_t threshold = length - 2 - 3 * max_distance;
-    const auto min_shared = static_cast<uint32_t>(std::min<size_t>(
-        threshold, std::numeric_limits<uint32_t>::max()));
-    for (uint32_t entry : CountSharedTrigrams(normalized, min_shared)) {
-      const size_t n = entries_[entry].surface.size();
-      if (n >= lo && n <= hi) out.push_back(entry);
+    std::vector<std::span<const uint32_t>> postings;
+    postings.reserve(length - 2);
+    ForEachTrigramKey(normalized, [&](uint32_t gram) {
+      postings.push_back(trigram_postings_.Find(gram));
+    });
+    const size_t scanned = 3 * max_distance + 1;
+    std::nth_element(postings.begin(), postings.begin() + scanned,
+                     postings.end(),
+                     [](std::span<const uint32_t> a,
+                        std::span<const uint32_t> b) {
+                       return a.size() < b.size();
+                     });
+    SharedGramCounter& counter = ThreadCounter();
+    counter.Begin(entries_.size());
+    for (size_t g = 0; g < scanned; ++g) {
+      for (uint32_t entry : postings[g]) {
+        if (counter.Add(entry) != 1) continue;  // already seen
+        const size_t n = entries_[entry].surface.size();
+        if (n >= lo && n <= hi) out.push_back(entry);
+      }
     }
   } else if (lo <= hi) {
     out.assign(by_length_.begin() + length_offsets_[lo],
@@ -255,7 +270,7 @@ std::vector<size_t> NameIndex::CandidatesWithin(std::string_view normalized,
 std::vector<size_t> NameIndex::CandidatesByTrigram(
     std::string_view normalized, size_t max_candidates) const {
   EnsureFuzzyTables();
-  std::vector<uint32_t> touched = CountSharedTrigrams(normalized, 1);
+  std::vector<uint32_t> touched = CountSharedTrigrams(normalized);
   const SharedGramCounter& counter = ThreadCounter();
   const size_t keep = std::min(max_candidates, touched.size());
   std::partial_sort(touched.begin(), touched.begin() + keep, touched.end(),

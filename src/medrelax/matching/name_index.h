@@ -35,12 +35,12 @@ struct NameEntry {
 /// snapshot load path, where a 64k-concept vocabulary means millions of
 /// postings.
 ///
-/// Both fuzzy lookups share one counting kernel: per-entry shared-trigram
-/// counts live in a thread-local, epoch-stamped array sized to the
-/// largest index the thread has queried, so a lookup allocates no map and
-/// never clears the array (one epoch bump per call; a full reset only
-/// when the 32-bit epoch wraps). Concurrent lookups on one index, and one
-/// thread alternating between indexes of different sizes, are safe.
+/// Both fuzzy lookups mark the entries they touch in a thread-local,
+/// epoch-stamped count array sized to the largest index the thread has
+/// queried, so a lookup allocates no map and never clears the array (one
+/// epoch bump per call; a full reset only when the 32-bit epoch wraps).
+/// Concurrent lookups on one index, and one thread alternating between
+/// indexes of different sizes, are safe.
 class NameIndex {
  public:
   /// Builds the index from every concept's canonical name and synonyms.
@@ -58,16 +58,21 @@ class NameIndex {
   /// entries a brute-force BoundedLevenshtein scan would accept, so a
   /// matcher that verifies all of them is exact.
   ///
-  /// With T = |s| - 2 - 3 * max_distance >= 1 this is the q-gram count
-  /// filter (Gravano et al., VLDB 2001): every edit destroys at most 3 of
-  /// the |s| - 2 trigrams of s, so a surface within max_distance edits
-  /// shares at least T of them, and its length is within max_distance of
-  /// |s|. Repeated trigrams are counted once per occurrence on each side,
-  /// which can only over-count, so the filter never drops a true match.
-  /// Otherwise (short inputs) the whole length window
-  /// [|s| - max_distance, |s| + max_distance] is returned, which also
-  /// covers 1-2 character surfaces whose packed gram never equals a
-  /// true trigram.
+  /// With T = |s| - 2 - 3 * max_distance >= 1 this is a prefix filter
+  /// over the q = |s| - 2 trigram occurrences of s. Every edit destroys
+  /// at most 3 of those occurrences, so a surface within max_distance
+  /// edits keeps at least T of them; by pigeonhole it contains the gram
+  /// of at least one of any q - T + 1 = 3 * max_distance + 1
+  /// occurrences. Only the postings of the 3 * max_distance + 1 rarest
+  /// occurrences (shortest postings; a gram absent from the vocabulary
+  /// has empty postings and still counts) are scanned, the union is
+  /// deduplicated and cut to the length window
+  /// [|s| - max_distance, |s| + max_distance]. The cost is those
+  /// postings plus one lookup per trigram of s, not the postings of
+  /// every trigram: common grams such as " of" are never walked.
+  /// Otherwise (short inputs) the whole length window is returned,
+  /// which also covers 1-2 character surfaces whose packed gram never
+  /// equals a true trigram.
   ///
   /// The postings and length buckets behind this are built lazily on
   /// the first fuzzy lookup (under std::call_once — concurrent queries
@@ -83,8 +88,9 @@ class NameIndex {
   /// Entry indexes of surface forms sharing at least one character trigram
   /// with the normalized input, ranked by shared-trigram count (ties:
   /// lower entry index first). At most `max_candidates` entries. A
-  /// diagnostic view over the same counting kernel as CandidatesWithin;
-  /// the ranked cut is not a sound blocking step, so no matcher uses it.
+  /// diagnostic view that walks the postings of every trigram of the
+  /// input; the ranked cut is not a sound blocking step, so no matcher
+  /// uses it.
   [[nodiscard]]
   std::vector<size_t> CandidatesByTrigram(std::string_view normalized,
                                           size_t max_candidates) const;
@@ -133,11 +139,10 @@ class NameIndex {
   void EnsureFuzzyTables() const;
   /// The counting kernel: adds one to the calling thread's count of entry
   /// e for every pair of equal trigram occurrences in `normalized` and in
-  /// e's surface, and returns the entries whose count reached
-  /// `min_shared`, in the order they reached it. Final counts stay
-  /// readable through the thread-local counter until the thread's next call.
-  std::vector<uint32_t> CountSharedTrigrams(std::string_view normalized,
-                                            uint32_t min_shared) const;
+  /// e's surface, and returns the entries it touched, in first-touch
+  /// order. Final counts stay readable through the thread-local counter
+  /// until the thread's next lookup.
+  std::vector<uint32_t> CountSharedTrigrams(std::string_view normalized) const;
 
   const ConceptDag* dag_;
   std::vector<NameEntry> entries_;

@@ -177,8 +177,10 @@ std::optional<RelaxationService::ComputeItem> RelaxationService::Prepare(
 
   ConceptId concept_id = pending.request.concept_id;
   if (concept_id == kInvalidConcept) {
+    const Clock::time_point map_start = Clock::now();
     std::optional<ConceptMatch> match =
         snap.mapper().Map(pending.request.term);
+    stats_.RecordTermMapped(ElapsedNs(map_start, Clock::now()));
     if (!match.has_value()) {
       stats_.RecordFailed();
       pending.done(Status::NotFound(StrFormat(

@@ -68,6 +68,11 @@ void ServiceStats::RecordFailed() {
   failed_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void ServiceStats::RecordTermMapped(uint64_t map_ns) {
+  map_ns_.fetch_add(map_ns, std::memory_order_relaxed);
+  map_terms_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void ServiceStats::RecordSnapshotSwap() {
   snapshot_swaps_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -118,6 +123,8 @@ ServiceStatsSnapshot ServiceStats::Snapshot() const {
   snap.reloads_completed =
       reloads_completed_.load(std::memory_order_relaxed);
   snap.image_load_us = image_load_us_.load(std::memory_order_relaxed);
+  snap.map_ns = map_ns_.load(std::memory_order_relaxed);
+  snap.map_terms = map_terms_.load(std::memory_order_relaxed);
   snap.connections_opened =
       connections_opened_.load(std::memory_order_relaxed);
   snap.connections_closed =
@@ -184,6 +191,8 @@ std::string ServiceStatsSnapshot::ToString(bool deterministic_only) const {
   // Wall-clock, so excluded from the deterministic subset like the
   // latency histogram below.
   out += StrFormat("image_load_us=%zu\n", static_cast<size_t>(image_load_us));
+  out += StrFormat("map_ns=%zu\n", static_cast<size_t>(map_ns));
+  out += StrFormat("map_terms=%zu\n", static_cast<size_t>(map_terms));
   // Transport counters stay out of the deterministic subset: stdin and
   // TCP replays of one session must print identical STATS blocks.
   out += StrFormat("connections_opened=%zu\n",

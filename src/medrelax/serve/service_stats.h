@@ -53,6 +53,13 @@ struct ServiceStatsSnapshot {
   /// the current snapshot was built rather than mapped. Wall-clock, so
   /// outside the deterministic ToString subset.
   uint64_t image_load_us = 0;
+  /// Term mapping of RELAX-by-term requests: wall time spent in the
+  /// snapshot's mapper, and the number of terms it ran on (mapped or
+  /// not). Requests by concept id add to neither. Wall-clock, so outside
+  /// the deterministic ToString subset with the count that gives it a
+  /// per-term mean.
+  uint64_t map_ns = 0;
+  uint64_t map_terms = 0;
   /// Transport (TCP frontend) counters. Deliberately outside the
   /// deterministic ToString subset: the same scripted session must
   /// produce one transcript over stdin (0 connections) and TCP (1).
@@ -97,6 +104,8 @@ class ServiceStats {
   /// Relaxer instrumentation of one computed (cache-miss) answer.
   void RecordRelaxStats(const RelaxStats& stats) MEDRELAX_EXCLUDES(relax_mu_);
   void RecordFailed();
+  /// The mapper ran on one query term and took `map_ns` nanoseconds.
+  void RecordTermMapped(uint64_t map_ns);
   void RecordSnapshotSwap();
   /// The published snapshot's provenance: `mapped` = flat image,
   /// otherwise the in-process offline build. `image_load_us` is the
@@ -134,6 +143,8 @@ class ServiceStats {
   std::atomic<uint64_t> snapshot_source_{0};
   std::atomic<uint64_t> reloads_completed_{0};
   std::atomic<uint64_t> image_load_us_{0};
+  std::atomic<uint64_t> map_ns_{0};
+  std::atomic<uint64_t> map_terms_{0};
   std::atomic<uint64_t> connections_opened_{0};
   std::atomic<uint64_t> connections_closed_{0};
   std::atomic<uint64_t> connections_rejected_{0};

@@ -277,6 +277,128 @@ TEST(EditMatcher, ClosestSiblingBeyondTopRankedTrigramCut) {
   EXPECT_DOUBLE_EQ(m->score, 1.0 - 1.0 / 3.0);
 }
 
+// ---- Prefix-filter soundness on adversarial inputs ----------------------
+//
+// CandidatesWithin scans only the postings of the 3τ + 1 rarest query
+// trigrams once the query has at least 3τ + 3 characters. These inputs
+// sit on the edges of the pigeonhole argument: queries with exactly
+// 3τ + 1 trigrams, runs of one repeated trigram, τ substitutions by 'q'
+// (absent from the vocabulary) that leave 3τ empty postings to sort
+// first, and long near-duplicate names whose common grams have long
+// postings.
+
+std::unique_ptr<OracleWorld> MakeAdversarialWorld() {
+  auto world = std::make_unique<OracleWorld>();
+  const auto add = [&world](const std::string& name) {
+    EXPECT_TRUE(world->dag.AddConcept(name).ok()) << name;
+  };
+  for (const char* name :
+       {"aaaaaaaaa", "aaaaaaaaaaaa", "aaaaaaaaaaaaaa", "aaaaaaaaaaaaaaa",
+        "aaaaaaabaaaaaa", "aaaaaaaaaaaaab", "baaaaaaaaaaaaa", "aaaaaabaa",
+        "abcabcabc", "abcabcabcabcab", "abcabcabcabcabc", "abcabcabcabca",
+        "bcabcabcabcabc", "abcabdabcabcab", "cabcabcabcabca", "abcabcab",
+        "abababababab", "ababababab"}) {
+    add(name);
+  }
+  // Near-duplicates over a handful of stems and the common grams
+  // " of", "of ", "the", "lun", so those postings run to hundreds.
+  const char* stems[] = {"structure of left upper lobe of the lung",
+                         "disorder of the lung and the pleura",
+                         "fracture of the neck of the left femur",
+                         "infection of the lower lobe of the lung"};
+  Rng rng(41);
+  for (const char* stem : stems) {
+    for (int v = 0; v < 60; ++v) {
+      std::string name = stem;
+      // A one- or two-character variation somewhere in the stem, then a
+      // numbered suffix: many entries within a few edits of each other.
+      const size_t pos = rng.UniformU64(name.size());
+      name[pos] = "abcdefghijklmnoprstuvwxyz"[rng.UniformU64(25)];
+      add(StrFormat("%s %d", name.c_str(), v));
+    }
+  }
+  world->index = std::make_unique<NameIndex>(&world->dag);
+  return world;
+}
+
+std::vector<std::string> AdversarialQueries(const NameIndex& index,
+                                            size_t tau, uint64_t seed) {
+  Rng rng(seed);
+  const size_t shortest = 3 * tau + 3;  // the shortest prefix-branch query
+  std::vector<std::string> queries = {
+      "aaaaaaaaaaaaaa", "abcabcabcabcab", "qqqqqqqqqqqqqq", "zqxzqxzqxzqxzq",
+      std::string(shortest, 'a'), std::string(shortest + 1, 'a'),
+      std::string("abcabcabcabcabcabc").substr(0, shortest),
+      std::string("aaaaaaaaaaaaaaaaaa").substr(0, shortest - 1) + "b"};
+  const std::vector<NameEntry>& entries = index.entries();
+  for (size_t i = 0; i < 40; ++i) {
+    const std::string& surface =
+        entries[rng.UniformU64(entries.size())].surface;
+    queries.push_back(surface);
+    std::string edited = surface;
+    for (size_t e = 0; e < tau; ++e) edited = RandomEdit(edited, rng);
+    queries.push_back(edited);
+    // τ substitutions by 'q', at least 3 apart: each replaces 3 trigram
+    // occurrences with grams no entry contains.
+    if (surface.size() >= 3 * tau + 3) {
+      std::string absent = surface;
+      const size_t start = rng.UniformU64(surface.size() - 3 * tau + 1);
+      for (size_t e = 0; e < tau; ++e) absent[start + 3 * e] = 'q';
+      queries.push_back(absent);
+    }
+    // Exactly 3τ + 3 characters, from anywhere in the surface, plus an
+    // edited copy that may leave the prefix branch.
+    if (surface.size() >= shortest) {
+      const std::string window = surface.substr(
+          rng.UniformU64(surface.size() - shortest + 1), shortest);
+      queries.push_back(window);
+      queries.push_back(RandomEdit(window, rng));
+    }
+  }
+  return queries;
+}
+
+TEST(NameIndex, PrefixFilterCoversAdversarialQueries) {
+  std::unique_ptr<OracleWorld> world = MakeAdversarialWorld();
+  const NameIndex& index = *world->index;
+  for (size_t tau : {size_t{1}, size_t{2}, size_t{3}}) {
+    EditMatcherOptions options;
+    options.max_distance = tau;
+    const EditDistanceMatcher matcher(&index, options);
+    size_t within = 0;
+    for (const std::string& query : AdversarialQueries(index, tau, 61 + tau)) {
+      const std::string normalized = NormalizeTerm(query);
+      const std::vector<size_t> candidates =
+          index.CandidatesWithin(normalized, tau);
+      ASSERT_TRUE(std::is_sorted(candidates.begin(), candidates.end()));
+      ASSERT_TRUE(std::adjacent_find(candidates.begin(), candidates.end()) ==
+                  candidates.end());
+      for (size_t e = 0; e < index.entries().size(); ++e) {
+        if (!BoundedLevenshtein(normalized, index.entries()[e].surface,
+                                tau)) {
+          continue;
+        }
+        ++within;
+        EXPECT_TRUE(
+            std::binary_search(candidates.begin(), candidates.end(), e))
+            << "tau=" << tau << " query='" << normalized << "' missed '"
+            << index.entries()[e].surface << "'";
+      }
+      const std::optional<ConceptMatch> got = matcher.Map(query);
+      const std::optional<ConceptMatch> want =
+          BruteForceEdit(index, query, tau);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "tau=" << tau << " query='" << query << "'";
+      if (!want.has_value()) continue;
+      EXPECT_EQ(got->id, want->id)
+          << "tau=" << tau << " query='" << query << "'";
+      EXPECT_DOUBLE_EQ(got->score, want->score) << "query='" << query << "'";
+    }
+    // The inputs must actually have true matches to miss.
+    EXPECT_GT(within, 100u) << "tau=" << tau;
+  }
+}
+
 // Many threads map through one index while another thread alternates
 // between a small and a large index, so its thread-local count array is
 // resized mid-run and its epochs interleave across indexes. Every answer

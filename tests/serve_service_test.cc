@@ -76,6 +76,40 @@ TEST(RelaxationService, ServesTermAndConceptQueries) {
             term_response->outcome->instances);
 }
 
+TEST(RelaxationService, StatsTimeTermMappingOnlyForTermRequests) {
+  std::shared_ptr<Snapshot> snap = BuildSmallSnapshot();
+  const auto& [instance, mapped_concept] = snap->ingestion().mappings.front();
+  ServiceOptions options;
+  options.num_workers = 1;
+  RelaxationService service(snap, options);
+
+  ASSERT_TRUE(service.Relax(ConceptRequest(mapped_concept)).ok());
+  ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.map_ns, 0u);
+  EXPECT_EQ(stats.map_terms, 0u);
+
+  // Mapping runs before the cache probe, so this term is timed even
+  // though its answer is the cached one.
+  RelaxRequest by_term;
+  by_term.term = snap->kb().instances.instance(instance).name;
+  Result<RelaxResponse> response = service.Relax(by_term);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_TRUE(response->cache_hit);
+  stats = service.Stats();
+  EXPECT_EQ(stats.map_terms, 1u);
+  EXPECT_GT(stats.map_ns, 0u);
+  const uint64_t first_map_ns = stats.map_ns;
+
+  ASSERT_TRUE(service.Relax(by_term).ok());
+  stats = service.Stats();
+  EXPECT_EQ(stats.map_terms, 2u);
+  EXPECT_GT(stats.map_ns, first_map_ns);
+  EXPECT_NE(stats.ToString().find("map_terms=2\n"), std::string::npos);
+  EXPECT_EQ(stats.ToString(/*deterministic_only=*/true).find("map_"),
+            std::string::npos)
+      << "mapping time must stay out of the deterministic block";
+}
+
 TEST(RelaxationService, CachesRepeatedQueriesAndCountsThem) {
   std::shared_ptr<Snapshot> snap = BuildSmallSnapshot();
   ConceptId query = FirstFlagged(*snap);
