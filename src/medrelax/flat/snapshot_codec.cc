@@ -338,10 +338,8 @@ Status WriteSnapshotImage(const ConceptDag& dag, const KnowledgeBase& kb,
       (config.ingestion.add_shortcut_edges ? kMetaFlagAddShortcutEdges : 0u) |
       (config.similarity.use_path_penalty ? kMetaFlagUsePathPenalty : 0u) |
       (config.similarity.use_context ? kMetaFlagUseContext : 0u) |
-      (config.similarity.memoize_geometry ? kMetaFlagMemoizeGeometry : 0u) |
       (config.relaxation.dynamic_radius ? kMetaFlagDynamicRadius : 0u) |
-      (config.use_exact_mapper ? kMetaFlagExactMapper : 0u) |
-      (config.precompute_similarities ? kMetaFlagPrecomputeSimilarities : 0u);
+      (config.use_exact_mapper ? kMetaFlagExactMapper : 0u);
   writer.AddArray<FlatMeta>(SectionId::kMeta,
                             std::span<const FlatMeta>(&meta, 1));
 
@@ -629,16 +627,12 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
   config.similarity.use_path_penalty =
       (meta.flags & kMetaFlagUsePathPenalty) != 0;
   config.similarity.use_context = (meta.flags & kMetaFlagUseContext) != 0;
-  config.similarity.memoize_geometry =
-      (meta.flags & kMetaFlagMemoizeGeometry) != 0;
   config.relaxation.radius = meta.relax_radius;
   config.relaxation.dynamic_radius =
       (meta.flags & kMetaFlagDynamicRadius) != 0;
   config.relaxation.max_radius = meta.relax_max_radius;
   config.relaxation.top_k = meta.relax_top_k;
   config.use_exact_mapper = (meta.flags & kMetaFlagExactMapper) != 0;
-  config.precompute_similarities =
-      (meta.flags & kMetaFlagPrecomputeSimilarities) != 0;
 
   DecodedSnapshotImage decoded;
   decoded.image = std::move(image);

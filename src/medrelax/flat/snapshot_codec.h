@@ -23,7 +23,6 @@ struct ImageSnapshotConfig {
   SimilarityOptions similarity;
   RelaxationOptions relaxation;
   bool use_exact_mapper = false;
-  bool precompute_similarities = false;
 };
 
 /// Serializes the offline phase's output — the customized DAG, the KB,

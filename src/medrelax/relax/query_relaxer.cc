@@ -120,9 +120,9 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
   const auto t_candidates = std::chrono::steady_clock::now();
   outcome.stats.candidate_ns = ElapsedNs(t_start, t_candidates);
 
-  // Line 3: score each candidate. Geometry comes from the memoization
-  // cache when available, otherwise from the shared-frontier engine (one
-  // upward BFS for the query, then one small cone per candidate).
+  // Line 3: score each candidate from its own geometry, computed by the
+  // shared-frontier engine (one upward BFS for the query, then one small
+  // cone per candidate).
   GeometryEngine& engine = scratch.engine;
   engine.SetSource(query);
   std::vector<ScoredConcept> scored;
@@ -130,18 +130,9 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
   for (ConceptId b : candidates) {
     ScoredConcept sc;
     sc.concept_id = b;
-    if (b == query) {
-      sc.similarity = 1.0;
-    } else if (std::optional<PairGeometry> hit =
-                   similarity_.CachedGeometry(query, b)) {
-      ++outcome.stats.geometry_cache_hits;
-      sc.similarity = similarity_.ScoreGeometry(*hit, query, b, context);
-    } else {
-      ++outcome.stats.geometry_cache_misses;
-      PairGeometry g = engine.Compute(b);
-      similarity_.StoreGeometry(query, b, g);
-      sc.similarity = similarity_.ScoreGeometry(g, query, b, context);
-    }
+    sc.similarity = b == query ? 1.0
+                               : similarity_.ScoreGeometry(engine.Compute(b),
+                                                           query, b, context);
     auto it = ingestion_->concept_instances.find(b);
     if (it != ingestion_->concept_instances.end()) sc.instances = it->second;
     scored.push_back(std::move(sc));
@@ -218,28 +209,6 @@ std::vector<RelaxationOutcome> QueryRelaxer::RelaxBatch(
     outcomes.push_back(RelaxOnThread(query.concept_id, query.context, k));
   }
   return outcomes;
-}
-
-size_t QueryRelaxer::PrecomputeSimilarities() const {
-  if (!similarity_.options().memoize_geometry) return 0;
-  const std::vector<bool>& flagged = ingestion_->flagged;
-  RelaxScratch& scratch = ThreadScratch();
-  scratch.engine.Reset(eks_);
-  std::vector<Neighbor> neighbors;
-  for (ConceptId query = 0; query < flagged.size(); ++query) {
-    if (!flagged[query]) continue;
-    scratch.engine.SetSource(query);
-    scratch.expander.Reset(*eks_, query);
-    neighbors.clear();
-    scratch.expander.ExpandTo(relaxation_options_.radius, &neighbors);
-    for (const Neighbor& n : neighbors) {
-      if (n.id < flagged.size() && flagged[n.id] &&
-          !similarity_.CachedGeometry(query, n.id)) {
-        similarity_.StoreGeometry(query, n.id, scratch.engine.Compute(n.id));
-      }
-    }
-  }
-  return similarity_.cached_pairs();
 }
 
 }  // namespace medrelax

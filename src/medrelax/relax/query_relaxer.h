@@ -78,8 +78,8 @@ struct PreparedQuery {
 /// outlive the relaxer.
 ///
 /// Thread-safe: all entry points are const and the underlying
-/// SimilarityModel synchronizes its geometry cache, so one relaxer can
-/// serve concurrent queries. The traversal scratch (a RadiusExpander and
+/// SimilarityModel holds no mutable state, so one relaxer can serve
+/// concurrent queries. The traversal scratch (a RadiusExpander and
 /// a GeometryEngine) is thread_local and shared by every relaxer on the
 /// thread: it is epoch-stamped, so a query allocates and fills nothing
 /// |V|-sized, and each top-level call below re-anchors it, so no call
@@ -125,16 +125,6 @@ class QueryRelaxer {
   [[nodiscard]] std::vector<RelaxationOutcome> RelaxBatch(
       std::span<const PreparedQuery> queries) const;
 
-  /// Offline pre-computation (Section 5.2: the online phase "retrieves
-  /// the pre-computed similarity between A and each external concept in
-  /// its neighborhood"): warms the memoized pair geometry for every
-  /// (flagged concept, neighborhood member) pair within the configured
-  /// radius, so first-query latency equals steady-state latency. Returns
-  /// the number of cached pairs afterwards. A no-op (returning 0) when
-  /// geometry memoization is disabled. Deliberately not [[nodiscard]]:
-  /// callers warming the cache for the side effect may drop the count.
-  size_t PrecomputeSimilarities() const;
-
   /// The underlying similarity model (exposed for diagnostics and tests).
   [[nodiscard]]
   const SimilarityModel& similarity() const { return similarity_; }
@@ -144,7 +134,7 @@ class QueryRelaxer {
 
  private:
   /// The core of Algorithm 2 on this thread's scratch: incremental
-  /// radius growth, cache-first geometry, scoring, ranking, exact-k
+  /// radius growth, per-candidate geometry, scoring, ranking, exact-k
   /// truncation. Precondition: the calling entry point has Reset the
   /// thread's GeometryEngine on eks_ during the current top-level call.
   RelaxationOutcome RelaxOnThread(ConceptId query, ContextId context,

@@ -18,9 +18,8 @@ struct RelaxStats {
   /// Radius values tried: 1 for a fixed radius, more when dynamic growth
   /// had to widen the ball.
   size_t radius_iterations = 0;
-  /// Pair geometries served from the memoization cache.
+  /// Always 0 (there is no geometry memo); perfbench/src/trace.cc reads them.
   size_t geometry_cache_hits = 0;
-  /// Pair geometries computed on the spot (and cached when memoizing).
   size_t geometry_cache_misses = 0;
   /// Wall time of the candidate search (radius expansion + flag filter).
   uint64_t candidate_ns = 0;
@@ -36,8 +35,6 @@ struct RelaxStats {
     candidates_scanned += other.candidates_scanned;
     neighbors_visited += other.neighbors_visited;
     radius_iterations += other.radius_iterations;
-    geometry_cache_hits += other.geometry_cache_hits;
-    geometry_cache_misses += other.geometry_cache_misses;
     candidate_ns += other.candidate_ns;
     scoring_ns += other.scoring_ns;
     rank_ns += other.rank_ns;

@@ -1,115 +1,14 @@
 #include "medrelax/relax/similarity.h"
 
-#include <algorithm>
-#include <bit>
 #include <cmath>
 #include <utility>
 
 namespace medrelax {
 
-namespace {
-
-uint64_t PairKey(ConceptId from, ConceptId to) {
-  return (static_cast<uint64_t>(from) << 32) | to;
-}
-
-/// splitmix64 finalizer: pair keys are structured (two packed 32-bit
-/// ids), so shard selection needs real mixing before taking high bits.
-uint64_t MixPairKey(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 SimilarityModel::SimilarityModel(const ConceptDag* dag,
                                  const FrequencyModel* freq,
                                  const SimilarityOptions& options)
-    : SimilarityModel(dag, freq, options,
-                      SizeShards(options.geometry_cache_shards,
-                                 options.geometry_cache_capacity)) {}
-
-SimilarityModel::SimilarityModel(const ConceptDag* dag,
-                                 const FrequencyModel* freq,
-                                 const SimilarityOptions& options,
-                                 ShardSizing sizing)
-    : dag_(dag),
-      freq_(freq),
-      options_(options),
-      geometry_shard_capacity_(sizing.per_shard_capacity),
-      geometry_shard_mask_(sizing.shard_count - 1),
-      geometry_shards_(sizing.shard_count) {
-  for (GeometryShard& shard : geometry_shards_) {
-    shard.sketch =
-        AdmissionSketch(options_.geometry_cache_policy.admission_sketch_slots);
-  }
-}
-
-SimilarityModel::GeometryShard& SimilarityModel::ShardForPair(
-    uint64_t pair_key) const {
-  return geometry_shards_[(MixPairKey(pair_key) >> 48) &
-                          geometry_shard_mask_];
-}
-
-void SimilarityModel::TouchEntry(GeometryShard& shard,
-                                 GeometryEntry& entry) const {
-  entry.stamp = ++shard.ticks;
-  if (options_.geometry_cache_policy.eviction !=
-      CachePolicy::Eviction::kDecayedActivity) {
-    return;
-  }
-  entry.activity += shard.bump;
-  shard.bump /= options_.geometry_cache_policy.decay_factor;
-  if (shard.bump > kActivityRescaleThreshold) {
-    for (auto& [key, e] : shard.map) e.activity *= kActivityRescaleFactor;
-    shard.bump *= kActivityRescaleFactor;
-  }
-}
-
-void SimilarityModel::SweepGeometryShard(GeometryShard& shard) const {
-  MutexLock sweep_lock(geometry_sweep_mu_);
-  MutexLock lock(shard.mu);
-  if (shard.map.size() <= geometry_shard_capacity_) return;  // raced
-  const bool activity = options_.geometry_cache_policy.eviction ==
-                        CachePolicy::Eviction::kDecayedActivity;
-  const size_t over = shard.map.size() - geometry_shard_capacity_;
-  size_t target = over;
-  if (activity) {
-    const double fraction =
-        std::clamp(options_.geometry_cache_policy.sweep_fraction, 0.0, 1.0);
-    target = std::max<size_t>(
-        over,
-        static_cast<size_t>(fraction *
-                            static_cast<double>(shard.map.size())));
-  }
-  // Rank ascending by activity with the stamp as tie-break (pure stamp
-  // order under kLru), then erase the bottom of the ranking.
-  struct Ranked {
-    uint64_t key;
-    double rank;
-    uint64_t stamp;
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(shard.map.size());
-  for (const auto& [key, entry] : shard.map) {
-    ranked.push_back({key,
-                      activity ? entry.activity
-                               : static_cast<double>(entry.stamp),
-                      entry.stamp});
-  }
-  const size_t victims = std::min(target, ranked.size());
-  std::nth_element(ranked.begin(),
-                   ranked.begin() + static_cast<ptrdiff_t>(victims - 1),
-                   ranked.end(), [](const Ranked& a, const Ranked& b) {
-                     if (a.rank != b.rank) return a.rank < b.rank;
-                     return a.stamp < b.stamp;
-                   });
-  for (size_t i = 0; i < victims; ++i) shard.map.erase(ranked[i].key);
-  geometry_evictions_.fetch_add(victims, std::memory_order_relaxed);
-  geometry_sweeps_.fetch_add(1, std::memory_order_relaxed);
-}
+    : dag_(dag), freq_(freq), options_(options) {}
 
 ContextId SimilarityModel::EffectiveContext(ContextId ctx) const {
   return options_.use_context ? ctx : kNoContext;
@@ -119,8 +18,7 @@ double SimilarityModel::Ic(ConceptId id, ContextId ctx) const {
   return freq_->Ic(id, EffectiveContext(ctx));
 }
 
-PairGeometry SimilarityModel::ComputeGeometry(ConceptId from,
-                                              ConceptId to) const {
+PairGeometry SimilarityModel::Geometry(ConceptId from, ConceptId to) const {
   PairGeometry g;
   TaxonomicPath path = ShortestTaxonomicPath(*dag_, from, to);
   if (!path.found) return g;
@@ -137,78 +35,6 @@ PairGeometry SimilarityModel::ComputeGeometry(ConceptId from,
   LcsResult lcs = LeastCommonSubsumers(*dag_, from, to);
   g.lcs = std::move(lcs.concepts);
   return g;
-}
-
-PairGeometry SimilarityModel::Geometry(ConceptId from, ConceptId to) const {
-  if (!options_.memoize_geometry) return ComputeGeometry(from, to);
-  if (std::optional<PairGeometry> hit = CachedGeometry(from, to)) {
-    return *std::move(hit);
-  }
-  PairGeometry g = ComputeGeometry(from, to);
-  StoreGeometry(from, to, g);
-  return g;
-}
-
-std::optional<PairGeometry> SimilarityModel::CachedGeometry(
-    ConceptId from, ConceptId to) const {
-  if (!options_.memoize_geometry) return std::nullopt;
-  const uint64_t key = PairKey(from, to);
-  GeometryShard& shard = ShardForPair(key);
-  MutexLock lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return std::nullopt;
-  TouchEntry(shard, it->second);
-  return it->second.geometry;
-}
-
-void SimilarityModel::StoreGeometry(ConceptId from, ConceptId to,
-                                    const PairGeometry& g) const {
-  if (!options_.memoize_geometry) return;
-  const uint64_t key = PairKey(from, to);
-  GeometryShard& shard = ShardForPair(key);
-  bool needs_sweep = false;
-  {
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) return;  // first writer wins
-    const bool bounded = geometry_shard_capacity_ > 0;
-    const bool full = bounded && shard.map.size() >= geometry_shard_capacity_;
-    if (full &&
-        options_.geometry_cache_policy.eviction ==
-            CachePolicy::Eviction::kDecayedActivity &&
-        !shard.sketch.SeenOrRecord(MixPairKey(key))) {
-      // Full shard, first sighting: one-pass scans (bulk expansion,
-      // crawler-shaped traffic) must not evict the established hot
-      // pairs. The second sighting admits.
-      geometry_admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    GeometryEntry entry;
-    entry.geometry = g;
-    entry.activity = shard.bump;
-    entry.stamp = ++shard.ticks;
-    auto [inserted, ok] = shard.map.emplace(key, std::move(entry));
-    // A doorkeeper admission was the pair's second sighting: credit it
-    // as a touch so fresh admits compete with once-hit residents.
-    if (full && ok &&
-        options_.geometry_cache_policy.eviction ==
-            CachePolicy::Eviction::kDecayedActivity) {
-      TouchEntry(shard, inserted->second);
-    }
-    needs_sweep = bounded && shard.map.size() > geometry_shard_capacity_;
-  }
-  // Re-acquires in the documented order: geometry_sweep_mu_ before the
-  // shard mutex, never while the insert's shard lock is held.
-  if (needs_sweep) SweepGeometryShard(shard);
-}
-
-size_t SimilarityModel::cached_pairs() const {
-  size_t total = 0;
-  for (const GeometryShard& shard : geometry_shards_) {
-    MutexLock lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
 }
 
 double SimilarityModel::SimIc(ConceptId a, ConceptId b, ContextId ctx) const {

@@ -1,14 +1,8 @@
 #ifndef MEDRELAX_RELAX_SIMILARITY_H_
 #define MEDRELAX_RELAX_SIMILARITY_H_
 
-#include <atomic>
-#include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
-#include "medrelax/common/cache_policy.h"
-#include "medrelax/common/mutex.h"
 #include "medrelax/graph/concept_dag.h"
 #include "medrelax/graph/geometry.h"
 #include "medrelax/graph/lcs.h"
@@ -35,24 +29,6 @@ struct SimilarityOptions {
   /// Use the query context's frequency table; disabled = aggregate over
   /// all contexts (the `QR-no-context` variant of Table 2).
   bool use_context = true;
-  /// Memoize the per-pair graph geometry (shortest taxonomic path + LCS
-  /// set). This realizes the paper's "retrieves the pre-computed
-  /// similarity" step (Section 5.2): the graph work per pair is paid
-  /// once, after which scoring is a table lookup plus arithmetic.
-  bool memoize_geometry = true;
-  /// Total memoized pairs across all shards; 0 = unbounded (the
-  /// pre-policy behavior). Sizing shapes performance, never answers, so
-  /// none of the fields below participate in the options fingerprint or
-  /// the flat-image config — a mapped snapshot always uses the defaults.
-  size_t geometry_cache_capacity = size_t{1} << 20;
-  /// Lock shards of the memo (rounded to a power of two, clamped so the
-  /// capacity bound stays global), replacing the former single
-  /// whole-table mutex.
-  size_t geometry_cache_shards = 8;
-  /// Eviction policy of the bounded memo (common/cache_policy.h): the
-  /// decayed-activity default keeps the hot pair set resident; kLru
-  /// ranks by last touch instead.
-  CachePolicy geometry_cache_policy;
 };
 
 /// The paper's similarity measure (Section 5.2):
@@ -60,14 +36,12 @@ struct SimilarityOptions {
 /// with the IC similarity of Equation 3 evaluated on context-conditioned
 /// frequencies and the direction-weighted path penalty of Equation 4.
 ///
-/// Thread-safe: geometry is returned by value and the memoization cache is
-/// sharded under per-shard mutexes, so one model can serve concurrent
-/// queries (QueryRelaxer::RelaxBatch relies on this). The memo is bounded
-/// and activity-managed like the serving result cache (CachePolicy): hits
-/// bump a decayed activity score, a full shard admits new pairs through a
-/// second-hit sketch, and overflow triggers a bottom-activity sweep. Warm
-/// the cache up front with QueryRelaxer::PrecomputeSimilarities to avoid
-/// write contention.
+/// Thread-safe: the model holds no mutable state, so one model can serve
+/// concurrent queries (QueryRelaxer::RelaxBatch relies on this). The
+/// paper's "retrieves the pre-computed similarity" step is realized by
+/// scoring each candidate's geometry as the relaxer computes it
+/// (QueryRelaxer, through a GeometryEngine); that is cheaper than a
+/// lookup table of pair geometries.
 class SimilarityModel {
  public:
   /// Borrows `dag` and `freq`, which must outlive the model.
@@ -103,102 +77,17 @@ class SimilarityModel {
   [[nodiscard]] double ScoreGeometry(const PairGeometry& g, ConceptId from,
                                      ConceptId to, ContextId ctx) const;
 
-  /// The memoized (or freshly computed) geometry for (from, to), by
-  /// value: the result stays intact across later calls on any thread.
+  /// The geometry of (from, to) by the naive per-pair formulation (four
+  /// full-graph traversals per call); the reference the shared-frontier
+  /// GeometryEngine is property-tested against.
   [[nodiscard]] PairGeometry Geometry(ConceptId from, ConceptId to) const;
 
-  /// Cache lookup only: nullopt on a miss or when memoization is off. A
-  /// hit refreshes the pair's recency stamp and (under the activity
-  /// policy) bumps its activity.
-  [[nodiscard]] std::optional<PairGeometry> CachedGeometry(ConceptId from,
-                                                           ConceptId to) const
-      MEDRELAX_EXCLUDES(geometry_sweep_mu_);
-
-  /// Inserts a geometry into the memoization cache (no-op when
-  /// memoization is off; first writer wins on a race). When the target
-  /// shard is full, a first-seen pair is rejected by the admission
-  /// sketch, and an admitted overflow triggers a bottom-activity sweep.
-  void StoreGeometry(ConceptId from, ConceptId to, const PairGeometry& g) const
-      MEDRELAX_EXCLUDES(geometry_sweep_mu_);
-
-  /// Number of memoized pairs (0 when memoization is off).
-  [[nodiscard]] size_t cached_pairs() const;
-
-  /// Memo management counters (0 until the bound is hit).
-  [[nodiscard]] uint64_t geometry_sweeps() const {
-    return geometry_sweeps_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t geometry_admission_rejects() const {
-    return geometry_admission_rejects_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t geometry_evictions() const {
-    return geometry_evictions_.load(std::memory_order_relaxed);
-  }
-
-  /// Memoized pairs one shard may hold (0 = unbounded).
-  [[nodiscard]] size_t geometry_shard_capacity() const {
-    return geometry_shard_capacity_;
-  }
-  [[nodiscard]] size_t geometry_shard_count() const {
-    return geometry_shards_.size();
-  }
-
  private:
-  struct GeometryEntry {
-    PairGeometry geometry;
-    /// Decayed-activity score (kDecayedActivity ranking key).
-    double activity = 0.0;
-    /// Last-touch tick: the kLru ranking key and the activity tie-break.
-    uint64_t stamp = 0;
-  };
-  struct GeometryShard {
-    /// One detector site for all memo shards (never nested).
-    mutable Mutex mu{"SimilarityModel::geometry_mu"};
-    std::unordered_map<uint64_t, GeometryEntry> map MEDRELAX_GUARDED_BY(mu);
-    /// Current activity increment (see CachePolicy::decay_factor).
-    double bump MEDRELAX_GUARDED_BY(mu) = 1.0;
-    /// Monotone touch clock feeding the recency stamps.
-    uint64_t ticks MEDRELAX_GUARDED_BY(mu) = 0;
-    /// Second-hit admission doorkeeper, consulted when the shard is full.
-    AdmissionSketch sketch MEDRELAX_GUARDED_BY(mu){0};
-  };
-
-  /// Delegation target: sizing is computed once and lands in the const
-  /// members below alongside the shard vector that shares it.
-  SimilarityModel(const ConceptDag* dag, const FrequencyModel* freq,
-                  const SimilarityOptions& options, ShardSizing sizing);
-
   [[nodiscard]] ContextId EffectiveContext(ContextId ctx) const;
-  /// The naive per-pair formulation (four full-graph traversals); the
-  /// reference the shared-frontier engine is property-tested against, and
-  /// the fallback for standalone cache misses.
-  [[nodiscard]]
-  PairGeometry ComputeGeometry(ConceptId from, ConceptId to) const;
-
-  [[nodiscard]] GeometryShard& ShardForPair(uint64_t pair_key) const;
-  /// Refreshes `entry`'s stamp and bumps its activity under the activity
-  /// policy (rescaling the shard when the increment overflows).
-  void TouchEntry(GeometryShard& shard, GeometryEntry& entry) const
-      MEDRELAX_REQUIRES(shard.mu);
-  /// Evicts the shard's bottom-ranked entries (activity with stamp
-  /// tie-break, or pure stamp order under kLru). Serializes on
-  /// geometry_sweep_mu_, acquired before the shard mutex.
-  void SweepGeometryShard(GeometryShard& shard) const
-      MEDRELAX_EXCLUDES(geometry_sweep_mu_);
 
   const ConceptDag* dag_;
   const FrequencyModel* freq_;
   const SimilarityOptions options_;
-  const size_t geometry_shard_capacity_;
-  const uint64_t geometry_shard_mask_;
-  /// Serializes memo sweeps; ordered before the shard mutex
-  /// (docs/CONCURRENCY.md).
-  mutable Mutex geometry_sweep_mu_{"SimilarityModel::geometry_sweep_mu"};
-  mutable std::vector<GeometryShard>
-      geometry_shards_;  // lint:allow(guarded-by) per-shard mu inside
-  mutable std::atomic<uint64_t> geometry_sweeps_{0};
-  mutable std::atomic<uint64_t> geometry_admission_rejects_{0};
-  mutable std::atomic<uint64_t> geometry_evictions_{0};
 };
 
 }  // namespace medrelax

@@ -20,6 +20,20 @@ uint64_t MixIn(uint64_t seed, uint64_t value) {
   return Mix64(seed ^ Mix64(value));
 }
 
+ShardSizing SizeShards(size_t requested_shards, size_t capacity) {
+  size_t shards = std::bit_ceil(std::max<size_t>(requested_shards, 1));
+  if (capacity > 0 && shards > capacity) shards = std::bit_floor(capacity);
+  return {.shard_count = shards,
+          .per_shard_capacity =
+              capacity == 0 ? 0 : std::max<size_t>(1, capacity / shards)};
+}
+
+/// Activity magnitude that triggers a rescale, and the factor applied.
+/// Doubles hold ~1e308, so 1e100 leaves ample headroom for the activities
+/// themselves (entry activity <= bump * hits-since-rescale).
+constexpr double kActivityRescaleThreshold = 1e100;
+constexpr double kActivityRescaleFactor = 1e-100;
+
 }  // namespace
 
 uint64_t HashCacheKey(const CacheKey& key) {
@@ -40,9 +54,10 @@ uint64_t FingerprintOptions(const RelaxationOptions& relaxation,
   h = MixIn(h, relaxation.top_k);
   h = MixIn(h, std::bit_cast<uint64_t>(similarity.generalization_weight));
   h = MixIn(h, std::bit_cast<uint64_t>(similarity.specialization_weight));
+  // 4U is the bit of the removed, always-on geometry memo: mixing it in
+  // keeps the fingerprints of images written before its removal.
   h = MixIn(h, (similarity.use_path_penalty ? 1U : 0U) |
-                   (similarity.use_context ? 2U : 0U) |
-                   (similarity.memoize_geometry ? 4U : 0U));
+                   (similarity.use_context ? 2U : 0U) | 4U);
   return h;
 }
 

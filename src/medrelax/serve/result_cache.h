@@ -2,17 +2,116 @@
 #define MEDRELAX_SERVE_RESULT_CACHE_H_
 
 #include <atomic>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "medrelax/common/cache_policy.h"
 #include "medrelax/common/mutex.h"
 #include "medrelax/relax/query_relaxer.h"
 
 namespace medrelax {
+
+/// Eviction strategy of the result cache below.
+///
+/// `kDecayedActivity` borrows the decaying-activity machinery of the qute
+/// QBF solver (VSIDS-style variable activities plus activity-ranked
+/// constraint-DB reduction sweeps):
+///
+///   * Every hit adds the cache's current *bump increment* to the entry's
+///     activity score. Instead of decaying every entry geometrically on
+///     every hit (an O(n) pass), the bump itself grows by 1/decay_factor —
+///     numerically identical ordering, amortized O(1). When the increment
+///     overflows a fixed threshold, all activities and the increment are
+///     rescaled down together, preserving their ratios.
+///   * A *second-hit admission filter*: once a shard is full, a key seen
+///     for the first time is recorded in a small recency sketch and
+///     rejected; only a key seen twice within the sketch's memory is
+///     admitted. One-hit wonders (scans, crawlers, key-space walks) stop
+///     evicting the established hot set. While the shard has free space,
+///     inserts are admitted unconditionally, so a cache that never fills
+///     behaves exactly like LRU.
+///   * A *periodic sweep* instead of per-insert LRU eviction: when an
+///     admitted insert pushes a shard over capacity, the bottom
+///     `sweep_fraction` of entries ranked by activity (least-recently-used
+///     breaking ties) is evicted in one pass.
+///
+/// `kLru` is the pre-policy behavior, kept selectable for golden parity
+/// and as the baseline the skewed-mix benchmark gates against.
+struct CachePolicy {
+  enum class Eviction : uint8_t {
+    kLru,
+    kDecayedActivity,
+  };
+
+  Eviction eviction = Eviction::kDecayedActivity;
+
+  /// Geometric decay per hit: the bump increment grows by 1/decay_factor,
+  /// so older activity contributions fade relative to fresh ones. qute
+  /// ships 0.95 for its constraint activities; the same value holds here
+  /// (~4500 hits between rescales at the threshold below).
+  double decay_factor = 0.95;
+
+  /// Fraction of a shard evicted per sweep (bottom of the activity
+  /// ranking). Larger fractions sweep less often but evict deeper into
+  /// the warm set.
+  double sweep_fraction = 0.25;
+
+  /// Slots in the per-shard admission sketch (rounded up to a power of
+  /// two). Sized to the scan burst it must absorb: a slot remembers one
+  /// recently-seen fingerprint, and a colliding newcomer overwrites it.
+  size_t admission_sketch_slots = 64;
+};
+
+/// Shard sizing of the result cache (SizeShards in result_cache.cc): the
+/// shard count rounds up to a power of two (mask selection), then clamps
+/// down when the total capacity is smaller than the shard count —
+/// per-shard capacities are floor-divided with a minimum of one entry, so
+/// without the clamp a capacity-1 cache with 8 shards would hold 8
+/// entries. The invariant is shard_count * per_shard_capacity <=
+/// capacity; capacity 0 means unbounded shards (per_shard_capacity 0).
+struct ShardSizing {
+  size_t shard_count;
+  size_t per_shard_capacity;
+};
+
+/// The second-hit admission doorkeeper: a tiny direct-mapped table of key
+/// fingerprints. `SeenOrRecord` answers "was this fingerprint recorded
+/// since it last fell out of its slot?" and records it when not. A false
+/// return means first sighting (candidate should be rejected once);
+/// collisions merely overwrite — a false "seen" requires two keys with
+/// identical 64-bit fingerprints, a false "new" just delays admission by
+/// one extra sighting.
+///
+/// Not internally synchronized: callers embed one sketch per shard and
+/// consult it under that shard's lock.
+class AdmissionSketch {
+ public:
+  explicit AdmissionSketch(size_t slots)
+      : slots_(std::bit_ceil(slots < 2 ? size_t{2} : slots), 0),
+        mask_(slots_.size() - 1) {}
+
+  /// True when `fingerprint` is already recorded (second sighting —
+  /// admit); otherwise records it and returns false (first sighting).
+  [[nodiscard]] bool SeenOrRecord(uint64_t fingerprint) {
+    if (fingerprint == 0) fingerprint = 1;  // 0 marks an empty slot
+    uint64_t& slot = slots_[fingerprint & mask_];
+    if (slot == fingerprint) return true;
+    slot = fingerprint;
+    return false;
+  }
+
+  void Clear() { slots_.assign(slots_.size(), 0); }
+
+  [[nodiscard]] size_t slot_count() const { return slots_.size(); }
+
+ private:
+  std::vector<uint64_t> slots_;
+  uint64_t mask_;
+};
 
 /// Identity of one cacheable relaxation answer. Repeated [query term,
 /// context] traffic is the dominant workload shape, so the key is the
@@ -61,7 +160,7 @@ struct ResultCacheOptions {
   /// capacities still respect the global bound) so concurrent workers
   /// rarely contend on one mutex.
   size_t num_shards = 8;
-  /// Eviction policy (common/cache_policy.h). The decayed-activity
+  /// Eviction policy (CachePolicy above). The decayed-activity
   /// default keeps the hot set resident under skewed scan-polluted
   /// traffic; `kLru` restores the pre-policy behavior exactly. The
   /// policy never changes what an answer contains, so it is deliberately

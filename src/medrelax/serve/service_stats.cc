@@ -178,13 +178,6 @@ std::string ServiceStatsSnapshot::ToString(bool deterministic_only) const {
                    static_cast<size_t>(sweeps_completed));
   out += StrFormat("activity_evictions=%zu\n",
                    static_cast<size_t>(activity_evictions));
-  // Geometry-memo traffic (the relaxer-level aggregate) is a pure
-  // function of the request sequence — same counts over stdin and TCP,
-  // built and mapped — so it lives in the deterministic subset, unlike
-  // the wall-clock RelaxStats timings below.
-  out += StrFormat("geometry_cache_hits=%zu\n", relax.geometry_cache_hits);
-  out += StrFormat("geometry_cache_misses=%zu\n",
-                   relax.geometry_cache_misses);
   if (deterministic_only) return out;
   out += StrFormat("queue_depth_high_water=%zu\n",
                    static_cast<size_t>(queue_depth_high_water));

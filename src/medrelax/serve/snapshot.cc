@@ -42,9 +42,6 @@ Result<std::shared_ptr<Snapshot>> Snapshot::Build(
   snap->options_ = options;
   snap->options_fingerprint_ =
       FingerprintOptions(options.relaxation, options.similarity);
-  if (options.precompute_similarities) {
-    snap->relaxer_->PrecomputeSimilarities();
-  }
   return snap;
 }
 
@@ -63,7 +60,6 @@ Result<std::shared_ptr<Snapshot>> Snapshot::LoadFromImage(
   options.similarity = decoded.config.similarity;
   options.relaxation = decoded.config.relaxation;
   options.use_exact_mapper = decoded.config.use_exact_mapper;
-  options.precompute_similarities = decoded.config.precompute_similarities;
   const uint64_t recomputed =
       FingerprintOptions(options.relaxation, options.similarity);
   if (recomputed != decoded.options_fingerprint) {
@@ -94,9 +90,6 @@ Result<std::shared_ptr<Snapshot>> Snapshot::LoadFromImage(
   snap->options_ = options;
   snap->options_fingerprint_ = decoded.options_fingerprint;
   snap->source_ = SnapshotSource::kMapped;
-  if (options.precompute_similarities) {
-    snap->relaxer_->PrecomputeSimilarities();
-  }
   snap->load_micros_ = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
@@ -110,7 +103,6 @@ Status Snapshot::WriteImage(const std::string& path) const {
   config.similarity = options_.similarity;
   config.relaxation = options_.relaxation;
   config.use_exact_mapper = options_.use_exact_mapper;
-  config.precompute_similarities = options_.precompute_similarities;
   return flat::WriteSnapshotImage(dag_, kb_, ingestion_, config,
                                   options_fingerprint_, path);
 }

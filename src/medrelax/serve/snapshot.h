@@ -39,9 +39,6 @@ struct SnapshotOptions {
   /// Term mapper bound to the snapshot's own DAG: exact match only, or the
   /// edit-distance matcher (tau = 2) the paper's EDIT configuration uses.
   bool use_exact_mapper = false;
-  /// Warm the pair-geometry memoization before the snapshot is published,
-  /// so its first queries run at steady-state latency.
-  bool precompute_similarities = false;
 };
 
 /// One immutable, query-ready bundle of serving state: the customized

@@ -218,6 +218,30 @@ TEST(FlatImageRoundTrip, IngestOptionsRoundTripThroughTheMeta) {
   EXPECT_EQ((*mapped)->options_fingerprint(), built->options_fingerprint());
 }
 
+TEST(FlatImageRoundTrip, ReservedMetaFlagsAreNeverWritten) {
+  ASSERT_FALSE(SharedImagePath().empty());
+  Result<std::unique_ptr<FlatImageView>> image =
+      FlatImageView::Open(SharedImagePath());
+  ASSERT_TRUE(image.ok()) << image.status();
+  EXPECT_EQ((*image)->meta().flags &
+                (flat::kMetaFlagReservedBit4 | flat::kMetaFlagReservedBit7),
+            0u);
+}
+
+TEST(FlatImageCompat, CommittedImageWithReservedFlagsStillLoads) {
+  // Written by an ingest that still set the reserved geometry-memo flag;
+  // the layout and the fingerprint scheme are unchanged, so it must load
+  // and keep its stored fingerprint.
+  const std::string path = std::string(MEDRELAX_SOURCE_DIR) +
+                           "/fuzz/corpus/fuzz_image/valid_tiny.img";
+  Result<std::unique_ptr<FlatImageView>> image = FlatImageView::Open(path);
+  ASSERT_TRUE(image.ok()) << image.status();
+  EXPECT_NE((*image)->meta().flags & flat::kMetaFlagReservedBit4, 0u);
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_EQ((*snap)->options_fingerprint(), 0xb2d89dcc68224b7dULL);
+}
+
 TEST(FlatImageHardening, MissingFileIsNotFound) {
   Result<std::unique_ptr<FlatImageView>> image =
       FlatImageView::Open(testing::TempDir() + "no_such_image.img");

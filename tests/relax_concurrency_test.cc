@@ -1,8 +1,8 @@
 // Concurrency tests of the online relaxation stack: one SimilarityModel /
 // QueryRelaxer instance serving overlapping queries from many threads.
-// Run under the tsan preset, these pin the thread-safety contract of the
-// shared geometry cache and RelaxBatch, and the per-thread traversal
-// scratch every relaxer on a thread shares.
+// Run under the tsan preset, these pin the thread-safety contract of
+// RelaxBatch and the per-thread traversal scratch every relaxer on a
+// thread shares.
 
 #include <cstddef>
 #include <memory>
@@ -221,16 +221,14 @@ TEST(Concurrency, ParallelRelaxBatchOnGeneratedWorldMatchesSequential) {
 TEST(Concurrency, ThreadScratchDoesNotCarryAnchorAcrossDags) {
   // One thread relaxes a query id on a larger DAG, then the same id on a
   // smaller, different DAG. The thread_local scratch is shared by both
-  // relaxers; the second answer must equal a fresh thread's. Geometry
-  // memoization is off so every pair is computed by the engine.
+  // relaxers; the second answer must equal a fresh thread's.
   std::unique_ptr<GeneratedRig> big = MakeGeneratedRig(1500, 51);
   std::unique_ptr<GeneratedRig> small = MakeGeneratedRig(400, 57);
-  SimilarityOptions no_memo;
-  no_memo.memoize_geometry = false;
   QueryRelaxer big_relaxer(&big->world.eks.dag, &big->ingestion,
-                           big->matcher.get(), no_memo, RelaxationOptions{});
+                           big->matcher.get(), SimilarityOptions{},
+                           RelaxationOptions{});
   QueryRelaxer small_relaxer(&small->world.eks.dag, &small->ingestion,
-                             small->matcher.get(), no_memo,
+                             small->matcher.get(), SimilarityOptions{},
                              RelaxationOptions{});
   std::vector<ConceptId> queries;
   const std::vector<bool>& flagged = small->ingestion.flagged;

@@ -1,6 +1,6 @@
 // Tests of the supporting relaxation components: classic baseline
 // measures (Wu-Palmer, path, Resnik), the similarity explanation API, the
-// memoized pair geometry, and the relevance-feedback layer.
+// by-value pair geometry, and the relevance-feedback layer.
 
 #include <memory>
 
@@ -113,30 +113,12 @@ TEST(Explain, RenderMentionsConceptNames) {
   EXPECT_NE(text.find("DOWN"), std::string::npos);
 }
 
-TEST(Geometry, CacheReturnsIdenticalScores) {
-  ExtrasWorld w = MakeExtrasWorld();
-  SimilarityOptions cached;
-  SimilarityOptions uncached;
-  uncached.memoize_geometry = false;
-  SimilarityModel with(&w.fx.dag, &w.freq, cached);
-  SimilarityModel without(&w.fx.dag, &w.freq, uncached);
-  for (ConceptId a = 0; a < w.fx.dag.num_concepts(); ++a) {
-    for (ConceptId b = 0; b < w.fx.dag.num_concepts(); ++b) {
-      EXPECT_DOUBLE_EQ(with.Similarity(a, b, 0), without.Similarity(a, b, 0));
-    }
-  }
-  EXPECT_GT(with.cached_pairs(), 0u);
-  EXPECT_EQ(without.cached_pairs(), 0u);
-}
-
 TEST(Geometry, InterleavedGeometriesStayIntact) {
   // Regression: the non-memoized path used to return a reference into a
   // shared scratch slot, so fetching a second geometry corrupted the
   // first. Geometries are by value now; interleaving must be safe.
   ExtrasWorld w = MakeExtrasWorld();
-  SimilarityOptions opts;
-  opts.memoize_geometry = false;
-  SimilarityModel model(&w.fx.dag, &w.freq, opts);
+  SimilarityModel model(&w.fx.dag, &w.freq, SimilarityOptions{});
   PairGeometry first =
       model.Geometry(w.fx.frequent_headache, w.fx.pain_in_throat);
   PairGeometry second =
@@ -279,27 +261,6 @@ TEST(Feedback, OverfetchReplacesRejectedResults) {
       feedback.RelaxConcept(w->fx.ckd_stage1_due_to_hypertension, 0);
   ASSERT_EQ(after.concepts.size(), 1u);
   EXPECT_NE(after.concepts[0].concept_id, top);
-}
-
-TEST(Relaxer, PrecomputeWarmsGeometryCache) {
-  auto w = MakeFeedbackWorld();
-  size_t cached = w->relaxer->PrecomputeSimilarities();
-  EXPECT_GT(cached, 0u);
-  EXPECT_EQ(cached, w->relaxer->similarity().cached_pairs());
-  // Results after warming equal results without warming.
-  QueryRelaxer cold(&w->fx.dag, &w->ingestion, w->matcher.get(),
-                    SimilarityOptions{}, RelaxationOptions{});
-  RelaxationOutcome warm_out =
-      w->relaxer->RelaxConcept(w->fx.ckd_stage1_due_to_hypertension, 0);
-  RelaxationOutcome cold_out =
-      cold.RelaxConcept(w->fx.ckd_stage1_due_to_hypertension, 0);
-  ASSERT_EQ(warm_out.concepts.size(), cold_out.concepts.size());
-  for (size_t i = 0; i < warm_out.concepts.size(); ++i) {
-    EXPECT_EQ(warm_out.concepts[i].concept_id,
-              cold_out.concepts[i].concept_id);
-    EXPECT_DOUBLE_EQ(warm_out.concepts[i].similarity,
-                     cold_out.concepts[i].similarity);
-  }
 }
 
 TEST(Relaxer, NoContextQueryUsesAggregatedFrequencies) {

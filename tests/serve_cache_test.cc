@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "medrelax/common/cache_policy.h"
 #include "medrelax/serve/result_cache.h"
 
 namespace medrelax {
@@ -317,9 +316,6 @@ TEST(FingerprintOptions, SensitiveToEveryKnob) {
     variants.push_back(FingerprintOptions(relaxation, s));
     s = similarity;
     s.use_context = false;
-    variants.push_back(FingerprintOptions(relaxation, s));
-    s = similarity;
-    s.memoize_geometry = false;
     variants.push_back(FingerprintOptions(relaxation, s));
   }
   for (size_t i = 0; i < variants.size(); ++i) {

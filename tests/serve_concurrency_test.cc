@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "medrelax/common/cache_policy.h"
 #include "medrelax/common/deadlock_detector.h"
 #include "medrelax/common/string_util.h"
 #include "medrelax/datasets/kb_generator.h"
@@ -554,8 +553,6 @@ TEST(ServeConcurrency, PublishStormKeepsLockOrderAcyclic) {
       detector.RegisterSite("SnapshotRegistry::mu"),
       detector.RegisterSite("ResultCache::Shard::mu"),
       detector.RegisterSite("ResultCache::sweep_mu"),
-      detector.RegisterSite("SimilarityModel::geometry_mu"),
-      detector.RegisterSite("SimilarityModel::geometry_sweep_mu"),
       detector.RegisterSite("ServiceStats::relax_mu"),
   };
   for (int a : sites) {

@@ -344,99 +344,5 @@ TEST(IntroExample, PertussisRelaxesToBronchitis) {
   EXPECT_EQ(colloquial->query_concept, pertussis);
 }
 
-// --- Bounded, activity-managed geometry memo ------------------------------
-//
-// StoreGeometry/CachedGeometry never consult the DAG, so these tests
-// drive the memo directly with synthetic pair ids against the Figure 4
-// model.
-
-PairGeometry ConnectedGeometry() {
-  PairGeometry g;
-  g.connected = true;
-  return g;
-}
-
-TEST(GeometryMemo, BoundedCapacityAdmitsOnSecondSightingAndSweeps) {
-  auto fx = BuildFigure4Fixture();
-  ASSERT_TRUE(fx.ok());
-  auto freq = Figure4Frequencies(*fx);
-  ASSERT_TRUE(freq.ok());
-  SimilarityOptions opts;
-  opts.geometry_cache_capacity = 4;
-  opts.geometry_cache_shards = 1;
-  SimilarityModel model(&fx->dag, &*freq, opts);
-
-  for (ConceptId from = 100; from < 104; ++from) {
-    model.StoreGeometry(from, 200, ConnectedGeometry());
-  }
-  EXPECT_EQ(model.cached_pairs(), 4u);
-  // Pairs (100..102, 200) are hot; (103, 200) is never touched again.
-  for (int round = 0; round < 3; ++round) {
-    for (ConceptId from = 100; from < 103; ++from) {
-      EXPECT_TRUE(model.CachedGeometry(from, 200).has_value());
-    }
-  }
-
-  // First sighting against the full shard: rejected.
-  model.StoreGeometry(300, 200, ConnectedGeometry());
-  EXPECT_EQ(model.cached_pairs(), 4u);
-  EXPECT_EQ(model.geometry_admission_rejects(), 1u);
-  EXPECT_FALSE(model.CachedGeometry(300, 200).has_value());
-
-  // Second sighting: admitted; the overflow sweep evicts the cold pair.
-  model.StoreGeometry(300, 200, ConnectedGeometry());
-  EXPECT_TRUE(model.CachedGeometry(300, 200).has_value());
-  EXPECT_GE(model.geometry_sweeps(), 1u);
-  EXPECT_GE(model.geometry_evictions(), 1u);
-  EXPECT_LE(model.cached_pairs(), 4u);
-  EXPECT_FALSE(model.CachedGeometry(103, 200).has_value())
-      << "the untouched pair should be the sweep victim";
-  for (ConceptId from = 100; from < 103; ++from) {
-    EXPECT_TRUE(model.CachedGeometry(from, 200).has_value())
-        << "hot pair " << from << " must survive the sweep";
-  }
-}
-
-TEST(GeometryMemo, LruPolicyEvictsOldestStamp) {
-  auto fx = BuildFigure4Fixture();
-  ASSERT_TRUE(fx.ok());
-  auto freq = Figure4Frequencies(*fx);
-  ASSERT_TRUE(freq.ok());
-  SimilarityOptions opts;
-  opts.geometry_cache_capacity = 2;
-  opts.geometry_cache_shards = 1;
-  opts.geometry_cache_policy.eviction = CachePolicy::Eviction::kLru;
-  SimilarityModel model(&fx->dag, &*freq, opts);
-
-  model.StoreGeometry(1, 2, ConnectedGeometry());
-  model.StoreGeometry(3, 4, ConnectedGeometry());
-  EXPECT_TRUE(model.CachedGeometry(1, 2).has_value());  // refresh (1,2)
-  // No admission filter under LRU: the overflow evicts the oldest stamp.
-  model.StoreGeometry(5, 6, ConnectedGeometry());
-  EXPECT_EQ(model.geometry_admission_rejects(), 0u);
-  EXPECT_EQ(model.cached_pairs(), 2u);
-  EXPECT_FALSE(model.CachedGeometry(3, 4).has_value());
-  EXPECT_TRUE(model.CachedGeometry(1, 2).has_value());
-  EXPECT_TRUE(model.CachedGeometry(5, 6).has_value());
-}
-
-TEST(GeometryMemo, ZeroCapacityIsUnbounded) {
-  auto fx = BuildFigure4Fixture();
-  ASSERT_TRUE(fx.ok());
-  auto freq = Figure4Frequencies(*fx);
-  ASSERT_TRUE(freq.ok());
-  SimilarityOptions opts;
-  opts.geometry_cache_capacity = 0;  // legacy unbounded memo
-  opts.geometry_cache_shards = 2;
-  SimilarityModel model(&fx->dag, &*freq, opts);
-
-  for (ConceptId from = 0; from < 100; ++from) {
-    model.StoreGeometry(from, 500, ConnectedGeometry());
-  }
-  EXPECT_EQ(model.cached_pairs(), 100u);
-  EXPECT_EQ(model.geometry_sweeps(), 0u);
-  EXPECT_EQ(model.geometry_admission_rejects(), 0u);
-}
-
 }  // namespace
 }  // namespace medrelax

@@ -1,6 +1,6 @@
 // medrelax_ingest: the offline half of the flat-image serving pipeline.
 //
-//   medrelax_ingest <dir> <out-image> [--exact] [--precompute]
+//   medrelax_ingest <dir> <out-image> [--exact]
 //       Loads <dir>/eks.tsv + <dir>/kb.tsv (as written by
 //       `medrelax_tool generate`), runs the full offline phase
 //       (Algorithm 1: contexts, mappings, frequency propagation,
@@ -38,8 +38,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  medrelax_ingest <dir> <out-image> [--exact]"
-               " [--precompute]\n"
+               "  medrelax_ingest <dir> <out-image> [--exact]\n"
                "  medrelax_ingest info <image>\n");
   return 2;
 }
@@ -76,8 +75,6 @@ int RunIngest(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--exact") == 0) {
       options.use_exact_mapper = true;
-    } else if (std::strcmp(argv[i], "--precompute") == 0) {
-      options.precompute_similarities = true;
     } else {
       return Usage();
     }
