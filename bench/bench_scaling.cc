@@ -11,7 +11,10 @@
 //     1k- and a 64k-concept synthetic DAG in one run; its counter
 //     v_independence (small ÷ large time per query) is CI-floored, so a
 //     per-query cost that scales with |V| or with a hub's fan-out cannot
-//     come back unnoticed.
+//     come back unnoticed. On the 64k DAG it also times a far term (an
+//     unflagged hub leaf, whose ball holds every other leaf); near_vs_far
+//     (near ÷ far time) is CI-floored too, so a candidate search that
+//     walks peeled filler concepts cannot come back either.
 //
 // google-benchmark binary: run with --benchmark_filter=... to narrow.
 
@@ -174,6 +177,9 @@ struct HubWorld {
   ConceptDag dag;
   IngestionResult ingestion;
   ConceptId query = kInvalidConcept;
+  /// An unflagged leaf of the hub: a far term, whose radius-4 ball
+  /// holds every other hub leaf.
+  ConceptId far = kInvalidConcept;
 };
 
 std::unique_ptr<HubWorld> BuildHubWorld(size_t num_concepts) {
@@ -197,7 +203,7 @@ std::unique_ptr<HubWorld> BuildHubWorld(size_t num_concepts) {
   }
   w->query = add(below);
   flagged.push_back(w->query);
-  while (parent_of.size() < num_concepts) add(hub);
+  while (parent_of.size() < num_concepts) w->far = add(hub);
 
   // One context; raw frequency = reflexive descendant count, normalized
   // at the root (Equation 2's propagation on a tree).
@@ -232,7 +238,7 @@ void BM_RelaxationVIndependence(benchmark::State& state) {
   QueryRelaxer large_relaxer(&large->dag, &large->ingestion, nullptr,
                              SimilarityOptions{}, ropts);
   using Clock = std::chrono::steady_clock;
-  Clock::duration small_time{0}, large_time{0};
+  Clock::duration small_time{0}, large_time{0}, far_time{0};
   size_t neighbors = 0;
   for (auto _ : state) {
     const Clock::time_point t0 = Clock::now();
@@ -240,18 +246,25 @@ void BM_RelaxationVIndependence(benchmark::State& state) {
     const Clock::time_point t1 = Clock::now();
     RelaxationOutcome b = large_relaxer.RelaxConcept(large->query, 0);
     const Clock::time_point t2 = Clock::now();
+    RelaxationOutcome c = large_relaxer.RelaxConcept(large->far, 0);
+    const Clock::time_point t3 = Clock::now();
     small_time += t1 - t0;
     large_time += t2 - t1;
+    far_time += t3 - t2;
     neighbors = b.stats.neighbors_visited;
     benchmark::DoNotOptimize(a);
     benchmark::DoNotOptimize(b);
+    benchmark::DoNotOptimize(c);
   }
+  auto ratio = [](Clock::duration num, Clock::duration den) {
+    return den.count() > 0 ? static_cast<double>(num.count()) /
+                                 static_cast<double>(den.count())
+                           : 0.0;
+  };
   state.counters["avg_neighbors"] = static_cast<double>(neighbors);
-  state.counters["v_independence"] =
-      large_time.count() > 0 ? static_cast<double>(small_time.count()) /
-                                   static_cast<double>(large_time.count())
-                             : 0.0;
-  state.SetLabel("concepts=1000 vs 65536, hub-ended ball");
+  state.counters["v_independence"] = ratio(small_time, large_time);
+  state.counters["near_vs_far"] = ratio(large_time, far_time);
+  state.SetLabel("concepts=1000 vs 65536, hub-ended ball; far hub leaf");
 }
 BENCHMARK(BM_RelaxationVIndependence)->Unit(benchmark::kMicrosecond);
 

@@ -72,83 +72,35 @@ bool IsAncestorOf(const ConceptDag& dag, ConceptId ancestor,
   return false;
 }
 
-RadiusExpander::RadiusExpander(const ConceptDag& dag, ConceptId start) {
-  Reset(dag, start);
-}
-
-void RadiusExpander::Reset(const ConceptDag& dag, ConceptId start) {
-  dag_ = &dag;
-  if (slots_.size() < dag.num_concepts()) slots_.resize(dag.num_concepts());
-  if (++epoch_ == 0) {
-    // Wrapped: a stamp from 2^32 resets ago would alias the new epoch.
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    epoch_ = 1;
-  }
-  for (std::vector<ConceptId>& bucket : buckets_) bucket.clear();
-  next_bucket_ = 0;
-  shell_pending_ = false;
-  edges_relaxed_ = 0;
-  if (start < dag.num_concepts()) {
-    slots_[start] = {epoch_, 0};
-    if (buckets_.empty()) buckets_.resize(1);
-    buckets_[0].push_back(start);
-  }
-}
-
-void RadiusExpander::RelaxBucket(uint32_t d) {
-  // Index-based loop: relaxations never push into bucket d (edge weights
-  // are >= 1) but do grow `buckets_`.
-  for (size_t i = 0; i < buckets_[d].size(); ++i) {
-    ConceptId u = buckets_[d][i];
-    if (Dist(u) != d) continue;  // stale dial entry
-    auto relax = [&](const DagEdge& e) {
-      ++edges_relaxed_;
-      // A well-formed edge has original_distance >= 1; clamp malformed
-      // zero-distance edges so the dial queue always advances.
-      uint32_t weight = e.original_distance == 0 ? 1 : e.original_distance;
-      uint32_t candidate = d + weight;
-      if (candidate < d) return;  // overflow guard
-      if (candidate < Dist(e.target)) {
-        slots_[e.target] = {epoch_, candidate};
-        if (candidate >= buckets_.size()) buckets_.resize(candidate + 1);
-        buckets_[candidate].push_back(e.target);
-      }
-    };
-    for (const DagEdge& e : dag_->parents(u)) relax(e);
-    for (const DagEdge& e : dag_->children(u)) relax(e);
-  }
-  buckets_[d].clear();
-}
-
-void RadiusExpander::ExpandTo(uint32_t radius, std::vector<Neighbor>* out) {
-  if (shell_pending_ && radius >= next_bucket_) {
-    RelaxBucket(next_bucket_ - 1);
-    shell_pending_ = false;
-  }
-  while (next_bucket_ < buckets_.size() && next_bucket_ <= radius) {
-    const uint32_t d = next_bucket_++;
-    if (d > 0 && out != nullptr) {
-      for (ConceptId u : buckets_[d]) {
-        if (Dist(u) == d) out->push_back({u, d});
-      }
-    }
-    if (d == radius) {
-      shell_pending_ = true;  // relaxed only if a larger radius is asked
-      return;
-    }
-    RelaxBucket(d);
-  }
-  // When the queue drains early, remember the requested radius so a later
-  // ExpandTo with a larger one resumes correctly (nothing left to do).
-  if (next_bucket_ <= radius) next_bucket_ = radius + 1;
-}
-
 std::vector<Neighbor> NeighborsWithinRadius(const ConceptDag& dag,
                                             ConceptId start, uint32_t radius) {
   std::vector<Neighbor> out;
-  if (radius == 0) return out;
-  RadiusExpander expander(dag, start);
-  expander.ExpandTo(radius, &out);
+  if (radius == 0 || !dag.IsValid(start)) return out;
+  std::vector<uint32_t> dist(dag.num_concepts(), kUnreachable);
+  dist[start] = 0;
+  // Dial queue: buckets[d] holds concepts tentatively at distance d; an
+  // entry whose distance has since shrunk is stale and skipped.
+  std::vector<std::vector<ConceptId>> buckets = {{start}};
+  for (uint32_t d = 0; d < buckets.size(); ++d) {
+    // Index-based loop: relaxations grow `buckets` but never bucket d.
+    for (size_t i = 0; i < buckets[d].size(); ++i) {
+      const ConceptId u = buckets[d][i];
+      if (dist[u] != d) continue;
+      if (d > 0) out.push_back({u, d});
+      auto relax = [&](const DagEdge& e) {
+        const uint32_t weight = HopWeight(e);
+        if (weight > radius - d) return;
+        const uint32_t candidate = d + weight;
+        if (candidate < dist[e.target]) {
+          dist[e.target] = candidate;
+          if (candidate >= buckets.size()) buckets.resize(candidate + 1);
+          buckets[candidate].push_back(e.target);
+        }
+      };
+      for (const DagEdge& e : dag.parents(u)) relax(e);
+      for (const DagEdge& e : dag.children(u)) relax(e);
+    }
+  }
   return out;
 }
 

@@ -22,7 +22,8 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
 /// One thread's traversal scratch, shared by every relaxer that runs on
 /// the thread. Both members are epoch-stamped, so re-anchoring them costs
 /// O(1) and no query allocates or fills a |V|-sized array; the arrays
-/// only grow to the largest DAG the thread has relaxed against.
+/// only grow to the largest core (expander) and DAG (engine) the thread
+/// has relaxed against.
 struct RelaxScratch {
   RadiusExpander expander;
   GeometryEngine engine;
@@ -44,7 +45,8 @@ QueryRelaxer::QueryRelaxer(const ConceptDag* eks,
       ingestion_(ingestion),
       mapper_(mapper),
       similarity_(eks, &ingestion->frequencies, similarity_options),
-      relaxation_options_(relaxation_options) {}
+      relaxation_options_(relaxation_options),
+      core_(*eks, ingestion->flagged) {}
 
 Result<RelaxationOutcome> QueryRelaxer::Relax(std::string_view term,
                                               ContextId context) const {
@@ -84,30 +86,42 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
     return it == ingestion_->concept_instances.end() ? 0 : it->second.size();
   };
 
-  // Line 2: candidates = flagged concepts within radius r. The expander
+  // Line 2: candidates = flagged concepts within radius r. Every flagged
+  // concept is in the core, and a query peeled off it reaches them only
+  // through its attachment a(q), δ(q) hops away: d(q, f) = δ(q) +
+  // d_core(a(q), f). So the search runs over the core from a(q) to radius
+  // r - δ(q); a(q) itself is a candidate once r >= δ(q). The expander
   // keeps its Dijkstra frontier across iterations, so dynamic growth only
   // pays for the newly uncovered ring, and candidate/coverage bookkeeping
   // only touches neighbors not seen at the previous radius.
   uint32_t radius = relaxation_options_.radius;
+  const FlaggedCore::Attachment anchor = core_.Attach(query);
   RadiusExpander& expander = scratch.expander;
-  expander.Reset(*eks_, query);
-  std::vector<Neighbor> neighbors;
+  expander.Reset(core_, anchor.node);
+  std::vector<Neighbor> neighbors;  // hops measured from a(q)
   std::vector<ConceptId> candidates;
   size_t covered_instances = 0;
-  if (query < flagged.size() && flagged[query]) {
-    candidates.push_back(query);  // the term itself, when in the KB
-    covered_instances += instance_count(query);
-  }
+  auto consider = [&](ConceptId id) {
+    if (id < flagged.size() && flagged[id]) {
+      candidates.push_back(id);
+      covered_instances += instance_count(id);
+    }
+  };
+  consider(query);  // the term itself, when in the KB
+  // Offset 0 means the query is its own attachment (or has none).
+  bool anchor_pending = anchor.offset > 0;
   size_t consumed = 0;
   for (;;) {
     ++outcome.stats.radius_iterations;
-    expander.ExpandTo(radius, &neighbors);
-    for (; consumed < neighbors.size(); ++consumed) {
-      ConceptId id = neighbors[consumed].id;
-      if (id < flagged.size() && flagged[id]) {
-        candidates.push_back(id);
-        covered_instances += instance_count(id);
+    if (anchor.node != FlaggedCore::kNoNode && radius >= anchor.offset) {
+      if (anchor_pending) {
+        anchor_pending = false;
+        neighbors.push_back({core_.concept_of(anchor.node), 0});
       }
+      expander.ExpandTo(radius - anchor.offset, &neighbors);
+    }
+    for (; consumed < neighbors.size(); ++consumed) {
+      consider(neighbors[consumed].id);
     }
     if (!relaxation_options_.dynamic_radius || covered_instances >= k ||
         radius >= relaxation_options_.max_radius) {

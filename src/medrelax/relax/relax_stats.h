@@ -13,7 +13,10 @@ namespace medrelax {
 struct RelaxStats {
   /// Flagged concepts scored (Algorithm 2 line 3 iterations).
   size_t candidates_scanned = 0;
-  /// Concepts surfaced by the radius search (flagged or not).
+  /// Core concepts the radius search settled (flagged or not), counting
+  /// the query's attachment when the query was peeled off the core
+  /// (graph/flagged_core.h). Peeled concepts are never visited, so this
+  /// is far below the size of the DAG ball of the same radius.
   size_t neighbors_visited = 0;
   /// Radius values tried: 1 for a fixed radius, more when dynamic growth
   /// had to widen the ball.

@@ -4,8 +4,8 @@
 // taxonomic path lengths. Any divergence between the optimized library
 // code and the obvious-but-slow definitions fails here. The hub cases
 // pin the deferred frontier shell and the parent-side LCS check against
-// an eager expander and the naive per-pair formulation on DAGs with a
-// 1000+-child concept.
+// the eager whole-DAG search (NeighborsWithinRadius) and the naive
+// per-pair formulation on DAGs with a 1000+-child concept.
 
 #include <algorithm>
 #include <limits>
@@ -16,6 +16,7 @@
 #include "medrelax/common/random.h"
 #include "medrelax/common/string_util.h"
 #include "medrelax/graph/concept_dag.h"
+#include "medrelax/graph/flagged_core.h"
 #include "medrelax/graph/geometry.h"
 #include "medrelax/graph/lcs.h"
 #include "medrelax/graph/paths.h"
@@ -329,48 +330,6 @@ HubDag RandomHubDag(size_t n, size_t hub_children, uint64_t seed) {
   return h;
 }
 
-// The radius search as it was before the frontier shell was deferred:
-// every node's edges are relaxed the moment it settles. The oracle for
-// RadiusExpander's output content and order.
-class EagerExpander {
- public:
-  EagerExpander(const ConceptDag& dag, ConceptId start)
-      : dag_(&dag), dist_(dag.num_concepts(), kInf) {
-    dist_[start] = 0;
-    buckets_.resize(1);
-    buckets_[0].push_back(start);
-  }
-
-  void ExpandTo(uint32_t radius, std::vector<Neighbor>* out) {
-    while (next_ < buckets_.size() && next_ <= radius) {
-      for (size_t i = 0; i < buckets_[next_].size(); ++i) {
-        ConceptId u = buckets_[next_][i];
-        if (dist_[u] != next_) continue;
-        if (next_ > 0) out->push_back({u, next_});
-        auto relax = [&](const DagEdge& e) {
-          uint32_t candidate = next_ + e.original_distance;
-          if (candidate < dist_[e.target]) {
-            dist_[e.target] = candidate;
-            if (candidate >= buckets_.size()) buckets_.resize(candidate + 1);
-            buckets_[candidate].push_back(e.target);
-          }
-        };
-        for (const DagEdge& e : dag_->parents(u)) relax(e);
-        for (const DagEdge& e : dag_->children(u)) relax(e);
-      }
-      buckets_[next_].clear();
-      ++next_;
-    }
-    if (next_ <= radius) next_ = radius + 1;
-  }
-
- private:
-  const ConceptDag* dag_;
-  std::vector<uint32_t> dist_;
-  std::vector<std::vector<ConceptId>> buckets_;
-  uint32_t next_ = 0;
-};
-
 std::vector<std::pair<ConceptId, uint32_t>> Pairs(
     const std::vector<Neighbor>& neighbors) {
   std::vector<std::pair<ConceptId, uint32_t>> out;
@@ -390,17 +349,23 @@ TEST_P(GraphReferenceSweep, IncrementalExpansionMatchesEagerOnHubDag) {
   // Single steps, r then r + 1, skipped radii, repeated radii.
   const std::vector<std::vector<uint32_t>> schedules = {
       {3}, {0, 1, 2, 3, 4, 5}, {1, 3, 6}, {2, 2, 4, 4, 7}, {0, 8}, {4, 5}};
-  // One expander re-anchored across every run, as the relaxer reuses its
+  // With every concept flagged nothing is peeled, so the expander walks
+  // the whole DAG and must reproduce the eager whole-DAG search. One
+  // expander is re-anchored across every run, as the relaxer reuses its
   // thread's expander.
+  const FlaggedCore core(h.dag,
+                         std::vector<bool>(h.dag.num_concepts(), true));
+  ASSERT_EQ(core.num_nodes(), h.dag.num_concepts());
   RadiusExpander reused;
   for (ConceptId start : starts) {
     for (const std::vector<uint32_t>& schedule : schedules) {
-      EagerExpander eager(h.dag, start);
-      RadiusExpander fresh(h.dag, start);
-      reused.Reset(h.dag, start);
-      std::vector<Neighbor> want, got_fresh, got_reused;
+      RadiusExpander fresh;
+      fresh.Reset(core, core.Attach(start).node);
+      reused.Reset(core, core.Attach(start).node);
+      std::vector<Neighbor> got_fresh, got_reused;
       for (uint32_t radius : schedule) {
-        eager.ExpandTo(radius, &want);
+        const std::vector<Neighbor> want =
+            NeighborsWithinRadius(h.dag, start, radius);
         fresh.ExpandTo(radius, &got_fresh);
         reused.ExpandTo(radius, &got_reused);
         ASSERT_EQ(Pairs(got_fresh), Pairs(want))
@@ -417,8 +382,11 @@ TEST_P(GraphReferenceSweep, BallEndingAtHubSkipsHubFanOut) {
   const size_t hub_degree = h.dag.children(h.hub).size();
   ASSERT_GE(hub_degree, 1000u);
   // chain[2] is three native hops below the hub: its radius-3 ball ends
-  // exactly at the hub.
-  RadiusExpander expander(h.dag, h.chain[2]);
+  // exactly at the hub. Every concept flagged: the core is the DAG.
+  const FlaggedCore core(h.dag,
+                         std::vector<bool>(h.dag.num_concepts(), true));
+  RadiusExpander expander;
+  expander.Reset(core, core.Attach(h.chain[2]).node);
   std::vector<Neighbor> out;
   expander.ExpandTo(3, &out);
   ASSERT_FALSE(out.empty());
@@ -430,10 +398,7 @@ TEST_P(GraphReferenceSweep, BallEndingAtHubSkipsHubFanOut) {
   // eager one.
   expander.ExpandTo(4, &out);
   EXPECT_GE(expander.edges_relaxed(), hub_degree);
-  EagerExpander eager(h.dag, h.chain[2]);
-  std::vector<Neighbor> want;
-  eager.ExpandTo(4, &want);
-  EXPECT_EQ(Pairs(out), Pairs(want));
+  EXPECT_EQ(Pairs(out), Pairs(NeighborsWithinRadius(h.dag, h.chain[2], 4)));
 }
 
 TEST_P(GraphReferenceSweep, GeometryEngineMatchesNaiveOnHubDag) {

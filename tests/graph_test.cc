@@ -9,6 +9,7 @@
 
 #include "medrelax/datasets/snomed_generator.h"
 #include "medrelax/graph/concept_dag.h"
+#include "medrelax/graph/flagged_core.h"
 #include "medrelax/graph/lcs.h"
 #include "medrelax/graph/paths.h"
 #include "medrelax/graph/topology.h"
@@ -205,7 +206,10 @@ TEST(Traversal, ShortcutNeverShortensBelowOriginalDistance) {
 
 TEST(Traversal, RadiusExpanderResumesIncrementally) {
   Diamond d = MakeDiamond();
-  RadiusExpander expander(d.dag, d.leaf);
+  // With every concept flagged nothing is peeled: the core is the DAG.
+  FlaggedCore core(d.dag, std::vector<bool>(d.dag.num_concepts(), true));
+  RadiusExpander expander;
+  expander.Reset(core, core.Attach(d.leaf).node);
   std::vector<Neighbor> out;
   expander.ExpandTo(1, &out);
   EXPECT_EQ(out.size(), 1u);  // ab

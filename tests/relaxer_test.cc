@@ -308,6 +308,94 @@ TEST(Relaxer, DynamicRadiusStopsAtMaxRadius) {
   EXPECT_TRUE(outcome.instances.empty());
 }
 
+TEST(Relaxer, OutOfRangeConceptFindsNothingAndGrowsToMaxRadius) {
+  RelaxWorld w = MakeRelaxWorld();
+  RelaxationOptions opts;
+  opts.radius = 1;
+  opts.max_radius = 6;
+  QueryRelaxer relaxer(&w.fx.dag, &w.ingestion, w.matcher.get(),
+                       SimilarityOptions{}, opts);
+  const auto n = static_cast<ConceptId>(w.fx.dag.num_concepts());
+  for (ConceptId query : {n, n + 100, kInvalidConcept}) {
+    RelaxationOutcome outcome = relaxer.RelaxConcept(query, 0);
+    EXPECT_EQ(outcome.query_concept, query);
+    EXPECT_TRUE(outcome.concepts.empty()) << query;
+    EXPECT_TRUE(outcome.instances.empty()) << query;
+    EXPECT_EQ(outcome.effective_radius, 6u) << query;
+    EXPECT_EQ(outcome.stats.radius_iterations, 6u) << query;
+    EXPECT_EQ(outcome.stats.neighbors_visited, 0u) << query;
+  }
+}
+
+TEST(Relaxer, NoFlaggedConceptFindsNothingAndGrowsToMaxRadius) {
+  // With no flagged concept the core is empty: every concept is peeled
+  // and unattached, and coverage is never met.
+  RelaxWorld w = MakeRelaxWorld();
+  w.ingestion.flagged.assign(w.fx.dag.num_concepts(), false);
+  w.ingestion.concept_instances.clear();
+  RelaxationOptions opts;
+  opts.radius = 2;
+  opts.max_radius = 7;
+  QueryRelaxer relaxer(&w.fx.dag, &w.ingestion, w.matcher.get(),
+                       SimilarityOptions{}, opts);
+  for (ConceptId query : {w.fx.ckd_stage1_due_to_hypertension,
+                          w.fx.kidney_disease, w.fx.root}) {
+    RelaxationOutcome outcome = relaxer.RelaxConcept(query, 0);
+    EXPECT_TRUE(outcome.concepts.empty()) << w.fx.dag.name(query);
+    EXPECT_TRUE(outcome.instances.empty()) << w.fx.dag.name(query);
+    EXPECT_EQ(outcome.effective_radius, 7u) << w.fx.dag.name(query);
+    EXPECT_EQ(outcome.stats.radius_iterations, 6u) << w.fx.dag.name(query);
+  }
+}
+
+TEST(Relaxer, FlaggedLeafStaysInTheCore) {
+  // Without shortcut edges the "pyelectasia" leaf has a single edge, so it
+  // would be peeled were it unflagged; flagged, it stays a candidate from
+  // its parent and is its own best answer.
+  RelaxWorld w;
+  auto fx = BuildFigure5Fixture();
+  ASSERT_TRUE(fx.ok());
+  w.fx = std::move(*fx);
+  ConceptId pyelectasia = *w.fx.dag.AddConcept("pyelectasia");
+  ASSERT_TRUE(
+      w.fx.dag.AddSubsumption(pyelectasia, w.fx.hypertensive_nephropathy)
+          .ok());
+  auto onto = BuildFigure1Ontology();
+  ASSERT_TRUE(onto.ok());
+  w.kb.ontology = std::move(*onto);
+  OntologyConceptId finding = w.kb.ontology.FindConcept("Finding");
+  w.kidney_instance = *w.kb.instances.AddInstance("kidney disease", finding);
+  InstanceId pyelectasia_instance =
+      *w.kb.instances.AddInstance("pyelectasia", finding);
+  w.index_holder = std::make_unique<NameIndex>(&w.fx.dag);
+  w.matcher = std::make_unique<ExactMatcher>(w.index_holder.get());
+  IngestionOptions ing_opts;
+  ing_opts.add_shortcut_edges = false;
+  auto ingestion =
+      RunIngestion(w.kb, &w.fx.dag, *w.matcher, nullptr, ing_opts);
+  ASSERT_TRUE(ingestion.ok());
+  w.ingestion = std::move(*ingestion);
+  ASSERT_TRUE(w.ingestion.flagged[pyelectasia]);
+  ASSERT_EQ(w.fx.dag.parents(pyelectasia).size(), 1u);
+  ASSERT_TRUE(w.fx.dag.children(pyelectasia).empty());
+
+  RelaxationOptions opts;
+  opts.radius = 1;
+  opts.dynamic_radius = false;
+  QueryRelaxer relaxer(&w.fx.dag, &w.ingestion, w.matcher.get(),
+                       SimilarityOptions{}, opts);
+  RelaxationOutcome from_parent =
+      relaxer.RelaxConcept(w.fx.hypertensive_nephropathy, 0);
+  ASSERT_EQ(from_parent.concepts.size(), 1u);
+  EXPECT_EQ(from_parent.concepts[0].concept_id, pyelectasia);
+  EXPECT_EQ(from_parent.instances,
+            std::vector<InstanceId>{pyelectasia_instance});
+  RelaxationOutcome from_leaf = relaxer.RelaxConcept(pyelectasia, 0);
+  ASSERT_FALSE(from_leaf.concepts.empty());
+  EXPECT_EQ(from_leaf.concepts[0].concept_id, pyelectasia);
+  EXPECT_DOUBLE_EQ(from_leaf.concepts[0].similarity, 1.0);
+}
+
 TEST(Relaxer, TopKStopsOnceInstancesCovered) {
   RelaxWorld w = MakeRelaxWorld();
   RelaxationOptions opts;
