@@ -3,16 +3,11 @@
 //   medrelax_tool generate <dir> [--concepts N] [--findings N] [--seed S]
 //       Generates a synthetic world and writes eks.tsv + kb.tsv into <dir>.
 //
-//   medrelax_tool ingest <dir>
-//       Runs the offline ingestion (Algorithm 1) over <dir>/eks.tsv +
-//       <dir>/kb.tsv, then writes the customized DAG back and the
-//       ingestion snapshot to <dir>/ingestion.tsv — the batch half of the
-//       paper's two-phase design.
-//
 //   medrelax_tool relax <dir> <term> [--context LABEL] [--k N] [--radius R]
-//       Loads <dir>/eks.tsv + <dir>/kb.tsv (+ the ingestion snapshot when
-//       present, re-ingesting otherwise), then relaxes <term> and prints
-//       the expanded answers.
+//       Loads <dir>/eks.tsv + <dir>/kb.tsv, runs the offline ingestion
+//       (Algorithm 1) in-process, then relaxes <term> and prints the
+//       expanded answers. To serve a world instead, freeze it with
+//       medrelax_ingest and boot medrelax_server from the image.
 //
 //   medrelax_tool contexts <dir>
 //       Lists the context labels available for --context.
@@ -26,7 +21,6 @@
 
 #include "medrelax/datasets/kb_generator.h"
 #include "medrelax/io/dag_io.h"
-#include "medrelax/io/ingestion_io.h"
 #include "medrelax/io/kb_io.h"
 #include "medrelax/matching/edit_matcher.h"
 #include "medrelax/relax/ingestion.h"
@@ -41,7 +35,6 @@ int Usage() {
                "usage:\n"
                "  medrelax_tool generate <dir> [--concepts N] [--findings N]"
                " [--seed S]\n"
-               "  medrelax_tool ingest <dir>\n"
                "  medrelax_tool relax <dir> <term> [--context LABEL]"
                " [--k N] [--radius R]\n"
                "  medrelax_tool contexts <dir>\n");
@@ -101,41 +94,6 @@ int Contexts(const std::string& dir) {
   return 0;
 }
 
-int Ingest(const std::string& dir) {
-  Result<ConceptDag> dag = LoadDagFromFile(dir + "/eks.tsv");
-  Result<KnowledgeBase> kb = LoadKbFromFile(dir + "/kb.tsv");
-  if (!dag.ok() || !kb.ok()) {
-    std::fprintf(stderr, "load failed: %s %s\n",
-                 dag.status().ToString().c_str(),
-                 kb.status().ToString().c_str());
-    return 1;
-  }
-  NameIndex index(&*dag);
-  EditDistanceMatcher matcher(&index, EditMatcherOptions{});
-  Result<IngestionResult> ingestion =
-      RunIngestion(*kb, &*dag, matcher, nullptr, IngestionOptions{});
-  if (!ingestion.ok()) {
-    std::fprintf(stderr, "ingestion failed: %s\n",
-                 ingestion.status().ToString().c_str());
-    return 1;
-  }
-  // Persist the customized DAG (shortcut edges) and the snapshot.
-  Status s1 = SaveDagToFile(*dag, dir + "/eks.tsv");
-  Status s2 = SaveIngestionToFile(*ingestion, dir + "/ingestion.tsv");
-  if (!s1.ok() || !s2.ok()) {
-    std::fprintf(stderr, "save failed: %s %s\n", s1.ToString().c_str(),
-                 s2.ToString().c_str());
-    return 1;
-  }
-  size_t flagged = 0;
-  for (bool f : ingestion->flagged) flagged += f ? 1 : 0;
-  std::printf("ingested: %zu contexts, %zu mappings, %zu flagged concepts, "
-              "%zu shortcut edges -> %s/ingestion.tsv\n",
-              ingestion->contexts.size(), ingestion->mappings.size(), flagged,
-              ingestion->shortcuts_added, dir.c_str());
-  return 0;
-}
-
 int Relax(int argc, char** argv) {
   std::string dir = argv[2];
   std::string term = argv[3];
@@ -150,13 +108,8 @@ int Relax(int argc, char** argv) {
 
   NameIndex index(&*dag);
   EditDistanceMatcher matcher(&index, EditMatcherOptions{});
-  // Prefer the persisted snapshot (the online half of the two-phase
-  // split); fall back to ingesting in-process.
   Result<IngestionResult> ingestion =
-      LoadIngestionFromFile(dir + "/ingestion.tsv", *dag);
-  if (!ingestion.ok()) {
-    ingestion = RunIngestion(*kb, &*dag, matcher, nullptr, IngestionOptions{});
-  }
+      RunIngestion(*kb, &*dag, matcher, nullptr, IngestionOptions{});
   if (!ingestion.ok()) {
     std::fprintf(stderr, "ingestion failed: %s\n",
                  ingestion.status().ToString().c_str());
@@ -205,7 +158,6 @@ int Relax(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 3) return Usage();
   if (std::strcmp(argv[1], "generate") == 0) return Generate(argc, argv);
-  if (std::strcmp(argv[1], "ingest") == 0) return Ingest(argv[2]);
   if (std::strcmp(argv[1], "contexts") == 0) return Contexts(argv[2]);
   if (std::strcmp(argv[1], "relax") == 0 && argc >= 4) {
     return Relax(argc, argv);

@@ -2,7 +2,8 @@
 // as a client's inbound byte stream, framed into newline-delimited
 // lines and pushed through the same pure-parse layer both transports
 // use (serve/protocol.h) — verb classification, RELAX option/term
-// parsing, and the overflow-checked numeric option parser. The parsers
+// parsing, ctx= label resolution (against a fixed registry whose labels
+// hold spaces), and the overflow-checked numeric option parser. The parsers
 // allocate nothing per byte and touch no service state, so this runs at
 // full fuzzer speed; any outcome but a crash or UB is a pass.
 
@@ -10,6 +11,24 @@
 #include <string_view>
 
 #include "medrelax/serve/protocol.h"
+
+namespace {
+
+/// Labels "Indication-hasFinding-Finding", "Monitoring-uses-Lab Test"
+/// and "Monitoring-uses-Lab Test Panel": one plain, two that extend
+/// each other across spaces.
+const medrelax::ContextRegistry& Contexts() {
+  static const medrelax::ContextRegistry contexts = [] {
+    medrelax::ContextRegistry registry;
+    registry.Intern({"Indication", "hasFinding", "Finding"});
+    registry.Intern({"Monitoring", "uses", "Lab Test"});
+    registry.Intern({"Monitoring", "uses", "Lab Test Panel"});
+    return registry;
+  }();
+  return contexts;
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string_view input(reinterpret_cast<const char*>(data), size);
@@ -39,7 +58,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     // reject any non-decimal junk without wrapping.
     medrelax::Result<medrelax::serve::RelaxLine> parsed =
         medrelax::serve::ParseRelaxArgs(args);
-    (void)parsed;
+    if (parsed.ok() && parsed->has_context) {
+      medrelax::Result<medrelax::ContextId> context =
+          medrelax::serve::ResolveContextLabel(Contexts(), &*parsed);
+      (void)context;
+    }
     medrelax::Result<uint64_t> count =
         medrelax::serve::ParseProtocolCount(verb_token, "k");
     (void)count;

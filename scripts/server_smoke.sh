@@ -1,30 +1,30 @@
 #!/usr/bin/env bash
-# End-to-end smoke test of the serving stack, one transcript over two
-# transports: generate the seeded smoke world, replay the scripted
-# session (tests/golden/server_session.txt) through `medrelax_server
-# serve` on stdin AND through `medrelax_client session` against a
-# `--listen` server on loopback, and diff both against the same golden
-# transcript — the TCP frontend must be byte-identical to the stdin
-# path. Then run short closed-loop load bursts on both transports (only
-# the deterministic first line is checked — throughput is
-# machine-dependent and goes to stderr anyway), prove RELOAD's
-# re-ingest runs off the epoll thread: with the rebuild padded to 2s a
-# concurrent session must keep answering in well under 1s, and finally
-# fire a duplicate-heavy --replay burst at a compute-padded server to
-# assert the single-flight table coalesces identical in-flight misses
-# (STATS must report coalesced_hits > 0). The cache-stress stage then
-# points a scan-pollution burst at a small result cache and asserts the
-# decayed-activity policy holds the line: the second-hit doorkeeper
-# rejects one-time keys (admission_rejects > 0) and a Zipf re-burst
-# over the hot set still hits at >= 90%. The flat-image stages then
-# close the loop on the offline pipeline: medrelax_ingest freezes the
-# same world into a snapshot image, a server booted with --image must
-# replay the scripted session byte-identically (modulo the one-word
-# snapshot_source provenance line), and a live server must hot-swap
-# onto the image via `RELOAD <path>` in well under 1s with a concurrent
-# load burst running — no delay hook, the swap really skips the offline
-# phase. Finally, bad numeric flags on the server and the client must
-# exit nonzero with a message instead of hanging or truncating.
+# End-to-end smoke test of the serving stack. The seeded smoke world is
+# generated and frozen into a snapshot image once (medrelax_ingest
+# --exact); every stage boots `medrelax_server serve --image` from it.
+#
+#   1. The scripted session (tests/golden/server_session.txt) is replayed
+#      on stdin AND through `medrelax_client session` against a --listen
+#      server on loopback; both must match the same golden transcript
+#      byte for byte. A short closed-loop load burst follows over TCP
+#      (only the deterministic first line is checked — throughput is
+#      machine-dependent and goes to stderr anyway).
+#   2. RELOAD runs off the epoll thread: with the reload padded to 2s, a
+#      concurrent session must keep answering in well under 1s.
+#   3. A duplicate-heavy --replay burst at a compute-padded server must
+#      coalesce identical in-flight misses (STATS coalesced_hits > 0).
+#   4. `RELOAD <path>` onto another image, with a load burst running,
+#      must round-trip in well under 1s: mapping skips the offline phase.
+#   5. Cache stress: a scan-pollution burst at a small result cache must
+#      meet the second-hit doorkeeper (admission_rejects > 0), and a Zipf
+#      re-burst over the hot set must still hit at >= 90%.
+#   6. Rebuild workflow: medrelax_ingest writes a different world onto
+#      the path a live server booted from. Until the plain RELOAD, the
+#      server must keep answering from its old bytes; after it, gen=2
+#      must answer exactly as a fresh server on the new image does.
+#   7. Bad flags on the server and the client (malformed numbers, unknown
+#      flags, stray positionals, removed subcommands) must exit 2 with a
+#      message instead of hanging, truncating or being ignored.
 #
 # Usage: scripts/server_smoke.sh   (MEDRELAX_BUILD_DIR overrides ./build)
 set -euo pipefail
@@ -58,73 +58,65 @@ cleanup() {
 trap cleanup EXIT
 
 WORK=$(mktemp -d)
-# The world gets its own subdirectory so scratch output (transcripts,
-# server logs) can never collide with the files RELOAD re-reads.
 WORLD="${WORK}/world"
 mkdir -p "${WORLD}"
 
 # The world every transcript line depends on: keep these parameters in
-# lockstep with tests/golden/server_session.golden.
+# lockstep with tests/golden/server_session.golden. --exact: deterministic
+# term resolution (no fuzzy rescue of the deliberate NotFound probe in
+# the session script).
 "${TOOL}" generate "${WORLD}" --concepts 800 --findings 60 --seed 7 \
   >/dev/null
-
-# --- Transport 1: stdin/stdout ---------------------------------------
-# --exact: deterministic term resolution (no fuzzy rescue of the
-# deliberate NotFound probe in the session script).
-"${SERVER}" serve "${WORLD}" --exact --workers 1 \
-  < tests/golden/server_session.txt > "${WORK}/session.out"
-if ! diff -u tests/golden/server_session.golden "${WORK}/session.out"; then
-  echo "server_smoke: stdin transcript drifted from the golden file" >&2
-  echo "(regenerate with: ${SERVER} serve <world> --exact --workers 1" \
-       "< tests/golden/server_session.txt)" >&2
-  exit 1
-fi
-
-# --- Flat image: ingest, then byte-identical mapped replay ------------
-# medrelax_ingest runs the same offline phase and freezes it into a
-# snapshot image; a server booted with --image must say exactly what the
-# built-path server said. The only permitted difference is provenance
-# (STATS reports snapshot_source=mapped instead of built), which the sed
-# folds away so one golden file covers both boot paths.
 IMG="${WORK}/world.img"
 "${INGEST}" "${WORLD}" "${IMG}" --exact > "${WORK}/ingest.out" 2>/dev/null
 grep -q '^ok ingest ' "${WORK}/ingest.out"
 
+# Starts `medrelax_server serve <args> --listen 0` in the background
+# (environment assignments before the call reach the server) and waits
+# for its port announcement. Sets SERVER_PID and PORT; the server's
+# output goes to ${WORK}/<label>.stdout and .stderr.
+start_server() {
+  local label=$1
+  shift
+  "${SERVER}" serve "$@" --listen 0 \
+    > "${WORK}/${label}.stdout" 2> "${WORK}/${label}.stderr" &
+  SERVER_PID=$!
+  PORT=""
+  for _ in $(seq 1 100); do
+    PORT=$(sed -n 's/^ok listening port=\([0-9][0-9]*\)$/\1/p' \
+           "${WORK}/${label}.stdout")
+    [[ -n "${PORT}" ]] && return 0
+    if ! kill -0 "${SERVER_PID}" 2>/dev/null; then
+      echo "server_smoke: ${label} server exited before listening" >&2
+      cat "${WORK}/${label}.stderr" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  echo "server_smoke: ${label} server never announced its port" >&2
+  exit 1
+}
+
+stop_server() {
+  kill "${SERVER_PID}"
+  wait "${SERVER_PID}" 2>/dev/null || true
+  SERVER_PID=""
+}
+
+# --- Transport 1: stdin/stdout ---------------------------------------
 "${SERVER}" serve --image "${IMG}" --workers 1 \
-  < tests/golden/server_session.txt \
-  | sed 's/^snapshot_source=mapped$/snapshot_source=built/' \
-  > "${WORK}/image_session.out"
-if ! diff -u tests/golden/server_session.golden "${WORK}/image_session.out"; then
-  echo "server_smoke: --image transcript drifted from the golden file" \
-       "(the built-path transcript matched, so the mapped snapshot" \
-       "answers differently from the built one)" >&2
+  < tests/golden/server_session.txt > "${WORK}/session.out"
+if ! diff -u tests/golden/server_session.golden "${WORK}/session.out"; then
+  echo "server_smoke: stdin transcript drifted from the golden file" >&2
+  echo "(regenerate with: ${SERVER} serve --image <world.img> --workers 1" \
+       "< tests/golden/server_session.txt)" >&2
   exit 1
 fi
 
 # --- Transport 2: TCP on loopback ------------------------------------
 # Same session file, same golden: the epoll frontend must not be
 # distinguishable from the stdin loop in what it says back.
-"${SERVER}" serve "${WORLD}" --exact --workers 1 --listen 0 \
-  > "${WORK}/server.stdout" 2> "${WORK}/server.stderr" &
-SERVER_PID=$!
-
-# Ephemeral port: poll the server's stdout for the announcement.
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/^ok listening port=\([0-9][0-9]*\)$/\1/p' \
-         "${WORK}/server.stdout")
-  [[ -n "${PORT}" ]] && break
-  if ! kill -0 "${SERVER_PID}" 2>/dev/null; then
-    echo "server_smoke: TCP server exited before listening" >&2
-    cat "${WORK}/server.stderr" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-if [[ -z "${PORT}" ]]; then
-  echo "server_smoke: TCP server never announced its port" >&2
-  exit 1
-fi
+start_server tcp --image "${IMG}" --workers 1
 
 "${CLIENT}" session "${PORT}" < tests/golden/server_session.txt \
   > "${WORK}/tcp_session.out"
@@ -134,50 +126,32 @@ if ! diff -u tests/golden/server_session.golden "${WORK}/tcp_session.out"; then
   exit 1
 fi
 
-# Concurrent closed-loop load over the same live server.
+# Concurrent closed-loop load over the same live server; its latency
+# percentiles go to stderr.
 "${CLIENT}" load "${PORT}" --requests 200 --connections 4 \
-  > "${WORK}/tcp_load.out" 2>/dev/null
+  > "${WORK}/tcp_load.out" 2> "${WORK}/tcp_load.err"
 grep -q '^ok load requests=200 answered=200 errors=0$' "${WORK}/tcp_load.out"
+grep -q '^latency_us replies=200 p50=.* p99=.* p999=.* max=' \
+  "${WORK}/tcp_load.err"
 
-kill "${SERVER_PID}"
-wait "${SERVER_PID}" 2>/dev/null || true
-SERVER_PID=""
+stop_server
 
 # --- RELOAD runs off the epoll thread ---------------------------------
-# Fresh server with the test-only rebuild delay armed: the reload
-# executor pads its re-ingest by 2s. One session issues RELOAD; while
-# that rebuild is in flight a second session must still get answers
-# within 1s — if re-ingest ever moves back onto the loop thread, the
-# timed probe stalls behind the full 2s pad and the bound fails. The
-# probe also asserts gen=1 (the pre-reload snapshot), proving it really
-# ran *during* the swap, and the paused RELOAD session still gets its
+# Fresh server with the test-only reload delay armed: the reload
+# executor pads its re-map by 2s. One session issues RELOAD; while that
+# reload is in flight a second session must still get answers within
+# 1s — if reloads ever move back onto the loop thread, the timed probe
+# stalls behind the full 2s pad and the bound fails. The probe also
+# asserts gen=1 (the pre-reload snapshot), proving it really ran
+# *during* the swap, and the paused RELOAD session still gets its
 # `ok reload gen=2` afterwards (per-connection ordering survives).
 MEDRELAX_RELOAD_TEST_DELAY_MS=2000 \
-  "${SERVER}" serve "${WORLD}" --exact --workers 1 --listen 0 \
-  > "${WORK}/server2.stdout" 2> "${WORK}/server2.stderr" &
-SERVER_PID=$!
-
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/^ok listening port=\([0-9][0-9]*\)$/\1/p' \
-         "${WORK}/server2.stdout")
-  [[ -n "${PORT}" ]] && break
-  if ! kill -0 "${SERVER_PID}" 2>/dev/null; then
-    echo "server_smoke: delayed-reload server exited before listening" >&2
-    cat "${WORK}/server2.stderr" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-if [[ -z "${PORT}" ]]; then
-  echo "server_smoke: delayed-reload server never announced its port" >&2
-  exit 1
-fi
+  start_server delayed-reload --image "${IMG}" --workers 1
 
 printf 'RELOAD\n' | "${CLIENT}" session "${PORT}" \
   > "${WORK}/reload.out" &
 RELOAD_CLIENT_PID=$!
-sleep 0.3  # let the RELOAD land and enter its padded rebuild
+sleep 0.3  # let the RELOAD land and enter its padded re-map
 
 START_NS=$(date +%s%N)
 printf 'GEN\nRELAX disorder of kidney\n' | "${CLIENT}" session "${PORT}" \
@@ -199,13 +173,11 @@ if ! grep -q '^ok reload gen=2$' "${WORK}/reload.out"; then
 fi
 if (( ELAPSED_MS >= 1000 )); then
   echo "server_smoke: probe during RELOAD took ${ELAPSED_MS}ms —" \
-       "the 2s rebuild pad leaked onto the serving path" >&2
+       "the 2s reload pad leaked onto the serving path" >&2
   exit 1
 fi
 
-kill "${SERVER_PID}"
-wait "${SERVER_PID}" 2>/dev/null || true
-SERVER_PID=""
+stop_server
 
 # --- Duplicate burst exercises single-flight coalescing ---------------
 # Fresh server with the test-only compute delay armed: every group
@@ -215,26 +187,7 @@ SERVER_PID=""
 # the single-flight table stops deduplicating, every duplicate recomputes
 # and the counter stays 0.
 MEDRELAX_COMPUTE_TEST_DELAY_MS=250 \
-  "${SERVER}" serve "${WORLD}" --exact --workers 2 --listen 0 \
-  > "${WORK}/server3.stdout" 2> "${WORK}/server3.stderr" &
-SERVER_PID=$!
-
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/^ok listening port=\([0-9][0-9]*\)$/\1/p' \
-         "${WORK}/server3.stdout")
-  [[ -n "${PORT}" ]] && break
-  if ! kill -0 "${SERVER_PID}" 2>/dev/null; then
-    echo "server_smoke: duplicate-burst server exited before listening" >&2
-    cat "${WORK}/server3.stderr" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-if [[ -z "${PORT}" ]]; then
-  echo "server_smoke: duplicate-burst server never announced its port" >&2
-  exit 1
-fi
+  start_server duplicate-burst --image "${IMG}" --workers 2
 
 # Session replay dominated by repeated keys: the whole point of --replay.
 cat > "${WORK}/replay.txt" <<'EOF'
@@ -256,46 +209,24 @@ if ! grep -q '^coalesced_hits=[1-9]' "${WORK}/dup_stats.out"; then
   exit 1
 fi
 
-kill "${SERVER_PID}"
-wait "${SERVER_PID}" 2>/dev/null || true
-SERVER_PID=""
+stop_server
 
-# --- O(1) image RELOAD under a concurrent session ---------------------
-# Fresh server booted from the directory, NO delay hooks: hot-swapping
-# onto the pre-built image via `RELOAD <path>` skips the offline phase
-# entirely, so the whole round trip — map, validate, publish, reply —
-# must land well under 1s in absolute wall time, while a concurrent
-# load burst keeps the serving path busy. Afterwards STATS must report
-# the new provenance (snapshot_source=mapped) and the bumped reload
-# counter.
-"${SERVER}" serve "${WORLD}" --exact --workers 1 --listen 0 \
-  > "${WORK}/server4.stdout" 2> "${WORK}/server4.stderr" &
-SERVER_PID=$!
-
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/^ok listening port=\([0-9][0-9]*\)$/\1/p' \
-         "${WORK}/server4.stdout")
-  [[ -n "${PORT}" ]] && break
-  if ! kill -0 "${SERVER_PID}" 2>/dev/null; then
-    echo "server_smoke: image-reload server exited before listening" >&2
-    cat "${WORK}/server4.stderr" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-if [[ -z "${PORT}" ]]; then
-  echo "server_smoke: image-reload server never announced its port" >&2
-  exit 1
-fi
+# --- Image RELOAD <path> under a concurrent session -------------------
+# Fresh server, NO delay hooks: hot-swapping onto another image via
+# `RELOAD <path>` skips the offline phase entirely, so the whole round
+# trip — map, validate, publish, reply — must land well under 1s in
+# absolute wall time, while a concurrent load burst keeps the serving
+# path busy. Afterwards STATS must report the bumped reload counter.
+cp "${IMG}" "${WORK}/other.img"
+start_server image-reload --image "${IMG}" --workers 1
 
 "${CLIENT}" load "${PORT}" --requests 100 --connections 2 \
   > "${WORK}/img_load.out" 2>/dev/null &
 IMG_LOAD_PID=$!
 
 START_NS=$(date +%s%N)
-printf 'RELOAD %s\nGEN\n' "${IMG}" | "${CLIENT}" session "${PORT}" \
-  > "${WORK}/img_reload.out"
+printf 'RELOAD %s\nGEN\n' "${WORK}/other.img" \
+  | "${CLIENT}" session "${PORT}" > "${WORK}/img_reload.out"
 END_NS=$(date +%s%N)
 ELAPSED_MS=$(( (END_NS - START_NS) / 1000000 ))
 
@@ -319,12 +250,9 @@ fi
 
 printf 'STATS\nQUIT\n' | "${CLIENT}" session "${PORT}" \
   > "${WORK}/img_stats.out"
-grep -q '^snapshot_source=mapped$' "${WORK}/img_stats.out"
 grep -q '^reloads_completed=1$' "${WORK}/img_stats.out"
 
-kill "${SERVER_PID}"
-wait "${SERVER_PID}" 2>/dev/null || true
-SERVER_PID=""
+stop_server
 
 # --- Cache stress: the activity policy keeps the hot set resident -----
 # A deliberately small result cache (--cache 32), a hot set of 8 keys,
@@ -335,26 +263,7 @@ SERVER_PID=""
 # must show admission_rejects > 0), and a Zipf-skewed re-burst over the
 # hot set afterwards must still hit nearly everywhere (hit-rate floor
 # over exactly that window, via a before/after STATS diff).
-"${SERVER}" serve "${WORLD}" --exact --workers 2 --cache 32 --listen 0 \
-  > "${WORK}/server5.stdout" 2> "${WORK}/server5.stderr" &
-SERVER_PID=$!
-
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/^ok listening port=\([0-9][0-9]*\)$/\1/p' \
-         "${WORK}/server5.stdout")
-  [[ -n "${PORT}" ]] && break
-  if ! kill -0 "${SERVER_PID}" 2>/dev/null; then
-    echo "server_smoke: cache-stress server exited before listening" >&2
-    cat "${WORK}/server5.stderr" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-if [[ -z "${PORT}" ]]; then
-  echo "server_smoke: cache-stress server never announced its port" >&2
-  exit 1
-fi
+start_server cache-stress --image "${IMG}" --workers 2 --cache 32
 
 # The hot set, hottest first: --zipf ranks replay lines by file order.
 # All eight terms are deterministic products of the seeded generator.
@@ -421,29 +330,91 @@ if ! awk -v r="${HOT_RATE}" 'BEGIN { exit !(r >= 0.90) }'; then
   exit 1
 fi
 
-kill "${SERVER_PID}"
-wait "${SERVER_PID}" 2>/dev/null || true
-SERVER_PID=""
+stop_server
 
-# --- In-process load burst (no sockets) -------------------------------
-"${SERVER}" load "${WORLD}" --requests 500 --workers 2 --queue 32 \
-  --distinct 8 > "${WORK}/load.out" 2>/dev/null
-grep -q '^ok load requests=500 ' "${WORK}/load.out"
+# --- Rebuild: ingest onto the boot image, then a plain RELOAD ---------
+# The one rebuild workflow: medrelax_ingest writes a different world
+# onto the path the live server booted from, then a plain RELOAD re-maps
+# that path. The ingest replaces the file by rename, so until the RELOAD
+# the live snapshot keeps answering from its old bytes (an in-place
+# rewrite would change its frequency table under it, or SIGBUS it on a
+# shorter file). After the RELOAD, gen=2 must answer exactly as a fresh
+# server booted from the new image does. The live server sees the probe
+# first after the ingest, so its answer is computed, not cached. The
+# answers are compared without the banner and the reply's gen= field.
+PROBE='RELAX disorder of kidney'
+answer_only() {
+  grep -v '^ok serving ' | sed 's/^\(ok relax .*\) gen=[0-9]* /\1 /'
+}
+# Answers PROBE from a fresh stdin server on the image at $1.
+fresh_answer() {
+  printf '%s\nQUIT\n' "${PROBE}" \
+    | "${SERVER}" serve --image "$1" --workers 1 | answer_only
+}
+# Answers PROBE from the live TCP server.
+live_answer() {
+  printf '%s\nQUIT\n' "${PROBE}" | "${CLIENT}" session "${PORT}" \
+    | answer_only
+}
+fresh_answer "${IMG}" > "${WORK}/rebuild_old.out"
+grep -q '^ok relax ' "${WORK}/rebuild_old.out"
+start_server rebuild --image "${IMG}" --workers 1
 
-# --- Bad numeric flags -------------------------------------------------
-# Every malformed or out-of-range number must exit nonzero with a message
+WORLD2="${WORK}/world2"
+mkdir -p "${WORLD2}"
+"${TOOL}" generate "${WORLD2}" --concepts 800 --findings 60 --seed 8 \
+  >/dev/null
+"${INGEST}" "${WORLD2}" "${IMG}" --exact > "${WORK}/ingest2.out" 2>/dev/null
+grep -q '^ok ingest ' "${WORK}/ingest2.out"
+fresh_answer "${IMG}" > "${WORK}/rebuild_new.out"
+grep -q '^ok relax ' "${WORK}/rebuild_new.out"
+if cmp -s "${WORK}/rebuild_old.out" "${WORK}/rebuild_new.out"; then
+  echo "server_smoke: the second world answers the probe like the" \
+       "first; pick a probe that tells them apart" >&2
+  exit 1
+fi
+
+live_answer > "${WORK}/rebuild_stale.out"
+if ! diff -u "${WORK}/rebuild_old.out" "${WORK}/rebuild_stale.out"; then
+  echo "server_smoke: re-ingesting the boot image changed the live" \
+       "snapshot's answer before any RELOAD" >&2
+  exit 1
+fi
+
+printf 'RELOAD\nGEN\nQUIT\n' | "${CLIENT}" session "${PORT}" \
+  > "${WORK}/rebuild_reload.out"
+if ! grep -q '^ok reload gen=2$' "${WORK}/rebuild_reload.out" ||
+   ! grep -q '^ok gen=2$' "${WORK}/rebuild_reload.out"; then
+  echo "server_smoke: plain RELOAD did not re-map the boot image:" >&2
+  cat "${WORK}/rebuild_reload.out" >&2
+  exit 1
+fi
+live_answer > "${WORK}/rebuild_after.out"
+if ! diff -u "${WORK}/rebuild_new.out" "${WORK}/rebuild_after.out"; then
+  echo "server_smoke: after RELOAD the server answers differently from" \
+       "a fresh server on the re-ingested image" >&2
+  exit 1
+fi
+
+stop_server
+
+# --- Bad flags ---------------------------------------------------------
+# Every malformed or out-of-range number must exit 2 with a message
 # naming the flag, before anything loads: never a hang (--workers 0 over
 # TCP admits RELAXes no thread serves), never a silent truncation
-# (--listen 70000 used to bind 70000 mod 65536). `timeout` turns a
-# regression into a failed probe instead of a stuck job. --listen 0 (an
-# ephemeral port) stays valid: every TCP stage above relies on it.
+# (--listen 70000 used to bind 70000 mod 65536). Unknown flags, stray
+# positionals, repeated flags and removed forms (a world directory,
+# --exact, the load subcommand) exit 2 with usage instead of being
+# ignored. `timeout` turns a regression into a failed probe instead of
+# a stuck job. --listen 0 (an ephemeral port) stays valid: every TCP
+# stage above relies on it.
 expect_flag_error() {
   local what=$1 pattern=$2
   shift 2
   local out rc=0
   out=$(timeout 10 "$@" < /dev/null 2>&1) || rc=$?
-  if [[ ${rc} -eq 0 || ${rc} -eq 124 ]]; then
-    echo "server_smoke: ${what}: expected a prompt nonzero exit, got" \
+  if [[ ${rc} -ne 2 ]]; then
+    echo "server_smoke: ${what}: expected a prompt exit 2, got" \
          "rc=${rc} (output: ${out})" >&2
     exit 1
   fi
@@ -454,17 +425,27 @@ expect_flag_error() {
   fi
 }
 expect_flag_error "server --workers abc" "--workers" \
-  "${SERVER}" serve "${WORLD}" --exact --workers abc
+  "${SERVER}" serve --image "${IMG}" --workers abc
 expect_flag_error "server --listen 70000" "exceeds the maximum 65535" \
-  "${SERVER}" serve "${WORLD}" --exact --listen 70000
+  "${SERVER}" serve --image "${IMG}" --listen 70000
 expect_flag_error "server --listen abc" "--listen" \
-  "${SERVER}" serve "${WORLD}" --exact --listen abc
+  "${SERVER}" serve --image "${IMG}" --listen abc
 expect_flag_error "server --workers 0 --listen 0" "--workers >= 1" \
-  "${SERVER}" serve "${WORLD}" --exact --workers 0 --listen 0
+  "${SERVER}" serve --image "${IMG}" --workers 0 --listen 0
 expect_flag_error "server --deadline-ms overflow" "--deadline-ms" \
-  "${SERVER}" serve "${WORLD}" --exact --deadline-ms 18446744073709551616
-expect_flag_error "server load --requests abc" "--requests" \
-  "${SERVER}" load "${WORLD}" --requests abc
+  "${SERVER}" serve --image "${IMG}" --deadline-ms 18446744073709551616
+expect_flag_error "server serve <dir>" "unexpected argument '${WORLD}'" \
+  "${SERVER}" serve "${WORLD}"
+expect_flag_error "server --exact" "unexpected argument '--exact'" \
+  "${SERVER}" serve --image "${IMG}" --exact
+expect_flag_error "server --worker typo" "unexpected argument '--worker'" \
+  "${SERVER}" serve --image "${IMG}" --worker 2
+expect_flag_error "server repeated --workers" "repeated argument '--workers'" \
+  "${SERVER}" serve --image "${IMG}" --workers 2 --workers 4
+expect_flag_error "server --image without a value" "missing value" \
+  "${SERVER}" serve --image
+expect_flag_error "server load" "^usage:" \
+  "${SERVER}" load "${WORLD}" --requests 10
 expect_flag_error "client port 70000" "exceeds the maximum 65535" \
   "${CLIENT}" load 70000
 expect_flag_error "client port abc" "port" \

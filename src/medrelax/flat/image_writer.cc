@@ -1,5 +1,7 @@
 #include "medrelax/flat/image_writer.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <unordered_set>
 
@@ -65,17 +67,28 @@ Status FlatImageWriter::WriteToFile(const std::string& path) const {
   }
   header.payload_checksum = FnvChecksum(payload);
 
-  std::FILE* out = std::fopen(path.c_str(), "wb");
+  // Write a sibling temp file, then rename it over `path`. A server that
+  // mapped the old image keeps the old inode, so its live snapshot never
+  // sees the new bytes (nor a SIGBUS from a shorter file), and a failed
+  // write leaves `path` as it was.
+  const std::string temp = StrFormat("%s.tmp.%d", path.c_str(), ::getpid());
+  std::FILE* out = std::fopen(temp.c_str(), "wb");
   if (out == nullptr) {
     return Status::InvalidArgument(
-        StrFormat("cannot open '%s' for writing", path.c_str()));
+        StrFormat("cannot open '%s' for writing", temp.c_str()));
   }
   const bool ok =
       std::fwrite(&header, sizeof(header), 1, out) == 1 &&
       (payload.empty() ||
        std::fwrite(payload.data(), payload.size(), 1, out) == 1);
   if (std::fclose(out) != 0 || !ok) {
-    return Status::Internal(StrFormat("write to '%s' failed", path.c_str()));
+    std::remove(temp.c_str());
+    return Status::Internal(StrFormat("write to '%s' failed", temp.c_str()));
+  }
+  if (std::rename(temp.c_str(), path.c_str()) != 0) {
+    std::remove(temp.c_str());
+    return Status::Internal(StrFormat("cannot rename '%s' to '%s'",
+                                      temp.c_str(), path.c_str()));
   }
   return Status::OK();
 }

@@ -48,9 +48,12 @@ class FlatImageWriter {
   }
 
   /// Lays out and writes the complete image. Fails with InvalidArgument
-  /// on duplicate section ids and Internal on I/O errors. The file is
-  /// written whole; a failed write leaves whatever the filesystem kept —
-  /// callers ingest to a temp path and rename when they need atomicity.
+  /// on duplicate section ids and Internal on I/O errors. The image is
+  /// written to a sibling temp file (`<path>.tmp.<pid>`) and renamed over
+  /// `path`, so readers see the old image or the new one, never a mix:
+  /// an existing mapping of `path` keeps the old bytes. A failed write
+  /// removes the temp file and leaves `path` untouched. No fsync:
+  /// durability across power loss is not a goal.
   [[nodiscard]] Status WriteToFile(const std::string& path) const
       MEDRELAX_BLOCKING;
 

@@ -1,5 +1,6 @@
 #include "medrelax/serve/protocol.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "medrelax/common/string_util.h"
@@ -106,6 +107,41 @@ Result<RelaxLine> ParseRelaxArgs(std::string_view args) {
     return Status::InvalidArgument("RELAX needs a term");
   }
   return line;
+}
+
+Result<ContextId> ResolveContextLabel(const ContextRegistry& contexts,
+                                      RelaxLine* line) {
+  ContextId id = contexts.FindByLabel(line->context_label);
+  if (id != kNoContext) return id;
+  // The term is whitespace-normalized, so its words are split by single
+  // spaces; the last word always stays behind as the term. Extending
+  // stops past the longest listed label, so a long term costs no more
+  // than that label's length in lookups.
+  size_t longest = 0;
+  for (const Context& context : contexts.contexts()) {
+    longest = std::max(longest, context.Label().size());
+  }
+  std::string label = line->context_label;
+  size_t consumed = 0;
+  for (size_t word = 0, space = line->term.find(' ');
+       space != std::string::npos;
+       word = space + 1, space = line->term.find(' ', word)) {
+    label += ' ';
+    label.append(line->term, word, space - word);
+    if (label.size() > longest) break;
+    const ContextId longer = contexts.FindByLabel(label);
+    if (longer != kNoContext) {
+      id = longer;
+      consumed = space + 1;
+    }
+  }
+  if (id == kNoContext) {
+    return Status::InvalidArgument(StrFormat(
+        "unknown context '%s'", line->context_label.c_str()));
+  }
+  line->context_label = label.substr(0, line->context_label.size() + consumed);
+  line->term.erase(0, consumed);
+  return id;
 }
 
 }  // namespace medrelax::serve

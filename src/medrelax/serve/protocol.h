@@ -19,6 +19,7 @@
 #include <string_view>
 
 #include "medrelax/common/result.h"
+#include "medrelax/ontology/context.h"
 
 namespace medrelax::serve {
 
@@ -60,6 +61,18 @@ inline constexpr uint64_t kMaxTimeoutMs = 24ull * 60 * 60 * 1000;
 /// Status carries exactly the message the transports print after
 /// "err ", so the golden transcripts pin these texts.
 [[nodiscard]] Result<RelaxLine> ParseRelaxArgs(std::string_view args);
+
+/// Resolves the ctx= label of a parsed line (`line->has_context`)
+/// against `contexts`. A token that is a listed label resolves as is.
+/// Otherwise the token is extended with the term's leading words, and
+/// the longest listed label they spell wins, leaving at least one word
+/// for the term: `ctx=Monitoring-uses-Lab Test hba1c` addresses the
+/// label "Monitoring-uses-Lab Test" with term "hba1c". On success
+/// `line->context_label` holds the full label and `line->term` loses the
+/// consumed words. InvalidArgument "unknown context '<token>'" when no
+/// extension is listed; `*line` is then unchanged.
+[[nodiscard]] Result<ContextId> ResolveContextLabel(
+    const ContextRegistry& contexts, RelaxLine* line);
 
 /// Overflow-checked decimal parse for protocol options; `what` names
 /// the option in error messages ("k", "timeout_ms"). Rejects empty

@@ -77,10 +77,8 @@ void ServiceStats::RecordSnapshotSwap() {
   snapshot_swaps_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ServiceStats::RecordSnapshotSource(bool mapped, uint64_t image_load_us) {
-  snapshot_source_.store(mapped ? 1 : 0, std::memory_order_relaxed);
-  image_load_us_.store(mapped ? image_load_us : 0,
-                       std::memory_order_relaxed);
+void ServiceStats::RecordImageLoad(uint64_t image_load_us) {
+  image_load_us_.store(image_load_us, std::memory_order_relaxed);
 }
 
 void ServiceStats::RecordReloadCompleted() {
@@ -119,7 +117,6 @@ ServiceStatsSnapshot ServiceStats::Snapshot() const {
   snap.queue_depth_high_water =
       queue_depth_high_water_.load(std::memory_order_relaxed);
   snap.snapshot_swaps = snapshot_swaps_.load(std::memory_order_relaxed);
-  snap.snapshot_source = snapshot_source_.load(std::memory_order_relaxed);
   snap.reloads_completed =
       reloads_completed_.load(std::memory_order_relaxed);
   snap.image_load_us = image_load_us_.load(std::memory_order_relaxed);
@@ -164,12 +161,6 @@ std::string ServiceStatsSnapshot::ToString(bool deterministic_only) const {
   out += StrFormat("failed=%zu\n", static_cast<size_t>(failed));
   out += StrFormat("snapshot_swaps=%zu\n",
                    static_cast<size_t>(snapshot_swaps));
-  // Provenance is deterministic for a scripted session: the same session
-  // file replays with source=built (serve <dir>) or source=mapped
-  // (serve --image); the smoke harness normalizes the one-word
-  // difference when diffing built vs mapped transcripts.
-  out += StrFormat("snapshot_source=%s\n",
-                   snapshot_source == 1 ? "mapped" : "built");
   out += StrFormat("reloads_completed=%zu\n",
                    static_cast<size_t>(reloads_completed));
   out += StrFormat("admission_rejects=%zu\n",

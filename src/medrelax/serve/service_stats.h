@@ -35,9 +35,6 @@ struct ServiceStatsSnapshot {
   uint64_t failed = 0;            ///< mapping/validation errors
   uint64_t queue_depth_high_water = 0;
   uint64_t snapshot_swaps = 0;
-  /// How the current snapshot came to exist: 0 = built by the offline
-  /// phase in-process, 1 = mapped from a flat image (SnapshotSource).
-  uint64_t snapshot_source = 0;
   /// RELOADs that produced and published a new snapshot (failed reloads
   /// leave the counter alone — the old generation keeps serving).
   uint64_t reloads_completed = 0;
@@ -49,9 +46,9 @@ struct ServiceStatsSnapshot {
   uint64_t admission_rejects = 0;
   uint64_t sweeps_completed = 0;
   uint64_t activity_evictions = 0;
-  /// Microseconds the most recent image map-and-rehydrate took; 0 when
-  /// the current snapshot was built rather than mapped. Wall-clock, so
-  /// outside the deterministic ToString subset.
+  /// Microseconds the most recent image map-and-rehydrate took (boot or
+  /// RELOAD); 0 until one is recorded. Wall-clock, so outside the
+  /// deterministic ToString subset.
   uint64_t image_load_us = 0;
   /// Term mapping of RELAX-by-term requests: wall time spent in the
   /// snapshot's mapper, and the number of terms it ran on (mapped or
@@ -107,10 +104,9 @@ class ServiceStats {
   /// The mapper ran on one query term and took `map_ns` nanoseconds.
   void RecordTermMapped(uint64_t map_ns);
   void RecordSnapshotSwap();
-  /// The published snapshot's provenance: `mapped` = flat image,
-  /// otherwise the in-process offline build. `image_load_us` is the
-  /// map-and-rehydrate time for mapped snapshots (0 for built ones).
-  void RecordSnapshotSource(bool mapped, uint64_t image_load_us);
+  /// The published snapshot was mapped from its image in
+  /// `image_load_us` microseconds.
+  void RecordImageLoad(uint64_t image_load_us);
   /// A RELOAD produced and published a replacement snapshot.
   void RecordReloadCompleted();
   /// Transport accounting, reported by the TCP frontend: sessions that
@@ -140,7 +136,6 @@ class ServiceStats {
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> queue_depth_high_water_{0};
   std::atomic<uint64_t> snapshot_swaps_{0};
-  std::atomic<uint64_t> snapshot_source_{0};
   std::atomic<uint64_t> reloads_completed_{0};
   std::atomic<uint64_t> image_load_us_{0};
   std::atomic<uint64_t> map_ns_{0};

@@ -18,9 +18,9 @@ Snapshot::Snapshot(BuildTag, ConceptDag dag, KnowledgeBase kb)
 // forward-declared in the header.
 Snapshot::~Snapshot() = default;
 
-Result<std::shared_ptr<Snapshot>> Snapshot::Build(
-    ConceptDag dag, KnowledgeBase kb, const Corpus* corpus,
-    const SnapshotOptions& options) {
+Result<std::shared_ptr<Snapshot>> Snapshot::Assemble(
+    ConceptDag dag, KnowledgeBase kb, const SnapshotOptions& options,
+    const std::function<Result<IngestionResult>(Snapshot&)>& ingest) {
   // Move the inputs in first so the index/mapper/relaxer borrow pointers
   // with the snapshot's own lifetime, not the caller's.
   auto snap = std::make_shared<Snapshot>(BuildTag{}, std::move(dag),
@@ -32,8 +32,7 @@ Result<std::shared_ptr<Snapshot>> Snapshot::Build(
     snap->mapper_ = std::make_unique<EditDistanceMatcher>(
         snap->index_.get(), EditMatcherOptions{});
   }
-  Result<IngestionResult> ingestion = RunIngestion(
-      snap->kb_, &snap->dag_, *snap->mapper_, corpus, options.ingestion);
+  Result<IngestionResult> ingestion = ingest(*snap);
   if (!ingestion.ok()) return ingestion.status();
   snap->ingestion_ = std::move(*ingestion);
   snap->relaxer_ = std::make_unique<QueryRelaxer>(
@@ -43,6 +42,16 @@ Result<std::shared_ptr<Snapshot>> Snapshot::Build(
   snap->options_fingerprint_ =
       FingerprintOptions(options.relaxation, options.similarity);
   return snap;
+}
+
+Result<std::shared_ptr<Snapshot>> Snapshot::Build(
+    ConceptDag dag, KnowledgeBase kb, const Corpus* corpus,
+    const SnapshotOptions& options) {
+  return Assemble(std::move(dag), std::move(kb), options,
+                  [corpus, &options](Snapshot& snap) {
+                    return RunIngestion(snap.kb_, &snap.dag_, *snap.mapper_,
+                                        corpus, options.ingestion);
+                  });
 }
 
 Result<std::shared_ptr<Snapshot>> Snapshot::LoadFromImage(
@@ -71,25 +80,16 @@ Result<std::shared_ptr<Snapshot>> Snapshot::LoadFromImage(
                   static_cast<unsigned long long>(recomputed)));
   }
 
-  auto snap = std::make_shared<Snapshot>(BuildTag{}, std::move(decoded.dag),
-                                         std::move(decoded.kb));
-  snap->image_ = std::move(decoded.image);
-  snap->ingestion_ = std::move(decoded.ingestion);
-  // The index, mapper, and relaxer borrow the snapshot's own structures,
-  // exactly as in Build — only Algorithm 1 itself is skipped.
-  snap->index_ = std::make_unique<NameIndex>(&snap->dag_);
-  if (options.use_exact_mapper) {
-    snap->mapper_ = std::make_unique<ExactMatcher>(snap->index_.get());
-  } else {
-    snap->mapper_ = std::make_unique<EditDistanceMatcher>(
-        snap->index_.get(), EditMatcherOptions{});
-  }
-  snap->relaxer_ = std::make_unique<QueryRelaxer>(
-      &snap->dag_, &snap->ingestion_, snap->mapper_.get(), options.similarity,
-      options.relaxation);
-  snap->options_ = options;
-  snap->options_fingerprint_ = decoded.options_fingerprint;
-  snap->source_ = SnapshotSource::kMapped;
+  // Only Algorithm 1 itself is skipped: its artifacts come from the
+  // image, whose mapping the snapshot keeps for the zero-copy table.
+  auto from_image = [&decoded](Snapshot& snap) -> Result<IngestionResult> {
+    snap.image_ = std::move(decoded.image);
+    return std::move(decoded.ingestion);
+  };
+  MEDRELAX_ASSIGN_OR_RETURN(
+      std::shared_ptr<Snapshot> snap,
+      Assemble(std::move(decoded.dag), std::move(decoded.kb), options,
+               from_image));
   snap->load_micros_ = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -21,14 +22,6 @@ namespace medrelax {
 namespace flat {
 class FlatImageView;
 }  // namespace flat
-
-/// How a snapshot came to exist: built from raw inputs by the full
-/// offline phase, or mapped from a flat image medrelax_ingest froze
-/// earlier (docs/SNAPSHOT_FORMAT.md).
-enum class SnapshotSource {
-  kBuilt,
-  kMapped,
-};
 
 /// Knobs of a serving snapshot build: everything the offline phase needs to
 /// turn a raw (EKS, KB) pair into a query-ready bundle.
@@ -61,8 +54,8 @@ class Snapshot {
   /// `corpus` may be null (the QR-no-corpus configuration) and is only read
   /// during the build. Fails when ingestion fails (e.g. a multi-rooted DAG).
   /// MEDRELAX_BLOCKING: the whole offline phase runs inline — seconds of
-  /// CPU at scale. Never reachable from the event loop; rebuilds belong
-  /// on a worker with the result Post()ed back (tools/medrelax_server.cc).
+  /// CPU at scale. The server never calls it: medrelax_ingest runs it
+  /// offline and the server maps the image it writes.
   [[nodiscard]] static Result<std::shared_ptr<Snapshot>> Build(
       ConceptDag dag, KnowledgeBase kb, const Corpus* corpus,
       const SnapshotOptions& options) MEDRELAX_BLOCKING;
@@ -79,8 +72,10 @@ class Snapshot {
       const std::string& path) MEDRELAX_BLOCKING;
 
   /// Freezes this snapshot into a flat image at `path`, to be served
-  /// later via LoadFromImage. MEDRELAX_BLOCKING: serializes every table
-  /// to disk (offline ingest tool only).
+  /// later via LoadFromImage. The image replaces `path` atomically (temp
+  /// file + rename), so a server still mapping the old image keeps
+  /// serving its bytes until it reloads. MEDRELAX_BLOCKING: serializes
+  /// every table to disk (offline ingest tool only).
   [[nodiscard]] Status WriteImage(const std::string& path) const
       MEDRELAX_BLOCKING;
 
@@ -105,11 +100,9 @@ class Snapshot {
   /// The options this snapshot was built (or ingested) under.
   [[nodiscard]] const SnapshotOptions& options() const { return options_; }
 
-  /// Whether this snapshot ran the offline phase or mapped an image.
-  [[nodiscard]] SnapshotSource source() const { return source_; }
-
   /// Wall-clock microseconds LoadFromImage spent mapping + rehydrating;
-  /// 0 for built snapshots.
+  /// 0 for built snapshots (Build serves tests, benches and the offline
+  /// ingest tool; the server boots and reloads only from images).
   [[nodiscard]] uint64_t load_micros() const { return load_micros_; }
 
   /// Tag type gating the public constructor to Build (make_shared needs a
@@ -126,6 +119,17 @@ class Snapshot {
  private:
   friend class SnapshotRegistry;
 
+  /// The wiring Build and LoadFromImage share. Moves `dag` and `kb` into
+  /// a new snapshot and binds a name index and the options' term mapper
+  /// to its own DAG. Then `ingest` fills the ingestion artifacts:
+  /// Algorithm 1 in Build, the image's sections in LoadFromImage. Last,
+  /// the relaxer is configured and the options and their fingerprint
+  /// are stamped. Fails when `ingest` fails.
+  [[nodiscard]] static Result<std::shared_ptr<Snapshot>> Assemble(
+      ConceptDag dag, KnowledgeBase kb, const SnapshotOptions& options,
+      const std::function<Result<IngestionResult>(Snapshot&)>& ingest)
+      MEDRELAX_BLOCKING;
+
   /// Declared first so it is destroyed LAST: when the snapshot was mapped
   /// from an image, ingestion_.frequencies borrows its normalized table
   /// straight from this mapping and must never outlive it.
@@ -139,7 +143,6 @@ class Snapshot {
   SnapshotOptions options_;
   uint64_t options_fingerprint_ = 0;
   uint64_t generation_ = 0;
-  SnapshotSource source_ = SnapshotSource::kBuilt;
   uint64_t load_micros_ = 0;
 };
 

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -142,8 +143,6 @@ TEST(FlatImageRoundTrip, MappedSnapshotMatchesTheBuiltOne) {
       Snapshot::LoadFromImage(SharedImagePath());
   ASSERT_TRUE(mapped.ok()) << mapped.status();
 
-  EXPECT_EQ((*mapped)->source(), SnapshotSource::kMapped);
-  EXPECT_EQ(built->source(), SnapshotSource::kBuilt);
   EXPECT_GT((*mapped)->load_micros(), 0u);
   EXPECT_EQ((*mapped)->options_fingerprint(), built->options_fingerprint());
 
@@ -216,6 +215,82 @@ TEST(FlatImageRoundTrip, IngestOptionsRoundTripThroughTheMeta) {
   EXPECT_TRUE((*mapped)->options().use_exact_mapper);
   EXPECT_EQ((*mapped)->options().relaxation.top_k, 3u);
   EXPECT_EQ((*mapped)->options_fingerprint(), built->options_fingerprint());
+}
+
+// The rebuild workflow is "ingest onto the boot image's path, then
+// RELOAD". Until the RELOAD lands, the live snapshot mapped from that
+// path must keep answering from its own bytes: the writer renames a new
+// file into place, so the old mapping keeps the old inode.
+TEST(FlatImageRoundTrip, RewritingTheImageLeavesTheMappedSnapshotIntact) {
+  const std::string path = testing::TempDir() + "flat_image_rewritten." +
+                           std::to_string(::getpid()) + ".img";
+  ASSERT_TRUE(BuildSmallSnapshot()->WriteImage(path).ok());
+  Result<std::shared_ptr<Snapshot>> mapped = Snapshot::LoadFromImage(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  const Snapshot& live = **mapped;
+  const IngestionResult& ingestion = live.ingestion();
+  auto frequency_table = [&]() {
+    std::vector<double> table;
+    for (ConceptId id = 0; id < live.dag().num_concepts(); ++id) {
+      for (ContextId c = 0; c < ingestion.contexts.size(); ++c) {
+        table.push_back(ingestion.frequencies.Frequency(id, c));
+      }
+    }
+    return table;
+  };
+  const std::vector<double> table_before = frequency_table();
+  const ConceptId query = ingestion.mappings.front().second;
+  const RelaxationOutcome before =
+      live.relaxer().RelaxConcept(query, kNoContext);
+  const size_t size_before = ReadFileBytes(path).size();
+
+  // A different, larger world written onto the same path.
+  SnomedGeneratorOptions eks;
+  eks.num_concepts = 900;
+  eks.seed = 11;
+  KbGeneratorOptions kb;
+  kb.num_findings = 60;
+  kb.seed = 12;
+  Result<GeneratedWorld> world = GenerateWorld(eks, kb);
+  ASSERT_TRUE(world.ok()) << world.status();
+  Result<std::shared_ptr<Snapshot>> other = Snapshot::Build(
+      std::move(world->eks.dag), std::move(world->kb), nullptr,
+      SnapshotOptions{});
+  ASSERT_TRUE(other.ok()) << other.status();
+  ASSERT_TRUE((*other)->WriteImage(path).ok());
+  ASSERT_GE(ReadFileBytes(path).size(), size_before);
+
+  EXPECT_EQ(frequency_table(), table_before);
+  const RelaxationOutcome after =
+      live.relaxer().RelaxConcept(query, kNoContext);
+  EXPECT_EQ(after.instances, before.instances);
+  ASSERT_EQ(after.concepts.size(), before.concepts.size());
+  for (size_t i = 0; i < before.concepts.size(); ++i) {
+    EXPECT_EQ(after.concepts[i].concept_id, before.concepts[i].concept_id);
+    EXPECT_EQ(after.concepts[i].similarity, before.concepts[i].similarity);
+  }
+
+  // The path itself now holds the new image.
+  Result<std::shared_ptr<Snapshot>> remapped = Snapshot::LoadFromImage(path);
+  ASSERT_TRUE(remapped.ok()) << remapped.status();
+  EXPECT_EQ((*remapped)->dag().num_concepts(),
+            (*other)->dag().num_concepts());
+  std::remove(path.c_str());
+}
+
+// A write that cannot be renamed into place (the target is a directory)
+// fails typed, removes its temp file and leaves the target as it was.
+TEST(FlatImageRoundTrip, FailedWriteLeavesNoTempFileBehind) {
+  const std::string dir = testing::TempDir() + "flat_image_dir." +
+                          std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  EXPECT_FALSE(BuildSmallSnapshot()->WriteImage(dir).ok());
+  struct stat st{};
+  ASSERT_EQ(::stat(dir.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISDIR(st.st_mode));
+  const std::string temp = dir + ".tmp." + std::to_string(::getpid());
+  EXPECT_NE(::access(temp.c_str(), F_OK), 0);
+  ::rmdir(dir.c_str());
 }
 
 TEST(FlatImageRoundTrip, ReservedMetaFlagsAreNeverWritten) {

@@ -10,10 +10,7 @@
 #include "medrelax/datasets/paper_fixtures.h"
 #include "medrelax/io/dag_io.h"
 #include "medrelax/io/corpus_io.h"
-#include "medrelax/io/ingestion_io.h"
 #include "medrelax/io/kb_io.h"
-#include "medrelax/matching/edit_matcher.h"
-#include "medrelax/relax/query_relaxer.h"
 
 namespace medrelax {
 namespace {
@@ -182,94 +179,6 @@ TEST(CorpusIo, GeneratedMonographCorpusRoundTrips) {
   auto loaded = LoadCorpus(buffer);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ExpectCorporaEqual(corpus, *loaded);
-}
-
-TEST(IngestionIo, RoundTripsAndRelaxesIdentically) {
-  SnomedGeneratorOptions eks;
-  eks.num_concepts = 400;
-  eks.seed = 404;
-  KbGeneratorOptions kbo;
-  kbo.num_drugs = 12;
-  kbo.num_findings = 60;
-  kbo.seed = 405;
-  auto world = GenerateWorld(eks, kbo);
-  ASSERT_TRUE(world.ok());
-  Corpus corpus = GenerateMonographCorpus(*world, CorpusGeneratorOptions{});
-  NameIndex index(&world->eks.dag);
-  EditDistanceMatcher matcher(&index, EditMatcherOptions{});
-  auto ingestion = RunIngestion(world->kb, &world->eks.dag, matcher, &corpus,
-                                IngestionOptions{});
-  ASSERT_TRUE(ingestion.ok());
-
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveIngestion(*ingestion, buffer).ok());
-  auto loaded = LoadIngestion(buffer, world->eks.dag);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-
-  // The snapshot reproduces C, F, M, FEC.
-  EXPECT_EQ(loaded->contexts.size(), ingestion->contexts.size());
-  EXPECT_EQ(loaded->mappings, ingestion->mappings);
-  EXPECT_EQ(loaded->flagged, ingestion->flagged);
-  EXPECT_EQ(loaded->unmapped_instances, ingestion->unmapped_instances);
-  EXPECT_EQ(loaded->shortcuts_added, ingestion->shortcuts_added);
-  for (ConceptId c = 0; c < world->eks.dag.num_concepts(); ++c) {
-    for (ContextId ctx = 0; ctx <= ingestion->contexts.size(); ++ctx) {
-      ContextId effective =
-          ctx == ingestion->contexts.size() ? kNoContext : ctx;
-      ASSERT_DOUBLE_EQ(loaded->frequencies.Frequency(c, effective),
-                       ingestion->frequencies.Frequency(c, effective))
-          << "concept " << c << " ctx " << effective;
-    }
-  }
-
-  // Online relaxation over the reloaded snapshot matches the original.
-  QueryRelaxer original(&world->eks.dag, &*ingestion, &matcher,
-                        SimilarityOptions{}, RelaxationOptions{});
-  QueryRelaxer reloaded(&world->eks.dag, &*loaded, &matcher,
-                        SimilarityOptions{}, RelaxationOptions{});
-  for (size_t i = 0; i < 10 && i < world->eks.finding_concepts.size(); ++i) {
-    ConceptId query = world->eks.finding_concepts[i * 7];
-    RelaxationOutcome a = original.RelaxConcept(query, world->ctx_indication);
-    RelaxationOutcome b = reloaded.RelaxConcept(query, world->ctx_indication);
-    ASSERT_EQ(a.concepts.size(), b.concepts.size());
-    for (size_t j = 0; j < a.concepts.size(); ++j) {
-      EXPECT_EQ(a.concepts[j].concept_id, b.concepts[j].concept_id);
-      EXPECT_DOUBLE_EQ(a.concepts[j].similarity, b.concepts[j].similarity);
-    }
-  }
-}
-
-TEST(IngestionIo, RejectsDagMismatch) {
-  SnomedGeneratorOptions eks;
-  eks.num_concepts = 300;
-  eks.seed = 11;
-  KbGeneratorOptions kbo;
-  kbo.num_drugs = 5;
-  kbo.num_findings = 20;
-  kbo.seed = 12;
-  auto world = GenerateWorld(eks, kbo);
-  ASSERT_TRUE(world.ok());
-  NameIndex index(&world->eks.dag);
-  EditDistanceMatcher matcher(&index, EditMatcherOptions{});
-  auto ingestion = RunIngestion(world->kb, &world->eks.dag, matcher, nullptr,
-                                IngestionOptions{});
-  ASSERT_TRUE(ingestion.ok());
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveIngestion(*ingestion, buffer).ok());
-
-  ConceptDag other;
-  ASSERT_TRUE(other.AddConcept("root").ok());
-  EXPECT_TRUE(LoadIngestion(buffer, other).status().IsFailedPrecondition());
-}
-
-TEST(IngestionIo, RejectsGarbage) {
-  ConceptDag dag;
-  ASSERT_TRUE(dag.AddConcept("root").ok());
-  std::stringstream missing_header("H\t1\t0\t1\n");
-  EXPECT_TRUE(
-      LoadIngestion(missing_header, dag).status().IsInvalidArgument());
-  std::stringstream no_h("# medrelax-ingestion v1\nU\t0\n");
-  EXPECT_TRUE(LoadIngestion(no_h, dag).status().IsInvalidArgument());
 }
 
 // Property sweep: generated worlds round-trip losslessly at several seeds.

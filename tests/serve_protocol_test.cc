@@ -2,7 +2,8 @@
 // numeric options must be overflow-checked (the strtoul predecessor
 // silently wrapped k=99999999999999999999 into a small request), option
 // recognition must stop at the first term token, and the error texts
-// must stay exactly what the golden transcripts pin after "err ".
+// must stay exactly what the golden transcripts pin after "err ". Context
+// labels resolve against a registry, spaces in the label included.
 
 #include <cstdint>
 #include <string>
@@ -132,6 +133,98 @@ TEST(ParseRelaxArgsTest, CapsTimeoutAtTwentyFourHours) {
   ASSERT_FALSE(line.ok());
   EXPECT_TRUE(line.status().IsInvalidArgument()) << line.status();
   EXPECT_EQ(line.status().message(), "timeout_ms must be at most 86400000");
+}
+
+// Context labels may hold spaces ("Monitoring-uses-Lab Test"), which
+// the one-token ctx= grammar cuts at the first space. Resolution must
+// win the label back from the term's leading words.
+class ResolveContextLabelTest : public ::testing::Test {
+ protected:
+  ResolveContextLabelTest() {
+    finding_ = contexts_.Intern({"Indication", "hasFinding", "Finding"});
+    lab_test_ = contexts_.Intern({"Monitoring", "uses", "Lab Test"});
+    panel_ = contexts_.Intern({"Monitoring", "uses", "Lab Test Panel"});
+  }
+
+  /// Parses `args` (which must carry ctx=) and resolves its label.
+  Result<ContextId> Resolve(const std::string& args, RelaxLine* line) {
+    Result<RelaxLine> parsed = ParseRelaxArgs(args);
+    EXPECT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_TRUE(parsed->has_context);
+    *line = *parsed;
+    return ResolveContextLabel(contexts_, line);
+  }
+
+  ContextRegistry contexts_;
+  ContextId finding_ = kNoContext;
+  ContextId lab_test_ = kNoContext;
+  ContextId panel_ = kNoContext;
+};
+
+TEST_F(ResolveContextLabelTest, ListedTokenResolvesAsIs) {
+  RelaxLine line;
+  Result<ContextId> id =
+      Resolve("ctx=Indication-hasFinding-Finding disorder of kidney", &line);
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(*id, finding_);
+  EXPECT_EQ(line.context_label, "Indication-hasFinding-Finding");
+  EXPECT_EQ(line.term, "disorder of kidney");
+}
+
+TEST_F(ResolveContextLabelTest, LabelWithASpaceTakesTheTermsLeadingWord) {
+  RelaxLine line;
+  Result<ContextId> id =
+      Resolve("k=3 ctx=Monitoring-uses-Lab Test hba1c level", &line);
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(*id, lab_test_);
+  EXPECT_EQ(line.context_label, "Monitoring-uses-Lab Test");
+  EXPECT_EQ(line.term, "hba1c level");
+  EXPECT_EQ(line.top_k, 3u);
+}
+
+TEST_F(ResolveContextLabelTest, LongestListedLabelWins) {
+  RelaxLine line;
+  Result<ContextId> id =
+      Resolve("ctx=Monitoring-uses-Lab Test Panel glucose", &line);
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(*id, panel_);
+  EXPECT_EQ(line.context_label, "Monitoring-uses-Lab Test Panel");
+  EXPECT_EQ(line.term, "glucose");
+}
+
+TEST_F(ResolveContextLabelTest, LeavesAtLeastOneWordForTheTerm) {
+  // "Panel" could complete the longer label, but it is the last word:
+  // it stays the term and the shorter label is addressed.
+  RelaxLine line;
+  Result<ContextId> id = Resolve("ctx=Monitoring-uses-Lab Test Panel", &line);
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(*id, lab_test_);
+  EXPECT_EQ(line.term, "Panel");
+
+  id = Resolve("ctx=Monitoring-uses-Lab Test", &line);
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.status().message(), "unknown context 'Monitoring-uses-Lab'");
+}
+
+TEST_F(ResolveContextLabelTest, LongTermKeepsEverythingPastTheLabel) {
+  std::string words;
+  for (int i = 0; i < 5000; ++i) words += " w";
+  RelaxLine line;
+  Result<ContextId> id = Resolve("ctx=Monitoring-uses-Lab Test" + words, &line);
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(*id, lab_test_);
+  EXPECT_EQ(line.term, words.substr(1));
+}
+
+TEST_F(ResolveContextLabelTest, UnknownLabelKeepsTheGoldenErrorText) {
+  RelaxLine line;
+  Result<ContextId> id =
+      Resolve("ctx=No-Such-Context disorder of kidney", &line);
+  ASSERT_FALSE(id.ok());
+  EXPECT_TRUE(id.status().IsInvalidArgument()) << id.status();
+  EXPECT_EQ(id.status().message(), "unknown context 'No-Such-Context'");
+  EXPECT_EQ(line.context_label, "No-Such-Context");
+  EXPECT_EQ(line.term, "disorder of kidney");
 }
 
 }  // namespace

@@ -21,13 +21,6 @@ inline const char* FlagValue(int argc, char** argv, const char* flag) {
   return nullptr;
 }
 
-inline bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
 /// Parses a decimal count with the protocol's overflow-checked parser
 /// (serve::ParseProtocolCount: digits only, no sign, no wrap) and rejects
 /// values above `max`, so a value is never silently zeroed or truncated.

@@ -26,8 +26,10 @@
 //       from a per-session mt19937 seeded with S + session index — the
 //       skewed-popularity mix the result cache's activity policy is
 //       built for (scripts/server_smoke.sh "cache-stress"). Prints
-//       "ok load requests=N answered=A errors=E" on stdout; timing goes
-//       to stderr so stdout stays machine-diffable.
+//       "ok load requests=N answered=A errors=E" on stdout. Timing goes
+//       to stderr so stdout stays machine-diffable: wall time and
+//       throughput, then the p50/p99/p999/max of every reply's
+//       send-to-reply latency as this client saw it.
 //
 //   A port outside 1..65535, or a malformed numeric flag, exits 2 with
 //   the reason on stderr.
@@ -93,6 +95,21 @@ std::vector<double> ZipfCdf(size_t ranks, double theta) {
   }
   for (double& c : cdf) c /= total;
   return cdf;
+}
+
+/// Nanoseconds elapsed since `start` on the steady clock.
+uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+/// Nearest-rank quantile `q` of the ascending, non-empty `sorted`.
+double Quantile(const std::vector<uint64_t>& sorted, double q) {
+  const auto rank = static_cast<size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  return static_cast<double>(sorted[rank == 0 ? 0 : rank - 1]);
 }
 
 /// Blocking connect to 127.0.0.1:port. Returns the fd, or -1 with the
@@ -220,11 +237,14 @@ bool IsMultiLineReply(const std::string& command) {
 /// non-null (--zipf; `seed` makes the draw sequence reproducible).
 /// Replies are framed like the server formats them: "err ..." is one
 /// line, multi-line "ok" frames end with "end", other "ok" replies are
-/// one line.
+/// one line. Appends the send-to-reply nanoseconds of every whole reply
+/// (err replies included) to `*latencies_ns`, which is this session's
+/// own.
 void LoadWorker(uint16_t port, size_t requests,
                 const std::vector<std::string>& script,
                 const std::vector<double>* zipf_cdf, uint64_t seed,
-                std::atomic<uint64_t>* answered, std::atomic<uint64_t>* errors) {
+                std::atomic<uint64_t>* answered, std::atomic<uint64_t>* errors,
+                std::vector<uint64_t>* latencies_ns) {
   const int fd = ConnectLoopback(port);
   if (fd < 0) {
     errors->fetch_add(requests, std::memory_order_relaxed);
@@ -249,12 +269,14 @@ void LoadWorker(uint16_t port, size_t requests,
       if (slot >= script.size()) slot = script.size() - 1;
     }
     const std::string& command = script[slot];
+    const auto sent = std::chrono::steady_clock::now();
     if (!SendAll(fd, command + "\n") || !reader.ReadLine(&line)) {
       errors->fetch_add(requests - i, std::memory_order_relaxed);
       close(fd);
       return;
     }
     if (line.rfind("err", 0) == 0) {
+      latencies_ns->push_back(NanosSince(sent));
       errors->fetch_add(1, std::memory_order_relaxed);
       continue;
     }
@@ -272,6 +294,7 @@ void LoadWorker(uint16_t port, size_t requests,
         return;
       }
     }
+    latencies_ns->push_back(NanosSince(sent));
     answered->fetch_add(1, std::memory_order_relaxed);
   }
   SendAll(fd, "QUIT\n");
@@ -280,7 +303,7 @@ void LoadWorker(uint16_t port, size_t requests,
   close(fd);
 }
 
-int RunLoad(int argc, char** argv, uint16_t port) {
+int DriveLoad(int argc, char** argv, uint16_t port) {
   CountFlags flags(argc, argv);
   const size_t requests = flags.Get("--requests", 100);
   const size_t connections = flags.Get("--connections", 1, 1024);
@@ -329,6 +352,7 @@ int RunLoad(int argc, char** argv, uint16_t port) {
 
   std::atomic<uint64_t> answered{0};
   std::atomic<uint64_t> errors{0};
+  std::vector<std::vector<uint64_t>> latencies_ns(connections);
   const auto t_start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   threads.reserve(connections);
@@ -338,7 +362,7 @@ int RunLoad(int argc, char** argv, uint16_t port) {
     if (c == 0) share += requests % connections;
     threads.emplace_back(LoadWorker, port, share, std::cref(script),
                          zipf_theta > 0 ? &zipf_cdf : nullptr, seed + c,
-                         &answered, &errors);
+                         &answered, &errors, &latencies_ns[c]);
   }
   for (std::thread& t : threads) t.join();
   const auto t_end = std::chrono::steady_clock::now();
@@ -353,6 +377,19 @@ int RunLoad(int argc, char** argv, uint16_t port) {
   std::fprintf(stderr, "connections=%zu wall=%.3fs throughput=%.0f req/s\n",
                connections, seconds,
                seconds > 0 ? static_cast<double>(requests) / seconds : 0);
+  std::vector<uint64_t> all_ns;
+  for (const std::vector<uint64_t>& session : latencies_ns) {
+    all_ns.insert(all_ns.end(), session.begin(), session.end());
+  }
+  if (!all_ns.empty()) {
+    std::sort(all_ns.begin(), all_ns.end());
+    std::fprintf(stderr,
+                 "latency_us replies=%zu p50=%.1f p99=%.1f p999=%.1f"
+                 " max=%.1f\n",
+                 all_ns.size(), Quantile(all_ns, 0.50) / 1e3,
+                 Quantile(all_ns, 0.99) / 1e3, Quantile(all_ns, 0.999) / 1e3,
+                 static_cast<double>(all_ns.back()) / 1e3);
+  }
   return errors.load(std::memory_order_relaxed) == 0 ? 0 : 1;
 }
 
@@ -371,7 +408,7 @@ int main(int argc, char** argv) {
   const auto tcp_port = static_cast<uint16_t>(*port);
   if (std::strcmp(argv[1], "session") == 0) return RunSession(tcp_port);
   if (std::strcmp(argv[1], "load") == 0) {
-    return RunLoad(argc, argv, tcp_port);
+    return DriveLoad(argc, argv, tcp_port);
   }
   return Usage();
 }

@@ -4,12 +4,17 @@
 //       Loads <dir>/eks.tsv + <dir>/kb.tsv (as written by
 //       `medrelax_tool generate`), runs the full offline phase
 //       (Algorithm 1: contexts, mappings, frequency propagation,
-//       shortcut edges) exactly as `medrelax_server serve <dir>` would,
-//       then freezes the result into a flat snapshot image at
-//       <out-image> (format: docs/SNAPSHOT_FORMAT.md). A server boots
-//       from it with `medrelax_server serve --image <out-image>` — or
-//       hot-swaps onto it with `RELOAD <out-image>` — without ever
-//       rerunning the offline phase.
+//       shortcut edges), then freezes the result into a flat snapshot
+//       image at <out-image> (format: docs/SNAPSHOT_FORMAT.md). --exact
+//       bakes the exact-match term mapper into the image (edit distance
+//       otherwise). The image is the only artifact medrelax_server
+//       serves: it boots with `serve --image <out-image>` or hot-swaps
+//       with `RELOAD <out-image>`, and never runs the offline phase.
+//
+//       The image replaces <out-image> atomically (temp file + rename),
+//       so the rebuild workflow is to ingest onto the path a live server
+//       booted from and then send it a plain RELOAD: until then the
+//       server keeps serving the old image's bytes.
 //
 //   medrelax_ingest info <image>
 //       Prints the image's meta block (counts, options fingerprint,

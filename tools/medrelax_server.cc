@@ -1,25 +1,28 @@
 // medrelax_server: the long-lived serving front end over medrelax/serve.
 //
-//   medrelax_server serve <dir> [--image FILE] [--workers N] [--queue N]
+//   medrelax_server serve --image FILE [--workers N] [--queue N]
 //                         [--cache N] [--cache-policy lru|activity]
-//                         [--deadline-ms D] [--exact] [--batch N]
-//                         [--listen PORT] [--max-conns N] [--max-line N]
-//       Loads <dir>/eks.tsv + <dir>/kb.tsv (as written by
-//       `medrelax_tool generate`), runs the offline ingestion into a
-//       serving snapshot, and answers a newline-delimited text protocol
-//       (grammar in docs/SERVING.md). With --image FILE the offline
-//       phase is skipped entirely: FILE is a flat snapshot image frozen
-//       by medrelax_ingest, mmapped read-only and served zero-copy
-//       (<dir> may then be omitted).
+//                         [--deadline-ms D] [--batch N] [--listen PORT]
+//                         [--max-conns N] [--max-line N]
+//       Maps FILE, a flat snapshot image frozen by medrelax_ingest
+//       (docs/SNAPSHOT_FORMAT.md), read-only and serves it zero-copy: the
+//       offline phase (Algorithm 1) never runs here, and the term mapper
+//       is the one baked into the image at ingest. Answers a
+//       newline-delimited text protocol (grammar in docs/SERVING.md):
 //
 //         RELAX [k=N] [ctx=LABEL] <term...>   relax a [term, context] pair
 //         CONTEXTS                            list context labels
 //         GEN                                 current snapshot generation
 //         RELOAD [path]                       hot-swap: map `path` (a flat
 //                                             image) when given, else
-//                                             re-load the boot source
+//                                             re-map the boot image
 //         STATS                               deterministic counter block
 //         QUIT                                end the session (EOF too)
+//
+//       To rebuild, run medrelax_ingest onto the boot image's path and
+//       send a plain RELOAD: the ingest replaces the file atomically, so
+//       the old mapping keeps serving until the new one is published.
+//       `RELOAD <path>` makes <path> the image later plain RELOADs map.
 //
 //       Without --listen the session is stdin/stdout: one client, zero
 //       dependencies, the CI smoke surface. With --listen PORT the same
@@ -27,8 +30,8 @@
 //       127.0.0.1:PORT (PORT 0 = ephemeral; the chosen port is printed
 //       as "ok listening port=N" on stdout). One epoll thread owns all
 //       sockets; RELAX answers are computed by the service workers, and
-//       RELOAD rebuilds run on a dedicated reload thread (other sessions
-//       keep answering during a re-ingest); both deliver their replies
+//       RELOADs map their image on a dedicated reload thread (other
+//       sessions keep answering meanwhile); both deliver their replies
 //       back to the owning connection through the loop's wakeup queue,
 //       so the same scripted session yields byte-identical transcripts
 //       over both transports (scripts/server_smoke.sh diffs exactly
@@ -37,39 +40,32 @@
 //       Lines starting with '#' and blank lines are ignored, so a
 //       scripted session file can be commented.
 //
-//       Numeric flags are plain decimal counts. A malformed or
-//       out-of-range value (a port over 65535, more than 1024 workers),
-//       or --workers 0 with --listen, exits 2 with the reason on stderr
-//       before anything is loaded.
+//       Every flag takes one value and may appear once. An unknown or
+//       repeated flag, a stray positional argument, a missing --image, a
+//       malformed or out-of-range number (a port over 65535, more than
+//       1024 workers), or --workers 0 with --listen exits 2 with the
+//       reason on stderr before anything is loaded.
 //
-//   medrelax_server load <dir> [--requests N] [--workers N] [--queue N]
-//                        [--cache N] [--deadline-ms D] [--distinct N]
-//       Closed-loop load driver: submits N requests (rotating over
-//       --distinct flagged concepts, so the cache hit rate is tunable) as
-//       fast as the admission queue accepts them, then reports throughput
-//       and the full stats block. Timing figures go to stderr; stdout
-//       stays machine-diffable. (For load over TCP, see medrelax_client.)
+// For load over TCP, see medrelax_client load.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <functional>
-#include <future>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "medrelax/common/mutex.h"
 #include "medrelax/common/string_util.h"
 #include "medrelax/common/thread_annotations.h"
-#include "medrelax/io/dag_io.h"
-#include "medrelax/io/kb_io.h"
 #include "medrelax/net/event_loop.h"
 #include "medrelax/net/line_server.h"
 #include "medrelax/serve/protocol.h"
@@ -85,21 +81,16 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  medrelax_server serve <dir> [--image FILE] [--workers N]"
-      " [--queue N] [--cache N] [--cache-policy lru|activity]\n"
-      "                       [--deadline-ms D] [--exact] [--batch N]"
-      " [--listen PORT] [--max-conns N]\n"
-      "                       [--max-line BYTES]\n"
-      "      (--image FILE boots from a medrelax_ingest snapshot image;"
-      " <dir> may be omitted)\n"
-      "  medrelax_server load <dir> [--requests N] [--workers N]"
-      " [--queue N] [--cache N] [--deadline-ms D] [--distinct N]\n");
+      "  medrelax_server serve --image FILE [--workers N] [--queue N]"
+      " [--cache N] [--cache-policy lru|activity]\n"
+      "                       [--deadline-ms D] [--batch N]"
+      " [--listen PORT] [--max-conns N] [--max-line BYTES]\n"
+      "      (FILE is a snapshot image written by medrelax_ingest)\n");
   return 2;
 }
 
 using tools::CountFlags;
 using tools::FlagValue;
-using tools::HasFlag;
 
 /// Upper bound of --workers: each worker is a thread, and a mistyped
 /// count must fail at startup rather than in thread creation.
@@ -114,63 +105,76 @@ int RejectBadFlags(const CountFlags& flags) {
   return 2;
 }
 
-/// Loads <dir>/{eks,kb}.tsv fresh and runs the offline phase into a new
-/// snapshot. Used at startup and by RELOAD: re-reading from disk means an
-/// operator can regenerate or hand-edit the world files and hot-swap the
-/// result without restarting the server.
-Result<std::shared_ptr<Snapshot>> BuildSnapshotFromDir(
-    const std::string& dir, const SnapshotOptions& options) MEDRELAX_BLOCKING {
-  Result<ConceptDag> dag = LoadDagFromFile(dir + "/eks.tsv");
-  if (!dag.ok()) return dag.status();
-  Result<KnowledgeBase> kb = LoadKbFromFile(dir + "/kb.tsv");
-  if (!kb.ok()) return kb.status();
-  return Snapshot::Build(std::move(*dag), std::move(*kb), nullptr, options);
+/// The flags `serve` accepts, each followed by exactly one value.
+constexpr const char* kServeFlags[] = {
+    "--image",       "--workers", "--queue",  "--cache",     "--cache-policy",
+    "--deadline-ms", "--batch",   "--listen", "--max-conns", "--max-line"};
+
+/// Checks that argv[2..] is a run of distinct, known `--flag value`
+/// pairs. An ignored typo (`--worker 4`), a stray positional or a
+/// repeated flag (only its first value would count) would otherwise
+/// start a server with settings the operator did not ask for. Returns
+/// the usage exit code, naming the offending argument, or 0.
+int RejectUnknownArgs(int argc, char** argv) {
+  for (int i = 2; i < argc; i += 2) {
+    auto same = [&](const char* flag) {
+      return std::strcmp(argv[i], flag) == 0;
+    };
+    const char* problem = nullptr;
+    if (std::none_of(std::begin(kServeFlags), std::end(kServeFlags), same)) {
+      problem = "unexpected";
+    } else if (i + 1 == argc) {
+      problem = "missing value for";
+    } else {
+      for (int j = 2; j < i; j += 2) {
+        if (same(argv[j])) problem = "repeated";
+      }
+    }
+    if (problem != nullptr) {
+      std::fprintf(stderr, "medrelax_server: %s argument '%s'\n", problem,
+                   argv[i]);
+      return Usage();
+    }
+  }
+  return 0;
 }
 
 /// Everything a session (stdin or one TCP connection) needs to answer
 /// protocol verbs. One per server process. `image_path` is the flat
-/// image the current snapshot was mapped from, empty for dir-built
-/// servers; only the reload path (one thread at a time — the stdio
-/// session or the single ReloadExecutor worker) touches it after setup.
+/// image a plain RELOAD maps: the boot image, or the last image an
+/// explicit `RELOAD <path>` published. Only the reload path (one thread
+/// at a time — the stdio session or the single ReloadExecutor worker)
+/// touches it after setup.
 struct ServerState {
   RelaxationService& service;
-  std::string dir;
   std::string image_path;
-  SnapshotOptions snapshot_options;
 };
 
-/// Runs one RELOAD end-to-end and renders the protocol reply. With an
-/// explicit `image_arg` (RELOAD <path>) or an image-booted server, the
-/// swap is map-and-publish — O(image validation), no Algorithm 1;
-/// otherwise <dir> is re-read from disk and the offline phase reruns.
-/// A failed reload replies a typed err and leaves the current generation
-/// serving untouched. Both transports produce their RELOAD replies
-/// through this one function, so the transcripts cannot drift.
-/// MEDRELAX_BLOCKING: a dir rebuild is seconds of CPU at scale; the TCP
-/// transport runs it on the ReloadExecutor thread, never on the event
-/// loop.
+/// Runs one RELOAD end-to-end and renders the protocol reply: maps
+/// `image_arg` (RELOAD <path>) or, when it is empty, the current
+/// `state.image_path`, and publishes it. A failed reload replies a typed
+/// err and leaves the current generation serving untouched. Both
+/// transports produce their RELOAD replies through this one function, so
+/// the transcripts cannot drift. MEDRELAX_BLOCKING: mapping a large image
+/// takes a few hundred ms; the TCP transport runs it on the
+/// ReloadExecutor thread, never on the event loop.
 std::string DoReload(ServerState& state,
                      const std::string& image_arg) MEDRELAX_BLOCKING {
-  // Test hook: scripts/server_smoke.sh stretches the rebuild window to
+  // Test hook: scripts/server_smoke.sh stretches the reload window to
   // prove other sessions keep answering while a RELOAD is in flight.
   if (const char* delay_ms = std::getenv("MEDRELAX_RELOAD_TEST_DELAY_MS")) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(std::strtoul(delay_ms, nullptr, 10)));
   }
-  const std::string image =
-      !image_arg.empty() ? image_arg : state.image_path;
-  Result<std::shared_ptr<Snapshot>> reloaded =
-      !image.empty() ? Snapshot::LoadFromImage(image)
-                     : BuildSnapshotFromDir(state.dir, state.snapshot_options);
+  Result<std::shared_ptr<Snapshot>> reloaded = Snapshot::LoadFromImage(
+      image_arg.empty() ? state.image_path : image_arg);
   if (!reloaded.ok()) {
     return StrFormat("err %s\n", reloaded.status().ToString().c_str());
   }
-  // A successful explicit-path reload makes that image the boot source
-  // for later plain RELOADs (sticky, like booting with --image).
+  // A successful explicit-path reload makes that image the one later
+  // plain RELOADs map (sticky, like booting with --image).
   if (!image_arg.empty()) state.image_path = image_arg;
-  state.service.TransportStats().RecordSnapshotSource(
-      (*reloaded)->source() == SnapshotSource::kMapped,
-      (*reloaded)->load_micros());
+  state.service.TransportStats().RecordImageLoad((*reloaded)->load_micros());
   const uint64_t generation =
       state.service.PublishSnapshot(std::move(*reloaded));
   state.service.TransportStats().RecordReloadCompleted();
@@ -178,12 +182,13 @@ std::string DoReload(ServerState& state,
                    static_cast<unsigned long long>(generation));
 }
 
-/// One dedicated worker draining RELOAD jobs, so a rebuild borrows no
-/// RelaxationService worker (with --workers 1 the single query worker
-/// would otherwise stall every session's RELAX behind the rebuild) and
-/// never touches the service's queue bound or counters. A deque, not a
-/// single slot: pile-up is bounded by the number of paused connections,
-/// each of which can have at most one RELOAD in flight.
+/// One dedicated worker draining RELOAD jobs, so mapping an image (a
+/// few hundred ms at 64k concepts) borrows no RelaxationService worker
+/// (with --workers 1 the single query worker would otherwise stall every
+/// session's RELAX behind the reload) and never touches the service's
+/// queue bound or counters. A deque, not a single slot: pile-up is
+/// bounded by the number of paused connections, each of which can have
+/// at most one RELOAD in flight.
 class ReloadExecutor {
  public:
   ReloadExecutor() : worker_([this] { WorkerLoop(); }) {}
@@ -224,8 +229,8 @@ class ReloadExecutor {
         job = std::move(queue_.front());
         queue_.pop_front();
       }
-      // Invoked with no lock held: jobs block for seconds by design, and
-      // their completion lambdas must be free to take their own locks.
+      // Invoked with no lock held: a job maps a whole image, and its
+      // completion lambda must be free to take its own locks.
       job();
     }
   }
@@ -254,12 +259,12 @@ std::string ParseRelaxLine(RelaxationService& service, std::istringstream& in,
   }
   if (parsed->has_context) {
     std::shared_ptr<const Snapshot> snap = service.snapshot();
-    request->context =
-        snap->ingestion().contexts.FindByLabel(parsed->context_label);
-    if (request->context == kNoContext) {
-      return StrFormat("err InvalidArgument: unknown context '%s'\n",
-                       parsed->context_label.c_str());
+    Result<ContextId> context =
+        serve::ResolveContextLabel(snap->ingestion().contexts, &*parsed);
+    if (!context.ok()) {
+      return StrFormat("err %s\n", context.status().ToString().c_str());
     }
+    request->context = *context;
   }
   request->top_k = static_cast<size_t>(parsed->top_k);
   if (parsed->timeout_ms != 0) {
@@ -362,7 +367,7 @@ int RunStdioSession(ServerState& state) {
 /// in the buffers until the answer is on the wire. Different sessions
 /// proceed concurrently — that is the point of the frontend. RELOAD
 /// follows the same shape as RELAX but runs on the dedicated
-/// ReloadExecutor thread: the rebuild never blocks the event loop (every
+/// ReloadExecutor thread: the reload never blocks the event loop (every
 /// other session keeps answering) and never occupies a query worker.
 ///
 /// MEDRELAX_LOOP_THREAD_ONLY: EventLoop::Run turns the calling thread
@@ -491,15 +496,12 @@ int RunTcpServer(ServerState& state, const ServiceOptions& service_options,
 }
 
 int RunServe(int argc, char** argv) {
-  // With --image the positional <dir> may be omitted (argv[2] is then
-  // the first flag); without it the dir stays mandatory.
-  const std::string dir =
-      std::strncmp(argv[2], "--", 2) != 0 ? argv[2] : "";
-  const char* image_flag = FlagValue(argc, argv, "--image");
-  const std::string image = image_flag != nullptr ? image_flag : "";
-  if (dir.empty() && image.empty()) return Usage();
-  SnapshotOptions snapshot_options;
-  snapshot_options.use_exact_mapper = HasFlag(argc, argv, "--exact");
+  if (const int rc = RejectUnknownArgs(argc, argv); rc != 0) return rc;
+  const char* image = FlagValue(argc, argv, "--image");
+  if (image == nullptr) {
+    std::fprintf(stderr, "medrelax_server: serve needs --image FILE\n");
+    return Usage();
+  }
   CountFlags flags(argc, argv);
   ServiceOptions service_options;
   service_options.num_workers =
@@ -546,25 +548,16 @@ int RunServe(int argc, char** argv) {
     };
   }
 
-  Result<std::shared_ptr<Snapshot>> snapshot =
-      !image.empty() ? Snapshot::LoadFromImage(image)
-                     : BuildSnapshotFromDir(dir, snapshot_options);
+  Result<std::shared_ptr<Snapshot>> snapshot = Snapshot::LoadFromImage(image);
   if (!snapshot.ok()) {
-    std::fprintf(stderr, "snapshot %s failed: %s\n",
-                 !image.empty() ? "image load" : "build",
+    std::fprintf(stderr, "snapshot image load failed: %s\n",
                  snapshot.status().ToString().c_str());
     return 1;
   }
-  const bool mapped = (*snapshot)->source() == SnapshotSource::kMapped;
   const uint64_t load_micros = (*snapshot)->load_micros();
-  if (mapped) {
-    // An image carries its build-time knobs; later dir RELOADs (only
-    // possible when a <dir> was also given) reuse them.
-    snapshot_options = (*snapshot)->options();
-  }
   RelaxationService service(std::move(*snapshot), service_options);
-  service.TransportStats().RecordSnapshotSource(mapped, load_micros);
-  ServerState state{service, dir, image, snapshot_options};
+  service.TransportStats().RecordImageLoad(load_micros);
+  ServerState state{service, image};
 
   if (listen) {
     // lint:allow(loop-affinity) EventLoop::Run makes this thread the loop
@@ -576,82 +569,10 @@ int RunServe(int argc, char** argv) {
   return RunStdioSession(state);
 }
 
-int RunLoad(int argc, char** argv) {
-  const std::string dir = argv[2];
-  SnapshotOptions snapshot_options;
-  CountFlags flags(argc, argv);
-  ServiceOptions service_options;
-  service_options.num_workers =
-      static_cast<unsigned>(flags.Get("--workers", 2, kMaxWorkers));
-  service_options.queue_capacity = flags.Get("--queue", 64);
-  service_options.cache.capacity = flags.Get("--cache", 1024);
-  service_options.default_deadline = std::chrono::milliseconds(
-      flags.Get("--deadline-ms", 0, serve::kMaxTimeoutMs));
-  const size_t num_requests = flags.Get("--requests", 2000);
-  const size_t distinct = flags.Get("--distinct", 32);
-  if (const int rc = RejectBadFlags(flags); rc != 0) return rc;
-
-  Result<std::shared_ptr<Snapshot>> snapshot =
-      BuildSnapshotFromDir(dir, snapshot_options);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "snapshot build failed: %s\n",
-                 snapshot.status().ToString().c_str());
-    return 1;
-  }
-  // The query pool: flagged concepts, i.e. exactly the concepts real
-  // traffic resolves to.
-  std::vector<ConceptId> pool;
-  {
-    const std::vector<bool>& flagged = (*snapshot)->ingestion().flagged;
-    for (ConceptId id = 0; id < flagged.size() && pool.size() < distinct;
-         ++id) {
-      if (flagged[id]) pool.push_back(id);
-    }
-  }
-  if (pool.empty()) {
-    std::fprintf(stderr, "no flagged concepts to query\n");
-    return 1;
-  }
-
-  RelaxationService service(std::move(*snapshot), service_options);
-  std::vector<std::future<Result<RelaxResponse>>> futures;
-  futures.reserve(num_requests);
-  const auto t_start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < num_requests; ++i) {
-    RelaxRequest request;
-    request.concept_id = pool[i % pool.size()];
-    futures.push_back(service.Submit(std::move(request)));
-  }
-  size_t ok = 0, queue_full = 0, deadline = 0, other = 0;
-  for (auto& future : futures) {
-    Result<RelaxResponse> response = future.get();
-    if (response.ok()) {
-      ++ok;
-    } else if (response.status().IsResourceExhausted()) {
-      ++queue_full;
-    } else if (response.status().IsDeadlineExceeded()) {
-      ++deadline;
-    } else {
-      ++other;
-    }
-  }
-  const auto t_end = std::chrono::steady_clock::now();
-  const double seconds =
-      std::chrono::duration<double>(t_end - t_start).count();
-  std::printf("ok load requests=%zu answered=%zu rejected_queue_full=%zu"
-              " rejected_deadline=%zu failed=%zu\n",
-              num_requests, ok, queue_full, deadline, other);
-  std::printf("%s", service.Stats().ToString().c_str());
-  std::fprintf(stderr, "wall=%.3fs throughput=%.0f req/s\n", seconds,
-               seconds > 0 ? static_cast<double>(num_requests) / seconds : 0);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 3) return Usage();
   if (std::strcmp(argv[1], "serve") == 0) return RunServe(argc, argv);
-  if (std::strcmp(argv[1], "load") == 0) return RunLoad(argc, argv);
   return Usage();
 }
