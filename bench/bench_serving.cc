@@ -7,13 +7,6 @@
 //     the steady state of a production mix dominated by repeated
 //     near-identical queries. The warm/cold ratio is the headline number;
 //     the serving layer targets >= 5x.
-//   * BM_ServingDuplicateHeavy — cache disabled, every request hits the
-//     same key: the single-flight + batch-drain path. The counter
-//     requests_per_invocation (completed / relaxer invocations) is the
-//     coalescing headline; the serving layer targets >= 5x.
-//   * BM_ServingSameContextBatch — cache disabled, pool cycled so each
-//     key repeats within a burst: batch drain groups same-context
-//     requests through one shared-frontier RelaxBatch pass.
 //   * BM_ServingSkewedMix — a Zipf hot set with scan-pollution bursts
 //     against a cache smaller than one burst: the decayed-activity
 //     policy's reason to exist. An untimed strict-LRU twin replays the
@@ -31,25 +24,25 @@
 //     counter typo_vs_exact so the trigram filter's cost per typo stays
 //     within a small factor of an exact probe.
 //
-// All run closed-loop (submit a batch, wait for every future) over
-// worker-count args. Worker threads do the serving, so wall time is the
-// meaningful axis: UseRealTime(). Pre-1.8 google-benchmark binary — pass
-// plain-double --benchmark_min_time=0.05 and filter with
+// The serving benches run closed-loop batches of RelaxationService::Relax
+// calls, the synchronous call each of medrelax_server's event loops makes
+// per RELAX line. The arg is the number of threads calling it
+// concurrently (the server's --workers), each taking every n-th request
+// of the batch, so wall time is the meaningful axis: UseRealTime().
+// Pre-1.8 google-benchmark binary — pass plain-double
+// --benchmark_min_time=0.05 and filter with
 // --benchmark_filter='BM_Serving(Cold|Warm)/...'.
-//
-// Cold/Warm pin max_batch = 1 so their numbers keep meaning "per-request
-// cost without coalescing" across the introduction of batch drain.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <future>
 #include <map>
 #include <memory>
 #include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -103,18 +96,22 @@ std::vector<ConceptId> QueryPool(const Snapshot& snap) {
   return pool;
 }
 
-// Submits one closed-loop batch and blocks until every answer lands.
+// Serves one closed-loop batch, split over `callers` threads calling
+// Relax concurrently, and returns once every answer landed.
 void ServeBatch(RelaxationService& service,
-                const std::vector<RelaxRequest>& pool, size_t offset) {
-  std::vector<std::future<Result<RelaxResponse>>> futures;
-  futures.reserve(kBatch);
-  for (size_t i = 0; i < kBatch; ++i) {
-    futures.push_back(service.Submit(pool[(offset + i) % pool.size()]));
-  }
-  for (auto& future : futures) {
-    Result<RelaxResponse> response = future.get();
-    benchmark::DoNotOptimize(response);
-  }
+                const std::vector<RelaxRequest>& pool, size_t offset,
+                size_t callers) {
+  auto serve = [&](size_t first) {
+    for (size_t i = first; i < kBatch; i += callers) {
+      Result<RelaxResponse> response =
+          service.Relax(pool[(offset + i) % pool.size()]);
+      benchmark::DoNotOptimize(response);
+    }
+  };
+  std::vector<std::thread> helpers;
+  for (size_t c = 1; c < callers; ++c) helpers.emplace_back(serve, c);
+  serve(0);
+  for (std::thread& helper : helpers) helper.join();
 }
 
 std::vector<RelaxRequest> ConceptRequests(const std::vector<ConceptId>& ids) {
@@ -135,84 +132,21 @@ void RunServingBench(benchmark::State& state, bool warm_cache) {
     return;
   }
 
+  const auto callers = static_cast<size_t>(state.range(0));
   ServiceOptions options;
-  options.num_workers = static_cast<unsigned>(state.range(0));
-  options.queue_capacity = 4 * kBatch;
   options.cache.capacity = warm_cache ? 4096 : 0;
-  options.max_batch = 1;  // measure uncoalesced per-request cost
   RelaxationService service(snap, options);
-  if (warm_cache) ServeBatch(service, pool, 0);  // populate every key
+  if (warm_cache) ServeBatch(service, pool, 0, 1);  // populate every key
 
   size_t offset = 0;
   for (auto _ : state) {
-    ServeBatch(service, pool, offset);
+    ServeBatch(service, pool, offset, callers);
     offset += kBatch;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kBatch));
   state.SetLabel(warm_cache ? "cache=warm" : "cache=off");
 }
-
-// Duplicate-heavy / same-context mixes: cache disabled so every saved
-// relaxation is attributable to single-flight coalescing or batch drain,
-// not the result cache. With the cache off, cache_misses counts exactly
-// the requests that reached the relaxer (group leaders), so
-//   requests_per_invocation = completed / cache_misses
-// is the coalescing ratio the serving layer gates on (>= 5x).
-void RunCoalescingBench(benchmark::State& state, size_t pool_stride) {
-  std::shared_ptr<Snapshot> snap = SharedSnapshot();
-  if (snap == nullptr) {
-    state.SkipWithError("snapshot build failed");
-    return;
-  }
-  std::vector<RelaxRequest> pool = ConceptRequests(QueryPool(*snap));
-  if (pool.empty()) {
-    state.SkipWithError("no flagged query pool");
-    return;
-  }
-  if (pool_stride < pool.size()) pool.resize(pool_stride);
-
-  ServiceOptions options;
-  options.num_workers = static_cast<unsigned>(state.range(0));
-  options.queue_capacity = 4 * kBatch;
-  options.cache.capacity = 0;   // isolate coalescing from caching
-  options.max_batch = kBatch;   // drain whole bursts in one pass
-  RelaxationService service(snap, options);
-
-  for (auto _ : state) {
-    ServeBatch(service, pool, 0);  // fixed offset: bursts repeat keys
-  }
-  const ServiceStatsSnapshot stats = service.Stats();
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kBatch));
-  state.counters["relaxer_invocations"] =
-      benchmark::Counter(static_cast<double>(stats.cache_misses),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["requests_per_invocation"] =
-      stats.cache_misses > 0 ? static_cast<double>(stats.completed) /
-                                   static_cast<double>(stats.cache_misses)
-                             : 0.0;
-  state.SetLabel(pool_stride == 1 ? "mix=duplicate-heavy"
-                                  : "mix=same-context");
-}
-
-void BM_ServingDuplicateHeavy(benchmark::State& state) {
-  RunCoalescingBench(state, /*pool_stride=*/1);  // one hot key
-}
-BENCHMARK(BM_ServingDuplicateHeavy)
-    ->Arg(1)
-    ->Arg(2)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ServingSameContextBatch(benchmark::State& state) {
-  RunCoalescingBench(state, /*pool_stride=*/8);  // 8 keys x 8 repeats
-}
-BENCHMARK(BM_ServingSameContextBatch)
-    ->Arg(1)
-    ->Arg(2)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 void BM_ServingCold(benchmark::State& state) {
   RunServingBench(state, /*warm_cache=*/false);
@@ -289,18 +223,16 @@ void BM_ServingTermCold(benchmark::State& state) {
     return;
   }
 
+  const auto callers = static_cast<size_t>(state.range(0));
   ServiceOptions options;
-  options.num_workers = static_cast<unsigned>(state.range(0));
-  options.queue_capacity = 4 * kBatch;
   options.cache.capacity = 0;
-  options.max_batch = 1;
   RelaxationService service(snap, options);
 
   using Clock = std::chrono::steady_clock;
   size_t batches = 0;
   const Clock::time_point term_start = Clock::now();
   for (auto _ : state) {
-    ServeBatch(service, pool.terms, batches * kBatch);
+    ServeBatch(service, pool.terms, batches * kBatch, callers);
     ++batches;
   }
   const Clock::duration term_time = Clock::now() - term_start;
@@ -308,7 +240,7 @@ void BM_ServingTermCold(benchmark::State& state) {
   // benchmark clock.
   const Clock::time_point concept_start = Clock::now();
   for (size_t b = 0; b < batches; ++b) {
-    ServeBatch(service, pool.concepts, b * kBatch);
+    ServeBatch(service, pool.concepts, b * kBatch, callers);
   }
   const Clock::duration concept_time = Clock::now() - concept_start;
 
@@ -512,23 +444,16 @@ void BM_ServingSkewedMix(benchmark::State& state) {
   };
 
   ServiceOptions options;
-  options.num_workers = static_cast<unsigned>(state.range(0));
-  options.queue_capacity = 4 * kBatch;
   options.cache.capacity = kSkewCacheCapacity;
   options.cache.num_shards = 1;  // one ranked pool, same shape as the twin
-  options.max_batch = 1;
   RelaxationService service(snap, options);
 
+  // One caller, so the service sees the trace in the twin's order.
   size_t offset = 0;
   for (auto _ : state) {
-    std::vector<std::future<Result<RelaxResponse>>> futures;
-    futures.reserve(kBatch);
     for (size_t i = 0; i < kBatch; ++i) {
-      futures.push_back(
-          service.Submit(request_for(trace[(offset + i) % trace.size()])));
-    }
-    for (auto& future : futures) {
-      Result<RelaxResponse> response = future.get();
+      Result<RelaxResponse> response =
+          service.Relax(request_for(trace[(offset + i) % trace.size()]));
       benchmark::DoNotOptimize(response);
     }
     offset += kBatch;
@@ -575,7 +500,6 @@ void BM_ServingSkewedMix(benchmark::State& state) {
 }
 BENCHMARK(BM_ServingSkewedMix)
     ->Arg(1)
-    ->Arg(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

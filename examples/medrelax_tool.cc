@@ -13,7 +13,9 @@
 //       Lists the context labels available for --context.
 //
 // The files are the plain text formats of medrelax/io, so a downstream
-// user can swap in their own external source and KB.
+// user can swap in their own external source and KB. A malformed or
+// out-of-range number (--k abc, --concepts -1) exits 2 with the reason
+// on stderr.
 
 #include <cstdio>
 #include <cstring>
@@ -25,6 +27,7 @@
 #include "medrelax/matching/edit_matcher.h"
 #include "medrelax/relax/ingestion.h"
 #include "medrelax/relax/query_relaxer.h"
+#include "../tools/flags.h"
 
 using namespace medrelax;  // NOLINT — example brevity
 
@@ -41,27 +44,28 @@ int Usage() {
   return 2;
 }
 
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
+using tools::CountFlags;
+using tools::FlagValue;
+
+/// Reports a bad numeric flag and returns the usage exit code; 0 when
+/// every flag parsed.
+int RejectBadFlags(const CountFlags& flags) {
+  if (flags.status().ok()) return 0;
+  std::fprintf(stderr, "medrelax_tool: %s\n",
+               flags.status().ToString().c_str());
+  return 2;
 }
 
 int Generate(int argc, char** argv) {
   std::string dir = argv[2];
   SnomedGeneratorOptions eks;
   KbGeneratorOptions kb;
-  if (const char* v = FlagValue(argc, argv, "--concepts")) {
-    eks.num_concepts = std::strtoul(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--findings")) {
-    kb.num_findings = std::strtoul(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--seed")) {
-    eks.seed = std::strtoull(v, nullptr, 10);
-    kb.seed = eks.seed + 1;
-  }
+  CountFlags flags(argc, argv);
+  eks.num_concepts = flags.Get("--concepts", eks.num_concepts, 1u << 24);
+  kb.num_findings = flags.Get("--findings", kb.num_findings, 1u << 24);
+  eks.seed = flags.Get("--seed", eks.seed);
+  if (FlagValue(argc, argv, "--seed") != nullptr) kb.seed = eks.seed + 1;
+  if (const int rc = RejectBadFlags(flags); rc != 0) return rc;
   Result<GeneratedWorld> world = GenerateWorld(eks, kb);
   if (!world.ok()) {
     std::fprintf(stderr, "generate failed: %s\n",
@@ -97,6 +101,16 @@ int Contexts(const std::string& dir) {
 int Relax(int argc, char** argv) {
   std::string dir = argv[2];
   std::string term = argv[3];
+  RelaxationOptions ropts;
+  CountFlags flags(argc, argv);
+  ropts.top_k = flags.Get("--k", ropts.top_k, 1u << 20);
+  ropts.radius =
+      static_cast<uint32_t>(flags.Get("--radius", ropts.radius, 1u << 16));
+  if (const int rc = RejectBadFlags(flags); rc != 0) return rc;
+  if (ropts.top_k == 0) {
+    std::fprintf(stderr, "medrelax_tool: --k must be positive\n");
+    return 2;
+  }
   Result<ConceptDag> dag = LoadDagFromFile(dir + "/eks.tsv");
   Result<KnowledgeBase> kb = LoadKbFromFile(dir + "/kb.tsv");
   if (!dag.ok() || !kb.ok()) {
@@ -123,13 +137,6 @@ int Relax(int argc, char** argv) {
       std::fprintf(stderr, "unknown context '%s' (see `contexts`)\n", v);
       return 1;
     }
-  }
-  RelaxationOptions ropts;
-  if (const char* v = FlagValue(argc, argv, "--k")) {
-    ropts.top_k = std::strtoul(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--radius")) {
-    ropts.radius = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
   }
 
   QueryRelaxer relaxer(&*dag, &*ingestion, &matcher, SimilarityOptions{},

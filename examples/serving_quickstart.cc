@@ -1,7 +1,7 @@
 // serving_quickstart: the serve/ subsystem end to end, in-process.
 //
 // Builds a generated world into a Snapshot, stands up a RelaxationService
-// (bounded queue + workers + result cache), serves the same query twice to
+// (a synchronous call over a result cache), serves the same query twice to
 // show the cache hit, hot-swaps a freshly ingested snapshot while the
 // service is live, and prints the stats block. See docs/SERVING.md for the
 // full semantics; tools/medrelax_server.cc is the stdin/stdout front end.
@@ -57,8 +57,6 @@ int main() {
           .name;
 
   ServiceOptions options;
-  options.num_workers = 2;
-  options.queue_capacity = 32;
   options.cache.capacity = 256;
   RelaxationService service(std::move(*snapshot), options);
 

@@ -4,7 +4,8 @@
 # real producers — medrelax_tool generate + medrelax_ingest for a valid
 # image, the golden scripted session for protocol lines, a generated
 # world's eks.tsv/kb.tsv for the text loaders — plus everything already
-# committed in fuzz/corpus/ (the regression entries double as seeds).
+# committed in fuzz/corpus/ (the regression entries double as seeds;
+# fuzz_session has only those).
 #
 # Usage: scripts/fuzz_seed_corpus.sh <out-dir>
 #        (MEDRELAX_BUILD_DIR overrides ./build for the tool binaries)
@@ -29,10 +30,11 @@ for bin in "${TOOL}" "${INGEST}"; do
   fi
 done
 
-mkdir -p "${OUT}/fuzz_image" "${OUT}/fuzz_protocol" "${OUT}/fuzz_textio"
+mkdir -p "${OUT}/fuzz_image" "${OUT}/fuzz_protocol" "${OUT}/fuzz_textio" \
+  "${OUT}/fuzz_session"
 
 # Committed regression corpus: every pinned input is also a seed.
-for harness in fuzz_image fuzz_protocol fuzz_textio; do
+for harness in fuzz_image fuzz_protocol fuzz_textio fuzz_session; do
   cp fuzz/corpus/${harness}/* "${OUT}/${harness}/" 2>/dev/null || true
 done
 

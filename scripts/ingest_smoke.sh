@@ -5,7 +5,8 @@
 # stream — never a crash, never a zero exit with garbage output. The
 # corrupt-image probes reuse the committed fuzz regression corpus
 # (fuzz/corpus/fuzz_image/), so the same bytes that pin the parser
-# hardening also pin the tool's error surface.
+# hardening also pin the tool's error surface. medrelax_tool's numeric
+# flags get the same treatment: a bad count exits 2, never runs.
 #
 # Usage: scripts/ingest_smoke.sh   (MEDRELAX_BUILD_DIR overrides ./build)
 set -euo pipefail
@@ -80,7 +81,37 @@ for img in fuzz/corpus/fuzz_image/*.img; do
   expect_err "info over ${img}" "^err " "${INGEST}" info "${img}"
 done
 
-# 6. Positive control: the same tool succeeds on a real world, so the
+# 6. medrelax_tool's numeric flags: a malformed, negative, zero or
+# out-of-range count exits 2 naming the flag, before any work — never a
+# silent k=0 relaxation with exit 0.
+expect_exit2() {
+  local what=$1 pattern=$2
+  shift 2
+  local out rc=0
+  out=$("$@" 2>&1) || rc=$?
+  if [[ ${rc} -ne 2 ]] || ! grep -q -- "${pattern}" <<<"${out}"; then
+    fail "${what}: expected exit 2 naming '${pattern}', got rc=${rc}" \
+         "(output: ${out})"
+  fi
+}
+expect_exit2 "relax --k abc" "--k" \
+  "${TOOL}" relax "${WORK}/world" "disorder of kidney" --k abc
+expect_exit2 "relax --k 0" "--k" \
+  "${TOOL}" relax "${WORK}/world" "disorder of kidney" --k 0
+expect_exit2 "relax --radius -1" "--radius" \
+  "${TOOL}" relax "${WORK}/world" "disorder of kidney" --radius -1
+expect_exit2 "generate --concepts abc" "--concepts" \
+  "${TOOL}" generate "${WORK}/unused" --concepts abc
+expect_exit2 "generate --findings 1e3" "--findings" \
+  "${TOOL}" generate "${WORK}/unused" --findings 1e3
+expect_exit2 "generate --seed overflow" "--seed" \
+  "${TOOL}" generate "${WORK}/unused" --seed 18446744073709551616
+if ! "${TOOL}" relax "${WORK}/world" "disorder of kidney" --k 3 \
+    | grep -q '^query concept: '; then
+  fail "positive-control relax --k 3 did not answer"
+fi
+
+# 7. Positive control: the same tool succeeds on a real world, so the
 # failures above are the tool rejecting bad input, not a broken tool.
 if ! "${INGEST}" "${WORK}/world" "${WORK}/ok.img" --exact \
     | grep -q '^ok ingest '; then

@@ -9,10 +9,12 @@
 #      byte for byte. A short closed-loop load burst follows over TCP
 #      (only the deterministic first line is checked — throughput is
 #      machine-dependent and goes to stderr anyway).
-#   2. RELOAD runs off the epoll thread: with the reload padded to 2s, a
+#   2. The same session against a --workers 3 server (three event loops;
+#      the session lands on the second) must match a --workers 3 stdin
+#      replay byte for byte; a load burst then spreads connections over
+#      all three loops.
+#   3. RELOAD runs off the event loops: with the reload padded to 2s, a
 #      concurrent session must keep answering in well under 1s.
-#   3. A duplicate-heavy --replay burst at a compute-padded server must
-#      coalesce identical in-flight misses (STATS coalesced_hits > 0).
 #   4. `RELOAD <path>` onto another image, with a load burst running,
 #      must round-trip in well under 1s: mapping skips the offline phase.
 #   5. Cache stress: a scan-pollution burst at a small result cache must
@@ -23,8 +25,9 @@
 #      server must keep answering from its old bytes; after it, gen=2
 #      must answer exactly as a fresh server on the new image does.
 #   7. Bad flags on the server and the client (malformed numbers, unknown
-#      flags, stray positionals, removed subcommands) must exit 2 with a
-#      message instead of hanging, truncating or being ignored.
+#      flags such as the removed --queue and --batch, stray positionals,
+#      removed subcommands) must exit 2 with a message instead of hanging,
+#      truncating or being ignored.
 #
 # Usage: scripts/server_smoke.sh   (MEDRELAX_BUILD_DIR overrides ./build)
 set -euo pipefail
@@ -136,11 +139,31 @@ grep -q '^latency_us replies=200 p50=.* p99=.* p999=.* max=' \
 
 stop_server
 
-# --- RELOAD runs off the epoll thread ---------------------------------
+# --- Three event loops ------------------------------------------------
+# Connections are dealt round-robin over the loops: an empty session
+# takes the first loop, so the scripted session is answered by the
+# second — and must say byte for byte what a --workers 3 stdin session
+# says. A load burst then spreads four more connections over all three.
+"${SERVER}" serve --image "${IMG}" --workers 3 \
+  < tests/golden/server_session.txt > "${WORK}/session3.out"
+start_server tcp3 --image "${IMG}" --workers 3
+"${CLIENT}" session "${PORT}" < /dev/null > /dev/null
+"${CLIENT}" session "${PORT}" < tests/golden/server_session.txt \
+  > "${WORK}/tcp3_session.out"
+if ! diff -u "${WORK}/session3.out" "${WORK}/tcp3_session.out"; then
+  echo "server_smoke: --workers 3 TCP transcript differs from stdin" >&2
+  exit 1
+fi
+"${CLIENT}" load "${PORT}" --requests 200 --connections 4 \
+  > "${WORK}/tcp3_load.out" 2>/dev/null
+grep -q '^ok load requests=200 answered=200 errors=0$' "${WORK}/tcp3_load.out"
+stop_server
+
+# --- RELOAD runs off the event loops -----------------------------------
 # Fresh server with the test-only reload delay armed: the reload
 # executor pads its re-map by 2s. One session issues RELOAD; while that
 # reload is in flight a second session must still get answers within
-# 1s — if reloads ever move back onto the loop thread, the timed probe
+# 1s — if reloads ever move back onto a loop thread, the timed probe
 # stalls behind the full 2s pad and the bound fails. The probe also
 # asserts gen=1 (the pre-reload snapshot), proving it really ran
 # *during* the swap, and the paused RELOAD session still gets its
@@ -174,38 +197,6 @@ fi
 if (( ELAPSED_MS >= 1000 )); then
   echo "server_smoke: probe during RELOAD took ${ELAPSED_MS}ms —" \
        "the 2s reload pad leaked onto the serving path" >&2
-  exit 1
-fi
-
-stop_server
-
-# --- Duplicate burst exercises single-flight coalescing ---------------
-# Fresh server with the test-only compute delay armed: every group
-# leader's relaxation is padded by 250ms, so the 8 replay sessions all
-# firing the same keys are guaranteed to overlap on identical in-flight
-# misses. The STATS probe afterwards must show coalesced_hits > 0 — if
-# the single-flight table stops deduplicating, every duplicate recomputes
-# and the counter stays 0.
-MEDRELAX_COMPUTE_TEST_DELAY_MS=250 \
-  start_server duplicate-burst --image "${IMG}" --workers 2
-
-# Session replay dominated by repeated keys: the whole point of --replay.
-cat > "${WORK}/replay.txt" <<'EOF'
-# duplicate-heavy mix for the coalescing smoke stage
-RELAX disorder of kidney
-RELAX disorder of kidney
-RELAX k=3 disorder of kidney
-EOF
-"${CLIENT}" load "${PORT}" --requests 64 --connections 8 \
-  --replay "${WORK}/replay.txt" > "${WORK}/dup_load.out" 2>/dev/null
-grep -q '^ok load requests=64 answered=64 errors=0$' "${WORK}/dup_load.out"
-
-printf 'STATS\nQUIT\n' | "${CLIENT}" session "${PORT}" \
-  > "${WORK}/dup_stats.out"
-if ! grep -q '^coalesced_hits=[1-9]' "${WORK}/dup_stats.out"; then
-  echo "server_smoke: duplicate burst produced no coalesced hits —" \
-       "single-flight dedup is not engaging:" >&2
-  cat "${WORK}/dup_stats.out" >&2
   exit 1
 fi
 
@@ -401,7 +392,7 @@ stop_server
 # --- Bad flags ---------------------------------------------------------
 # Every malformed or out-of-range number must exit 2 with a message
 # naming the flag, before anything loads: never a hang (--workers 0 over
-# TCP admits RELAXes no thread serves), never a silent truncation
+# TCP accepts sessions no loop answers), never a silent truncation
 # (--listen 70000 used to bind 70000 mod 65536). Unknown flags, stray
 # positionals, repeated flags and removed forms (a world directory,
 # --exact, the load subcommand) exit 2 with usage instead of being
@@ -440,6 +431,10 @@ expect_flag_error "server --exact" "unexpected argument '--exact'" \
   "${SERVER}" serve --image "${IMG}" --exact
 expect_flag_error "server --worker typo" "unexpected argument '--worker'" \
   "${SERVER}" serve --image "${IMG}" --worker 2
+expect_flag_error "server --queue (removed)" "unexpected argument '--queue'" \
+  "${SERVER}" serve --image "${IMG}" --queue 64
+expect_flag_error "server --batch (removed)" "unexpected argument '--batch'" \
+  "${SERVER}" serve --image "${IMG}" --batch 8
 expect_flag_error "server repeated --workers" "repeated argument '--workers'" \
   "${SERVER}" serve --image "${IMG}" --workers 2 --workers 4
 expect_flag_error "server --image without a value" "missing value" \

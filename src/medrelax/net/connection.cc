@@ -15,9 +15,15 @@ namespace net {
 
 Connection::Connection(EventLoop& loop, int fd, uint64_t id,
                        const ConnectionLimits& limits, Handler* handler)
-    : loop_(loop), fd_(fd), id_(id), limits_(limits), handler_(handler) {}
+    : loop_(loop),
+      fd_(fd),
+      id_(id),
+      limits_(limits),
+      handler_(handler),
+      self_(std::make_shared<Connection*>(this)) {}
 
 Connection::~Connection() {
+  *self_ = nullptr;  // a still-pending deferred turn becomes a no-op
   if (!closed_ && fd_ >= 0) {
     loop_.Remove(fd_);
     close(fd_);
@@ -25,6 +31,7 @@ Connection::~Connection() {
 }
 
 Status Connection::Start() {
+  interest_ = EPOLLIN;
   return loop_.Watch(fd_, EPOLLIN, [this](uint32_t events) { OnEvents(events); });
 }
 
@@ -43,71 +50,50 @@ void Connection::OnEvents(uint32_t events) {
 }
 
 void Connection::HandleReadable() {
-  if (closed_ || paused_ || close_requested_) return;
+  if (closed_ || paused_ || close_requested_ || turn_deferred_) return;
   char buf[4096];
-  for (;;) {
+  // Read only until there is something to serve: the rest stays in the
+  // kernel buffer until the lines already here are answered.
+  while (!peer_eof_ && !HasBacklog()) {
     const ssize_t n = recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
       stats_.bytes_in += static_cast<uint64_t>(n);
       in_.append(buf, static_cast<size_t>(n));
-      // Deliver as we go, so a handler Pause() (async request in
-      // flight) takes effect mid-buffer and later commands wait.
-      DeliverLines();
-      if (closed_ || close_requested_) return;
-      if (paused_) return;  // Pause() already dropped EPOLLIN
-      if (in_.size() - in_pos_ > limits_.max_line_bytes &&
-          !HasCompleteLine()) {
-        // An unframed or hostile client: reject exactly like the
-        // admission queue would, then hang up once the error flushed.
-        const Status overflow = Status::ResourceExhausted(StrFormat(
-            "line exceeds %zu bytes", limits_.max_line_bytes));
-        ++stats_.oversize_rejects;
-        in_.clear();
-        in_pos_ = 0;
-        Send("err " + overflow.ToString() + "\n");
-        if (closed_) return;
-        close_requested_ = true;
-        close_reason_ = overflow;
-        UpdateInterest();
-        if (closed_) return;
-        MaybeFinish();
-        return;
-      }
       continue;
     }
     if (n == 0) {
       peer_eof_ = true;
       break;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     DoClose(Status::Internal(StrFormat("recv: %s", std::strerror(errno))));
     return;
   }
-  // EOF: drain buffered lines (including a final unterminated one — the
-  // stdin transport's getline treats it as a line, so we do too).
-  DeliverLines();
-  if (closed_ || close_requested_) return;
-  if (!paused_ && in_pos_ < in_.size()) {
-    std::string line = in_.substr(in_pos_);
-    in_.clear();
-    in_pos_ = 0;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    ++stats_.lines_in;
-    handler_->OnLine(*this, std::move(line));
-    if (closed_) return;
-  }
-  UpdateInterest();
-  if (closed_) return;
-  MaybeFinish();
+  ServeOneLine();
 }
 
-void Connection::DeliverLines() {
-  while (!closed_ && !paused_ && !close_requested_) {
-    const size_t nl = in_.find('\n', in_pos_);
-    if (nl == std::string::npos) break;
-    std::string line = in_.substr(in_pos_, nl - in_pos_);
-    in_pos_ = nl + 1;
+void Connection::ServeOneLine() {
+  if (closed_ || paused_ || close_requested_) return;
+  const size_t nl = in_.find('\n', in_pos_);
+  const size_t end = nl == std::string::npos ? in_.size() : nl;
+  if (end - in_pos_ > limits_.max_line_bytes) {
+    // An unframed or hostile client: answer with an error instead of the
+    // line, then hang up once the error flushed.
+    const Status overflow = Status::ResourceExhausted(
+        StrFormat("line exceeds %zu bytes", limits_.max_line_bytes));
+    ++stats_.oversize_rejects;
+    in_.clear();
+    in_pos_ = 0;
+    Send("err " + overflow.ToString() + "\n");
+    if (closed_) return;
+    close_requested_ = true;
+    close_reason_ = overflow;
+  } else if (nl != std::string::npos || (peer_eof_ && end > in_pos_)) {
+    // A complete line, or at EOF the final unterminated one — the stdin
+    // transport's getline treats it as a line, so we do too.
+    std::string line = in_.substr(in_pos_, end - in_pos_);
+    in_pos_ = nl == std::string::npos ? end : nl + 1;
     if (in_pos_ == in_.size()) {
       in_.clear();
       in_pos_ = 0;
@@ -118,11 +104,27 @@ void Connection::DeliverLines() {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     ++stats_.lines_in;
     handler_->OnLine(*this, std::move(line));
+    if (closed_) return;
+    if (!paused_ && !close_requested_ && !turn_deferred_ && HasBacklog()) {
+      turn_deferred_ = true;
+      loop_.Defer([self = self_] {
+        Connection* conn = *self;
+        if (conn == nullptr) return;
+        conn->turn_deferred_ = false;
+        conn->ServeOneLine();
+      });
+    }
   }
+  UpdateInterest();
+  if (closed_) return;
+  MaybeFinish();
 }
 
-bool Connection::HasCompleteLine() const {
-  return in_.find('\n', in_pos_) != std::string::npos;
+bool Connection::HasBacklog() const {
+  const size_t nl = in_.find('\n', in_pos_);
+  if (nl != std::string::npos) return true;
+  const size_t pending = in_.size() - in_pos_;
+  return pending > limits_.max_line_bytes || (peer_eof_ && pending > 0);
 }
 
 void Connection::Send(std::string_view data) {
@@ -183,20 +185,7 @@ void Connection::Pause() {
 void Connection::Resume() {
   if (closed_ || !paused_) return;
   paused_ = false;
-  DeliverLines();
-  if (closed_) return;
-  if (peer_eof_ && !paused_ && !close_requested_ && in_pos_ < in_.size()) {
-    std::string line = in_.substr(in_pos_);
-    in_.clear();
-    in_pos_ = 0;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    ++stats_.lines_in;
-    handler_->OnLine(*this, std::move(line));
-    if (closed_) return;
-  }
-  UpdateInterest();
-  if (closed_) return;
-  MaybeFinish();
+  ServeOneLine();
 }
 
 void Connection::CloseAfterFlush() {
@@ -215,8 +204,12 @@ void Connection::Close(const Status& reason) { DoClose(reason); }
 void Connection::UpdateInterest() {
   if (closed_) return;
   uint32_t events = 0;
-  if (!paused_ && !peer_eof_ && !close_requested_) events |= EPOLLIN;
+  if (!paused_ && !peer_eof_ && !close_requested_ && !HasBacklog()) {
+    events |= EPOLLIN;
+  }
   if (want_write_) events |= EPOLLOUT;
+  if (events == interest_) return;
+  interest_ = events;
   const Status status = loop_.Modify(fd_, events);
   if (!status.ok()) DoClose(status);
 }

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -13,13 +14,13 @@
 namespace medrelax {
 namespace net {
 
-/// Resource bounds of one connection. Both limits map to the service's
-/// admission-control vocabulary: exceeding either rejects with
-/// ResourceExhausted, mirroring what a full request queue does.
+/// Resource bounds of one connection. Exceeding either rejects with
+/// ResourceExhausted and closes the connection.
 struct ConnectionLimits {
-  /// A line (command) longer than this is rejected and the connection
-  /// closed — an unframed client would otherwise grow the read buffer
-  /// without bound.
+  /// A line (command) longer than this many bytes, its '\n' not counted,
+  /// is answered with an error and the connection closed once the replies
+  /// to the lines before it are out — an unframed client would otherwise
+  /// grow the read buffer without bound.
   size_t max_line_bytes = 16 * 1024;
   /// Write-buffer high-water mark. A reader this far behind is cut off:
   /// the buffer is the transport's admission queue, and admission
@@ -46,6 +47,12 @@ struct ConnectionStats {
 /// backs up, EPOLLOUT is armed and the remainder drains as the peer
 /// catches up (and is de-armed once empty, so an idle connection costs
 /// no wakeups).
+///
+/// Fairness: a connection hands the handler at most one line per loop
+/// turn. While it still buffers complete lines it stops reading (the
+/// kernel buffer is the backpressure) and EventLoop::Defer()s itself to
+/// serve the next one a turn later, so a client that pipelines a
+/// thousand lines cannot starve the other connections on its loop.
 ///
 /// Single-threaded: every method must be called on the EventLoop thread.
 /// Cross-thread completions reach a connection by Post()ing to the loop.
@@ -87,12 +94,13 @@ class Connection {
   /// rest drains via EPOLLOUT. No-op after close.
   void Send(std::string_view data) MEDRELAX_LOOP_THREAD_ONLY;
 
-  /// Stops reading and line delivery; an async request is in flight and
-  /// the reply must precede any later command (pipelined input stays
-  /// buffered in the kernel — that is the backpressure).
+  /// Stops reading and line delivery; an async request (a RELOAD) is in
+  /// flight and its reply must precede any later command (pipelined input
+  /// stays buffered in the kernel — that is the backpressure).
   void Pause() MEDRELAX_LOOP_THREAD_ONLY;
 
-  /// Resumes reading and delivers lines buffered while paused.
+  /// Resumes: serves the next buffered line now and the rest on later
+  /// turns.
   void Resume() MEDRELAX_LOOP_THREAD_ONLY;
 
   /// Orderly shutdown: no further lines are delivered, buffered output
@@ -111,14 +119,18 @@ class Connection {
 
  private:
   void OnEvents(uint32_t events) MEDRELAX_LOOP_THREAD_ONLY;
-  /// Reads until EAGAIN/EOF; delivers lines; enforces max_line_bytes.
+  /// Reads until EAGAIN/EOF, a complete line or an oversized partial one
+  /// is buffered; then serves one line.
   void HandleReadable() MEDRELAX_LOOP_THREAD_ONLY;
   /// Flushes the write buffer; de-arms EPOLLOUT when drained.
   void HandleWritable() MEDRELAX_LOOP_THREAD_ONLY;
-  /// Extracts and delivers complete lines until paused/closing/starved.
-  void DeliverLines() MEDRELAX_LOOP_THREAD_ONLY;
-  /// True if in_ holds at least one complete ('\n'-terminated) line.
-  [[nodiscard]] bool HasCompleteLine() const;
+  /// This connection's turn: hands the handler at most one line (or
+  /// rejects an oversized one), then defers itself if more are buffered.
+  void ServeOneLine() MEDRELAX_LOOP_THREAD_ONLY;
+  /// True while in_ holds something to serve without reading: a complete
+  /// line, an oversized partial one, or a final unterminated line after
+  /// EOF.
+  [[nodiscard]] bool HasBacklog() const;
   /// Flushes out_ to the socket; closes (slow-reader/error) on failure.
   void TryFlush() MEDRELAX_LOOP_THREAD_ONLY;
   /// Recomputes and applies the epoll interest mask.
@@ -139,6 +151,11 @@ class Connection {
   std::string out_;       // unflushed outbound bytes
   size_t out_pos_ = 0;
 
+  // Points at this object until the destructor runs: a deferred turn
+  // holds a copy, so it can tell a live connection from a destroyed one.
+  std::shared_ptr<Connection*> self_;
+  bool turn_deferred_ = false;  // a deferred ServeOneLine is pending
+  uint32_t interest_ = 0;       // the mask last registered with the loop
   bool want_write_ = false;  // EPOLLOUT currently armed
   bool paused_ = false;
   bool peer_eof_ = false;    // read side saw EOF

@@ -103,6 +103,8 @@ void EventLoop::Post(Task task) {
   (void)write(wake_fd_, &one, sizeof(one));
 }
 
+void EventLoop::Defer(Task task) { deferred_.push_back(std::move(task)); }
+
 void EventLoop::DrainWakeupFd() {
   uint64_t counter = 0;
   // Resets the eventfd counter; EAGAIN when another drain got it first.
@@ -110,7 +112,9 @@ void EventLoop::DrainWakeupFd() {
 }
 
 int EventLoop::RunTasks() {
-  std::deque<Task> ready;
+  // A vector: swapping in an empty one allocates nothing, so a turn
+  // without posted tasks costs one uncontended lock.
+  std::vector<Task> ready;
   {
     MutexLock lock(wakeup_mu_);
     ready.swap(tasks_);
@@ -121,12 +125,16 @@ int EventLoop::RunTasks() {
 
 int EventLoop::RunOnce(int timeout_ms) {
   if (!ok()) return -1;
+  // Tasks deferred during this turn run in the next one.
+  std::vector<Task> deferred;
+  deferred.swap(deferred_);
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
-  int n = epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+  int n = epoll_wait(epoll_fd_, events, kMaxEvents,
+                     deferred.empty() ? timeout_ms : 0);
   if (n < 0) {
-    if (errno == EINTR) return 0;
-    return -1;
+    if (errno != EINTR) return -1;
+    n = 0;
   }
   int handled = 0;
   for (int i = 0; i < n; ++i) {
@@ -149,7 +157,8 @@ int EventLoop::RunOnce(int timeout_ms) {
   // Post() can race the epoll_wait above; drain opportunistically so a
   // task enqueued while we dispatched io events does not wait a turn.
   handled += RunTasks();
-  return handled;
+  for (Task& task : deferred) task();
+  return handled + static_cast<int>(deferred.size());
 }
 
 void EventLoop::Run() {

@@ -3,9 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "medrelax/common/mutex.h"
 #include "medrelax/common/status.h"
@@ -21,9 +21,15 @@ namespace net {
 ///
 /// The only way other threads talk to the loop is Post(): a task queue
 /// guarded by an annotated Mutex plus an eventfd that wakes the epoll
-/// wait. RelaxationService workers complete requests by Post()ing the
-/// formatted reply back to the owning connection; they never touch a
-/// socket (docs/SERVING.md, "TCP transport").
+/// wait. Other threads use it to hand the loop a freshly accepted socket
+/// or a finished RELOAD's reply; they never touch a socket
+/// (docs/SERVING.md, "TCP transport").
+///
+/// One RunOnce() call is one turn: wait for I/O, dispatch it, run the
+/// Post()ed tasks, then run the tasks Defer()red before the turn began.
+/// A connection with more buffered lines Defer()s itself, so it is
+/// served again next turn, after every other ready connection had its
+/// chance.
 ///
 /// Registrations carry a generation token in the epoll user data, so an
 /// event for an fd that was closed (and possibly reused) earlier in the
@@ -59,13 +65,19 @@ class EventLoop {
   /// Thread-safe; the only EventLoop entry point that is.
   void Post(Task task) MEDRELAX_POSTS_TO_LOOP;
 
+  /// Runs `task` at the end of the next turn, which then polls instead of
+  /// blocking. Loop thread only: no lock, no wakeup syscall.
+  void Defer(Task task) MEDRELAX_LOOP_THREAD_ONLY MEDRELAX_POSTS_TO_LOOP;
+
   /// Runs until Stop(). Blocks the calling thread, which becomes *the*
   /// loop thread.
   void Run() MEDRELAX_LOOP_THREAD_ONLY;
 
-  /// One epoll_wait pass: dispatches ready events and drained Post()ed
-  /// tasks, returns how many of either it handled. `timeout_ms` < 0
-  /// blocks until something is ready; 0 polls. The unit-test driver.
+  /// One turn: an epoll_wait pass that dispatches ready events, drained
+  /// Post()ed tasks and the tasks Defer()red before the turn; returns how
+  /// many it handled. `timeout_ms` < 0 blocks until something is ready;
+  /// 0 polls, and so does any turn with deferred tasks. The unit-test
+  /// driver.
   int RunOnce(int timeout_ms) MEDRELAX_LOOP_THREAD_ONLY;
 
   /// Makes Run() return soon. Thread-safe and idempotent.
@@ -97,9 +109,10 @@ class EventLoop {
   std::atomic<bool> stopped_{false};
   // fd -> registration; loop-thread-only like everything but the queue.
   std::unordered_map<int, Registration> handlers_ MEDRELAX_LOOP_THREAD_ONLY;
+  std::vector<Task> deferred_ MEDRELAX_LOOP_THREAD_ONLY;
 
   Mutex wakeup_mu_{"EventLoop::wakeup_mu"};
-  std::deque<Task> tasks_ MEDRELAX_GUARDED_BY(wakeup_mu_);
+  std::vector<Task> tasks_ MEDRELAX_GUARDED_BY(wakeup_mu_);
 };
 
 }  // namespace net

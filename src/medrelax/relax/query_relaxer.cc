@@ -212,17 +212,4 @@ std::vector<RelaxationOutcome> QueryRelaxer::RelaxBatch(
   return outcomes;
 }
 
-std::vector<RelaxationOutcome> QueryRelaxer::RelaxBatch(
-    std::span<const PreparedQuery> queries) const {
-  std::vector<RelaxationOutcome> outcomes;
-  outcomes.reserve(queries.size());
-  ThreadScratch().engine.Reset(eks_);
-  for (const PreparedQuery& query : queries) {
-    const size_t k =
-        query.top_k != 0 ? query.top_k : relaxation_options_.top_k;
-    outcomes.push_back(RelaxOnThread(query.concept_id, query.context, k));
-  }
-  return outcomes;
-}
-
 }  // namespace medrelax

@@ -62,16 +62,6 @@ struct ConceptQuery {
   ContextId context = kNoContext;
 };
 
-/// An already-resolved, already-validated query with its effective k, the
-/// unit the serving layer's same-context batch drain hands to RelaxBatch
-/// below (docs/SERVING.md "Coalescing & batching").
-struct PreparedQuery {
-  ConceptId concept_id = kInvalidConcept;
-  ContextId context = kNoContext;
-  /// 0 = the relaxer's configured top_k.
-  size_t top_k = 0;
-};
-
 /// The online query relaxation engine (Algorithm 2 + Equation 5).
 ///
 /// Borrows the external DAG (with shortcut edges applied), the ingestion
@@ -122,15 +112,6 @@ class QueryRelaxer {
   /// its thread's scratch across its share of the batch.
   [[nodiscard]] std::vector<RelaxationOutcome> RelaxBatch(
       std::span<const ConceptQuery> queries, unsigned num_threads = 0) const;
-
-  /// Serving-drain form: relaxes the prepared queries sequentially on the
-  /// calling thread's scratch, re-anchored once for the batch, so
-  /// consecutive same-concept requests of a drained group share the
-  /// query's upward sweep (the engine's SetSource early-out). Outcomes
-  /// are in input order and identical to per-query RelaxConceptWithK
-  /// calls.
-  [[nodiscard]] std::vector<RelaxationOutcome> RelaxBatch(
-      std::span<const PreparedQuery> queries) const;
 
   /// The underlying similarity model (exposed for diagnostics and tests).
   [[nodiscard]]

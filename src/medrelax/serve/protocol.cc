@@ -37,6 +37,13 @@ Verb ParseVerb(std::string_view token) {
   return Verb::kUnknown;
 }
 
+VerbLine SplitVerb(std::string_view line) {
+  VerbLine split;
+  split.verb = NextToken(&line);
+  split.args = line;
+  return split;
+}
+
 Result<uint64_t> ParseProtocolCount(std::string_view text,
                                     std::string_view what) {
   if (text.empty()) {

@@ -38,6 +38,14 @@ enum class Verb {
 /// line). Verbs are case-sensitive, as they always were.
 [[nodiscard]] Verb ParseVerb(std::string_view token);
 
+/// A line split into its first whitespace-delimited word (read the way
+/// `std::istream >> token` reads it) and the text after that word.
+struct VerbLine {
+  std::string_view verb;
+  std::string_view args;
+};
+[[nodiscard]] VerbLine SplitVerb(std::string_view line);
+
 /// Parsed form of one `RELAX [k=N] [timeout_ms=N] [ctx=LABEL] <term...>`
 /// argument list, before any snapshot-dependent resolution (context
 /// labels resolve against the live snapshot in the server, never here).

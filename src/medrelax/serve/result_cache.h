@@ -137,9 +137,7 @@ struct CacheKey {
 /// the shard.
 [[nodiscard]] uint64_t HashCacheKey(const CacheKey& key);
 
-/// Hash functor over CacheKey for unordered containers keyed by answer
-/// identity — the cache shards below and the service's single-flight
-/// in-flight table share it.
+/// Hash functor over CacheKey for the cache shards' index below.
 struct CacheKeyHash {
   size_t operator()(const CacheKey& key) const {
     return static_cast<size_t>(HashCacheKey(key));
@@ -157,8 +155,8 @@ struct ResultCacheOptions {
   /// are sized so their sum never exceeds this value.
   size_t capacity = 4096;
   /// Lock shards (rounded up to a power of two, then clamped so tiny
-  /// capacities still respect the global bound) so concurrent workers
-  /// rarely contend on one mutex.
+  /// capacities still respect the global bound) so concurrent callers
+  /// (the event loops) rarely contend on one mutex.
   size_t num_shards = 8;
   /// Eviction policy (CachePolicy above). The decayed-activity
   /// default keeps the hot set resident under skewed scan-polluted

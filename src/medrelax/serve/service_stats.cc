@@ -18,25 +18,12 @@ size_t LatencyBucket(uint64_t latency_ns) {
 
 }  // namespace
 
-void ServiceStats::RecordAdmitted(size_t queue_depth) {
+void ServiceStats::RecordRequest() {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t depth = static_cast<uint64_t>(queue_depth);
-  uint64_t seen = queue_depth_high_water_.load(std::memory_order_relaxed);
-  while (depth > seen && !queue_depth_high_water_.compare_exchange_weak(
-                             seen, depth, std::memory_order_relaxed)) {
-  }
-}
-
-void ServiceStats::RecordRejectedQueueFull() {
-  rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServiceStats::RecordRejectedDeadline() {
   rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ServiceStats::RecordRejectedShutdown() {
-  rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServiceStats::RecordCompleted(bool cache_hit, uint64_t latency_ns) {
@@ -45,18 +32,6 @@ void ServiceStats::RecordCompleted(bool cache_hit, uint64_t latency_ns) {
       .fetch_add(1, std::memory_order_relaxed);
   latency_buckets_[LatencyBucket(latency_ns)].fetch_add(
       1, std::memory_order_relaxed);
-}
-
-void ServiceStats::RecordCoalesced() {
-  coalesced_hits_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ServiceStats::RecordInflightDepth(size_t depth) {
-  uint64_t now = static_cast<uint64_t>(depth);
-  uint64_t seen = inflight_peak_.load(std::memory_order_relaxed);
-  while (now > seen && !inflight_peak_.compare_exchange_weak(
-                           seen, now, std::memory_order_relaxed)) {
-  }
 }
 
 void ServiceStats::RecordRelaxStats(const RelaxStats& stats) {
@@ -107,15 +82,8 @@ ServiceStatsSnapshot ServiceStats::Snapshot() const {
   snap.completed = completed_.load(std::memory_order_relaxed);
   snap.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   snap.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  snap.coalesced_hits = coalesced_hits_.load(std::memory_order_relaxed);
-  snap.inflight_peak = inflight_peak_.load(std::memory_order_relaxed);
-  snap.rejected_queue_full =
-      rejected_queue_full_.load(std::memory_order_relaxed);
   snap.rejected_deadline = rejected_deadline_.load(std::memory_order_relaxed);
-  snap.rejected_shutdown = rejected_shutdown_.load(std::memory_order_relaxed);
   snap.failed = failed_.load(std::memory_order_relaxed);
-  snap.queue_depth_high_water =
-      queue_depth_high_water_.load(std::memory_order_relaxed);
   snap.snapshot_swaps = snapshot_swaps_.load(std::memory_order_relaxed);
   snap.reloads_completed =
       reloads_completed_.load(std::memory_order_relaxed);
@@ -146,18 +114,8 @@ std::string ServiceStatsSnapshot::ToString(bool deterministic_only) const {
   out += StrFormat("completed=%zu\n", static_cast<size_t>(completed));
   out += StrFormat("cache_hits=%zu\n", static_cast<size_t>(cache_hits));
   out += StrFormat("cache_misses=%zu\n", static_cast<size_t>(cache_misses));
-  // Deterministic in a closed-loop scripted session: one request is in the
-  // system at a time, so coalescing never fires and the in-flight table
-  // peaks at exactly one leader per miss.
-  out += StrFormat("coalesced_hits=%zu\n",
-                   static_cast<size_t>(coalesced_hits));
-  out += StrFormat("inflight_peak=%zu\n", static_cast<size_t>(inflight_peak));
-  out += StrFormat("rejected_queue_full=%zu\n",
-                   static_cast<size_t>(rejected_queue_full));
   out += StrFormat("rejected_deadline=%zu\n",
                    static_cast<size_t>(rejected_deadline));
-  out += StrFormat("rejected_shutdown=%zu\n",
-                   static_cast<size_t>(rejected_shutdown));
   out += StrFormat("failed=%zu\n", static_cast<size_t>(failed));
   out += StrFormat("snapshot_swaps=%zu\n",
                    static_cast<size_t>(snapshot_swaps));
@@ -170,8 +128,6 @@ std::string ServiceStatsSnapshot::ToString(bool deterministic_only) const {
   out += StrFormat("activity_evictions=%zu\n",
                    static_cast<size_t>(activity_evictions));
   if (deterministic_only) return out;
-  out += StrFormat("queue_depth_high_water=%zu\n",
-                   static_cast<size_t>(queue_depth_high_water));
   // Wall-clock, so excluded from the deterministic subset like the
   // latency histogram below.
   out += StrFormat("image_load_us=%zu\n", static_cast<size_t>(image_load_us));

@@ -19,21 +19,12 @@ struct ServiceStatsSnapshot {
   /// unbounded). Covers 1 us .. ~32 s.
   static constexpr size_t kLatencyBuckets = 16;
 
-  uint64_t requests = 0;          ///< admitted into the queue
+  uint64_t requests = 0;          ///< Relax calls with a valid timeout
   uint64_t completed = 0;         ///< answered (hit or computed)
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;      ///< answered by running the relaxer
-  /// Answered by attaching to an identical in-flight computation
-  /// (single-flight dedup); every coalesced answer is also a cache_hit,
-  /// so cache_hits + cache_misses == completed stays an invariant.
-  uint64_t coalesced_hits = 0;
-  /// High-water mark of concurrent in-flight computations (leaders).
-  uint64_t inflight_peak = 0;
-  uint64_t rejected_queue_full = 0;
-  uint64_t rejected_deadline = 0; ///< expired before a worker got to them
-  uint64_t rejected_shutdown = 0;
+  uint64_t rejected_deadline = 0; ///< expired before relaxation
   uint64_t failed = 0;            ///< mapping/validation errors
-  uint64_t queue_depth_high_water = 0;
   uint64_t snapshot_swaps = 0;
   /// RELOADs that produced and published a new snapshot (failed reloads
   /// leave the counter alone — the old generation keeps serving).
@@ -86,18 +77,11 @@ class ServiceStats {
   ServiceStats(const ServiceStats&) = delete;
   ServiceStats& operator=(const ServiceStats&) = delete;
 
-  /// A request entered the queue, which now holds `queue_depth` entries.
-  void RecordAdmitted(size_t queue_depth);
-  void RecordRejectedQueueFull();
+  /// A request passed its timeout check and is being served.
+  void RecordRequest();
   void RecordRejectedDeadline();
-  void RecordRejectedShutdown();
-  /// A request was answered; `latency_ns` is submit-to-answer wall time.
+  /// A request was answered; `latency_ns` is receipt-to-answer wall time.
   void RecordCompleted(bool cache_hit, uint64_t latency_ns);
-  /// A request attached to an identical in-flight computation instead of
-  /// running the relaxer (single-flight dedup).
-  void RecordCoalesced();
-  /// The in-flight table grew to `depth` concurrent computations.
-  void RecordInflightDepth(size_t depth);
   /// Relaxer instrumentation of one computed (cache-miss) answer.
   void RecordRelaxStats(const RelaxStats& stats) MEDRELAX_EXCLUDES(relax_mu_);
   void RecordFailed();
@@ -128,13 +112,8 @@ class ServiceStats {
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
-  std::atomic<uint64_t> coalesced_hits_{0};
-  std::atomic<uint64_t> inflight_peak_{0};
-  std::atomic<uint64_t> rejected_queue_full_{0};
   std::atomic<uint64_t> rejected_deadline_{0};
-  std::atomic<uint64_t> rejected_shutdown_{0};
   std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> queue_depth_high_water_{0};
   std::atomic<uint64_t> snapshot_swaps_{0};
   std::atomic<uint64_t> reloads_completed_{0};
   std::atomic<uint64_t> image_load_us_{0};

@@ -10,8 +10,14 @@
 //    connection cap, and (for the tsan preset) connection churn from
 //    several client threads racing cross-thread Post()s against the
 //    loop thread.
+//
+//  * LineServer over adopted socketpairs with loop threads running —
+//    the fairness guarantees of run-to-completion serving: a slow line
+//    stalls only its own loop, and a pipelining client gets one line per
+//    turn, so its loop neighbours are still answered promptly.
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -28,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include "medrelax/common/string_util.h"
 #include "medrelax/net/connection.h"
 #include "medrelax/net/event_loop.h"
 #include "medrelax/net/line_server.h"
@@ -472,6 +479,159 @@ TEST(NetLineServer, ConnectionChurnRacesCrossThreadPosts) {
   EXPECT_GT(echoes.load(), 0);
   EXPECT_EQ(server.stats().accepted,
             server.stats().closed + server.num_connections());
+}
+
+
+/// A connected socketpair: `client` blocking with a 5 s receive timeout,
+/// `server` non-blocking, ready for LineServer::Adopt.
+struct SocketPair {
+  int client = -1;
+  int server = -1;
+};
+
+SocketPair MakeSocketPair() {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(0, socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds));
+  EXPECT_EQ(0, fcntl(fds[1], F_SETFL, O_NONBLOCK));
+  timeval tv{};
+  tv.tv_sec = 5;
+  setsockopt(fds[0], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return SocketPair{fds[0], fds[1]};
+}
+
+void SendAll(int fd, const std::string& data) {
+  size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n =
+        send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    off += static_cast<size_t>(n);
+  }
+}
+
+/// Stops `loops` after their threads ran them, joins, and drains what
+/// the stop cut off (deferred erases) on this thread.
+void StopLoops(const std::vector<EventLoop*>& loops,
+               std::vector<std::thread>* threads) {
+  for (EventLoop* loop : loops) loop->Stop();
+  for (std::thread& thread : *threads) thread.join();
+  for (EventLoop* loop : loops) {
+    while (loop->RunOnce(/*timeout_ms=*/0) > 0) {
+    }
+  }
+}
+
+TEST(NetLineServer, SlowLineOnOneLoopDoesNotDelayAnother) {
+  EventLoop loop_a;
+  EventLoop loop_b;
+  LineServer server({&loop_a, &loop_b});
+  LineServerOptions options;
+  options.greeting = "hi\n";
+  std::atomic<bool> slow_started{false};
+  LineServer::Callbacks callbacks;
+  // Test-only handler: "slow" holds its loop for 1.5 s, as a pathological
+  // request would; everything else is answered at once.
+  callbacks.on_line = [&slow_started](Connection& conn,
+                                      const std::string& line) {
+    if (line == "slow") {
+      slow_started.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    }
+    conn.Send(StrFormat("done %s\n", line.c_str()));
+  };
+  ASSERT_TRUE(server.Start(options, std::move(callbacks)).ok());
+  std::vector<std::thread> threads;
+  threads.emplace_back([&loop_a] { loop_a.Run(); });
+  threads.emplace_back([&loop_b] { loop_b.Run(); });
+
+  // Dealt round-robin: the first connection lands on loop A, the second
+  // on loop B.
+  const SocketPair on_a = MakeSocketPair();
+  const SocketPair on_b = MakeSocketPair();
+  server.Adopt(on_a.server);
+  server.Adopt(on_b.server);
+  std::string line;
+  ASSERT_TRUE(RecvLine(on_a.client, &line));
+  ASSERT_TRUE(RecvLine(on_b.client, &line));
+
+  SendAll(on_a.client, "slow\n");
+  while (!slow_started.load()) std::this_thread::yield();
+  const auto start = std::chrono::steady_clock::now();
+  SendAll(on_b.client, "fast\n");
+  ASSERT_TRUE(RecvLine(on_b.client, &line));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ("done fast", line);
+  EXPECT_LT(waited, std::chrono::milliseconds(1000))
+      << "loop B waited on loop A's slow line";
+  ASSERT_TRUE(RecvLine(on_a.client, &line));
+  EXPECT_EQ("done slow", line);
+
+  close(on_a.client);
+  close(on_b.client);
+  StopLoops({&loop_a, &loop_b}, &threads);
+}
+
+TEST(NetLineServer, PipeliningClientDoesNotStarveItsLoopNeighbour) {
+  EventLoop loop;
+  LineServer server(loop);
+  LineServerOptions options;
+  options.greeting = "hi\n";
+  constexpr size_t kPipelined = 1000;
+  std::atomic<size_t> pipelined_served{0};
+  std::atomic<size_t> served_before_neighbour{0};
+  LineServer::Callbacks callbacks;
+  // Every pipelined line costs 200 us of loop time, like a cheap RELAX.
+  callbacks.on_line = [&](Connection& conn, const std::string& line) {
+    if (line == "NEIGHBOUR") {
+      served_before_neighbour.store(pipelined_served.load());
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      pipelined_served.fetch_add(1);
+    }
+    conn.Send(StrFormat("ok %s\n", line.c_str()));
+  };
+  ASSERT_TRUE(server.Start(options, std::move(callbacks)).ok());
+  std::vector<std::thread> threads;
+  threads.emplace_back([&loop] { loop.Run(); });
+
+  const SocketPair piper = MakeSocketPair();
+  const SocketPair neighbour = MakeSocketPair();
+  server.Adopt(piper.server);
+  server.Adopt(neighbour.server);
+  std::string line;
+  ASSERT_TRUE(RecvLine(piper.client, &line));
+  ASSERT_TRUE(RecvLine(neighbour.client, &line));
+
+  // The piper writes all its lines at once and reads the replies on its
+  // own thread, so its input is always queued ahead of the neighbour's.
+  std::thread pipe_reader([&piper] {
+    std::string reply;
+    for (size_t i = 0; i < kPipelined; ++i) {
+      if (!RecvLine(piper.client, &reply)) return;
+    }
+  });
+  std::string pipelined;
+  for (size_t i = 0; i < kPipelined; ++i) {
+    pipelined += "RELAX disorder of kidney " + std::to_string(i) + "\n";
+  }
+  SendAll(piper.client, pipelined);
+  while (pipelined_served.load() < 50) std::this_thread::yield();
+
+  const size_t sent_at = pipelined_served.load();
+  SendAll(neighbour.client, "NEIGHBOUR\n");
+  ASSERT_TRUE(RecvLine(neighbour.client, &line));
+  EXPECT_EQ("ok NEIGHBOUR", line);
+  // One line per connection per turn: the neighbour's line is read in the
+  // first turn after it arrived, so at most a couple of the piper's lines
+  // can be served in between — not the ~950 still buffered.
+  EXPECT_LE(served_before_neighbour.load(), sent_at + 4)
+      << "the pipelining client starved its neighbour";
+
+  pipe_reader.join();
+  EXPECT_EQ(kPipelined, pipelined_served.load());
+  close(piper.client);
+  close(neighbour.client);
+  StopLoops({&loop}, &threads);
 }
 
 }  // namespace

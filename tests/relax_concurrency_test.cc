@@ -250,8 +250,8 @@ TEST(Concurrency, ThreadScratchDoesNotCarryAnchorAcrossDags) {
       (void)big_relaxer.RelaxConcept(q, kNoContext);
       single.push_back(small_relaxer.RelaxConcept(q, kNoContext));
       (void)big_relaxer.RelaxConcept(q, kNoContext);
-      const PreparedQuery prepared[] = {{q, kNoContext, 0}};
-      batch.push_back(small_relaxer.RelaxBatch(prepared).front());
+      const ConceptQuery query[] = {{q, kNoContext}};
+      batch.push_back(small_relaxer.RelaxBatch(query, 1).front());
     }
   }).join();
 

@@ -477,37 +477,6 @@ TEST(Relaxer, RelaxBatchMatchesSequential) {
   }
 }
 
-TEST(Relaxer, PreparedBatchMatchesIndividualRelaxationsAndHonorsK) {
-  RelaxWorld w = MakeRelaxWorld();
-  QueryRelaxer relaxer(&w.fx.dag, &w.ingestion, w.matcher.get(),
-                       SimilarityOptions{}, RelaxationOptions{});
-  // Mixed per-query k (0 = the configured default) and a duplicate, the
-  // shape the serving layer's batch drain produces.
-  std::vector<PreparedQuery> queries = {
-      {w.fx.ckd_stage1_due_to_hypertension, 0, 0},
-      {w.fx.ckd_stage1_due_to_hypertension, 0, 2},
-      {w.fx.kidney_disease, 0, 0},
-      {w.fx.ckd_stage1_due_to_hypertension, 0, 0},
-  };
-  std::vector<RelaxationOutcome> batch = relaxer.RelaxBatch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const size_t k = queries[i].top_k != 0 ? queries[i].top_k
-                                           : relaxer.options().top_k;
-    RelaxationOutcome seq = relaxer.RelaxConceptWithK(
-        queries[i].concept_id, queries[i].context, k);
-    EXPECT_EQ(batch[i].query_concept, seq.query_concept);
-    EXPECT_EQ(batch[i].effective_radius, seq.effective_radius);
-    ASSERT_EQ(batch[i].concepts.size(), seq.concepts.size()) << "query " << i;
-    for (size_t j = 0; j < seq.concepts.size(); ++j) {
-      EXPECT_EQ(batch[i].concepts[j].concept_id, seq.concepts[j].concept_id);
-      EXPECT_DOUBLE_EQ(batch[i].concepts[j].similarity,
-                       seq.concepts[j].similarity);
-    }
-    EXPECT_EQ(batch[i].instances, seq.instances) << "query " << i;
-  }
-}
-
 TEST(Relaxer, StatsReportCandidatesAndCacheTraffic) {
   RelaxWorld w = MakeRelaxWorld();
   QueryRelaxer relaxer(&w.fx.dag, &w.ingestion, w.matcher.get(),

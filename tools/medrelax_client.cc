@@ -18,14 +18,13 @@
 //       With --replay FILE the request stream is a session replay: every
 //       session cycles through FILE's command lines in order (blank and
 //       '#' lines skipped), so a recorded session with repeated or
-//       correlated keys reproduces the duplicate-heavy mix that
-//       exercises the server's single-flight coalescing and batch drain
-//       (docs/SERVING.md "Coalescing & batching"). With --zipf THETA the
-//       replay lines are not cycled in order: each request draws a line
-//       by Zipf(THETA) popularity rank (line 1 of FILE is the hottest),
-//       from a per-session mt19937 seeded with S + session index — the
-//       skewed-popularity mix the result cache's activity policy is
-//       built for (scripts/server_smoke.sh "cache-stress"). Prints
+//       correlated keys reproduces a duplicate-heavy mix. With
+//       --zipf THETA the replay lines are not cycled in order: each
+//       request draws a line by Zipf(THETA) popularity rank (line 1 of
+//       FILE is the hottest), from a per-session mt19937 seeded with
+//       S + session index — the skewed-popularity mix the result
+//       cache's activity policy is built for (scripts/server_smoke.sh
+//       "cache-stress"). Prints
 //       "ok load requests=N answered=A errors=E" on stdout. Timing goes
 //       to stderr so stdout stays machine-diffable: wall time and
 //       throughput, then the p50/p99/p999/max of every reply's
