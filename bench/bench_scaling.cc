@@ -184,7 +184,7 @@ struct HubWorld {
 
 std::unique_ptr<HubWorld> BuildHubWorld(size_t num_concepts) {
   auto w = std::make_unique<HubWorld>();
-  ConceptDag& dag = w->dag;
+  ConceptDagBuilder dag;
   std::vector<ConceptId> parent_of;
   auto add = [&](ConceptId parent) {
     const ConceptId id = *dag.AddConcept(StrFormat("c%zu", parent_of.size()));
@@ -204,6 +204,7 @@ std::unique_ptr<HubWorld> BuildHubWorld(size_t num_concepts) {
   w->query = add(below);
   flagged.push_back(w->query);
   while (parent_of.size() < num_concepts) w->far = add(hub);
+  w->dag = std::move(dag).Build();
 
   // One context; raw frequency = reflexive descendant count, normalized
   // at the root (Equation 2's propagation on a tree).

@@ -51,6 +51,7 @@
 #include "medrelax/common/string_util.h"
 #include "medrelax/datasets/kb_generator.h"
 #include "medrelax/datasets/snomed_generator.h"
+#include "medrelax/flat/image_view.h"
 #include "medrelax/matching/edit_matcher.h"
 #include "medrelax/matching/name_index.h"
 #include "medrelax/serve/relaxation_service.h"
@@ -506,8 +507,13 @@ BENCHMARK(BM_ServingSkewedMix)
 // Offline-image pipeline headline: BM_SnapshotBuild is the full offline
 // phase (Algorithm 1 + mapper + relaxer wiring) on a 64k-concept world;
 // BM_SnapshotLoadImage boots the identical serving state from the flat
-// image medrelax_ingest freezes. Their ratio is the O(1)-RELOAD claim —
-// the serving layer gates on load >= 50x faster than build.
+// image medrelax_ingest freezes, and BM_ImageOpenValidate only maps the
+// image and checks its checksum and directory, the floor under any load.
+// BM_SnapshotLoadImage's counter load_vs_validate divides the
+// open-and-validate time by the full load time, medians of one
+// interleaved run: 1.0 would mean a load costs nothing past the
+// checksum. CI floors it, so decoded copies cannot creep back into the
+// load path.
 
 Result<GeneratedWorld> BigWorld() {
   SnomedGeneratorOptions eks;
@@ -563,20 +569,63 @@ void BM_SnapshotBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotBuild)->Unit(benchmark::kMillisecond);
 
-void BM_SnapshotLoadImage(benchmark::State& state) {
+void BM_ImageOpenValidate(benchmark::State& state) {
   const std::string& path = BigImagePath();
   if (path.empty()) {
     state.SkipWithError("image ingest failed");
     return;
   }
   for (auto _ : state) {
+    Result<std::unique_ptr<flat::FlatImageView>> image =
+        flat::FlatImageView::Open(path);
+    benchmark::DoNotOptimize(image);
+    if (!image.ok()) {
+      state.SkipWithError("image open failed");
+      return;
+    }
+  }
+  state.SetLabel("concepts=64k");
+}
+BENCHMARK(BM_ImageOpenValidate)->Unit(benchmark::kMillisecond);
+
+void BM_SnapshotLoadImage(benchmark::State& state) {
+  const std::string& path = BigImagePath();
+  if (path.empty()) {
+    state.SkipWithError("image ingest failed");
+    return;
+  }
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> open_ns;
+  std::vector<double> load_ns;
+  for (auto _ : state) {
+    // The open-and-validate twin runs off the bench clock, interleaved
+    // with the timed loads so both see the same machine state.
+    state.PauseTiming();
+    const Clock::time_point open_start = Clock::now();
+    {
+      Result<std::unique_ptr<flat::FlatImageView>> image =
+          flat::FlatImageView::Open(path);
+      benchmark::DoNotOptimize(image);
+    }
+    open_ns.push_back(
+        static_cast<double>((Clock::now() - open_start).count()));
+    state.ResumeTiming();
+    const Clock::time_point load_start = Clock::now();
     Result<std::shared_ptr<Snapshot>> mapped = Snapshot::LoadFromImage(path);
     benchmark::DoNotOptimize(mapped);
+    load_ns.push_back(
+        static_cast<double>((Clock::now() - load_start).count()));
     if (!mapped.ok()) {
       state.SkipWithError("image load failed");
       return;
     }
   }
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double load = median(load_ns);
+  state.counters["load_vs_validate"] = load > 0 ? median(open_ns) / load : 0;
   state.SetLabel("concepts=64k");
 }
 BENCHMARK(BM_SnapshotLoadImage)->Unit(benchmark::kMillisecond);

@@ -82,7 +82,7 @@ int main() {
   }
   for (const DagEdge& e :
        fig5->dag.parents(fig5->ckd_stage1_due_to_hypertension)) {
-    if (e.target == fig5->kidney_disease && e.is_shortcut) {
+    if (e.target == fig5->kidney_disease && e.is_shortcut()) {
       direct_edge = true;
       preserved = e.original_distance;
     }

@@ -20,11 +20,12 @@ int main() {
   // Figure 5's external DAG, extended with the pyelectasia leaf.
   Result<Figure5Fixture> fx = BuildFigure5Fixture();
   if (!fx.ok()) return 1;
-  ConceptId pyelectasia = *fx->dag.AddConcept("pyelectasia");
-  if (!fx->dag.AddSubsumption(pyelectasia, fx->hypertensive_nephropathy)
-           .ok()) {
+  ConceptDagBuilder dag(fx->dag);
+  ConceptId pyelectasia = *dag.AddConcept("pyelectasia");
+  if (!dag.AddSubsumption(pyelectasia, fx->hypertensive_nephropathy).ok()) {
     return 1;
   }
+  fx->dag = std::move(dag).Build();
 
   // Figure 1's ontology with a small ABox: aspirin treats + risks kidney
   // disease.

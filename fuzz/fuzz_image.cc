@@ -1,9 +1,14 @@
 // libFuzzer harness for the flat snapshot image pipeline: each input is
 // written to a scratch file and pushed through the full
-// Open -> validate -> decode path (flat/image_view.cc +
-// flat/snapshot_codec.cc), exactly what a RELOAD <path> executes on
-// operator-supplied bytes. Any outcome is fine except a crash or UB —
-// corruption must always surface as a typed Status.
+// Open -> validate -> load path (flat/image_view.cc,
+// flat/snapshot_codec.cc, serve/snapshot.cc), exactly what a
+// RELOAD <path> executes on operator-supplied bytes. A snapshot that
+// loads reads its DAG, names and name index in place from the mapping,
+// so the harness then does what a request does with them: an exact
+// lookup, a typo lookup through the trigram postings and length
+// buckets, a mapping, and one relaxation. Any outcome is fine except a
+// crash or UB — corruption must always surface as a typed Status at
+// load, never as a bad read at lookup time.
 //
 // The custom mutator keeps inputs plausible enough to reach the deep
 // checks: libFuzzer mutates freely, then the header is re-stamped with
@@ -18,11 +23,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 
+#include "medrelax/common/checksum.h"
 #include "medrelax/flat/format.h"
-#include "medrelax/flat/snapshot_codec.h"
+#include "medrelax/serve/snapshot.h"
 
 namespace {
 
@@ -44,9 +51,23 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       size == 0 || std::fwrite(data, 1, size, out) == size;
   if (std::fclose(out) != 0 || !written) return 0;
 
-  medrelax::Result<medrelax::flat::DecodedSnapshotImage> decoded =
-      medrelax::flat::ReadSnapshotImage(ScratchPath());
-  (void)decoded;
+  medrelax::Result<std::shared_ptr<medrelax::Snapshot>> loaded =
+      medrelax::Snapshot::LoadFromImage(ScratchPath());
+  if (!loaded.ok()) return 0;
+  const medrelax::Snapshot& snap = **loaded;
+  const medrelax::NameIndex& index = snap.name_index();
+  if (index.entries().size() > 0) {
+    const std::string surface(index.entries()[0].surface);
+    (void)index.FindExact(surface);
+    // One edit off the first surface: reaches the postings (long
+    // surfaces) or the length buckets (short ones).
+    const std::string typo = surface + "q";
+    (void)index.CandidatesWithin(typo, 2);
+    (void)snap.mapper().Map(typo);
+  }
+  if (snap.dag().num_concepts() > 0) {
+    (void)snap.relaxer().RelaxConceptWithK(0, medrelax::kNoContext, 3);
+  }
   return 0;
 }
 
@@ -68,7 +89,7 @@ extern "C" size_t LLVMFuzzerCustomMutator(uint8_t* data, size_t size,
   header.version = medrelax::flat::kImageVersion;
   header.endian = medrelax::flat::kEndianMarker;
   header.file_size = new_size;
-  header.payload_checksum = medrelax::flat::FnvChecksum(
+  header.payload_checksum = medrelax::FnvChecksum(
       std::span<const std::byte>(
           reinterpret_cast<const std::byte*>(data) + sizeof(ImageHeader),
           new_size - sizeof(ImageHeader)));

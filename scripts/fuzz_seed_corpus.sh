@@ -48,6 +48,10 @@ mkdir -p "${WORK}/world"
   >/dev/null
 "${INGEST}" "${WORK}/world" "${OUT}/fuzz_image/seed_world11.img" --exact \
   >/dev/null
+# And the same world with the edit-distance mapper, whose image also
+# carries the trigram postings and length buckets.
+"${INGEST}" "${WORK}/world" "${OUT}/fuzz_image/seed_world11_edit.img" \
+  >/dev/null
 cp "${WORK}/world/eks.tsv" "${OUT}/fuzz_textio/seed_eks11.tsv"
 cp "${WORK}/world/kb.tsv" "${OUT}/fuzz_textio/seed_kb11.tsv"
 

@@ -71,7 +71,7 @@ Corpus GenerateMonographCorpus(const GeneratedWorld& world,
       // Mention generalizations so Equation 2's propagation has direct
       // corpus mass at inner concepts too.
       for (const DagEdge& e : dag.parents(concept_id)) {
-        if (e.is_shortcut) continue;
+        if (e.is_shortcut()) continue;
         if (rng.Bernoulli(options.ancestor_mention_prob)) {
           AppendPhrase(&section.tokens, dag.name(e.target));
           AppendFiller(&section.tokens, 1 + rng.UniformU64(3),

@@ -240,7 +240,7 @@ Result<GeneratedWorld> GenerateWorld(const SnomedGeneratorOptions& eks_options,
     weights[pick] = 0.0;  // sample without replacement
     std::string surface = dag.name(concept_id);
     if (rng.Bernoulli(kb_options.name_noise_rate)) {
-      const std::vector<std::string>& syns = dag.synonyms(concept_id);
+      const StringTableView syns = dag.synonyms(concept_id);
       if (!syns.empty() && rng.Bernoulli(0.5)) {
         surface = syns[rng.UniformU64(syns.size())];
       } else {

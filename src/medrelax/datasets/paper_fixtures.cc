@@ -38,35 +38,36 @@ Result<DomainOntology> BuildFigure1Ontology() {
 
 Result<Figure4Fixture> BuildFigure4Fixture() {
   Figure4Fixture fx;
-  MEDRELAX_ASSIGN_OR_RETURN(fx.root, fx.dag.AddConcept("snomed ct concept"));
+  ConceptDagBuilder fx_dag;
+  MEDRELAX_ASSIGN_OR_RETURN(fx.root, fx_dag.AddConcept("snomed ct concept"));
   MEDRELAX_ASSIGN_OR_RETURN(ConceptId clinical_finding,
-                            fx.dag.AddConcept("clinical finding"));
-  MEDRELAX_ASSIGN_OR_RETURN(ConceptId pain, fx.dag.AddConcept("pain"));
+                            fx_dag.AddConcept("clinical finding"));
+  MEDRELAX_ASSIGN_OR_RETURN(ConceptId pain, fx_dag.AddConcept("pain"));
   MEDRELAX_ASSIGN_OR_RETURN(fx.pain_of_head_and_neck_region,
-                            fx.dag.AddConcept("pain of head and neck region"));
+                            fx_dag.AddConcept("pain of head and neck region"));
   MEDRELAX_ASSIGN_OR_RETURN(fx.craniofacial_pain,
-                            fx.dag.AddConcept("craniofacial pain"));
+                            fx_dag.AddConcept("craniofacial pain"));
   MEDRELAX_ASSIGN_OR_RETURN(fx.pain_in_throat,
-                            fx.dag.AddConcept("pain in throat"));
-  MEDRELAX_ASSIGN_OR_RETURN(fx.headache, fx.dag.AddConcept("headache"));
+                            fx_dag.AddConcept("pain in throat"));
+  MEDRELAX_ASSIGN_OR_RETURN(fx.headache, fx_dag.AddConcept("headache"));
   MEDRELAX_ASSIGN_OR_RETURN(fx.frequent_headache,
-                            fx.dag.AddConcept("frequent headache"));
+                            fx_dag.AddConcept("frequent headache"));
 
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSynonym(fx.headache, "cephalalgia"));
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSynonym(fx.pain_in_throat, "sore throat"));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSynonym(fx.headache, "cephalalgia"));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSynonym(fx.pain_in_throat, "sore throat"));
 
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(clinical_finding, fx.root));
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(pain, clinical_finding));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(clinical_finding, fx.root));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(pain, clinical_finding));
   MEDRELAX_RETURN_NOT_OK(
-      fx.dag.AddSubsumption(fx.pain_of_head_and_neck_region, pain));
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(
+      fx_dag.AddSubsumption(fx.pain_of_head_and_neck_region, pain));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(
       fx.craniofacial_pain, fx.pain_of_head_and_neck_region));
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(
       fx.pain_in_throat, fx.pain_of_head_and_neck_region));
   MEDRELAX_RETURN_NOT_OK(
-      fx.dag.AddSubsumption(fx.headache, fx.craniofacial_pain));
+      fx_dag.AddSubsumption(fx.headache, fx.craniofacial_pain));
   MEDRELAX_RETURN_NOT_OK(
-      fx.dag.AddSubsumption(fx.frequent_headache, fx.headache));
+      fx_dag.AddSubsumption(fx.frequent_headache, fx.headache));
 
   // Figure 4's printed Indication-context numbers: 18878 + 283 + 3 = 19164.
   fx.indication_direct_counts = {
@@ -81,72 +82,77 @@ Result<Figure4Fixture> BuildFigure4Fixture() {
       {fx.pain_in_throat, 153.0},
       {fx.pain_of_head_and_neck_region, 3.0},
   };
+  fx.dag = std::move(fx_dag).Build();
   return fx;
 }
 
 Result<Figure5Fixture> BuildFigure5Fixture() {
   Figure5Fixture fx;
-  MEDRELAX_ASSIGN_OR_RETURN(fx.root, fx.dag.AddConcept("snomed ct concept"));
+  ConceptDagBuilder fx_dag;
+  MEDRELAX_ASSIGN_OR_RETURN(fx.root, fx_dag.AddConcept("snomed ct concept"));
   MEDRELAX_ASSIGN_OR_RETURN(ConceptId clinical_finding,
-                            fx.dag.AddConcept("clinical finding"));
+                            fx_dag.AddConcept("clinical finding"));
   MEDRELAX_ASSIGN_OR_RETURN(ConceptId disorder,
-                            fx.dag.AddConcept("disorder of body system"));
+                            fx_dag.AddConcept("disorder of body system"));
   MEDRELAX_ASSIGN_OR_RETURN(fx.kidney_disease,
-                            fx.dag.AddConcept("kidney disease"));
+                            fx_dag.AddConcept("kidney disease"));
   MEDRELAX_ASSIGN_OR_RETURN(fx.hypertensive_renal_disease,
-                            fx.dag.AddConcept("hypertensive renal disease"));
+                            fx_dag.AddConcept("hypertensive renal disease"));
   MEDRELAX_ASSIGN_OR_RETURN(fx.hypertensive_nephropathy,
-                            fx.dag.AddConcept("hypertensive nephropathy"));
+                            fx_dag.AddConcept("hypertensive nephropathy"));
   MEDRELAX_ASSIGN_OR_RETURN(
       fx.ckd_stage1_due_to_hypertension,
-      fx.dag.AddConcept(
+      fx_dag.AddConcept(
           "chronic kidney disease stage 1 due to hypertension"));
 
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSynonym(fx.kidney_disease, "nephropathy"));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSynonym(fx.kidney_disease, "nephropathy"));
   MEDRELAX_RETURN_NOT_OK(
-      fx.dag.AddSynonym(fx.kidney_disease, "renal disease"));
+      fx_dag.AddSynonym(fx.kidney_disease, "renal disease"));
 
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(clinical_finding, fx.root));
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(disorder, clinical_finding));
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(fx.kidney_disease, disorder));
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(fx.hypertensive_renal_disease,
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(clinical_finding, fx.root));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(disorder, clinical_finding));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(fx.kidney_disease, disorder));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(fx.hypertensive_renal_disease,
                                                fx.kidney_disease));
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(
       fx.hypertensive_nephropathy, fx.hypertensive_renal_disease));
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(
       fx.ckd_stage1_due_to_hypertension, fx.hypertensive_nephropathy));
+  fx.dag = std::move(fx_dag).Build();
   return fx;
 }
 
 Result<Figure6Fixture> BuildFigure6Fixture() {
   Figure6Fixture fx;
-  MEDRELAX_ASSIGN_OR_RETURN(fx.root, fx.dag.AddConcept("snomed ct concept"));
+  ConceptDagBuilder fx_dag;
+  MEDRELAX_ASSIGN_OR_RETURN(fx.root, fx_dag.AddConcept("snomed ct concept"));
   // The apex the 4-hop path climbs to (3 generalizations from pneumonia,
   // 1 from lower respiratory tract infection).
   MEDRELAX_ASSIGN_OR_RETURN(
       ConceptId respiratory_disorder,
-      fx.dag.AddConcept("disorder of respiratory system"));
+      fx_dag.AddConcept("disorder of respiratory system"));
   MEDRELAX_ASSIGN_OR_RETURN(
       ConceptId lower_respiratory_disorder,
-      fx.dag.AddConcept("disorder of lower respiratory system"));
+      fx_dag.AddConcept("disorder of lower respiratory system"));
   MEDRELAX_ASSIGN_OR_RETURN(ConceptId lung_disease,
-                            fx.dag.AddConcept("disease of lung"));
-  MEDRELAX_ASSIGN_OR_RETURN(fx.pneumonia, fx.dag.AddConcept("pneumonia"));
+                            fx_dag.AddConcept("disease of lung"));
+  MEDRELAX_ASSIGN_OR_RETURN(fx.pneumonia, fx_dag.AddConcept("pneumonia"));
   MEDRELAX_ASSIGN_OR_RETURN(
       fx.lower_respiratory_tract_infection,
-      fx.dag.AddConcept("lower respiratory tract infection"));
+      fx_dag.AddConcept("lower respiratory tract infection"));
 
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(respiratory_disorder, fx.root));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(respiratory_disorder, fx.root));
   MEDRELAX_RETURN_NOT_OK(
-      fx.dag.AddSubsumption(lower_respiratory_disorder, respiratory_disorder));
+      fx_dag.AddSubsumption(lower_respiratory_disorder, respiratory_disorder));
   MEDRELAX_RETURN_NOT_OK(
-      fx.dag.AddSubsumption(lung_disease, lower_respiratory_disorder));
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(fx.pneumonia, lung_disease));
-  MEDRELAX_RETURN_NOT_OK(fx.dag.AddSubsumption(
+      fx_dag.AddSubsumption(lung_disease, lower_respiratory_disorder));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(fx.pneumonia, lung_disease));
+  MEDRELAX_RETURN_NOT_OK(fx_dag.AddSubsumption(
       fx.lower_respiratory_tract_infection, respiratory_disorder));
 
   fx.intermediates = {lung_disease, lower_respiratory_disorder,
                       respiratory_disorder};
+  fx.dag = std::move(fx_dag).Build();
   return fx;
 }
 

@@ -87,7 +87,7 @@ std::vector<MappingQuery> GenerateMappingQueries(
         q.surface = name;
         break;
       case SurfaceNoise::kSynonym: {
-        const std::vector<std::string>& syns = eks.dag.synonyms(gold);
+        const StringTableView syns = eks.dag.synonyms(gold);
         if (syns.empty()) {
           noise = SurfaceNoise::kExactName;
           q.surface = name;
@@ -203,7 +203,7 @@ std::vector<NlQuestion> GenerateNlQuestions(const GeneratedWorld& world,
     // participants "come up with" the questions; nobody types canonical
     // SNOMED names).
     q.term_surface = world.eks.dag.name(id);
-    const std::vector<std::string>& syns = world.eks.dag.synonyms(id);
+    const StringTableView syns = world.eks.dag.synonyms(id);
     if (!syns.empty() && rng.Bernoulli(options.colloquial_synonym)) {
       q.term_surface = syns[rng.UniformU64(syns.size())];
     } else if (rng.Bernoulli(options.colloquial_typo)) {

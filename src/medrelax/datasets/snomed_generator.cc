@@ -73,21 +73,22 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
         "GenerateSnomedLike: need at least 50 concepts");
   }
   GeneratedEks out;
+  ConceptDagBuilder out_dag;
   Rng rng(options.seed);
 
   auto add = [&](std::string name, ConceptId parent,
                  uint32_t parent_depth) -> Result<ConceptId> {
     // Enforce global uniqueness by suffixing a variant number on clash.
-    Result<ConceptId> made = out.dag.AddConcept(name);
+    Result<ConceptId> made = out_dag.AddConcept(name);
     int variant = 2;
     while (!made.ok()) {
-      made = out.dag.AddConcept(StrFormat("%s type %d", name.c_str(), variant));
+      made = out_dag.AddConcept(StrFormat("%s type %d", name.c_str(), variant));
       ++variant;
       if (variant > 64) return made.status();
     }
     ConceptId id = *made;
     if (parent != kInvalidConcept) {
-      MEDRELAX_RETURN_NOT_OK(out.dag.AddSubsumption(id, parent));
+      MEDRELAX_RETURN_NOT_OK(out_dag.AddSubsumption(id, parent));
     }
     out.depth.push_back(parent == kInvalidConcept ? 0 : parent_depth + 1);
     return id;
@@ -104,18 +105,18 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
   // --- Clinical-finding region: site disorders refined level by level. ---
   std::vector<Pending> frontier;
   for (const SitePair& site : kSites) {
-    if (out.dag.num_concepts() >= finding_budget) break;
+    if (out_dag.num_concepts() >= finding_budget) break;
     MEDRELAX_ASSIGN_OR_RETURN(
         ConceptId id,
         add(StrFormat("disorder of %s", site.noun), out.finding_root, 1));
     MEDRELAX_RETURN_NOT_OK(
-        out.dag.AddSynonym(id, StrFormat("%s disorder", site.latin)));
+        out_dag.AddSynonym(id, StrFormat("%s disorder", site.latin)));
     frontier.push_back({id, Stage::kCondition, site.noun,
                         StrFormat("disorder of %s", site.noun)});
   }
 
   size_t head = 0;
-  while (head < frontier.size() && out.dag.num_concepts() < finding_budget) {
+  while (head < frontier.size() && out_dag.num_concepts() < finding_budget) {
     Pending node = frontier[head++];
     uint32_t node_depth = out.depth[node.id];
     switch (node.stage) {
@@ -126,7 +127,7 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
         for (size_t i = 0; i < picks.size(); ++i) picks[i] = i;
         rng.Shuffle(&picks);
         for (size_t i = 0; i < n && i < picks.size(); ++i) {
-          if (out.dag.num_concepts() >= finding_budget) break;
+          if (out_dag.num_concepts() >= finding_budget) break;
           std::string name =
               StrFormat("%s of %s", kConditions[picks[i]], node.site.c_str());
           MEDRELAX_ASSIGN_OR_RETURN(ConceptId id,
@@ -134,10 +135,10 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
           // Latinate synonym ("renal infection") — only for the primary
           // variant: "type N" duplicates would otherwise share the synonym
           // and make exact-name mapping ambiguous.
-          if (out.dag.name(id) == name) {
+          if (out_dag.name(id) == name) {
             for (const SitePair& site : kSites) {
               if (node.site == site.noun) {
-                MEDRELAX_RETURN_NOT_OK(out.dag.AddSynonym(
+                MEDRELAX_RETURN_NOT_OK(out_dag.AddSynonym(
                     id,
                     StrFormat("%s %s", site.latin, kConditions[picks[i]])));
               }
@@ -153,7 +154,7 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
         for (size_t i = 0; i < picks.size(); ++i) picks[i] = i;
         rng.Shuffle(&picks);
         for (size_t i = 0; i < n && i < picks.size(); ++i) {
-          if (out.dag.num_concepts() >= finding_budget) break;
+          if (out_dag.num_concepts() >= finding_budget) break;
           std::string name = StrFormat("%s %s", kQualifiers[picks[i]],
                                        node.base_name.c_str());
           MEDRELAX_ASSIGN_OR_RETURN(ConceptId id,
@@ -169,7 +170,7 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
           for (size_t i = 0; i < picks.size(); ++i) picks[i] = i;
           rng.Shuffle(&picks);
           for (size_t i = 0; i < n && i < picks.size(); ++i) {
-            if (out.dag.num_concepts() >= finding_budget) break;
+            if (out_dag.num_concepts() >= finding_budget) break;
             std::string name = StrFormat("%s %s", node.base_name.c_str(),
                                          kCauses[picks[i]]);
             MEDRELAX_ASSIGN_OR_RETURN(ConceptId id,
@@ -183,7 +184,7 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
         if (rng.Bernoulli(0.4)) {
           size_t n = 1 + rng.UniformU64(4);
           for (size_t s = 1; s <= n; ++s) {
-            if (out.dag.num_concepts() >= finding_budget) break;
+            if (out_dag.num_concepts() >= finding_budget) break;
             std::string name =
                 StrFormat("%s stage %zu", node.base_name.c_str(), s);
             MEDRELAX_ASSIGN_OR_RETURN(ConceptId id,
@@ -200,7 +201,7 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
   }
 
   // Record the finding region.
-  for (ConceptId id = out.finding_root + 1; id < out.dag.num_concepts();
+  for (ConceptId id = out.finding_root + 1; id < out_dag.num_concepts();
        ++id) {
     out.finding_concepts.push_back(id);
   }
@@ -208,14 +209,14 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
   // --- Other categories: shallow noise mass up to the full budget. ---
   std::vector<ConceptId> category_roots;
   for (const char* category : kOtherCategories) {
-    if (out.dag.num_concepts() >= options.num_concepts) break;
+    if (out_dag.num_concepts() >= options.num_concepts) break;
     MEDRELAX_ASSIGN_OR_RETURN(ConceptId id, add(category, out.root, 0));
     category_roots.push_back(id);
   }
   size_t kind_index = 0;
   size_t site_index = 0;
   int serial = 1;
-  while (out.dag.num_concepts() < options.num_concepts &&
+  while (out_dag.num_concepts() < options.num_concepts &&
          !category_roots.empty()) {
     ConceptId cat = category_roots[rng.UniformU64(category_roots.size())];
     const char* kind = kProcedureKinds[kind_index % std::size(kProcedureKinds)];
@@ -238,7 +239,7 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
       if (out.depth[other] < out.depth[id] && other != id) {
         // Ignore duplicate-edge failures: AddSubsumption refuses exact
         // duplicates, which is fine here.
-        Status st = out.dag.AddSubsumption(id, other);
+        Status st = out_dag.AddSubsumption(id, other);
         (void)st;
         break;
       }
@@ -246,15 +247,15 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
   }
 
   // --- Synonyms: abbreviation-like and reordered variants. ---
-  for (ConceptId id = 0; id < out.dag.num_concepts(); ++id) {
+  for (ConceptId id = 0; id < out_dag.num_concepts(); ++id) {
     uint64_t extra = rng.Poisson(options.synonym_mean);
-    std::vector<std::string> parts = Split(out.dag.name(id), ' ');
+    std::vector<std::string> parts = Split(out_dag.name(id), ' ');
     for (uint64_t s = 0; s < extra; ++s) {
       if (parts.size() >= 3 && s == 0) {
         // Head-swap variant: "kidney infection, acute".
         std::string syn = parts[parts.size() - 1];
         for (size_t i = 0; i + 1 < parts.size(); ++i) syn += " " + parts[i];
-        MEDRELAX_RETURN_NOT_OK(out.dag.AddSynonym(id, syn));
+        MEDRELAX_RETURN_NOT_OK(out_dag.AddSynonym(id, syn));
       } else if (parts.size() >= 2) {
         // Initialism: "ck d s 1" style contractions are noisy on purpose.
         std::string syn;
@@ -262,10 +263,12 @@ Result<GeneratedEks> GenerateSnomedLike(const SnomedGeneratorOptions& options) {
           if (!p.empty()) syn += p.substr(0, 1);
         }
         syn += StrFormat(" %u", id);  // disambiguate tiny initialisms
-        MEDRELAX_RETURN_NOT_OK(out.dag.AddSynonym(id, syn));
+        MEDRELAX_RETURN_NOT_OK(out_dag.AddSynonym(id, syn));
       }
     }
   }
+
+  out.dag = std::move(out_dag).Build();
 
   // --- Popularity: Zipf weights over a random permutation of concepts. ---
   out.popularity.assign(out.dag.num_concepts(), 0.0);

@@ -21,8 +21,7 @@ int GradeOneQuestion(const GeneratedWorld& world, const GoldStandard& gold,
     return rng->Bernoulli(0.5) ? 1 : 3;
   }
 
-  const std::vector<std::string>& synonyms =
-      world.eks.dag.synonyms(question.concept_id);
+  const StringTableView synonyms = world.eks.dag.synonyms(question.concept_id);
   std::string surface = question.term_surface;
   int failures = 0;
   for (int attempt = 0; attempt < 5; ++attempt) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <type_traits>
 
@@ -18,10 +17,11 @@ namespace medrelax::flat {
 //   [SectionEntry x section_count]        <- at header.directory_offset
 //   [section payload ...]                 <- each 16-byte aligned
 //
-// The checksum covers every byte after the header (directory included),
-// so a reader that validates the header + checksum before dereferencing
-// the directory can trust section offsets only after the per-entry
-// bounds checks — corruption must surface as a typed Status, never UB.
+// The checksum (common/checksum.h FnvChecksum) covers every byte after
+// the header (directory included), so a reader that validates the
+// header + checksum before dereferencing the directory can trust section
+// offsets only after the per-entry bounds checks — corruption must
+// surface as a typed Status, never UB.
 
 /// File magic, first 8 bytes: "MRXIMG" + 2-digit major format revision.
 inline constexpr char kImageMagic[8] = {'M', 'R', 'X', 'I', 'M', 'G',
@@ -29,7 +29,10 @@ inline constexpr char kImageMagic[8] = {'M', 'R', 'X', 'I', 'M', 'G',
 
 /// Bumped on any layout change; readers refuse other versions
 /// (FailedPrecondition — the image is well-formed, just not ours).
-inline constexpr uint32_t kImageVersion = 1;
+/// Version 2: NUL-terminated string tables, and the name index sections
+/// (kNameSurfaceOffsets onward), so a served snapshot borrows the DAG,
+/// its names and the name index from the mapping.
+inline constexpr uint32_t kImageVersion = 2;
 
 /// Written as a native uint32; a reader on an opposite-endian host sees
 /// the byte-swapped value and refuses the image.
@@ -44,12 +47,15 @@ inline constexpr uint64_t kSectionAlignment = 16;
 enum class SectionId : uint32_t {
   kMeta = 1,
   // Concept DAG: CSR adjacency per side; edge i of concept c lives in
-  // edges[offsets[c] .. offsets[c + 1]).
+  // edges[offsets[c] .. offsets[c + 1]). Edges are graph/concept_dag.h
+  // DagEdge records (12 bytes: target, original distance, flags); the
+  // two sides mirror each other.
   kDagParentOffsets = 2,
   kDagParentEdges = 3,
   kDagChildOffsets = 4,
   kDagChildEdges = 5,
-  // Concept string table: offsets[i] .. offsets[i + 1] into the blob.
+  // Concept string table: string i is blob[offsets[i] .. offsets[i + 1]),
+  // its NUL terminator last (every string table has this layout).
   kConceptNameOffsets = 6,
   kConceptNameBlob = 7,
   // Synonyms: group CSR (concept -> synonym-string range) over a second
@@ -83,6 +89,21 @@ enum class SectionId : uint32_t {
   kInstanceNameBlob = 27,
   kInstanceConcepts = 28,  ///< ontology concept id per instance
   kTriples = 29,           ///< (subject, relationship, object) uint32 triples
+  // Name index (matching/name_index.h NameIndexViews): normalized
+  // surfaces as a string table, one NameEntryRecord per surface, and the
+  // exact-match slot table of uint32 entry indexes.
+  kNameSurfaceOffsets = 30,
+  kNameSurfaceBlob = 31,
+  kNameEntryRecords = 32,
+  kNameExactSlots = 33,
+  // Edit-distance images only (kMetaFlagExactMapper unset): the trigram
+  // key slots (TrigramSlot), the postings CSR over dense trigram ids, and
+  // the entries bucketed by surface length.
+  kTrigramSlots = 34,
+  kTrigramOffsets = 35,
+  kTrigramPostings = 36,
+  kNameLengthOffsets = 37,
+  kNameByLength = 38,
 };
 
 /// Fixed prologue of every image.
@@ -108,18 +129,6 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 24, "on-disk layout is frozen");
 static_assert(std::is_trivially_copyable_v<SectionEntry>);
-
-/// On-disk form of one DAG edge (graph/concept_dag.h DagEdge, with the
-/// bool widened to a flag word so the struct has no padding).
-struct FlatEdge {
-  uint32_t target;
-  uint32_t original_distance;
-  uint32_t flags;  ///< kEdgeFlagShortcut
-};
-static_assert(sizeof(FlatEdge) == 12, "on-disk layout is frozen");
-static_assert(std::is_trivially_copyable_v<FlatEdge>);
-
-inline constexpr uint32_t kEdgeFlagShortcut = 1u;
 
 // FlatMeta::flags bits: the snapshot-option booleans the image
 // round-trips (serve/snapshot.h SnapshotOptions).
@@ -166,32 +175,6 @@ struct FlatMeta {
 };
 static_assert(sizeof(FlatMeta) == 168, "on-disk layout is frozen");
 static_assert(std::is_trivially_copyable_v<FlatMeta>);
-
-/// FNV-1a 64 folded a word at a time: tiny, dependency-free, and plenty
-/// to catch truncation and bit rot. It is NOT the integrity story for
-/// adversarial images — an attacker who controls the bytes can restamp
-/// the checksum — it only gates accidental corruption; the structural
-/// checks in FlatImageView::Open (bounds, alignment, overlap, meta
-/// count sanity) are what stand between crafted input and UB (see
-/// docs/SNAPSHOT_FORMAT.md). Words are mixed as stored — fine because
-/// kEndianMarker already pins images to one byte order — and the 8-byte
-/// stride keeps validation of a multi-MB image in the low milliseconds,
-/// which is what makes RELOAD-from-image effectively O(1) for operators.
-[[nodiscard]] inline uint64_t FnvChecksum(std::span<const std::byte> bytes) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  size_t i = 0;
-  for (; i + 8 <= bytes.size(); i += 8) {
-    uint64_t word;
-    std::memcpy(&word, bytes.data() + i, sizeof(word));
-    hash ^= word;
-    hash *= 0x100000001b3ull;
-  }
-  for (; i < bytes.size(); ++i) {
-    hash ^= static_cast<uint64_t>(bytes[i]);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
 
 }  // namespace medrelax::flat
 

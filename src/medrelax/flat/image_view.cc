@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "medrelax/common/checksum.h"
+
 namespace medrelax::flat {
 
 Result<std::unique_ptr<FlatImageView>> FlatImageView::Open(
@@ -201,7 +203,7 @@ Result<std::span<const std::byte>> FlatImageView::SectionBytes(
   return file_.bytes().subspan(it->second.offset, it->second.size);
 }
 
-Result<FlatImageView::StringTableView> FlatImageView::Strings(
+Result<StringTableView> FlatImageView::Strings(
     SectionId offsets_id, SectionId blob_id, size_t expected_count) const {
   MEDRELAX_ASSIGN_OR_RETURN(std::span<const uint64_t> offsets,
                             SectionArray<uint64_t>(offsets_id));
@@ -223,9 +225,16 @@ Result<FlatImageView::StringTableView> FlatImageView::Strings(
                   static_cast<unsigned>(offsets_id), blob.size()));
   }
   for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-    if (offsets[i] > offsets[i + 1]) {
+    // Strictly increasing, so offsets[i + 1] - 1 is a byte of string i:
+    // its terminator.
+    if (offsets[i] >= offsets[i + 1]) {
       return Status::InvalidArgument(
-          StrFormat("string table %u: offsets decrease at index %zu",
+          StrFormat("string table %u: offsets do not increase at index %zu",
+                    static_cast<unsigned>(offsets_id), i));
+    }
+    if (blob[offsets[i + 1] - 1] != std::byte{0}) {
+      return Status::InvalidArgument(
+          StrFormat("string table %u: string %zu is not NUL-terminated",
                     static_cast<unsigned>(offsets_id), i));
     }
   }

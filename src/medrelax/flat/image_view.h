@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "medrelax/common/result.h"
+#include "medrelax/common/string_table.h"
 #include "medrelax/common/string_util.h"
 #include "medrelax/common/thread_annotations.h"
 #include "medrelax/flat/format.h"
@@ -76,31 +77,10 @@ class FlatImageView {
                               bytes.size() / sizeof(T));
   }
 
-  /// A validated two-section string table (offsets + blob): offsets must
-  /// start at 0, be non-decreasing, and end exactly at the blob size.
-  class StringTableView {
-   public:
-    StringTableView() = default;
-    [[nodiscard]] size_t size() const {
-      return offsets_.empty() ? 0 : offsets_.size() - 1;
-    }
-    [[nodiscard]] std::string_view at(size_t i) const {
-      return {blob_ + offsets_[i],
-              static_cast<size_t>(offsets_[i + 1] - offsets_[i])};
-    }
-
-   private:
-    friend class FlatImageView;
-    StringTableView(std::span<const uint64_t> offsets, const char* blob)
-        // lint:allow(lifetime-escape) borrows the mapping, kept alive by
-        : offsets_(offsets), blob_(blob) {}  // the owning FlatImageView
-    std::span<const uint64_t> offsets_;
-    const char* blob_ = nullptr;
-  };
-
-  /// Builds a StringTableView over an offsets section and a blob
-  /// section, enforcing `expected_count` strings and the offset
-  /// invariants above.
+  /// A validated two-section string table (offsets + blob, the layout of
+  /// common/string_table.h): `expected_count` strings, offsets starting
+  /// at 0, strictly increasing, ending exactly at the blob size, and
+  /// every string's last byte a NUL terminator.
   [[nodiscard]] Result<StringTableView> Strings(SectionId offsets_id,
                                                 SectionId blob_id,
                                                 size_t expected_count) const;

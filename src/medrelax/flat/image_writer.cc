@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <unordered_set>
 
+#include "medrelax/common/checksum.h"
 #include "medrelax/common/string_util.h"
 
 namespace medrelax::flat {

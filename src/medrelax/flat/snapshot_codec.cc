@@ -1,5 +1,6 @@
 #include "medrelax/flat/snapshot_codec.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -13,82 +14,226 @@ namespace medrelax::flat {
 
 namespace {
 
-/// Accumulates one offsets+blob string-table section pair.
-struct StringTableBuilder {
-  std::vector<uint64_t> offsets{0};
-  std::string blob;
+void AddStrings(FlatImageWriter* writer, const StringTableView& table,
+                SectionId offsets_id, SectionId blob_id) {
+  writer->AddArray<uint64_t>(offsets_id, table.offsets());
+  writer->AddBytes(blob_id, std::as_bytes(table.blob()));
+}
 
-  void Add(std::string_view s) {
-    blob.append(s);
-    offsets.push_back(blob.size());
-  }
-
-  void AddTo(FlatImageWriter* writer, SectionId offsets_id,
-             SectionId blob_id) const {
-    writer->AddArray<uint64_t>(offsets_id, offsets);
-    writer->AddBytes(blob_id, std::as_bytes(std::span<const char>(
-                                  blob.data(), blob.size())));
-  }
-};
-
-/// Decodes one CSR edge side into per-concept adjacency vectors,
-/// bounds-checking every target and counting shortcuts for the
-/// cross-check against meta.
-Status DecodeEdgeCsr(const FlatImageView& image, SectionId offsets_id,
-                     SectionId edges_id, size_t num_concepts,
-                     uint64_t num_edges,
-                     std::vector<std::vector<DagEdge>>* out,
-                     uint64_t* shortcut_count) {
-  MEDRELAX_ASSIGN_OR_RETURN(std::span<const uint64_t> offsets,
-                            image.SectionArray<uint64_t>(offsets_id));
-  if (offsets.size() != num_concepts + 1) {
+/// Checks a CSR offsets array: `groups` + 1 values, starting at 0,
+/// non-decreasing, ending at `total`.
+template <typename OffsetT>
+Status CheckOffsets(std::span<const OffsetT> offsets, uint64_t groups,
+                    uint64_t total, const char* what) {
+  if (offsets.empty() || offsets.size() - 1 != groups ||
+      offsets.front() != 0 || offsets.back() != total) {
     return Status::InvalidArgument(
-        StrFormat("edge CSR %u: %zu offsets, want %zu",
-                  static_cast<unsigned>(offsets_id), offsets.size(),
-                  num_concepts + 1));
+        StrFormat("%s: %zu offsets do not span %llu groups over %llu values",
+                  what, offsets.size(), static_cast<unsigned long long>(groups),
+                  static_cast<unsigned long long>(total)));
   }
-  MEDRELAX_ASSIGN_OR_RETURN(std::span<const FlatEdge> edges,
-                            image.SectionArray<FlatEdge>(edges_id));
-  if (edges.size() != num_edges || offsets.front() != 0 ||
-      offsets.back() != edges.size()) {
+  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+    if (offsets[i] > offsets[i + 1]) {
+      return Status::InvalidArgument(
+          StrFormat("%s: offsets decrease at %zu", what, i));
+    }
+  }
+  return Status::OK();
+}
+
+/// Checks that every value is below `limit`, or is kEmptySlot when
+/// `free_slots` (a slot table).
+Status CheckBelow(std::span<const uint32_t> values, uint64_t limit,
+                  bool free_slots, const char* what) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (values[i] >= limit && !(free_slots && values[i] == kEmptySlot)) {
+      return Status::InvalidArgument(
+          StrFormat("%s: value %u at %zu exceeds limit %llu", what,
+                    static_cast<unsigned>(values[i]), i,
+                    static_cast<unsigned long long>(limit)));
+    }
+  }
+  return Status::OK();
+}
+
+/// A probe over a linear-probing table ends only at a free slot, so the
+/// table must be a power of two in size and hold at least one.
+Status CheckSlotTable(size_t num_slots, size_t num_free, const char* what) {
+  if (num_slots == 0 || (num_slots & (num_slots - 1)) != 0 || num_free == 0) {
+    return Status::InvalidArgument(
+        StrFormat("%s: %zu slots with %zu free; want a power of two with a"
+                  " free slot",
+                  what, num_slots, num_free));
+  }
+  return Status::OK();
+}
+
+/// Reads one CSR edge side, checking its offsets, every target and flag
+/// word, and counting shortcuts for the cross-check against meta.
+Result<DagCsr> ReadEdgeCsr(const FlatImageView& image, SectionId offsets_id,
+                           SectionId edges_id, size_t num_concepts,
+                           uint64_t num_edges, uint64_t* shortcut_count) {
+  DagCsr csr;
+  MEDRELAX_ASSIGN_OR_RETURN(csr.offsets,
+                            image.SectionArray<uint64_t>(offsets_id));
+  MEDRELAX_ASSIGN_OR_RETURN(csr.edges, image.SectionArray<DagEdge>(edges_id));
+  if (csr.edges.size() != num_edges) {
     return Status::InvalidArgument(
         StrFormat("edge CSR %u: %zu edges do not match the declared %llu",
-                  static_cast<unsigned>(edges_id), edges.size(),
+                  static_cast<unsigned>(edges_id), csr.edges.size(),
                   static_cast<unsigned long long>(num_edges)));
   }
-  out->assign(num_concepts, {});
+  MEDRELAX_RETURN_NOT_OK(CheckOffsets(csr.offsets, num_concepts,
+                                      csr.edges.size(), "edge CSR offsets"));
   uint64_t shortcuts = 0;
-  for (size_t id = 0; id < num_concepts; ++id) {
-    if (offsets[id] > offsets[id + 1]) {
+  for (size_t j = 0; j < csr.edges.size(); ++j) {
+    const DagEdge& e = csr.edges[j];
+    if (e.target >= num_concepts) {
       return Status::InvalidArgument(
-          StrFormat("edge CSR %u: offsets decrease at concept %zu",
-                    static_cast<unsigned>(offsets_id), id));
+          StrFormat("edge CSR %u: edge %zu targets concept %u, only %zu"
+                    " exist",
+                    static_cast<unsigned>(edges_id), j,
+                    static_cast<unsigned>(e.target), num_concepts));
     }
-    std::vector<DagEdge>& adjacency = (*out)[id];
-    adjacency.reserve(offsets[id + 1] - offsets[id]);
-    for (uint64_t j = offsets[id]; j < offsets[id + 1]; ++j) {
-      const FlatEdge& e = edges[j];
-      if (e.target >= num_concepts) {
-        return Status::InvalidArgument(
-            StrFormat("edge CSR %u: edge %llu targets concept %u, only %zu"
-                      " exist",
-                      static_cast<unsigned>(edges_id),
-                      static_cast<unsigned long long>(j),
-                      static_cast<unsigned>(e.target), num_concepts));
-      }
-      if ((e.flags & ~kEdgeFlagShortcut) != 0) {
-        return Status::InvalidArgument(
-            StrFormat("edge CSR %u: unknown edge flags %#x",
-                      static_cast<unsigned>(edges_id),
-                      static_cast<unsigned>(e.flags)));
-      }
-      const bool is_shortcut = (e.flags & kEdgeFlagShortcut) != 0;
-      adjacency.push_back(DagEdge{e.target, e.original_distance, is_shortcut});
-      if (is_shortcut) ++shortcuts;
+    if ((e.flags & ~kEdgeFlagShortcut) != 0) {
+      return Status::InvalidArgument(
+          StrFormat("edge CSR %u: unknown edge flags %#x",
+                    static_cast<unsigned>(edges_id),
+                    static_cast<unsigned>(e.flags)));
     }
+    if (e.is_shortcut()) ++shortcuts;
   }
   *shortcut_count = shortcuts;
-  return Status::OK();
+  return csr;
+}
+
+/// Regroups `from` by edge target: group t of the result holds, in
+/// ascending source order, one edge back to each source s with an edge
+/// s -> t, with that edge's distance and flags. `into_offsets` sizes the
+/// groups; false when a group would overflow its size.
+bool Transpose(const DagCsr& from, std::span<const uint64_t> into_offsets,
+               std::vector<DagEdge>* out) {
+  out->resize(from.edges.size());
+  std::vector<uint64_t> cursor(into_offsets.begin(), into_offsets.end() - 1);
+  for (size_t s = 0; s + 1 < from.offsets.size(); ++s) {
+    for (uint64_t j = from.offsets[s]; j < from.offsets[s + 1]; ++j) {
+      const DagEdge& e = from.edges[j];
+      uint64_t& at = cursor[e.target];
+      if (at == into_offsets[e.target + 1]) return false;
+      (*out)[at++] = {static_cast<ConceptId>(s), e.original_distance,
+                      e.flags};
+    }
+  }
+  return true;
+}
+
+/// True iff the child side is the parent side reversed: every parent edge
+/// c -> p appears as a child edge p -> c with the same distance and
+/// flags. Both sides were bounds-checked and hold the same edge count.
+/// Transposing the parent side orders each child group by source;
+/// transposing the child side twice puts it in the same order, so the
+/// two agree element for element iff the sides mirror — three linear
+/// passes over two scratch arrays, no hashing, no sort.
+bool SidesMirror(const DagCsr& parents, const DagCsr& children) {
+  std::vector<DagEdge> scratch;
+  std::vector<DagEdge> canonical_children;
+  if (!Transpose(children, parents.offsets, &scratch) ||
+      !Transpose({parents.offsets, scratch}, children.offsets,
+                 &canonical_children) ||
+      !Transpose(parents, children.offsets, &scratch)) {
+    return false;
+  }
+  for (size_t j = 0; j < scratch.size(); ++j) {
+    const DagEdge& a = scratch[j];
+    const DagEdge& b = canonical_children[j];
+    if (a.target != b.target || a.original_distance != b.original_distance ||
+        a.flags != b.flags) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Reads and checks the name index sections; the fuzzy ones only when
+/// `fuzzy` (edit-distance images).
+Result<NameIndexViews> ReadNameIndex(const FlatImageView& image,
+                                     size_t num_concepts, bool fuzzy) {
+  NameIndexViews views;
+  MEDRELAX_ASSIGN_OR_RETURN(
+      views.records,
+      image.SectionArray<NameEntryRecord>(SectionId::kNameEntryRecords));
+  const size_t num_entries = views.records.size();
+  MEDRELAX_ASSIGN_OR_RETURN(
+      views.surfaces, image.Strings(SectionId::kNameSurfaceOffsets,
+                                    SectionId::kNameSurfaceBlob, num_entries));
+  for (size_t e = 0; e < num_entries; ++e) {
+    const NameEntryRecord& record = views.records[e];
+    if (record.concept_id >= num_concepts ||
+        (record.flags & ~kNameEntryCanonical) != 0) {
+      return Status::InvalidArgument(
+          StrFormat("name entry %zu: concept %u / flags %#x out of range", e,
+                    static_cast<unsigned>(record.concept_id),
+                    static_cast<unsigned>(record.flags)));
+    }
+  }
+  MEDRELAX_ASSIGN_OR_RETURN(
+      views.exact_slots,
+      image.SectionArray<uint32_t>(SectionId::kNameExactSlots));
+  MEDRELAX_RETURN_NOT_OK(CheckBelow(views.exact_slots, num_entries,
+                                    /*free_slots=*/true, "exact slot table"));
+  MEDRELAX_RETURN_NOT_OK(CheckSlotTable(
+      views.exact_slots.size(),
+      static_cast<size_t>(std::count(views.exact_slots.begin(),
+                                     views.exact_slots.end(), kEmptySlot)),
+      "exact slot table"));
+  if (!fuzzy) return views;
+
+  MEDRELAX_ASSIGN_OR_RETURN(
+      views.trigram_slots,
+      image.SectionArray<TrigramSlot>(SectionId::kTrigramSlots));
+  MEDRELAX_ASSIGN_OR_RETURN(
+      views.trigram_offsets,
+      image.SectionArray<uint32_t>(SectionId::kTrigramOffsets));
+  MEDRELAX_ASSIGN_OR_RETURN(
+      views.trigram_postings,
+      image.SectionArray<uint32_t>(SectionId::kTrigramPostings));
+  if (views.trigram_offsets.empty()) {
+    return Status::InvalidArgument("trigram offsets: empty section");
+  }
+  const size_t num_keys = views.trigram_offsets.size() - 1;
+  size_t free_slots = 0;
+  for (const TrigramSlot& slot : views.trigram_slots) {
+    if (slot.id == kEmptySlot) {
+      ++free_slots;
+    } else if (slot.id >= num_keys) {
+      return Status::InvalidArgument(
+          StrFormat("trigram slot names key %u, only %zu exist",
+                    static_cast<unsigned>(slot.id), num_keys));
+    }
+  }
+  MEDRELAX_RETURN_NOT_OK(CheckSlotTable(views.trigram_slots.size(),
+                                        free_slots, "trigram slot table"));
+  MEDRELAX_RETURN_NOT_OK(CheckOffsets(views.trigram_offsets, num_keys,
+                                      views.trigram_postings.size(),
+                                      "trigram offsets"));
+  MEDRELAX_RETURN_NOT_OK(CheckBelow(views.trigram_postings, num_entries,
+                                    /*free_slots=*/false, "trigram postings"));
+
+  MEDRELAX_ASSIGN_OR_RETURN(
+      views.length_offsets,
+      image.SectionArray<uint32_t>(SectionId::kNameLengthOffsets));
+  MEDRELAX_ASSIGN_OR_RETURN(
+      views.by_length, image.SectionArray<uint32_t>(SectionId::kNameByLength));
+  if (views.length_offsets.size() < 2) {
+    return Status::InvalidArgument("length buckets: fewer than 2 offsets");
+  }
+  MEDRELAX_RETURN_NOT_OK(CheckOffsets(views.length_offsets,
+                                      views.length_offsets.size() - 1,
+                                      views.by_length.size(),
+                                      "length bucket offsets"));
+  MEDRELAX_RETURN_NOT_OK(CheckBelow(views.by_length, num_entries,
+                                    /*free_slots=*/false, "length buckets"));
+  return views;
 }
 
 /// Decodes a CSR of uint32 values per concept, bounds-checking each value
@@ -136,7 +281,8 @@ Status DecodeConceptCsr(const FlatImageView& image, SectionId offsets_id,
 
 }  // namespace
 
-Status WriteSnapshotImage(const ConceptDag& dag, const KnowledgeBase& kb,
+Status WriteSnapshotImage(const ConceptDag& dag, const NameIndex& index,
+                          const KnowledgeBase& kb,
                           const IngestionResult& ingestion,
                           const ImageSnapshotConfig& config,
                           uint64_t options_fingerprint,
@@ -151,56 +297,49 @@ Status WriteSnapshotImage(const ConceptDag& dag, const KnowledgeBase& kb,
   if (ingestion.flagged.size() != n) {
     return Status::InvalidArgument("flagged vector does not cover the DAG");
   }
+  if (&index.dag() != &dag ||
+      (!config.use_exact_mapper && !index.views().has_fuzzy_tables())) {
+    return Status::InvalidArgument(
+        "name index does not cover the DAG and mapper");
+  }
 
   FlatImageWriter writer;
 
-  // DAG adjacency, CSR per side. Edge order inside a concept is the
-  // builder's insertion order, preserved so a rehydrated DAG iterates
-  // identically (byte-identical golden replays depend on this).
-  const auto add_edge_csr = [&writer, &dag, n](
-                                SectionId offsets_id, SectionId edges_id,
-                                const std::vector<DagEdge>& (ConceptDag::*side)(
-                                    ConceptId) const) {
-    std::vector<uint64_t> offsets;
-    offsets.reserve(n + 1);
-    offsets.push_back(0);
-    std::vector<FlatEdge> edges;
-    edges.reserve(dag.num_edges());
-    for (ConceptId id = 0; id < n; ++id) {
-      for (const DagEdge& e : (dag.*side)(id)) {
-        edges.push_back(FlatEdge{e.target, e.original_distance,
-                                 e.is_shortcut ? kEdgeFlagShortcut : 0u});
-      }
-      offsets.push_back(edges.size());
-    }
-    writer.AddArray<uint64_t>(offsets_id, offsets);
-    writer.AddArray<FlatEdge>(edges_id, edges);
-  };
-  add_edge_csr(SectionId::kDagParentOffsets, SectionId::kDagParentEdges,
-               &ConceptDag::parents);
-  add_edge_csr(SectionId::kDagChildOffsets, SectionId::kDagChildEdges,
-               &ConceptDag::children);
+  // The DAG's own CSR arrays and string tables, as they are. Edge order
+  // inside a concept is the builder's insertion order, preserved so a
+  // served DAG iterates identically (byte-identical golden replays
+  // depend on this).
+  const DagViews& views = dag.views();
+  writer.AddArray<uint64_t>(SectionId::kDagParentOffsets,
+                            views.parents.offsets);
+  writer.AddArray<DagEdge>(SectionId::kDagParentEdges, views.parents.edges);
+  writer.AddArray<uint64_t>(SectionId::kDagChildOffsets,
+                            views.children.offsets);
+  writer.AddArray<DagEdge>(SectionId::kDagChildEdges, views.children.edges);
+  AddStrings(&writer, views.names, SectionId::kConceptNameOffsets,
+             SectionId::kConceptNameBlob);
+  writer.AddArray<uint64_t>(SectionId::kSynonymGroupOffsets,
+                            views.synonym_groups);
+  AddStrings(&writer, views.synonyms, SectionId::kSynonymNameOffsets,
+             SectionId::kSynonymNameBlob);
 
-  StringTableBuilder concept_names;
-  for (ConceptId id = 0; id < n; ++id) concept_names.Add(dag.name(id));
-  concept_names.AddTo(&writer, SectionId::kConceptNameOffsets,
-                      SectionId::kConceptNameBlob);
-
-  std::vector<uint64_t> synonym_groups;
-  synonym_groups.reserve(n + 1);
-  synonym_groups.push_back(0);
-  StringTableBuilder synonym_names;
-  uint64_t num_synonyms = 0;
-  for (ConceptId id = 0; id < n; ++id) {
-    for (const std::string& synonym : dag.synonyms(id)) {
-      synonym_names.Add(synonym);
-      ++num_synonyms;
-    }
-    synonym_groups.push_back(num_synonyms);
+  const NameIndexViews& names = index.views();
+  AddStrings(&writer, names.surfaces, SectionId::kNameSurfaceOffsets,
+             SectionId::kNameSurfaceBlob);
+  writer.AddArray<NameEntryRecord>(SectionId::kNameEntryRecords,
+                                   names.records);
+  writer.AddArray<uint32_t>(SectionId::kNameExactSlots, names.exact_slots);
+  if (!config.use_exact_mapper) {
+    writer.AddArray<TrigramSlot>(SectionId::kTrigramSlots,
+                                 names.trigram_slots);
+    writer.AddArray<uint32_t>(SectionId::kTrigramOffsets,
+                              names.trigram_offsets);
+    writer.AddArray<uint32_t>(SectionId::kTrigramPostings,
+                              names.trigram_postings);
+    writer.AddArray<uint32_t>(SectionId::kNameLengthOffsets,
+                              names.length_offsets);
+    writer.AddArray<uint32_t>(SectionId::kNameByLength, names.by_length);
   }
-  writer.AddArray<uint64_t>(SectionId::kSynonymGroupOffsets, synonym_groups);
-  synonym_names.AddTo(&writer, SectionId::kSynonymNameOffsets,
-                      SectionId::kSynonymNameBlob);
 
   // The dominant payload: the full normalized frequency table, laid out
   // exactly as FrequencyModel keeps it so the reader can borrow it
@@ -214,8 +353,8 @@ Status WriteSnapshotImage(const ConceptDag& dag, const KnowledgeBase& kb,
     context_names.Add(context.relationship);
     context_names.Add(context.range);
   }
-  context_names.AddTo(&writer, SectionId::kContextNameOffsets,
-                      SectionId::kContextNameBlob);
+  AddStrings(&writer, context_names.view(), SectionId::kContextNameOffsets,
+             SectionId::kContextNameBlob);
 
   std::vector<uint32_t> mapping_pairs;
   mapping_pairs.reserve(2 * ingestion.mappings.size());
@@ -235,14 +374,14 @@ Status WriteSnapshotImage(const ConceptDag& dag, const KnowledgeBase& kb,
 
   const auto add_concept_csr = [&writer, n](
                                    SectionId offsets_id, SectionId values_id,
-                                   const auto& index) {
+                                   const auto& by_concept) {
     std::vector<uint64_t> offsets;
     offsets.reserve(n + 1);
     offsets.push_back(0);
     std::vector<uint32_t> values;
     for (ConceptId id = 0; id < n; ++id) {
-      auto it = index.find(id);
-      if (it != index.end()) {
+      auto it = by_concept.find(id);
+      if (it != by_concept.end()) {
         for (uint32_t value : it->second) values.push_back(value);
       }
       offsets.push_back(values.size());
@@ -262,8 +401,8 @@ Status WriteSnapshotImage(const ConceptDag& dag, const KnowledgeBase& kb,
   for (OntologyConceptId id = 0; id < ontology.num_concepts(); ++id) {
     ontology_names.Add(ontology.concept_name(id));
   }
-  ontology_names.AddTo(&writer, SectionId::kOntologyNameOffsets,
-                       SectionId::kOntologyNameBlob);
+  AddStrings(&writer, ontology_names.view(), SectionId::kOntologyNameOffsets,
+             SectionId::kOntologyNameBlob);
 
   StringTableBuilder relationship_names;
   std::vector<uint32_t> relationship_endpoints;
@@ -273,8 +412,8 @@ Status WriteSnapshotImage(const ConceptDag& dag, const KnowledgeBase& kb,
     relationship_endpoints.push_back(rel.domain);
     relationship_endpoints.push_back(rel.range);
   }
-  relationship_names.AddTo(&writer, SectionId::kRelationshipNameOffsets,
-                           SectionId::kRelationshipNameBlob);
+  AddStrings(&writer, relationship_names.view(), SectionId::kRelationshipNameOffsets,
+             SectionId::kRelationshipNameBlob);
   writer.AddArray<uint32_t>(SectionId::kRelationshipEndpoints,
                             relationship_endpoints);
 
@@ -296,8 +435,8 @@ Status WriteSnapshotImage(const ConceptDag& dag, const KnowledgeBase& kb,
     instance_names.Add(instance.name);
     instance_concepts.push_back(instance.concept_id);
   }
-  instance_names.AddTo(&writer, SectionId::kInstanceNameOffsets,
-                       SectionId::kInstanceNameBlob);
+  AddStrings(&writer, instance_names.view(), SectionId::kInstanceNameOffsets,
+             SectionId::kInstanceNameBlob);
   writer.AddArray<uint32_t>(SectionId::kInstanceConcepts, instance_concepts);
 
   std::vector<uint32_t> triples;
@@ -313,7 +452,7 @@ Status WriteSnapshotImage(const ConceptDag& dag, const KnowledgeBase& kb,
   meta.num_concepts = n;
   meta.num_edges = dag.num_edges();
   meta.num_shortcut_edges = dag.num_shortcut_edges();
-  meta.num_synonyms = num_synonyms;
+  meta.num_synonyms = views.synonyms.size();
   meta.num_contexts = num_contexts;
   meta.num_mappings = ingestion.mappings.size();
   meta.num_ontology_concepts = ontology.num_concepts();
@@ -353,53 +492,33 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
   const size_t n = meta.num_concepts;
   const size_t num_contexts = meta.num_contexts;
 
-  // --- External DAG: names, synonyms, both adjacency sides.
+  // --- External DAG, borrowed: names, synonyms, both adjacency sides.
+  DagViews dag_views;
   MEDRELAX_ASSIGN_OR_RETURN(
-      FlatImageView::StringTableView name_table,
-      image->Strings(SectionId::kConceptNameOffsets,
-                     SectionId::kConceptNameBlob, n));
-  std::vector<std::string> names;
-  names.reserve(n);
-  for (size_t i = 0; i < n; ++i) names.emplace_back(name_table.at(i));
-
+      dag_views.names, image->Strings(SectionId::kConceptNameOffsets,
+                                      SectionId::kConceptNameBlob, n));
   MEDRELAX_ASSIGN_OR_RETURN(
-      std::span<const uint64_t> synonym_groups,
+      dag_views.synonym_groups,
       image->SectionArray<uint64_t>(SectionId::kSynonymGroupOffsets));
   MEDRELAX_ASSIGN_OR_RETURN(
-      FlatImageView::StringTableView synonym_table,
+      dag_views.synonyms,
       image->Strings(SectionId::kSynonymNameOffsets,
                      SectionId::kSynonymNameBlob, meta.num_synonyms));
-  if (synonym_groups.size() != n + 1 || synonym_groups.front() != 0 ||
-      synonym_groups.back() != meta.num_synonyms) {
-    return Status::InvalidArgument(
-        "synonym group offsets do not span the synonym table");
-  }
-  std::vector<std::vector<std::string>> synonyms(n);
-  for (size_t id = 0; id < n; ++id) {
-    if (synonym_groups[id] > synonym_groups[id + 1]) {
-      return Status::InvalidArgument(
-          StrFormat("synonym group offsets decrease at concept %zu", id));
-    }
-    synonyms[id].reserve(synonym_groups[id + 1] - synonym_groups[id]);
-    for (uint64_t j = synonym_groups[id]; j < synonym_groups[id + 1]; ++j) {
-      synonyms[id].emplace_back(synonym_table.at(j));
-    }
-  }
-
-  std::vector<std::vector<DagEdge>> parents;
-  std::vector<std::vector<DagEdge>> children;
+  MEDRELAX_RETURN_NOT_OK(CheckOffsets(dag_views.synonym_groups, n,
+                                      meta.num_synonyms,
+                                      "synonym group offsets"));
   uint64_t parent_shortcuts = 0;
   uint64_t child_shortcuts = 0;
-  Status csr_status =
-      DecodeEdgeCsr(*image, SectionId::kDagParentOffsets,
-                    SectionId::kDagParentEdges, n, meta.num_edges, &parents,
-                    &parent_shortcuts);
-  if (!csr_status.ok()) return csr_status;
-  csr_status =
-      DecodeEdgeCsr(*image, SectionId::kDagChildOffsets,
-                    SectionId::kDagChildEdges, n, meta.num_edges, &children,
-                    &child_shortcuts);
-  if (!csr_status.ok()) return csr_status;
+  MEDRELAX_ASSIGN_OR_RETURN(
+      dag_views.parents,
+      ReadEdgeCsr(*image, SectionId::kDagParentOffsets,
+                  SectionId::kDagParentEdges, n, meta.num_edges,
+                  &parent_shortcuts));
+  MEDRELAX_ASSIGN_OR_RETURN(
+      dag_views.children,
+      ReadEdgeCsr(*image, SectionId::kDagChildOffsets,
+                  SectionId::kDagChildEdges, n, meta.num_edges,
+                  &child_shortcuts));
   if (parent_shortcuts != meta.num_shortcut_edges ||
       child_shortcuts != meta.num_shortcut_edges) {
     return Status::InvalidArgument(
@@ -409,26 +528,35 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
                   static_cast<unsigned long long>(parent_shortcuts),
                   static_cast<unsigned long long>(child_shortcuts)));
   }
+  if (!SidesMirror(dag_views.parents, dag_views.children)) {
+    return Status::InvalidArgument(
+        "edge CSR: the child side does not mirror the parent side");
+  }
+  dag_views.num_shortcut_edges = meta.num_shortcut_edges;
+
+  MEDRELAX_ASSIGN_OR_RETURN(
+      NameIndexViews index_views,
+      ReadNameIndex(*image, n, (meta.flags & kMetaFlagExactMapper) == 0));
 
   // --- KB rebuild: ids are insertion-order dense on both sides, so
   // re-adding in serialized order reproduces every id exactly.
   KnowledgeBase kb;
   MEDRELAX_ASSIGN_OR_RETURN(
-      FlatImageView::StringTableView ontology_names,
+      StringTableView ontology_names,
       image->Strings(SectionId::kOntologyNameOffsets,
                      SectionId::kOntologyNameBlob,
                      meta.num_ontology_concepts));
   for (size_t i = 0; i < meta.num_ontology_concepts; ++i) {
     MEDRELAX_ASSIGN_OR_RETURN(
         OntologyConceptId id,
-        kb.ontology.AddConcept(std::string(ontology_names.at(i))));
+        kb.ontology.AddConcept(std::string(ontology_names[i])));
     if (id != i) {
       return Status::Internal("ontology concept ids did not round-trip");
     }
   }
 
   MEDRELAX_ASSIGN_OR_RETURN(
-      FlatImageView::StringTableView relationship_names,
+      StringTableView relationship_names,
       image->Strings(SectionId::kRelationshipNameOffsets,
                      SectionId::kRelationshipNameBlob,
                      meta.num_relationships));
@@ -451,7 +579,7 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
     }
     MEDRELAX_ASSIGN_OR_RETURN(
         RelationshipId id,
-        kb.ontology.AddRelationship(std::string(relationship_names.at(i)),
+        kb.ontology.AddRelationship(std::string(relationship_names[i]),
                                     domain, range));
     if (id != i) {
       return Status::Internal("relationship ids did not round-trip");
@@ -481,7 +609,7 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
   }
 
   MEDRELAX_ASSIGN_OR_RETURN(
-      FlatImageView::StringTableView instance_names,
+      StringTableView instance_names,
       image->Strings(SectionId::kInstanceNameOffsets,
                      SectionId::kInstanceNameBlob, meta.num_instances));
   MEDRELAX_ASSIGN_OR_RETURN(
@@ -501,7 +629,7 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
     }
     MEDRELAX_ASSIGN_OR_RETURN(
         InstanceId id,
-        kb.instances.AddInstance(std::string(instance_names.at(i)),
+        kb.instances.AddInstance(std::string(instance_names[i]),
                                  instance_concepts[i]));
     if (id != i) {
       return Status::Internal("instance ids did not round-trip");
@@ -533,13 +661,13 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
   // --- Ingestion artifacts.
   IngestionResult ingestion;
   MEDRELAX_ASSIGN_OR_RETURN(
-      FlatImageView::StringTableView context_names,
+      StringTableView context_names,
       image->Strings(SectionId::kContextNameOffsets,
                      SectionId::kContextNameBlob, 3 * num_contexts));
   for (size_t i = 0; i < num_contexts; ++i) {
-    Context context{std::string(context_names.at(3 * i)),
-                    std::string(context_names.at(3 * i + 1)),
-                    std::string(context_names.at(3 * i + 2))};
+    Context context{std::string(context_names[3 * i]),
+                    std::string(context_names[3 * i + 1]),
+                    std::string(context_names[3 * i + 2])};
     const ContextId id = ingestion.contexts.Intern(context);
     if (id != i) {
       return Status::InvalidArgument(
@@ -636,9 +764,8 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
 
   DecodedSnapshotImage decoded;
   decoded.image = std::move(image);
-  decoded.dag = ConceptDag::Restore(std::move(names), std::move(synonyms),
-                                    std::move(parents), std::move(children),
-                                    meta.num_edges, meta.num_shortcut_edges);
+  decoded.dag = ConceptDag::Borrow(dag_views);
+  decoded.index_views = index_views;
   decoded.kb = std::move(kb);
   decoded.ingestion = std::move(ingestion);
   decoded.config = config;

@@ -9,6 +9,7 @@
 #include "medrelax/flat/image_view.h"
 #include "medrelax/graph/concept_dag.h"
 #include "medrelax/kb/kb_query.h"
+#include "medrelax/matching/name_index.h"
 #include "medrelax/relax/ingestion.h"
 #include "medrelax/relax/query_relaxer.h"
 #include "medrelax/relax/similarity.h"
@@ -25,12 +26,15 @@ struct ImageSnapshotConfig {
   bool use_exact_mapper = false;
 };
 
-/// Serializes the offline phase's output — the customized DAG, the KB,
-/// and Algorithm 1's artifacts — into a flat image at `path`.
+/// Serializes the offline phase's output — the customized DAG, its name
+/// index, the KB, and Algorithm 1's artifacts — into a flat image at
+/// `path`. The index's fuzzy tables are written only for an
+/// edit-distance configuration (`config.use_exact_mapper` false).
 /// `ingestion.frequencies` must be normalized (it always is after
 /// RunIngestion). MEDRELAX_BLOCKING: serializes megabytes to disk; runs
 /// in the offline ingest tool, never on a serving thread.
 [[nodiscard]] Status WriteSnapshotImage(const ConceptDag& dag,
+                                        const NameIndex& index,
                                         const KnowledgeBase& kb,
                                         const IngestionResult& ingestion,
                                         const ImageSnapshotConfig& config,
@@ -38,26 +42,26 @@ struct ImageSnapshotConfig {
                                         const std::string& path)
     MEDRELAX_BLOCKING;
 
-/// The decoded halves of an image: rehydrated structures plus the view
-/// whose mapping `ingestion.frequencies` borrows its normalized table
-/// from. `image` is declared first so it outlives every borrower during
-/// destruction; keep it that way.
+/// A mapped image and what the serving snapshot reads from it. `dag`,
+/// `index_views` and `ingestion.frequencies` borrow the mapping; the KB
+/// and the rest of the ingestion artifacts are decoded copies (under
+/// 1 MiB at 64k concepts). `image` is declared first so it outlives
+/// every borrower during destruction; keep it that way.
 struct DecodedSnapshotImage {
   std::unique_ptr<FlatImageView> image;
   ConceptDag dag;
+  NameIndexViews index_views;
   KnowledgeBase kb;
   IngestionResult ingestion;
   ImageSnapshotConfig config;
   uint64_t options_fingerprint = 0;
 };
 
-/// Maps `path` and rebuilds the serving structures: the DAG, synonyms,
-/// and KB are rehydrated (bulk restore, no per-edge duplicate scans);
-/// the dominant payload — the normalized frequency table — is served
-/// zero-copy straight out of the mapping. Every id crossing a structure
-/// boundary is validated against the meta counts first, so a corrupt
-/// image yields a typed error, never UB. MEDRELAX_BLOCKING: maps and
-/// walks the whole image.
+/// Maps `path`, validates every structure the snapshot will borrow —
+/// each edge target, the mirroring of the two edge sides, every string
+/// terminator, slot entry, offset and posting — and decodes the KB.
+/// A corrupt or crafted image yields a typed error here, never UB at
+/// lookup time. MEDRELAX_BLOCKING: maps and walks the whole image.
 [[nodiscard]] Result<DecodedSnapshotImage> ReadSnapshotImage(
     const std::string& path) MEDRELAX_BLOCKING;
 

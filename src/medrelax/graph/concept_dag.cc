@@ -6,7 +6,78 @@
 
 namespace medrelax {
 
-Result<ConceptId> ConceptDag::AddConcept(std::string name) {
+/// The heap arrays behind a built DAG's views.
+struct ConceptDag::Storage {
+  StringTableBuilder names;
+  std::vector<uint64_t> synonym_groups;
+  StringTableBuilder synonyms;
+  std::vector<uint64_t> parent_offsets;
+  std::vector<DagEdge> parent_edges;
+  std::vector<uint64_t> child_offsets;
+  std::vector<DagEdge> child_edges;
+};
+
+ConceptDag ConceptDag::Borrow(const DagViews& views) {
+  ConceptDag dag;
+  dag.views_ = views;
+  return dag;
+}
+
+std::vector<ConceptId> ConceptDag::NativeParents(ConceptId id) const {
+  std::vector<ConceptId> out;
+  for (const DagEdge& e : parents(id)) {
+    if (!e.is_shortcut()) out.push_back(e.target);
+  }
+  return out;
+}
+
+std::vector<ConceptId> ConceptDag::NativeChildren(ConceptId id) const {
+  std::vector<ConceptId> out;
+  for (const DagEdge& e : children(id)) {
+    if (!e.is_shortcut()) out.push_back(e.target);
+  }
+  return out;
+}
+
+ConceptId ConceptDag::FindByName(std::string_view name) const {
+  for (ConceptId id = 0; id < num_concepts(); ++id) {
+    if (views_.names[id] == name) return id;
+  }
+  return kInvalidConcept;
+}
+
+std::vector<ConceptId> ConceptDag::Roots() const {
+  std::vector<ConceptId> roots;
+  for (ConceptId id = 0; id < num_concepts(); ++id) {
+    if (parents(id).empty()) roots.push_back(id);
+  }
+  return roots;
+}
+
+ConceptDagBuilder::ConceptDagBuilder(const ConceptDag& dag) {
+  const size_t n = dag.num_concepts();
+  names_.reserve(n);
+  synonyms_.resize(n);
+  parents_.resize(n);
+  children_.resize(n);
+  for (ConceptId id = 0; id < n; ++id) {
+    names_.emplace_back(dag.name(id));
+    synonyms_[id].assign(dag.synonyms(id).begin(), dag.synonyms(id).end());
+    parents_[id].assign(dag.parents(id).begin(), dag.parents(id).end());
+    children_[id].assign(dag.children(id).begin(), dag.children(id).end());
+  }
+  num_shortcuts_ = dag.num_shortcut_edges();
+}
+
+Result<ConceptId> ConceptDagBuilder::AddConcept(std::string name) {
+  // A builder started from a DAG indexes its names on the first
+  // AddConcept: ingestion's shortcut pass never pays for the map.
+  if (name_to_id_.size() < names_.size()) {
+    name_to_id_.reserve(names_.size() + 1);
+    for (ConceptId id = 0; id < names_.size(); ++id) {
+      name_to_id_.emplace(names_[id], id);
+    }
+  }
   auto [it, inserted] =
       name_to_id_.emplace(name, static_cast<ConceptId>(names_.size()));
   if (!inserted) {
@@ -20,15 +91,15 @@ Result<ConceptId> ConceptDag::AddConcept(std::string name) {
   return it->second;
 }
 
-Status ConceptDag::AddSynonym(ConceptId id, std::string synonym) {
+Status ConceptDagBuilder::AddSynonym(ConceptId id, std::string_view synonym) {
   if (!IsValid(id)) {
     return Status::InvalidArgument("AddSynonym: invalid concept id");
   }
-  synonyms_[id].push_back(std::move(synonym));
+  synonyms_[id].emplace_back(synonym);
   return Status::OK();
 }
 
-Status ConceptDag::AddSubsumption(ConceptId child, ConceptId parent) {
+Status ConceptDagBuilder::AddSubsumption(ConceptId child, ConceptId parent) {
   if (!IsValid(child) || !IsValid(parent)) {
     return Status::InvalidArgument("AddSubsumption: invalid concept id");
   }
@@ -37,20 +108,19 @@ Status ConceptDag::AddSubsumption(ConceptId child, ConceptId parent) {
         StrFormat("AddSubsumption: self-edge on '%s'", names_[child].c_str()));
   }
   for (const DagEdge& e : parents_[child]) {
-    if (e.target == parent && !e.is_shortcut) {
+    if (e.target == parent && !e.is_shortcut()) {
       return Status::AlreadyExists(
           StrFormat("edge '%s' -> '%s' already exists",
                     names_[child].c_str(), names_[parent].c_str()));
     }
   }
-  parents_[child].push_back({parent, 1, false});
-  children_[parent].push_back({child, 1, false});
-  ++num_edges_;
+  parents_[child].push_back({parent, 1, 0});
+  children_[parent].push_back({child, 1, 0});
   return Status::OK();
 }
 
-Status ConceptDag::AddShortcut(ConceptId child, ConceptId parent,
-                               uint32_t original_distance) {
+Status ConceptDagBuilder::AddShortcut(ConceptId child, ConceptId parent,
+                                      uint32_t original_distance) {
   if (!IsValid(child) || !IsValid(parent)) {
     return Status::InvalidArgument("AddShortcut: invalid concept id");
   }
@@ -64,59 +134,45 @@ Status ConceptDag::AddShortcut(ConceptId child, ConceptId parent,
   for (const DagEdge& e : parents_[child]) {
     if (e.target == parent) return Status::OK();  // already connected
   }
-  parents_[child].push_back({parent, original_distance, true});
-  children_[parent].push_back({child, original_distance, true});
-  ++num_edges_;
+  parents_[child].push_back({parent, original_distance, kEdgeFlagShortcut});
+  children_[parent].push_back({child, original_distance, kEdgeFlagShortcut});
   ++num_shortcuts_;
   return Status::OK();
 }
 
-std::vector<ConceptId> ConceptDag::NativeParents(ConceptId id) const {
-  std::vector<ConceptId> out;
-  for (const DagEdge& e : parents_[id]) {
-    if (!e.is_shortcut) out.push_back(e.target);
+ConceptDag ConceptDagBuilder::Build() && {
+  auto storage = std::make_shared<ConceptDag::Storage>();
+  const auto flatten = [](const std::vector<std::vector<DagEdge>>& side,
+                          std::vector<uint64_t>* offsets,
+                          std::vector<DagEdge>* edges) {
+    offsets->reserve(side.size() + 1);
+    offsets->push_back(0);
+    for (const std::vector<DagEdge>& group : side) {
+      edges->insert(edges->end(), group.begin(), group.end());
+      offsets->push_back(edges->size());
+    }
+  };
+  flatten(parents_, &storage->parent_offsets, &storage->parent_edges);
+  flatten(children_, &storage->child_offsets, &storage->child_edges);
+  storage->synonym_groups.reserve(names_.size() + 1);
+  storage->synonym_groups.push_back(0);
+  for (size_t id = 0; id < names_.size(); ++id) {
+    storage->names.Add(names_[id]);
+    for (const std::string& synonym : synonyms_[id]) {
+      storage->synonyms.Add(synonym);
+    }
+    storage->synonym_groups.push_back(storage->synonyms.offsets.size() - 1);
   }
-  return out;
-}
 
-std::vector<ConceptId> ConceptDag::NativeChildren(ConceptId id) const {
-  std::vector<ConceptId> out;
-  for (const DagEdge& e : children_[id]) {
-    if (!e.is_shortcut) out.push_back(e.target);
-  }
-  return out;
-}
-
-ConceptId ConceptDag::FindByName(std::string_view name) const {
-  auto it = name_to_id_.find(std::string(name));
-  return it == name_to_id_.end() ? kInvalidConcept : it->second;
-}
-
-ConceptDag ConceptDag::Restore(std::vector<std::string> names,
-                               std::vector<std::vector<std::string>> synonyms,
-                               std::vector<std::vector<DagEdge>> parents,
-                               std::vector<std::vector<DagEdge>> children,
-                               size_t num_edges, size_t num_shortcuts) {
   ConceptDag dag;
-  dag.names_ = std::move(names);
-  dag.synonyms_ = std::move(synonyms);
-  dag.parents_ = std::move(parents);
-  dag.children_ = std::move(children);
-  dag.num_edges_ = num_edges;
-  dag.num_shortcuts_ = num_shortcuts;
-  dag.name_to_id_.reserve(dag.names_.size());
-  for (ConceptId id = 0; id < dag.names_.size(); ++id) {
-    dag.name_to_id_[dag.names_[id]] = id;
-  }
+  dag.views_.names = storage->names.view();
+  dag.views_.synonym_groups = storage->synonym_groups;
+  dag.views_.synonyms = storage->synonyms.view();
+  dag.views_.parents = {storage->parent_offsets, storage->parent_edges};
+  dag.views_.children = {storage->child_offsets, storage->child_edges};
+  dag.views_.num_shortcut_edges = num_shortcuts_;
+  dag.storage_ = std::move(storage);
   return dag;
-}
-
-std::vector<ConceptId> ConceptDag::Roots() const {
-  std::vector<ConceptId> roots;
-  for (ConceptId id = 0; id < names_.size(); ++id) {
-    if (parents_[id].empty()) roots.push_back(id);
-  }
-  return roots;
 }
 
 }  // namespace medrelax

@@ -35,7 +35,7 @@ void GeometryEngine::SetSource(ConceptId source) {
   for (size_t head = 0; head < cone_.size(); ++head) {
     ConceptId u = cone_[head];
     for (const DagEdge& e : dag_->parents(u)) {
-      if (e.is_shortcut) continue;
+      if (e.is_shortcut()) continue;
       Slot& parent = slots_[e.target];
       if (parent.source_stamp != source_epoch_) {
         parent.source_stamp = source_epoch_;
@@ -67,7 +67,7 @@ PairGeometry GeometryEngine::Compute(ConceptId target) {
     ConceptId u = cone_[head];
     const bool common = ReachedFromSource(u);
     for (const DagEdge& e : dag_->parents(u)) {
-      if (e.is_shortcut) continue;
+      if (e.is_shortcut()) continue;
       Slot& parent = slots_[e.target];
       if (common) parent.parent_stamp = target_epoch_;
       if (parent.target_stamp != target_epoch_) {

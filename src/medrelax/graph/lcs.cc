@@ -28,7 +28,7 @@ LcsResult LeastCommonSubsumers(const ConceptDag& dag, ConceptId a,
     if (!is_common(c)) continue;
     bool minimal = true;
     for (const DagEdge& e : dag.children(c)) {
-      if (e.is_shortcut) continue;
+      if (e.is_shortcut()) continue;
       if (is_common(e.target)) {
         minimal = false;
         break;

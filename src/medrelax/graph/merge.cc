@@ -11,11 +11,13 @@ namespace medrelax {
 
 namespace {
 
-// All normalized surface forms (canonical + synonyms) of a concept.
-std::vector<std::string> Surfaces(const ConceptDag& dag, ConceptId id) {
+// All normalized surface forms (canonical + synonyms) of a concept of a
+// ConceptDag or a ConceptDagBuilder.
+template <typename Dag>
+std::vector<std::string> Surfaces(const Dag& dag, ConceptId id) {
   std::vector<std::string> out;
   out.push_back(NormalizeTerm(dag.name(id)));
-  for (const std::string& syn : dag.synonyms(id)) {
+  for (std::string_view syn : dag.synonyms(id)) {
     out.push_back(NormalizeTerm(syn));
   }
   return out;
@@ -27,18 +29,19 @@ Result<MergeResult> MergeExternalSources(const ConceptDag& a,
                                          const ConceptDag& b,
                                          const MergeOptions& options) {
   MergeResult result;
+  ConceptDagBuilder merged_dag;
   MEDRELAX_ASSIGN_OR_RETURN(result.root,
-                            result.dag.AddConcept(options.merged_root_name));
+                            merged_dag.AddConcept(options.merged_root_name));
 
   // --- Copy source A verbatim. ---
   result.from_a.assign(a.num_concepts(), kInvalidConcept);
   std::unordered_map<std::string, ConceptId> surface_index;
   for (ConceptId id = 0; id < a.num_concepts(); ++id) {
     MEDRELAX_ASSIGN_OR_RETURN(ConceptId merged,
-                              result.dag.AddConcept(a.name(id)));
+                              merged_dag.AddConcept(a.name(id)));
     result.from_a[id] = merged;
-    for (const std::string& syn : a.synonyms(id)) {
-      MEDRELAX_RETURN_NOT_OK(result.dag.AddSynonym(merged, syn));
+    for (std::string_view syn : a.synonyms(id)) {
+      MEDRELAX_RETURN_NOT_OK(merged_dag.AddSynonym(merged, syn));
     }
     for (const std::string& surface : Surfaces(a, id)) {
       surface_index.emplace(surface, merged);  // first writer wins
@@ -46,8 +49,8 @@ Result<MergeResult> MergeExternalSources(const ConceptDag& a,
   }
   for (ConceptId id = 0; id < a.num_concepts(); ++id) {
     for (const DagEdge& e : a.parents(id)) {
-      if (e.is_shortcut) continue;
-      MEDRELAX_RETURN_NOT_OK(result.dag.AddSubsumption(
+      if (e.is_shortcut()) continue;
+      MEDRELAX_RETURN_NOT_OK(merged_dag.AddSubsumption(
           result.from_a[id], result.from_a[e.target]));
     }
   }
@@ -69,29 +72,29 @@ Result<MergeResult> MergeExternalSources(const ConceptDag& a,
       ++result.unified;
       // Union the synonym lists (skip surfaces the merged node has).
       std::unordered_set<std::string> have;
-      for (const std::string& s : Surfaces(result.dag, merged)) {
+      for (const std::string& s : Surfaces(merged_dag, merged)) {
         have.insert(s);
       }
-      for (const std::string& syn : b.synonyms(id)) {
+      for (std::string_view syn : b.synonyms(id)) {
         if (have.insert(NormalizeTerm(syn)).second) {
-          MEDRELAX_RETURN_NOT_OK(result.dag.AddSynonym(merged, syn));
+          MEDRELAX_RETURN_NOT_OK(merged_dag.AddSynonym(merged, syn));
         }
       }
       std::string canonical = NormalizeTerm(b.name(id));
       if (have.insert(canonical).second) {
-        MEDRELAX_RETURN_NOT_OK(result.dag.AddSynonym(merged, b.name(id)));
+        MEDRELAX_RETURN_NOT_OK(merged_dag.AddSynonym(merged, b.name(id)));
       }
     } else {
       // Fresh concept; disambiguate canonical-name collisions.
-      Result<ConceptId> made = result.dag.AddConcept(b.name(id));
+      Result<ConceptId> made = merged_dag.AddConcept(b.name(id));
       if (!made.ok()) {
-        made = result.dag.AddConcept(
+        made = merged_dag.AddConcept(
             StrFormat("%s (source b)", b.name(id).c_str()));
       }
       MEDRELAX_RETURN_NOT_OK(made.status());
       merged = *made;
-      for (const std::string& syn : b.synonyms(id)) {
-        MEDRELAX_RETURN_NOT_OK(result.dag.AddSynonym(merged, syn));
+      for (std::string_view syn : b.synonyms(id)) {
+        MEDRELAX_RETURN_NOT_OK(merged_dag.AddSynonym(merged, syn));
       }
       for (const std::string& surface : Surfaces(b, id)) {
         surface_index.emplace(surface, merged);
@@ -101,33 +104,30 @@ Result<MergeResult> MergeExternalSources(const ConceptDag& a,
   }
   for (ConceptId id = 0; id < b.num_concepts(); ++id) {
     for (const DagEdge& e : b.parents(id)) {
-      if (e.is_shortcut) continue;
+      if (e.is_shortcut()) continue;
       ConceptId child = result.from_b[id];
       ConceptId parent = result.from_b[e.target];
       if (child == parent) continue;  // unification collapsed the edge
-      Status st = result.dag.AddSubsumption(child, parent);
+      Status st = merged_dag.AddSubsumption(child, parent);
       if (!st.ok() && !st.IsAlreadyExists()) return st;
     }
   }
 
   // --- Hang both source roots under the fresh root. ---
   for (ConceptId source_root : a.Roots()) {
-    MEDRELAX_RETURN_NOT_OK(result.dag.AddSubsumption(
+    MEDRELAX_RETURN_NOT_OK(merged_dag.AddSubsumption(
         result.from_a[source_root], result.root));
   }
   for (ConceptId source_root : b.Roots()) {
     ConceptId merged = result.from_b[source_root];
-    bool already = false;
-    for (const DagEdge& e : result.dag.parents(merged)) {
-      if (e.target == result.root) already = true;
-    }
-    if (!already && merged != result.root) {
-      MEDRELAX_RETURN_NOT_OK(
-          result.dag.AddSubsumption(merged, result.root));
-    }
+    if (merged == result.root) continue;
+    // A unified root may already hang under the fresh root.
+    Status st = merged_dag.AddSubsumption(merged, result.root);
+    if (!st.ok() && !st.IsAlreadyExists()) return st;
   }
 
   // Unification can splice contradictory hierarchies into a cycle.
+  result.dag = std::move(merged_dag).Build();
   MEDRELAX_RETURN_NOT_OK(ValidateAcyclic(result.dag));
   return result;
 }

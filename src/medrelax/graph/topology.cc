@@ -15,7 +15,7 @@ Result<std::vector<ConceptId>> TopologicalSortChildrenFirst(
   for (ConceptId id = 0; id < n; ++id) {
     uint32_t native = 0;
     for (const DagEdge& e : dag.children(id)) {
-      if (!e.is_shortcut) ++native;
+      if (!e.is_shortcut()) ++native;
     }
     pending_children[id] = native;
   }
@@ -32,7 +32,7 @@ Result<std::vector<ConceptId>> TopologicalSortChildrenFirst(
     ConceptId id = queue[head];
     order.push_back(id);
     for (const DagEdge& e : dag.parents(id)) {
-      if (e.is_shortcut) continue;
+      if (e.is_shortcut()) continue;
       if (--pending_children[e.target] == 0) queue.push_back(e.target);
     }
   }
@@ -74,7 +74,7 @@ Result<std::vector<uint32_t>> DepthsFromRoot(const ConceptDag& dag) {
     ConceptId id = *it;
     uint32_t d = 0;
     for (const DagEdge& e : dag.parents(id)) {
-      if (e.is_shortcut) continue;
+      if (e.is_shortcut()) continue;
       d = std::max(d, depth[e.target] + 1);
     }
     depth[id] = d;

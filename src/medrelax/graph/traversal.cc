@@ -19,10 +19,10 @@ std::vector<uint32_t> DirectedDistances(const ConceptDag& dag, ConceptId start,
   std::vector<ConceptId> queue = {start};
   for (size_t head = 0; head < queue.size(); ++head) {
     ConceptId u = queue[head];
-    const std::vector<DagEdge>& edges =
+    const std::span<const DagEdge> edges =
         upward ? dag.parents(u) : dag.children(u);
     for (const DagEdge& e : edges) {
-      if (e.is_shortcut) continue;
+      if (e.is_shortcut()) continue;
       if (dist[e.target] == kUnreachable) {
         dist[e.target] = dist[u] + 1;
         queue.push_back(e.target);
@@ -61,7 +61,7 @@ bool IsAncestorOf(const ConceptDag& dag, ConceptId ancestor,
   std::vector<ConceptId> queue = {descendant};
   for (size_t head = 0; head < queue.size(); ++head) {
     for (const DagEdge& e : dag.parents(queue[head])) {
-      if (e.is_shortcut) continue;
+      if (e.is_shortcut()) continue;
       if (e.target == ancestor) return true;
       if (!seen[e.target]) {
         seen[e.target] = true;

@@ -12,11 +12,11 @@ namespace medrelax {
 namespace {
 constexpr const char kHeader[] = "# medrelax-dag v1";
 
-Status CheckName(const std::string& name) {
-  if (name.find('\t') != std::string::npos ||
-      name.find('\n') != std::string::npos) {
-    return Status::InvalidArgument(
-        StrFormat("name contains tab/newline: '%s'", name.c_str()));
+Status CheckName(std::string_view name) {
+  if (name.find('\t') != std::string_view::npos ||
+      name.find('\n') != std::string_view::npos) {
+    return Status::InvalidArgument(StrFormat(
+        "name contains tab/newline: '%s'", std::string(name).c_str()));
   }
   return Status::OK();
 }
@@ -29,7 +29,7 @@ Status SaveDag(const ConceptDag& dag, std::ostream& out) {
     out << "C\t" << dag.name(id) << "\n";
   }
   for (ConceptId id = 0; id < dag.num_concepts(); ++id) {
-    for (const std::string& syn : dag.synonyms(id)) {
+    for (std::string_view syn : dag.synonyms(id)) {
       MEDRELAX_RETURN_NOT_OK(CheckName(syn));
       out << "S\t" << id << "\t" << syn << "\n";
     }
@@ -37,7 +37,7 @@ Status SaveDag(const ConceptDag& dag, std::ostream& out) {
   for (ConceptId id = 0; id < dag.num_concepts(); ++id) {
     for (const DagEdge& e : dag.parents(id)) {
       out << "E\t" << id << "\t" << e.target << "\t" << e.original_distance
-          << "\t" << (e.is_shortcut ? 1 : 0) << "\n";
+          << "\t" << (e.is_shortcut() ? 1 : 0) << "\n";
     }
   }
   if (!out.good()) return Status::Internal("SaveDag: stream write failed");
@@ -58,7 +58,7 @@ Result<ConceptDag> LoadDag(std::istream& in) {
   if (!std::getline(in, line) || line != kHeader) {
     return Status::InvalidArgument("LoadDag: missing/unknown header");
   }
-  ConceptDag dag;
+  ConceptDagBuilder dag;
   size_t line_number = 1;
   while (std::getline(in, line)) {
     ++line_number;
@@ -99,7 +99,7 @@ Result<ConceptDag> LoadDag(std::istream& in) {
           fields[0].c_str()));
     }
   }
-  return dag;
+  return std::move(dag).Build();
 }
 
 Result<ConceptDag> LoadDagFromFile(const std::string& path) {

@@ -8,7 +8,7 @@ namespace medrelax {
 EmbeddingMatcher::EmbeddingMatcher(const NameIndex* index, const SifModel* sif,
                                    EmbeddingMatcherOptions options)
     : index_(index), sif_(sif), options_(options) {
-  const std::vector<NameEntry>& entries = index_->entries();
+  const NameIndex::Entries entries = index_->entries();
   // Probe dimensionality with a first non-empty embedding.
   for (const NameEntry& entry : entries) {
     std::vector<double> v = sif_->Embed(Tokenize(entry.surface));
@@ -43,7 +43,7 @@ std::optional<ConceptMatch> EmbeddingMatcher::Map(std::string_view term) const {
 
   double best = options_.min_similarity;
   ConceptId best_concept = kInvalidConcept;
-  const std::vector<NameEntry>& entries = index_->entries();
+  const NameIndex::Entries entries = index_->entries();
   for (size_t i = 0; i < entries.size(); ++i) {
     const double* row = &surface_embeddings_[i * dims_];
     double sim = CosineSimilarity(q.data(), row, dims_);

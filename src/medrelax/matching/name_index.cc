@@ -1,8 +1,10 @@
 #include "medrelax/matching/name_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
+#include "medrelax/common/checksum.h"
 #include "medrelax/text/normalize.h"
 
 namespace medrelax {
@@ -23,8 +25,7 @@ uint32_t PackGram(std::string_view gram) {
 }
 
 /// Visits exactly the grams CharNgrams(s, 3) would return, as packed
-/// keys, without materializing a string per gram — index construction is
-/// the hot half of booting a snapshot from a flat image.
+/// keys, without materializing a string per gram.
 template <typename Fn>
 void ForEachTrigramKey(std::string_view s, Fn&& fn) {
   if (s.empty()) return;
@@ -80,144 +81,209 @@ SharedGramCounter& ThreadCounter() {
   return counter;
 }
 
-}  // namespace
-
-size_t NameIndex::TrigramTable::Probe(uint32_t key) const {
-  // Fibonacci hashing spreads the packed byte patterns; capacity is a
-  // power of two so the mask replaces a modulo.
-  const size_t mask = slots_.size() - 1;
-  size_t slot = (key * 2654435761u) & mask;
-  while (slots_[slot].second != kEmpty && slots_[slot].first != key) {
+/// The slot holding `key` in a linear-probing trigram table, or the free
+/// slot where it would go. The table has a free slot, so this ends.
+size_t ProbeTrigram(std::span<const TrigramSlot> slots, uint32_t key) {
+  const size_t mask = slots.size() - 1;
+  size_t slot = TrigramSlotHash(key, slots.size());
+  while (slots[slot].id != kEmptySlot && slots[slot].key != key) {
     slot = (slot + 1) & mask;
   }
   return slot;
 }
 
-void NameIndex::TrigramTable::Grow() {
-  std::vector<std::pair<uint32_t, int32_t>> old = std::move(slots_);
-  slots_.assign(old.empty() ? 1024 : old.size() * 2, {0, kEmpty});
-  for (const auto& [key, id] : old) {
-    if (id != kEmpty) slots_[Probe(key)] = {key, id};
+}  // namespace
+
+/// The heap arrays behind an index built from a DAG.
+struct NameIndex::Storage {
+  StringTableBuilder surfaces;
+  std::vector<NameEntryRecord> records;
+  std::vector<uint32_t> exact_slots;
+  std::vector<TrigramSlot> trigram_slots;
+  std::vector<uint32_t> trigram_offsets;
+  std::vector<uint32_t> trigram_postings;
+  std::vector<uint32_t> length_offsets;
+  std::vector<uint32_t> by_length;
+
+  void BuildExactSlots();
+  void BuildTrigramPostings();
+  void BuildLengthBuckets();
+};
+
+size_t ExactSlotHash(std::string_view normalized, size_t num_slots) {
+  const int bits = std::countr_zero(num_slots);
+  if (bits == 0) return 0;
+  const uint64_t mixed = FnvChecksum(normalized) * 0x9e3779b97f4a7c15ull;
+  return static_cast<size_t>(mixed >> (64 - bits));
+}
+
+void NameIndex::Storage::BuildExactSlots() {
+  // More than twice the entries, so the load stays under 1/2 and at
+  // least one slot is free: a probe for an absent surface terminates.
+  size_t num_slots = 2;
+  while (num_slots <= 2 * records.size()) num_slots *= 2;
+  exact_slots.assign(num_slots, kEmptySlot);
+  const StringTableView view = surfaces.view();
+  for (size_t e = 0; e < records.size(); ++e) {
+    size_t slot = ExactSlotHash(view[e], num_slots);
+    while (exact_slots[slot] != kEmptySlot) {
+      slot = (slot + 1) & (num_slots - 1);
+    }
+    exact_slots[slot] = static_cast<uint32_t>(e);
   }
 }
 
-uint32_t NameIndex::TrigramTable::Intern(uint32_t key) {
-  if (slots_.empty() || (offsets_.size() - 1) * 2 >= slots_.size()) Grow();
-  size_t slot = Probe(key);
-  if (slots_[slot].second == kEmpty) {
-    slots_[slot] = {key, static_cast<int32_t>(offsets_.size() - 1)};
-    offsets_.push_back(0);  // counts accumulate here during pass 1
-  }
-  return static_cast<uint32_t>(slots_[slot].second);
-}
-
-void NameIndex::TrigramTable::Build(const std::vector<NameEntry>& entries) {
-  // Pass 1: intern keys, count postings per key (counts staged in
-  // offsets_[id + 1]), and record each posting's dense id — grams arrive
-  // in entry order, so pass 2 can replay the ids against per-entry gram
-  // counts without probing the slot table a second time.
-  offsets_.assign(1, 0);
+void NameIndex::Storage::BuildTrigramPostings() {
+  // Pass 1: intern keys by linear probing over a power-of-two slot array
+  // (load kept under 1/2), count postings per key (counts staged in
+  // trigram_offsets[id + 1]), and record each posting's dense id — grams
+  // arrive in entry order, so pass 2 can replay the ids against per-entry
+  // gram counts without probing the slot table a second time.
+  trigram_offsets.assign(1, 0);
+  trigram_slots.assign(1024, TrigramSlot{0, kEmptySlot});
+  const auto intern = [this](uint32_t key) {
+    if ((trigram_offsets.size() - 1) * 2 >= trigram_slots.size()) {
+      std::vector<TrigramSlot> old = std::move(trigram_slots);
+      trigram_slots.assign(old.size() * 2, TrigramSlot{0, kEmptySlot});
+      for (const TrigramSlot& s : old) {
+        if (s.id == kEmptySlot) continue;
+        trigram_slots[ProbeTrigram(trigram_slots, s.key)] = s;
+      }
+    }
+    const size_t slot = ProbeTrigram(trigram_slots, key);
+    if (trigram_slots[slot].id == kEmptySlot) {
+      trigram_slots[slot] = {key,
+                             static_cast<uint32_t>(trigram_offsets.size() - 1)};
+      trigram_offsets.push_back(0);
+    }
+    return trigram_slots[slot].id;
+  };
+  const StringTableView view = surfaces.view();
   std::vector<uint32_t> ids;
-  ids.reserve(4 * entries.size());
-  for (const NameEntry& entry : entries) {
-    ForEachTrigramKey(entry.surface, [&](uint32_t key) {
-      const uint32_t id = Intern(key);
-      ++offsets_[id + 1];
+  ids.reserve(4 * records.size());
+  for (size_t e = 0; e < records.size(); ++e) {
+    ForEachTrigramKey(view[e], [&](uint32_t key) {
+      const uint32_t id = intern(key);
+      ++trigram_offsets[id + 1];
       ids.push_back(id);
     });
   }
   // Exclusive scan turns counts into CSR offsets.
-  for (size_t k = 1; k < offsets_.size(); ++k) offsets_[k] += offsets_[k - 1];
-  postings_.resize(offsets_.back());
+  for (size_t k = 1; k < trigram_offsets.size(); ++k) {
+    trigram_offsets[k] += trigram_offsets[k - 1];
+  }
+  trigram_postings.resize(trigram_offsets.back());
   // Pass 2: place each posting at its key's cursor. The live cursors are
   // one per distinct trigram, so the writes stay cache-resident even
   // with millions of postings.
-  std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  std::vector<uint32_t> cursor(trigram_offsets.begin(),
+                               trigram_offsets.end() - 1);
   size_t next = 0;
-  for (size_t e = 0; e < entries.size(); ++e) {
-    const size_t length = entries[e].surface.size();
+  for (size_t e = 0; e < records.size(); ++e) {
+    const size_t length = view[e].size();
     if (length == 0) continue;
     const size_t grams = length <= 3 ? 1 : length - 2;
     for (size_t g = 0; g < grams; ++g) {
-      postings_[cursor[ids[next++]]++] = static_cast<uint32_t>(e);
+      trigram_postings[cursor[ids[next++]]++] = static_cast<uint32_t>(e);
     }
   }
 }
 
-std::span<const uint32_t> NameIndex::TrigramTable::Find(uint32_t key) const {
-  if (slots_.empty()) return {};
-  size_t slot = Probe(key);
-  if (slots_[slot].second == kEmpty) return {};
-  const auto id = static_cast<size_t>(slots_[slot].second);
-  return std::span<const uint32_t>(postings_).subspan(
-      offsets_[id], offsets_[id + 1] - offsets_[id]);
+void NameIndex::Storage::BuildLengthBuckets() {
+  // Counting sort of entry indexes by surface length; the stable
+  // placement keeps each bucket in ascending entry order.
+  const StringTableView view = surfaces.view();
+  size_t max_length = 0;
+  for (size_t e = 0; e < records.size(); ++e) {
+    max_length = std::max(max_length, view[e].size());
+  }
+  length_offsets.assign(max_length + 2, 0);
+  for (size_t e = 0; e < records.size(); ++e) {
+    ++length_offsets[view[e].size() + 1];
+  }
+  for (size_t n = 1; n < length_offsets.size(); ++n) {
+    length_offsets[n] += length_offsets[n - 1];
+  }
+  by_length.resize(records.size());
+  std::vector<uint32_t> cursor(length_offsets.begin(),
+                               length_offsets.end() - 1);
+  for (size_t e = 0; e < records.size(); ++e) {
+    by_length[cursor[view[e].size()]++] = static_cast<uint32_t>(e);
+  }
 }
 
-NameIndex::NameIndex(const ConceptDag* dag) : dag_(dag) {
-  size_t num_surfaces = dag_->num_concepts();
+NameIndex::NameIndex(const ConceptDag* dag, bool fuzzy_tables) : dag_(dag) {
+  auto storage = std::make_unique<Storage>();
+  const auto add_entry = [&storage](ConceptId id, std::string_view raw,
+                                    bool canonical) {
+    const std::string normalized = NormalizeTerm(raw);
+    if (normalized.empty()) return;
+    storage->surfaces.Add(normalized);
+    storage->records.push_back(
+        {id, canonical ? kNameEntryCanonical : 0u});
+  };
   for (ConceptId id = 0; id < dag_->num_concepts(); ++id) {
-    num_surfaces += dag_->synonyms(id).size();
-  }
-  entries_.reserve(num_surfaces);
-  exact_.reserve(num_surfaces);
-  for (ConceptId id = 0; id < dag_->num_concepts(); ++id) {
-    auto add_entry = [&](const std::string& raw, bool canonical) {
-      std::string normalized = NormalizeTerm(raw);
-      if (normalized.empty()) return;
-      entries_.push_back({std::move(normalized), id, canonical});
-      exact_[entries_.back().surface].push_back(id);
-    };
-    add_entry(dag_->name(id), /*canonical=*/true);
-    for (const std::string& syn : dag_->synonyms(id)) {
-      add_entry(syn, /*canonical=*/false);
+    add_entry(id, dag_->name(id), /*canonical=*/true);
+    for (std::string_view synonym : dag_->synonyms(id)) {
+      add_entry(id, synonym, /*canonical=*/false);
     }
   }
+  storage->BuildExactSlots();
+  if (fuzzy_tables) {
+    storage->BuildTrigramPostings();
+    storage->BuildLengthBuckets();
+  }
+  views_.surfaces = storage->surfaces.view();
+  views_.records = storage->records;
+  views_.exact_slots = storage->exact_slots;
+  views_.trigram_slots = storage->trigram_slots;
+  views_.trigram_offsets = storage->trigram_offsets;
+  views_.trigram_postings = storage->trigram_postings;
+  views_.length_offsets = storage->length_offsets;
+  views_.by_length = storage->by_length;
+  storage_ = std::move(storage);
+}
+
+NameIndex::NameIndex(const ConceptDag* dag, const NameIndexViews& views)
+    : dag_(dag), views_(views) {}
+
+NameIndex::~NameIndex() = default;
+
+std::span<const uint32_t> NameIndex::Postings(uint32_t key) const {
+  const std::span<const TrigramSlot> slots = views_.trigram_slots;
+  if (slots.empty()) return {};
+  const uint32_t id = slots[ProbeTrigram(slots, key)].id;
+  if (id == kEmptySlot) return {};
+  const std::span<const uint32_t> offsets = views_.trigram_offsets;
+  return views_.trigram_postings.subspan(offsets[id],
+                                         offsets[id + 1] - offsets[id]);
 }
 
 std::vector<ConceptId> NameIndex::FindExact(std::string_view surface) const {
-  auto it = exact_.find(NormalizeTerm(surface));
-  if (it == exact_.end()) return {};
-  // Dedup while preserving order (canonical-first insertion order).
+  const std::span<const uint32_t> slots = views_.exact_slots;
+  if (slots.empty()) return {};
+  const std::string normalized = NormalizeTerm(surface);
+  // Equal surfaces lie along one probe chain in ascending entry order,
+  // so the hits arrive canonical-first; keep each concept's first.
   std::vector<ConceptId> out;
-  for (ConceptId id : it->second) {
+  const size_t mask = slots.size() - 1;
+  for (size_t slot = ExactSlotHash(normalized, slots.size());
+       slots[slot] != kEmptySlot; slot = (slot + 1) & mask) {
+    const uint32_t e = slots[slot];
+    if (views_.surfaces[e] != normalized) continue;
+    const ConceptId id = views_.records[e].concept_id;
     if (std::find(out.begin(), out.end(), id) == out.end()) out.push_back(id);
   }
   return out;
 }
 
-void NameIndex::EnsureFuzzyTables() const {
-  std::call_once(fuzzy_once_, [this] {
-    trigram_postings_.Build(entries_);
-    // Counting sort of entry indexes by surface length; the stable
-    // placement keeps each bucket in ascending entry order.
-    size_t max_length = 0;
-    for (const NameEntry& entry : entries_) {
-      max_length = std::max(max_length, entry.surface.size());
-    }
-    length_offsets_.assign(max_length + 2, 0);
-    for (const NameEntry& entry : entries_) {
-      ++length_offsets_[entry.surface.size() + 1];
-    }
-    for (size_t n = 1; n < length_offsets_.size(); ++n) {
-      length_offsets_[n] += length_offsets_[n - 1];
-    }
-    by_length_.resize(entries_.size());
-    std::vector<uint32_t> cursor(length_offsets_.begin(),
-                                 length_offsets_.end() - 1);
-    for (size_t e = 0; e < entries_.size(); ++e) {
-      by_length_[cursor[entries_[e].surface.size()]++] =
-          static_cast<uint32_t>(e);
-    }
-  });
-}
-
 std::vector<uint32_t> NameIndex::CountSharedTrigrams(
     std::string_view normalized) const {
   SharedGramCounter& counter = ThreadCounter();
-  counter.Begin(entries_.size());
+  counter.Begin(views_.records.size());
   std::vector<uint32_t> touched;
   ForEachTrigramKey(normalized, [&](uint32_t gram) {
-    for (uint32_t entry : trigram_postings_.Find(gram)) {
+    for (uint32_t entry : Postings(gram)) {
       if (counter.Add(entry) == 1) touched.push_back(entry);
     }
   });
@@ -226,9 +292,10 @@ std::vector<uint32_t> NameIndex::CountSharedTrigrams(
 
 std::vector<size_t> NameIndex::CandidatesWithin(std::string_view normalized,
                                                 size_t max_distance) const {
-  EnsureFuzzyTables();
+  if (!views_.has_fuzzy_tables()) return {};
+  const std::span<const uint32_t> length_offsets = views_.length_offsets;
   const size_t length = normalized.size();
-  const size_t max_length = length_offsets_.size() - 2;
+  const size_t max_length = length_offsets.size() - 2;
   const size_t lo = length > max_distance ? length - max_distance : 0;
   const size_t hi = length < max_length && max_length - length > max_distance
                         ? length + max_distance
@@ -241,7 +308,7 @@ std::vector<size_t> NameIndex::CandidatesWithin(std::string_view normalized,
     std::vector<std::span<const uint32_t>> postings;
     postings.reserve(length - 2);
     ForEachTrigramKey(normalized, [&](uint32_t gram) {
-      postings.push_back(trigram_postings_.Find(gram));
+      postings.push_back(Postings(gram));
     });
     const size_t scanned = 3 * max_distance + 1;
     std::nth_element(postings.begin(), postings.begin() + scanned,
@@ -251,17 +318,17 @@ std::vector<size_t> NameIndex::CandidatesWithin(std::string_view normalized,
                        return a.size() < b.size();
                      });
     SharedGramCounter& counter = ThreadCounter();
-    counter.Begin(entries_.size());
+    counter.Begin(views_.records.size());
     for (size_t g = 0; g < scanned; ++g) {
       for (uint32_t entry : postings[g]) {
         if (counter.Add(entry) != 1) continue;  // already seen
-        const size_t n = entries_[entry].surface.size();
+        const size_t n = views_.surfaces[entry].size();
         if (n >= lo && n <= hi) out.push_back(entry);
       }
     }
   } else if (lo <= hi) {
-    out.assign(by_length_.begin() + length_offsets_[lo],
-               by_length_.begin() + length_offsets_[hi + 1]);
+    out.assign(views_.by_length.begin() + length_offsets[lo],
+               views_.by_length.begin() + length_offsets[hi + 1]);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -269,7 +336,6 @@ std::vector<size_t> NameIndex::CandidatesWithin(std::string_view normalized,
 
 std::vector<size_t> NameIndex::CandidatesByTrigram(
     std::string_view normalized, size_t max_candidates) const {
-  EnsureFuzzyTables();
   std::vector<uint32_t> touched = CountSharedTrigrams(normalized);
   const SharedGramCounter& counter = ThreadCounter();
   const size_t keep = std::min(max_candidates, touched.size());

@@ -20,10 +20,10 @@ void FeedbackRelaxer::Apply(ConceptId candidate, ContextId context,
   // Attenuated propagation to direct taxonomy neighbors (log-space share).
   double shared = std::exp(options_.neighborhood_share * std::log(factor));
   for (const DagEdge& e : dag_->parents(candidate)) {
-    if (!e.is_shortcut) bump(e.target, shared);
+    if (!e.is_shortcut()) bump(e.target, shared);
   }
   for (const DagEdge& e : dag_->children(candidate)) {
-    if (!e.is_shortcut) bump(e.target, shared);
+    if (!e.is_shortcut()) bump(e.target, shared);
   }
 }
 

@@ -20,9 +20,10 @@ FrequencyModel FrequencyModel::FromNormalizedTable(
     std::span<const double> normalized) {
   MEDRELAX_CHECK(normalized.size() == (num_contexts + 1) * num_concepts)
       << "normalized table size mismatch";
-  FrequencyModel model(num_concepts, num_contexts, smoothing);
-  model.raw_.clear();
-  model.raw_.shrink_to_fit();
+  FrequencyModel model;
+  model.num_concepts_ = num_concepts;
+  model.num_contexts_ = num_contexts;
+  model.smoothing_ = smoothing;
   model.borrowed_ = normalized;
   model.normalized_ = true;
   return model;

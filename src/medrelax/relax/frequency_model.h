@@ -33,8 +33,8 @@ class FrequencyModel {
   /// (flat/snapshot_codec.h). `normalized` must hold the full
   /// (num_contexts + 1) x num_concepts row-major layout (aggregate row
   /// last) and must outlive the model; the mapped image owner guarantees
-  /// this by member-declaration order. A borrowed model rejects SetRaw
-  /// and Normalize.
+  /// this by member-declaration order. A borrowed model allocates
+  /// nothing, and rejects SetRaw and Normalize.
   static FrequencyModel FromNormalizedTable(size_t num_concepts,
                                             size_t num_contexts,
                                             double smoothing,
@@ -69,11 +69,12 @@ class FrequencyModel {
   [[nodiscard]] std::span<const double> NormalizedTable() const;
 
  private:
+  FrequencyModel() = default;
   [[nodiscard]] size_t Index(ConceptId id, ContextId ctx) const;
 
-  size_t num_concepts_;
-  size_t num_contexts_;
-  double smoothing_;
+  size_t num_concepts_ = 0;
+  size_t num_contexts_ = 0;
+  double smoothing_ = 1.0;
   bool normalized_ = false;
   /// Layout: [ctx][concept] flattened; last "context" row is the aggregate.
   std::vector<double> raw_;

@@ -28,7 +28,7 @@ ConceptMentions CountConceptMentions(const ConceptDag& eks,
   for (ConceptId id = 0; id < eks.num_concepts(); ++id) {
     phrases.push_back(NormalizeTerm(eks.name(id)));
     out.owner.push_back(id);
-    for (const std::string& syn : eks.synonyms(id)) {
+    for (std::string_view syn : eks.synonyms(id)) {
       phrases.push_back(NormalizeTerm(syn));
       out.owner.push_back(id);
     }
@@ -130,11 +130,13 @@ Result<IngestionResult> RunIngestion(const KnowledgeBase& kb, ConceptDag* eks,
         if (want(down[d])) shortcuts.emplace_back(d, a, down[d]);
       }
     }
+    ConceptDagBuilder builder(*eks);
     for (const auto& [child, parent, distance] : shortcuts) {
-      size_t before = eks->num_shortcut_edges();
-      MEDRELAX_RETURN_NOT_OK(eks->AddShortcut(child, parent, distance));
-      if (eks->num_shortcut_edges() > before) ++result.shortcuts_added;
+      const size_t before = builder.num_shortcut_edges();
+      MEDRELAX_RETURN_NOT_OK(builder.AddShortcut(child, parent, distance));
+      if (builder.num_shortcut_edges() > before) ++result.shortcuts_added;
     }
+    *eks = std::move(builder).Build();
   }
 
   return result;

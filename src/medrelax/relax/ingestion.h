@@ -64,8 +64,8 @@ struct IngestionResult {
 ///      statistics (tf-idf adjusted) when a corpus is given, or from the
 ///      intrinsic structure (|A| = 1 per concept — the corpus-free
 ///      QR-no-corpus configuration) otherwise;
-///   4. shortcut-edge insertion for flagged concepts (lines 19-23),
-///      mutating `eks`.
+///   4. shortcut-edge insertion for flagged concepts (lines 19-23):
+///      `*eks` is rebuilt once with the shortcuts added.
 ///
 /// Fails if `eks` is not a single-rooted DAG.
 [[nodiscard]]

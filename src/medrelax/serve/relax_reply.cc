@@ -9,8 +9,8 @@ namespace medrelax {
 namespace {
 
 // Appends `"%s"` of `text`: up to its first NUL, as printf would.
-void AppendText(std::string* out, const std::string& text) {
-  out->append(text.c_str());
+void AppendText(std::string* out, std::string_view text) {
+  out->append(text.substr(0, text.find('\0')));
 }
 
 }  // namespace

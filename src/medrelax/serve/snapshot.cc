@@ -19,13 +19,17 @@ Snapshot::Snapshot(BuildTag, ConceptDag dag, KnowledgeBase kb)
 Snapshot::~Snapshot() = default;
 
 Result<std::shared_ptr<Snapshot>> Snapshot::Assemble(
-    ConceptDag dag, KnowledgeBase kb, const SnapshotOptions& options,
+    ConceptDag dag, KnowledgeBase kb, const NameIndexViews* index_views,
+    const SnapshotOptions& options,
     const std::function<Result<IngestionResult>(Snapshot&)>& ingest) {
   // Move the inputs in first so the index/mapper/relaxer borrow pointers
   // with the snapshot's own lifetime, not the caller's.
   auto snap = std::make_shared<Snapshot>(BuildTag{}, std::move(dag),
                                          std::move(kb));
-  snap->index_ = std::make_unique<NameIndex>(&snap->dag_);
+  snap->index_ = index_views != nullptr
+                     ? std::make_unique<NameIndex>(&snap->dag_, *index_views)
+                     : std::make_unique<NameIndex>(
+                           &snap->dag_, !options.use_exact_mapper);
   if (options.use_exact_mapper) {
     snap->mapper_ = std::make_unique<ExactMatcher>(snap->index_.get());
   } else {
@@ -47,8 +51,8 @@ Result<std::shared_ptr<Snapshot>> Snapshot::Assemble(
 Result<std::shared_ptr<Snapshot>> Snapshot::Build(
     ConceptDag dag, KnowledgeBase kb, const Corpus* corpus,
     const SnapshotOptions& options) {
-  return Assemble(std::move(dag), std::move(kb), options,
-                  [corpus, &options](Snapshot& snap) {
+  return Assemble(std::move(dag), std::move(kb), /*index_views=*/nullptr,
+                  options, [corpus, &options](Snapshot& snap) {
                     return RunIngestion(snap.kb_, &snap.dag_, *snap.mapper_,
                                         corpus, options.ingestion);
                   });
@@ -81,15 +85,16 @@ Result<std::shared_ptr<Snapshot>> Snapshot::LoadFromImage(
   }
 
   // Only Algorithm 1 itself is skipped: its artifacts come from the
-  // image, whose mapping the snapshot keeps for the zero-copy table.
+  // image, whose mapping the snapshot keeps: the DAG, the name index and
+  // the frequency table read it in place.
   auto from_image = [&decoded](Snapshot& snap) -> Result<IngestionResult> {
     snap.image_ = std::move(decoded.image);
     return std::move(decoded.ingestion);
   };
   MEDRELAX_ASSIGN_OR_RETURN(
       std::shared_ptr<Snapshot> snap,
-      Assemble(std::move(decoded.dag), std::move(decoded.kb), options,
-               from_image));
+      Assemble(std::move(decoded.dag), std::move(decoded.kb),
+               &decoded.index_views, options, from_image));
   snap->load_micros_ = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
@@ -103,7 +108,7 @@ Status Snapshot::WriteImage(const std::string& path) const {
   config.similarity = options_.similarity;
   config.relaxation = options_.relaxation;
   config.use_exact_mapper = options_.use_exact_mapper;
-  return flat::WriteSnapshotImage(dag_, kb_, ingestion_, config,
+  return flat::WriteSnapshotImage(dag_, *index_, kb_, ingestion_, config,
                                   options_fingerprint_, path);
 }
 

@@ -61,13 +61,15 @@ class Snapshot {
       const SnapshotOptions& options) MEDRELAX_BLOCKING;
 
   /// Boots a snapshot from a flat image medrelax_ingest wrote: the image
-  /// is mmapped read-only, the DAG/KB/ingestion artifacts rehydrate from
-  /// its sections, and the frequency table is served zero-copy out of the
-  /// mapping — Algorithm 1 never reruns. The recomputed options
+  /// is mmapped read-only and validated, and the DAG, its names, the
+  /// name index and the frequency table are served in place out of the
+  /// mapping; only the KB and the small ingestion indexes are decoded —
+  /// Algorithm 1 never reruns and no index is built. The recomputed options
   /// fingerprint must match the one stored at ingest time
   /// (InvalidArgument otherwise — the format evolved under the knobs).
   /// MEDRELAX_BLOCKING: maps and validates the whole file; O(image)
-  /// checksum + index rebuild, but no corpus pass and no propagation.
+  /// checksum + bounds checks, but no corpus pass, no propagation and no
+  /// copy of the borrowed structures.
   [[nodiscard]] static Result<std::shared_ptr<Snapshot>> LoadFromImage(
       const std::string& path) MEDRELAX_BLOCKING;
 
@@ -94,6 +96,7 @@ class Snapshot {
   [[nodiscard]] const ConceptDag& dag() const { return dag_; }
   [[nodiscard]] const KnowledgeBase& kb() const { return kb_; }
   [[nodiscard]] const IngestionResult& ingestion() const { return ingestion_; }
+  [[nodiscard]] const NameIndex& name_index() const { return *index_; }
   [[nodiscard]] const MappingFunction& mapper() const { return *mapper_; }
   [[nodiscard]] const QueryRelaxer& relaxer() const { return *relaxer_; }
 
@@ -120,19 +123,21 @@ class Snapshot {
   friend class SnapshotRegistry;
 
   /// The wiring Build and LoadFromImage share. Moves `dag` and `kb` into
-  /// a new snapshot and binds a name index and the options' term mapper
-  /// to its own DAG. Then `ingest` fills the ingestion artifacts:
+  /// a new snapshot and binds a name index (built, or reading
+  /// `index_views` when non-null) and the options' term mapper to its own
+  /// DAG. Then `ingest` fills the ingestion artifacts:
   /// Algorithm 1 in Build, the image's sections in LoadFromImage. Last,
   /// the relaxer is configured and the options and their fingerprint
   /// are stamped. Fails when `ingest` fails.
   [[nodiscard]] static Result<std::shared_ptr<Snapshot>> Assemble(
-      ConceptDag dag, KnowledgeBase kb, const SnapshotOptions& options,
+      ConceptDag dag, KnowledgeBase kb, const NameIndexViews* index_views,
+      const SnapshotOptions& options,
       const std::function<Result<IngestionResult>(Snapshot&)>& ingest)
       MEDRELAX_BLOCKING;
 
   /// Declared first so it is destroyed LAST: when the snapshot was mapped
-  /// from an image, ingestion_.frequencies borrows its normalized table
-  /// straight from this mapping and must never outlive it.
+  /// from an image, dag_, index_ and ingestion_.frequencies borrow from
+  /// this mapping and must never outlive it.
   std::unique_ptr<flat::FlatImageView> image_;
   ConceptDag dag_;
   KnowledgeBase kb_;

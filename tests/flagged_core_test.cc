@@ -53,7 +53,7 @@ struct CoreWorld {
 // tree. Flags and instances per `flags`; two contexts.
 CoreWorld MakeCoreWorld(size_t n, Flags flags, uint64_t seed) {
   CoreWorld w;
-  ConceptDag& dag = w.dag;
+  ConceptDagBuilder dag;
   Rng rng(seed);
   auto add = [&](const char* prefix) {
     return *dag.AddConcept(StrFormat("%s%zu", prefix, dag.num_concepts()));
@@ -65,8 +65,9 @@ CoreWorld MakeCoreWorld(size_t n, Flags flags, uint64_t seed) {
       (void)dag.AddSubsumption(i, static_cast<ConceptId>(rng.UniformU64(i)));
     }
   }
+  const ConceptDag random_part = ConceptDagBuilder(dag).Build();
   for (ConceptId a = 0; a < n; ++a) {
-    const std::vector<uint32_t> up = UpDistances(dag, a);
+    const std::vector<uint32_t> up = UpDistances(random_part, a);
     for (ConceptId c = 0; c < n; ++c) {
       if (up[c] >= 2 && up[c] <= 3) {
         EXPECT_TRUE(dag.AddShortcut(a, c, up[c]).ok());
@@ -106,7 +107,8 @@ CoreWorld MakeCoreWorld(size_t n, Flags flags, uint64_t seed) {
     EXPECT_TRUE(dag.AddSubsumption(add("detached"), detached).ok());
   }
 
-  const size_t total = dag.num_concepts();
+  w.dag = std::move(dag).Build();
+  const size_t total = w.dag.num_concepts();
   IngestionResult& ingestion = w.ingestion;
   ingestion.frequencies = FrequencyModel(total, 2);
   for (ConceptId id = 0; id < total; ++id) {

@@ -16,8 +16,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <fstream>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
+#include "medrelax/common/checksum.h"
 #include "medrelax/datasets/kb_generator.h"
 #include "medrelax/flat/format.h"
 #include "medrelax/flat/image_view.h"
@@ -27,11 +31,24 @@
 namespace medrelax {
 namespace {
 
-using flat::FlatEdge;
 using flat::FlatImageView;
 using flat::ImageHeader;
 using flat::SectionEntry;
 using flat::SectionId;
+
+// ASan and TSan replace the allocator, so RSS says nothing about what
+// the program keeps; the RSS test skips under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerAllocator = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizerAllocator = true;
+#else
+constexpr bool kSanitizerAllocator = false;
+#endif
+#else
+constexpr bool kSanitizerAllocator = false;
+#endif
 
 Result<GeneratedWorld> SmallWorld(uint64_t seed = 7) {
   SnomedGeneratorOptions eks;
@@ -99,7 +116,7 @@ bool WriteFileBytes(const std::string& path,
 /// covers [sizeof(ImageHeader), end) only.
 void Restamp(std::vector<std::byte>& bytes) {
   ASSERT_GE(bytes.size(), sizeof(ImageHeader));
-  const uint64_t checksum = flat::FnvChecksum(
+  const uint64_t checksum = FnvChecksum(
       std::span<const std::byte>(bytes).subspan(sizeof(ImageHeader)));
   std::memcpy(bytes.data() + offsetof(ImageHeader, payload_checksum),
               &checksum, sizeof(checksum));
@@ -161,7 +178,7 @@ TEST(FlatImageRoundTrip, MappedSnapshotMatchesTheBuiltOne) {
     for (size_t e = 0; e < ap.size(); ++e) {
       EXPECT_EQ(ap[e].target, bp[e].target);
       EXPECT_EQ(ap[e].original_distance, bp[e].original_distance);
-      EXPECT_EQ(ap[e].is_shortcut, bp[e].is_shortcut);
+      EXPECT_EQ(ap[e].is_shortcut(), bp[e].is_shortcut());
     }
   }
 
@@ -304,9 +321,10 @@ TEST(FlatImageRoundTrip, ReservedMetaFlagsAreNeverWritten) {
 }
 
 TEST(FlatImageCompat, CommittedImageWithReservedFlagsStillLoads) {
-  // Written by an ingest that still set the reserved geometry-memo flag;
-  // the layout and the fingerprint scheme are unchanged, so it must load
-  // and keep its stored fingerprint.
+  // Written by an ingest that still set the reserved geometry-memo flag
+  // (and converted to format version 2 section for section); the
+  // fingerprint scheme is unchanged, so it must load and keep its stored
+  // fingerprint.
   const std::string path = std::string(MEDRELAX_SOURCE_DIR) +
                            "/fuzz/corpus/fuzz_image/valid_tiny.img";
   Result<std::unique_ptr<FlatImageView>> image = FlatImageView::Open(path);
@@ -512,12 +530,12 @@ TEST(FlatImageHardening, CorruptEdgeTargetIsRejectedByTheCodec) {
   std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
   SectionEntry entry;
   ASSERT_TRUE(FindSection(bytes, SectionId::kDagParentEdges, &entry));
-  ASSERT_GE(entry.size, sizeof(FlatEdge));
+  ASSERT_GE(entry.size, sizeof(DagEdge));
   // A structurally valid image whose first parent edge points at a
   // nonexistent concept: the view opens fine (checksum restamped), the
   // codec's semantic validation must catch it.
   const uint32_t bogus_target = 0xFFFFFFFFu;
-  std::memcpy(bytes.data() + entry.offset + offsetof(FlatEdge, target),
+  std::memcpy(bytes.data() + entry.offset + offsetof(DagEdge, target),
               &bogus_target, sizeof(bogus_target));
   Restamp(bytes);
   const std::string path = WriteCorrupted("flat_bad_edge.img", bytes);
@@ -548,6 +566,233 @@ TEST(FlatImageHardening, TamperedOptionsFingerprintIsRejectedAtLoad) {
   Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
   ASSERT_FALSE(snap.ok());
   EXPECT_TRUE(snap.status().IsInvalidArgument()) << snap.status();
+}
+
+TEST(FlatImageHardening, VersionOneImageIsFailedPrecondition) {
+  // Version 1 stored unterminated strings and no name index; the reader
+  // refuses it rather than guessing.
+  ASSERT_FALSE(SharedImagePath().empty());
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  const uint32_t version_one = 1;
+  std::memcpy(bytes.data() + offsetof(ImageHeader, version), &version_one,
+              sizeof(version_one));
+  const std::string path = WriteCorrupted("flat_version_one.img", bytes);
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_TRUE(snap.status().IsFailedPrecondition()) << snap.status();
+}
+
+/// Patches the uint32 at `index` of a section, restamps, and returns the
+/// load status of the result, which must pass whole-file validation.
+Status LoadWithPatchedWord(SectionId id, size_t index, uint32_t value,
+                           const std::string& name) {
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  SectionEntry entry;
+  EXPECT_TRUE(FindSection(bytes, id, &entry));
+  EXPECT_LT(index * sizeof(uint32_t), entry.size);
+  std::memcpy(bytes.data() + entry.offset + index * sizeof(uint32_t), &value,
+              sizeof(value));
+  Restamp(bytes);
+  const std::string path = WriteCorrupted(name, bytes);
+  EXPECT_TRUE(FlatImageView::Open(path).ok());
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  return snap.ok() ? Status::OK() : snap.status();
+}
+
+TEST(FlatImageHardening, UnmirroredEdgeSidesAreInvalidArgument) {
+  // Both sides are borrowed as they are, so a child edge whose distance
+  // disagrees with its parent edge must be caught at load.
+  ASSERT_FALSE(SharedImagePath().empty());
+  const Status status = LoadWithPatchedWord(
+      SectionId::kDagChildEdges, offsetof(DagEdge, original_distance) / 4,
+      7, "flat_unmirrored.img");
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("mirror"), std::string::npos) << status;
+}
+
+TEST(FlatImageHardening, ExactSlotBeyondTheEntriesIsInvalidArgument) {
+  ASSERT_FALSE(SharedImagePath().empty());
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  SectionEntry records;
+  ASSERT_TRUE(FindSection(bytes, SectionId::kNameEntryRecords, &records));
+  const auto num_entries =
+      static_cast<uint32_t>(records.size / sizeof(NameEntryRecord));
+  const Status status = LoadWithPatchedWord(
+      SectionId::kNameExactSlots, 0, num_entries, "flat_bad_slot.img");
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+}
+
+TEST(FlatImageHardening, ExactSlotTableWithoutAFreeSlotIsInvalidArgument) {
+  // A probe for an absent surface stops only at a free slot.
+  ASSERT_FALSE(SharedImagePath().empty());
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  SectionEntry slots;
+  ASSERT_TRUE(FindSection(bytes, SectionId::kNameExactSlots, &slots));
+  std::memset(bytes.data() + slots.offset, 0, slots.size);
+  Restamp(bytes);
+  const std::string path = WriteCorrupted("flat_full_slots.img", bytes);
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_TRUE(snap.status().IsInvalidArgument()) << snap.status();
+}
+
+TEST(FlatImageHardening, TrigramPostingBeyondTheEntriesIsInvalidArgument) {
+  ASSERT_FALSE(SharedImagePath().empty());
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  SectionEntry records;
+  ASSERT_TRUE(FindSection(bytes, SectionId::kNameEntryRecords, &records));
+  const auto num_entries =
+      static_cast<uint32_t>(records.size / sizeof(NameEntryRecord));
+  const Status status = LoadWithPatchedWord(
+      SectionId::kTrigramPostings, 0, num_entries, "flat_bad_posting.img");
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+}
+
+TEST(FlatImageHardening, UnterminatedNameIsInvalidArgument) {
+  ASSERT_FALSE(SharedImagePath().empty());
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  SectionEntry blob;
+  ASSERT_TRUE(FindSection(bytes, SectionId::kConceptNameBlob, &blob));
+  ASSERT_GT(blob.size, 0u);
+  bytes[blob.offset + blob.size - 1] = std::byte{'x'};
+  Restamp(bytes);
+  const std::string path = WriteCorrupted("flat_unterminated.img", bytes);
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_TRUE(snap.status().IsInvalidArgument()) << snap.status();
+}
+
+/// The [begin, end) address ranges /proc/self/maps lists for `path`.
+std::vector<std::pair<uintptr_t, uintptr_t>> MappingsOf(
+    const std::string& path) {
+  std::vector<std::pair<uintptr_t, uintptr_t>> out;
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    if (line.size() < path.size() ||
+        line.compare(line.size() - path.size(), path.size(), path) != 0) {
+      continue;
+    }
+    std::istringstream fields(line);
+    std::string range;
+    fields >> range;
+    const size_t dash = range.find('-');
+    out.emplace_back(std::stoull(range.substr(0, dash), nullptr, 16),
+                     std::stoull(range.substr(dash + 1), nullptr, 16));
+  }
+  return out;
+}
+
+bool InMapping(const void* p,
+               const std::vector<std::pair<uintptr_t, uintptr_t>>& ranges) {
+  const auto address = reinterpret_cast<uintptr_t>(p);
+  for (const auto& [begin, end] : ranges) {
+    if (address >= begin && address < end) return true;
+  }
+  return false;
+}
+
+TEST(FlatImageRoundTrip, ServedStructuresAreReadFromTheMapping) {
+  // An edit-mapper image: the first typo lookup after a load reads the
+  // trigram postings and length buckets straight out of the mapping —
+  // there is no build step — and so do the DAG and its names.
+  ASSERT_FALSE(SharedImagePath().empty());
+  Result<std::shared_ptr<Snapshot>> snap =
+      Snapshot::LoadFromImage(SharedImagePath());
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  const auto ranges = MappingsOf(SharedImagePath());
+  ASSERT_FALSE(ranges.empty());
+
+  const NameIndex& index = (*snap)->name_index();
+  const NameIndexViews& views = index.views();
+  const std::string name(index.entries()[0].surface);
+  const std::string typo = name.substr(0, name.size() - 1);
+  EXPECT_FALSE(index.CandidatesWithin(typo, 2).empty()) << typo;
+  EXPECT_TRUE(InMapping(views.trigram_postings.data(), ranges));
+  EXPECT_TRUE(InMapping(views.trigram_slots.data(), ranges));
+  EXPECT_TRUE(InMapping(views.by_length.data(), ranges));
+  EXPECT_TRUE(InMapping(views.exact_slots.data(), ranges));
+  EXPECT_TRUE(InMapping(views.surfaces.blob().data(), ranges));
+  EXPECT_EQ(index.FindExact(name).front(), index.entries()[0].concept_id);
+
+  const ConceptDag& dag = (*snap)->dag();
+  EXPECT_TRUE(InMapping(dag.name(0).data(), ranges));
+  EXPECT_TRUE(InMapping(dag.views().parents.edges.data(), ranges));
+  EXPECT_TRUE(InMapping(dag.views().children.edges.data(), ranges));
+}
+
+TEST(FlatImageRoundTrip, ExactImageCarriesNoFuzzyTables) {
+  SnapshotOptions exact;
+  exact.use_exact_mapper = true;
+  std::shared_ptr<Snapshot> built = BuildSmallSnapshot(7, exact);
+  const std::string path =
+      testing::TempDir() + "flat_exact." + std::to_string(::getpid()) + ".img";
+  ASSERT_TRUE(built->WriteImage(path).ok());
+  Result<std::unique_ptr<FlatImageView>> image = FlatImageView::Open(path);
+  ASSERT_TRUE(image.ok()) << image.status();
+  EXPECT_TRUE((*image)->HasSection(SectionId::kNameExactSlots));
+  EXPECT_FALSE((*image)->HasSection(SectionId::kTrigramPostings));
+  EXPECT_FALSE((*image)->HasSection(SectionId::kNameByLength));
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  const NameIndex& index = (*snap)->name_index();
+  for (size_t e = 0; e < index.entries().size(); e += 97) {
+    EXPECT_EQ(index.FindExact(index.entries()[e].surface),
+              built->name_index().FindExact(index.entries()[e].surface));
+  }
+  std::remove(path.c_str());
+}
+
+/// Anonymous resident memory of this process, in KiB.
+size_t RssAnonKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("RssAnon:", 0) == 0) {
+      return std::stoul(line.substr(sizeof("RssAnon:") - 1));
+    }
+  }
+  return 0;
+}
+
+TEST(FlatImageReload, AnonymousRssStaysFlatOverTenReloads) {
+  // A 16k-concept image holds tens of MiB of DAG, names and name index.
+  // Loads borrow them from the mapping, so reloading the same image ten
+  // times, each publish freeing the previous snapshot, keeps anonymous
+  // RSS where the first load left it.
+  if (kSanitizerAllocator) GTEST_SKIP() << "sanitizer allocator";
+  SnomedGeneratorOptions eks;
+  eks.num_concepts = 16000;
+  eks.seed = 5;
+  KbGeneratorOptions kb;
+  kb.num_findings = 400;
+  kb.seed = 6;
+  Result<GeneratedWorld> world = GenerateWorld(eks, kb);
+  ASSERT_TRUE(world.ok()) << world.status();
+  const std::string path =
+      testing::TempDir() + "flat_reload." + std::to_string(::getpid()) + ".img";
+  {
+    Result<std::shared_ptr<Snapshot>> built =
+        Snapshot::Build(std::move(world->eks.dag), std::move(world->kb),
+                        nullptr, SnapshotOptions{});
+    ASSERT_TRUE(built.ok()) << built.status();
+    ASSERT_TRUE((*built)->WriteImage(path).ok());
+  }
+  SnapshotRegistry registry;
+  Result<std::shared_ptr<Snapshot>> first = Snapshot::LoadFromImage(path);
+  ASSERT_TRUE(first.ok()) << first.status();
+  registry.Publish(std::move(*first));
+  const size_t after_first = RssAnonKib();
+  for (int reload = 0; reload < 10; ++reload) {
+    Result<std::shared_ptr<Snapshot>> next = Snapshot::LoadFromImage(path);
+    ASSERT_TRUE(next.ok()) << next.status();
+    registry.Publish(std::move(*next));
+  }
+  const size_t after_ten = RssAnonKib();
+  EXPECT_LE(after_ten, after_first + 2 * 1024)
+      << "RssAnon " << after_first << " KiB after the first load, "
+      << after_ten << " KiB after ten more";
+  std::remove(path.c_str());
 }
 
 TEST(FrequencyModel, FromNormalizedTableServesTheBorrowedRows) {

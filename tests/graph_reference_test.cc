@@ -31,7 +31,7 @@ constexpr uint32_t kInf = std::numeric_limits<uint32_t>::max();
 // with strictly smaller index (acyclic by construction).
 ConceptDag RandomDag(size_t n, uint64_t seed) {
   Rng rng(seed);
-  ConceptDag dag;
+  ConceptDagBuilder dag;
   for (size_t i = 0; i < n; ++i) {
     EXPECT_TRUE(dag.AddConcept(StrFormat("n%zu", i)).ok());
   }
@@ -43,7 +43,7 @@ ConceptDag RandomDag(size_t n, uint64_t seed) {
       (void)st;
     }
   }
-  return dag;
+  return std::move(dag).Build();
 }
 
 // Floyd-Warshall over the child->parent (upward) edges.
@@ -53,7 +53,7 @@ std::vector<std::vector<uint32_t>> RefUpDistances(const ConceptDag& dag) {
   for (ConceptId i = 0; i < n; ++i) {
     d[i][i] = 0;
     for (const DagEdge& e : dag.parents(i)) {
-      if (!e.is_shortcut) d[i][e.target] = 1;
+      if (!e.is_shortcut()) d[i][e.target] = 1;
     }
   }
   for (size_t k = 0; k < n; ++k) {
@@ -168,7 +168,7 @@ TEST_P(GraphReferenceSweep, LcsMatchesSpecTranscription) {
         if (!common(c)) continue;
         bool is_minimal = true;
         for (const DagEdge& e : dag.children(c)) {
-          if (!e.is_shortcut && common(e.target)) {
+          if (!e.is_shortcut() && common(e.target)) {
             is_minimal = false;
             break;
           }
@@ -241,13 +241,15 @@ TEST_P(GraphReferenceSweep, NeighborsUnchangedByShortcuts) {
   // Materialize a shortcut for every strictly-transitive up-distance <= 4
   // (the Algorithm 1 customization, exhaustively).
   auto ref = RefUpDistances(dag);
+  ConceptDagBuilder builder(dag);
   for (ConceptId a = 0; a < n; ++a) {
     for (ConceptId c = 0; c < n; ++c) {
       if (ref[a][c] != kInf && ref[a][c] >= 2 && ref[a][c] <= 4) {
-        ASSERT_TRUE(dag.AddShortcut(a, c, ref[a][c]).ok());
+        ASSERT_TRUE(builder.AddShortcut(a, c, ref[a][c]).ok());
       }
     }
   }
+  dag = std::move(builder).Build();
   for (ConceptId start = 0; start < n; ++start) {
     std::vector<Neighbor> after = NeighborsWithinRadius(dag, start, radius);
     auto sorted = [](std::vector<Neighbor> v) {
@@ -268,13 +270,15 @@ TEST_P(GraphReferenceSweep, GeometryEngineMatchesNaiveFormulation) {
   ConceptDag dag = RandomDag(18, GetParam() + 600);
   const size_t n = dag.num_concepts();
   auto ref = RefUpDistances(dag);
+  ConceptDagBuilder builder(dag);
   for (ConceptId a = 0; a < n; ++a) {
     for (ConceptId c = 0; c < n; ++c) {
       if (ref[a][c] != kInf && ref[a][c] >= 2 && ref[a][c] <= 3) {
-        ASSERT_TRUE(dag.AddShortcut(a, c, ref[a][c]).ok());
+        ASSERT_TRUE(builder.AddShortcut(a, c, ref[a][c]).ok());
       }
     }
   }
+  dag = std::move(builder).Build();
   GeometryEngine engine(&dag);
   for (ConceptId a = 0; a < n; ++a) {
     engine.SetSource(a);
@@ -296,37 +300,39 @@ struct HubDag {
 
 HubDag RandomHubDag(size_t n, size_t hub_children, uint64_t seed) {
   HubDag h;
-  h.dag = RandomDag(n, seed);
-  auto ref = RefUpDistances(h.dag);
+  const ConceptDag random_part = RandomDag(n, seed);
+  auto ref = RefUpDistances(random_part);
+  ConceptDagBuilder h_dag(random_part);
   for (ConceptId a = 0; a < n; ++a) {
     for (ConceptId c = 0; c < n; ++c) {
       if (ref[a][c] != kInf && ref[a][c] >= 2 && ref[a][c] <= 3) {
-        EXPECT_TRUE(h.dag.AddShortcut(a, c, ref[a][c]).ok());
+        EXPECT_TRUE(h_dag.AddShortcut(a, c, ref[a][c]).ok());
       }
     }
   }
   Rng rng(seed + 1);
-  h.hub = *h.dag.AddConcept("hub");
-  EXPECT_TRUE(h.dag.AddSubsumption(
+  h.hub = *h_dag.AddConcept("hub");
+  EXPECT_TRUE(h_dag.AddSubsumption(
                        h.hub, static_cast<ConceptId>(rng.UniformU64(n)))
                   .ok());
   ConceptId below = h.hub;
   for (size_t i = 0; i < 3; ++i) {
-    ConceptId link = *h.dag.AddConcept(StrFormat("chain%zu", i));
-    EXPECT_TRUE(h.dag.AddSubsumption(link, below).ok());
+    ConceptId link = *h_dag.AddConcept(StrFormat("chain%zu", i));
+    EXPECT_TRUE(h_dag.AddSubsumption(link, below).ok());
     h.chain.push_back(link);
     below = link;
   }
   for (size_t i = 0; i < hub_children; ++i) {
-    ConceptId leaf = *h.dag.AddConcept(StrFormat("leaf%zu", i));
-    EXPECT_TRUE(h.dag.AddSubsumption(leaf, h.hub).ok());
+    ConceptId leaf = *h_dag.AddConcept(StrFormat("leaf%zu", i));
+    EXPECT_TRUE(h_dag.AddSubsumption(leaf, h.hub).ok());
     if (i % 10 == 0) {
-      EXPECT_TRUE(h.dag.AddSubsumption(
+      EXPECT_TRUE(h_dag.AddSubsumption(
                            leaf, static_cast<ConceptId>(rng.UniformU64(n)))
                       .ok());
     }
     h.leaves.push_back(leaf);
   }
+  h.dag = std::move(h_dag).Build();
   return h;
 }
 
@@ -421,28 +427,29 @@ TEST(GeometryEngine, TiedLcsUnderAHubMatchesNaive) {
   // root <- {p1, p2}; x and y each sit under both p1 and p2, so
   // lcs(x, y) = {p1, p2}; p1 is also a hub with 1000 more children, and
   // z under x and y adds a tie one level further down.
-  ConceptDag dag;
-  ConceptId root = *dag.AddConcept("root");
-  ConceptId p1 = *dag.AddConcept("p1");
-  ConceptId p2 = *dag.AddConcept("p2");
-  ConceptId x = *dag.AddConcept("x");
-  ConceptId y = *dag.AddConcept("y");
-  ConceptId z = *dag.AddConcept("z");
-  ConceptId w = *dag.AddConcept("w");
-  ASSERT_TRUE(dag.AddSubsumption(p1, root).ok());
-  ASSERT_TRUE(dag.AddSubsumption(p2, root).ok());
+  ConceptDagBuilder builder;
+  ConceptId root = *builder.AddConcept("root");
+  ConceptId p1 = *builder.AddConcept("p1");
+  ConceptId p2 = *builder.AddConcept("p2");
+  ConceptId x = *builder.AddConcept("x");
+  ConceptId y = *builder.AddConcept("y");
+  ConceptId z = *builder.AddConcept("z");
+  ConceptId w = *builder.AddConcept("w");
+  ASSERT_TRUE(builder.AddSubsumption(p1, root).ok());
+  ASSERT_TRUE(builder.AddSubsumption(p2, root).ok());
   for (ConceptId c : {x, y}) {
-    ASSERT_TRUE(dag.AddSubsumption(c, p1).ok());
-    ASSERT_TRUE(dag.AddSubsumption(c, p2).ok());
+    ASSERT_TRUE(builder.AddSubsumption(c, p1).ok());
+    ASSERT_TRUE(builder.AddSubsumption(c, p2).ok());
   }
-  ASSERT_TRUE(dag.AddSubsumption(z, x).ok());
-  ASSERT_TRUE(dag.AddSubsumption(z, y).ok());
-  ASSERT_TRUE(dag.AddSubsumption(w, x).ok());
-  ASSERT_TRUE(dag.AddSubsumption(w, y).ok());
+  ASSERT_TRUE(builder.AddSubsumption(z, x).ok());
+  ASSERT_TRUE(builder.AddSubsumption(z, y).ok());
+  ASSERT_TRUE(builder.AddSubsumption(w, x).ok());
+  ASSERT_TRUE(builder.AddSubsumption(w, y).ok());
   for (size_t i = 0; i < 1000; ++i) {
-    ConceptId leaf = *dag.AddConcept(StrFormat("leaf%zu", i));
-    ASSERT_TRUE(dag.AddSubsumption(leaf, p1).ok());
+    ConceptId leaf = *builder.AddConcept(StrFormat("leaf%zu", i));
+    ASSERT_TRUE(builder.AddSubsumption(leaf, p1).ok());
   }
+  ConceptDag dag = std::move(builder).Build();
   GeometryEngine engine(&dag);
   engine.SetSource(x);
   EXPECT_EQ(engine.Compute(y).lcs, (std::vector<ConceptId>{p1, p2}));

@@ -27,51 +27,57 @@ struct Diamond {
 
 Diamond MakeDiamond() {
   Diamond d;
-  d.root = *d.dag.AddConcept("root");
-  d.a = *d.dag.AddConcept("a");
-  d.b = *d.dag.AddConcept("b");
-  d.ab = *d.dag.AddConcept("ab");
-  d.leaf = *d.dag.AddConcept("leaf");
-  EXPECT_TRUE(d.dag.AddSubsumption(d.a, d.root).ok());
-  EXPECT_TRUE(d.dag.AddSubsumption(d.b, d.root).ok());
-  EXPECT_TRUE(d.dag.AddSubsumption(d.ab, d.a).ok());
-  EXPECT_TRUE(d.dag.AddSubsumption(d.ab, d.b).ok());
-  EXPECT_TRUE(d.dag.AddSubsumption(d.leaf, d.ab).ok());
+  ConceptDagBuilder d_dag;
+  d.root = *d_dag.AddConcept("root");
+  d.a = *d_dag.AddConcept("a");
+  d.b = *d_dag.AddConcept("b");
+  d.ab = *d_dag.AddConcept("ab");
+  d.leaf = *d_dag.AddConcept("leaf");
+  EXPECT_TRUE(d_dag.AddSubsumption(d.a, d.root).ok());
+  EXPECT_TRUE(d_dag.AddSubsumption(d.b, d.root).ok());
+  EXPECT_TRUE(d_dag.AddSubsumption(d.ab, d.a).ok());
+  EXPECT_TRUE(d_dag.AddSubsumption(d.ab, d.b).ok());
+  EXPECT_TRUE(d_dag.AddSubsumption(d.leaf, d.ab).ok());
+  d.dag = std::move(d_dag).Build();
   return d;
 }
 
 TEST(ConceptDag, RejectsDuplicateNames) {
-  ConceptDag dag;
-  ASSERT_TRUE(dag.AddConcept("x").ok());
-  EXPECT_TRUE(dag.AddConcept("x").status().IsAlreadyExists());
+  ConceptDagBuilder builder;
+  ASSERT_TRUE(builder.AddConcept("x").ok());
+  EXPECT_TRUE(builder.AddConcept("x").status().IsAlreadyExists());
 }
 
 TEST(ConceptDag, RejectsSelfEdge) {
-  ConceptDag dag;
-  ConceptId x = *dag.AddConcept("x");
-  EXPECT_TRUE(dag.AddSubsumption(x, x).IsInvalidArgument());
+  ConceptDagBuilder builder;
+  ConceptId x = *builder.AddConcept("x");
+  EXPECT_TRUE(builder.AddSubsumption(x, x).IsInvalidArgument());
 }
 
 TEST(ConceptDag, RejectsDuplicateNativeEdge) {
   Diamond d = MakeDiamond();
-  EXPECT_TRUE(d.dag.AddSubsumption(d.a, d.root).IsAlreadyExists());
+  ConceptDagBuilder builder(d.dag);
+  EXPECT_TRUE(builder.AddSubsumption(d.a, d.root).IsAlreadyExists());
 }
 
 TEST(ConceptDag, RejectsInvalidIds) {
-  ConceptDag dag;
-  ConceptId x = *dag.AddConcept("x");
-  EXPECT_TRUE(dag.AddSubsumption(x, 999).IsInvalidArgument());
-  EXPECT_TRUE(dag.AddSynonym(999, "y").IsInvalidArgument());
+  ConceptDagBuilder builder;
+  ConceptId x = *builder.AddConcept("x");
+  EXPECT_TRUE(builder.AddSubsumption(x, 999).IsInvalidArgument());
+  EXPECT_TRUE(builder.AddSynonym(999, "y").IsInvalidArgument());
 }
 
 TEST(ConceptDag, ShortcutRequiresDistanceAtLeastTwo) {
   Diamond d = MakeDiamond();
-  EXPECT_TRUE(d.dag.AddShortcut(d.leaf, d.root, 1).IsInvalidArgument());
-  EXPECT_TRUE(d.dag.AddShortcut(d.leaf, d.root, 3).ok());
-  EXPECT_EQ(d.dag.num_shortcut_edges(), 1u);
+  ConceptDagBuilder builder(d.dag);
+  EXPECT_TRUE(builder.AddShortcut(d.leaf, d.root, 1).IsInvalidArgument());
+  EXPECT_TRUE(builder.AddShortcut(d.leaf, d.root, 3).ok());
+  EXPECT_EQ(builder.num_shortcut_edges(), 1u);
   // Idempotent: adding again is a no-op.
-  EXPECT_TRUE(d.dag.AddShortcut(d.leaf, d.root, 3).ok());
-  EXPECT_EQ(d.dag.num_shortcut_edges(), 1u);
+  EXPECT_TRUE(builder.AddShortcut(d.leaf, d.root, 3).ok());
+  const ConceptDag dag = std::move(builder).Build();
+  EXPECT_EQ(dag.num_shortcut_edges(), 1u);
+  EXPECT_EQ(dag.num_edges(), d.dag.num_edges() + 1);
 }
 
 TEST(ConceptDag, FindByNameAndRoots) {
@@ -96,18 +102,20 @@ TEST(Topology, ChildrenBeforeParents) {
 }
 
 TEST(Topology, DetectsCycle) {
-  ConceptDag dag;
-  ConceptId x = *dag.AddConcept("x");
-  ConceptId y = *dag.AddConcept("y");
-  ASSERT_TRUE(dag.AddSubsumption(x, y).ok());
-  ASSERT_TRUE(dag.AddSubsumption(y, x).ok());
+  ConceptDagBuilder builder;
+  ConceptId x = *builder.AddConcept("x");
+  ConceptId y = *builder.AddConcept("y");
+  ASSERT_TRUE(builder.AddSubsumption(x, y).ok());
+  ASSERT_TRUE(builder.AddSubsumption(y, x).ok());
+  ConceptDag dag = std::move(builder).Build();
   EXPECT_TRUE(ValidateAcyclic(dag).IsFailedPrecondition());
 }
 
 TEST(Topology, ValidatesSingleRoot) {
-  ConceptDag dag;
-  ASSERT_TRUE(dag.AddConcept("r1").ok());
-  ASSERT_TRUE(dag.AddConcept("r2").ok());
+  ConceptDagBuilder builder;
+  ASSERT_TRUE(builder.AddConcept("r1").ok());
+  ASSERT_TRUE(builder.AddConcept("r2").ok());
+  ConceptDag dag = std::move(builder).Build();
   EXPECT_TRUE(ValidateExternalSource(dag).IsFailedPrecondition());
 }
 
@@ -170,7 +178,9 @@ TEST(Traversal, ShortcutPreservesOriginalDistance) {
   EXPECT_EQ(hops_of(3), 3u);
   // A shortcut carries the original distance it replaces, so the radius-r
   // ball (and every reported hop count) is unchanged by customization.
-  ASSERT_TRUE(d.dag.AddShortcut(d.leaf, d.root, 3).ok());
+  ConceptDagBuilder builder(d.dag);
+  ASSERT_TRUE(builder.AddShortcut(d.leaf, d.root, 3).ok());
+  d.dag = std::move(builder).Build();
   EXPECT_EQ(hops_of(2), UINT32_MAX);
   EXPECT_EQ(hops_of(3), 3u);
   // Original distances are unchanged: UpDistance still 3 (native edges).
@@ -181,15 +191,16 @@ TEST(Traversal, ShortcutNeverShortensBelowOriginalDistance) {
   // Chain a <- b <- c <- d plus a shortcut (d -> a, distance 3): nodes on
   // the native path keep their distances even though the shortcut edge
   // could otherwise act as a 1-hop bypass.
-  ConceptDag dag;
-  ConceptId a = *dag.AddConcept("a");
-  ConceptId b = *dag.AddConcept("b");
-  ConceptId c = *dag.AddConcept("c");
-  ConceptId e = *dag.AddConcept("e");
-  ASSERT_TRUE(dag.AddSubsumption(b, a).ok());
-  ASSERT_TRUE(dag.AddSubsumption(c, b).ok());
-  ASSERT_TRUE(dag.AddSubsumption(e, c).ok());
-  ASSERT_TRUE(dag.AddShortcut(e, a, 3).ok());
+  ConceptDagBuilder builder;
+  ConceptId a = *builder.AddConcept("a");
+  ConceptId b = *builder.AddConcept("b");
+  ConceptId c = *builder.AddConcept("c");
+  ConceptId e = *builder.AddConcept("e");
+  ASSERT_TRUE(builder.AddSubsumption(b, a).ok());
+  ASSERT_TRUE(builder.AddSubsumption(c, b).ok());
+  ASSERT_TRUE(builder.AddSubsumption(e, c).ok());
+  ASSERT_TRUE(builder.AddShortcut(e, a, 3).ok());
+  ConceptDag dag = std::move(builder).Build();
   std::vector<Neighbor> within = NeighborsWithinRadius(dag, e, 4);
   ASSERT_EQ(within.size(), 3u);
   for (const Neighbor& n : within) {
@@ -251,9 +262,11 @@ TEST(Lcs, SiblingsWithTwoMinimalSubsumersReturnTies) {
   // a and b have two minimal common subsumers? No — only root. But ab's
   // parents a, b are both minimal common subsumers of (a-child, b-child)
   // style pairs; construct one: leaf vs a sibling under both a and b.
-  ConceptId other = *d.dag.AddConcept("other");
-  ASSERT_TRUE(d.dag.AddSubsumption(other, d.a).ok());
-  ASSERT_TRUE(d.dag.AddSubsumption(other, d.b).ok());
+  ConceptDagBuilder builder(d.dag);
+  ConceptId other = *builder.AddConcept("other");
+  ASSERT_TRUE(builder.AddSubsumption(other, d.a).ok());
+  ASSERT_TRUE(builder.AddSubsumption(other, d.b).ok());
+  d.dag = std::move(builder).Build();
   LcsResult lcs = LeastCommonSubsumers(d.dag, d.leaf, other);
   // Common subsumers: a, b (distance 2+1), root (3+2): minimal are a and b,
   // tied at combined distance 3.
@@ -266,14 +279,15 @@ TEST(Lcs, SiblingsWithTwoMinimalSubsumersReturnTies) {
 TEST(Lcs, ShortestPathTieBreakPrefersCloserSubsumer) {
   // Chain root <- mid <- x ; root <- y. LCS(x, y) should be root (the only
   // common subsumer), at combined distance 2 + 1.
-  ConceptDag dag;
-  ConceptId root = *dag.AddConcept("root");
-  ConceptId mid = *dag.AddConcept("mid");
-  ConceptId x = *dag.AddConcept("x");
-  ConceptId y = *dag.AddConcept("y");
-  ASSERT_TRUE(dag.AddSubsumption(mid, root).ok());
-  ASSERT_TRUE(dag.AddSubsumption(x, mid).ok());
-  ASSERT_TRUE(dag.AddSubsumption(y, root).ok());
+  ConceptDagBuilder builder;
+  ConceptId root = *builder.AddConcept("root");
+  ConceptId mid = *builder.AddConcept("mid");
+  ConceptId x = *builder.AddConcept("x");
+  ConceptId y = *builder.AddConcept("y");
+  ASSERT_TRUE(builder.AddSubsumption(mid, root).ok());
+  ASSERT_TRUE(builder.AddSubsumption(x, mid).ok());
+  ASSERT_TRUE(builder.AddSubsumption(y, root).ok());
+  ConceptDag dag = std::move(builder).Build();
   LcsResult lcs = LeastCommonSubsumers(dag, x, y);
   ASSERT_EQ(lcs.concepts.size(), 1u);
   EXPECT_EQ(lcs.concepts[0], root);

@@ -95,7 +95,7 @@ TEST(Ingestion, Figure5ShortcutEdges) {
   bool found = false;
   for (const DagEdge& e :
        w.fx.dag.parents(w.fx.ckd_stage1_due_to_hypertension)) {
-    if (e.target == w.fx.kidney_disease && e.is_shortcut) {
+    if (e.target == w.fx.kidney_disease && e.is_shortcut()) {
       found = true;
       EXPECT_EQ(e.original_distance, 3u);
     }
@@ -141,7 +141,7 @@ TEST(Ingestion, MaxShortcutDistanceCaps) {
   ASSERT_TRUE(result.ok());
   for (ConceptId id = 0; id < w.fx.dag.num_concepts(); ++id) {
     for (const DagEdge& e : w.fx.dag.parents(id)) {
-      if (e.is_shortcut) {
+      if (e.is_shortcut()) {
         EXPECT_LE(e.original_distance, 2u);
       }
     }
@@ -241,9 +241,10 @@ TEST(Ingestion, UnmappedInstancesAreCounted) {
 
 TEST(Ingestion, RejectsMultiRootSource) {
   Fig5World w = MakeFig5World();
-  ConceptDag broken;
-  ASSERT_TRUE(broken.AddConcept("r1").ok());
-  ASSERT_TRUE(broken.AddConcept("r2").ok());
+  ConceptDagBuilder broken_builder;
+  ASSERT_TRUE(broken_builder.AddConcept("r1").ok());
+  ASSERT_TRUE(broken_builder.AddConcept("r2").ok());
+  ConceptDag broken = std::move(broken_builder).Build();
   NameIndex index(&broken);
   ExactMatcher matcher(&index);
   auto result =
@@ -296,7 +297,7 @@ TEST_P(IngestionSweep, InvariantsHold) {
   // child's in every context (Equation 2 sums children into parents).
   for (ConceptId child = 0; child < dag.num_concepts(); ++child) {
     for (const DagEdge& e : dag.parents(child)) {
-      if (e.is_shortcut) continue;
+      if (e.is_shortcut()) continue;
       for (ContextId ctx = 0; ctx < result->contexts.size(); ++ctx) {
         ASSERT_GE(freq.Raw(e.target, ctx), freq.Raw(child, ctx))
             << dag.name(e.target) << " < " << dag.name(child);
@@ -330,10 +331,10 @@ TEST_P(IngestionSweep, InvariantsHold) {
     size_t native_and_shortcut_to_same_target = 0;
     std::vector<ConceptId> native_targets;
     for (const DagEdge& e : dag.parents(child)) {
-      if (!e.is_shortcut) native_targets.push_back(e.target);
+      if (!e.is_shortcut()) native_targets.push_back(e.target);
     }
     for (const DagEdge& e : dag.parents(child)) {
-      if (!e.is_shortcut) continue;
+      if (!e.is_shortcut()) continue;
       EXPECT_GE(e.original_distance, 2u);
       EXPECT_TRUE(result->flagged[child] || result->flagged[e.target]);
       for (ConceptId nt : native_targets) {

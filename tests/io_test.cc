@@ -1,6 +1,7 @@
 // Round-trip tests of the text serialization for the external DAG and the
 // knowledge base, including property sweeps over generated worlds.
 
+#include <algorithm>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -21,14 +22,16 @@ void ExpectDagsEqual(const ConceptDag& a, const ConceptDag& b) {
   ASSERT_EQ(a.num_shortcut_edges(), b.num_shortcut_edges());
   for (ConceptId id = 0; id < a.num_concepts(); ++id) {
     EXPECT_EQ(a.name(id), b.name(id));
-    EXPECT_EQ(a.synonyms(id), b.synonyms(id));
+    const StringTableView sa = a.synonyms(id);
+    const StringTableView sb = b.synonyms(id);
+    EXPECT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin(), sb.end()));
     const auto& pa = a.parents(id);
     const auto& pb = b.parents(id);
     ASSERT_EQ(pa.size(), pb.size());
     for (size_t e = 0; e < pa.size(); ++e) {
       EXPECT_EQ(pa[e].target, pb[e].target);
       EXPECT_EQ(pa[e].original_distance, pb[e].original_distance);
-      EXPECT_EQ(pa[e].is_shortcut, pb[e].is_shortcut);
+      EXPECT_EQ(pa[e].is_shortcut(), pb[e].is_shortcut());
     }
   }
 }
@@ -36,9 +39,11 @@ void ExpectDagsEqual(const ConceptDag& a, const ConceptDag& b) {
 TEST(DagIo, RoundTripsFixture) {
   auto fx = BuildFigure5Fixture();
   ASSERT_TRUE(fx.ok());
-  ASSERT_TRUE(fx->dag.AddShortcut(fx->ckd_stage1_due_to_hypertension,
-                                  fx->kidney_disease, 3)
-                  .ok());
+  ConceptDagBuilder dag(fx->dag);
+  ASSERT_TRUE(
+      dag.AddShortcut(fx->ckd_stage1_due_to_hypertension, fx->kidney_disease, 3)
+          .ok());
+  fx->dag = std::move(dag).Build();
   std::stringstream buffer;
   ASSERT_TRUE(SaveDag(fx->dag, buffer).ok());
   auto loaded = LoadDag(buffer);

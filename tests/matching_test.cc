@@ -169,12 +169,13 @@ std::unique_ptr<OracleWorld> MakeOracleWorld(size_t num_concepts,
   EXPECT_TRUE(eks.ok());
   if (!eks.ok()) return nullptr;
   auto world = std::make_unique<OracleWorld>();
-  world->dag = std::move(eks->dag);
-  Result<ConceptId> short_name = world->dag.AddConcept("ab");
+  ConceptDagBuilder dag(eks->dag);
+  Result<ConceptId> short_name = dag.AddConcept("ab");
   EXPECT_TRUE(short_name.ok());
   if (short_name.ok()) {
-    EXPECT_TRUE(world->dag.AddSynonym(*short_name, "q").ok());
+    EXPECT_TRUE(dag.AddSynonym(*short_name, "q").ok());
   }
+  world->dag = std::move(dag).Build();
   world->index = std::make_unique<NameIndex>(&world->dag);
   return world;
 }
@@ -185,7 +186,7 @@ std::vector<std::string> OracleQueries(const NameIndex& index, size_t samples,
                                        uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> queries = {"ab", "a", "b", "q", "qq", "abc", "xb"};
-  const std::vector<NameEntry>& entries = index.entries();
+  const NameIndex::Entries entries = index.entries();
   for (size_t i = 0; i < samples; ++i) {
     const std::string& surface =
         entries[rng.UniformU64(entries.size())].surface;
@@ -255,13 +256,15 @@ TEST(NameIndex, CandidatesWithinCoverEveryEntryWithinTau) {
 // not. The query is one edit from "... variant 479" and two from every
 // "... variant 4dd9".
 TEST(EditMatcher, ClosestSiblingBeyondTopRankedTrigramCut) {
-  ConceptDag dag;
+  ConceptDagBuilder builder;
   for (int n = 4000; n < 4300; ++n) {
     ASSERT_TRUE(
-        dag.AddConcept(StrFormat("imaging of heart variant %d", n)).ok());
+        builder.AddConcept(StrFormat("imaging of heart variant %d", n)).ok());
   }
-  Result<ConceptId> target = dag.AddConcept("imaging of heart variant 479");
+  Result<ConceptId> target =
+      builder.AddConcept("imaging of heart variant 479");
   ASSERT_TRUE(target.ok());
+  ConceptDag dag = std::move(builder).Build();
   NameIndex index(&dag);
   const std::string query = "imaging of heart variant 4x9";
 
@@ -289,8 +292,9 @@ TEST(EditMatcher, ClosestSiblingBeyondTopRankedTrigramCut) {
 
 std::unique_ptr<OracleWorld> MakeAdversarialWorld() {
   auto world = std::make_unique<OracleWorld>();
-  const auto add = [&world](const std::string& name) {
-    EXPECT_TRUE(world->dag.AddConcept(name).ok()) << name;
+  ConceptDagBuilder dag;
+  const auto add = [&dag](const std::string& name) {
+    EXPECT_TRUE(dag.AddConcept(name).ok()) << name;
   };
   for (const char* name :
        {"aaaaaaaaa", "aaaaaaaaaaaa", "aaaaaaaaaaaaaa", "aaaaaaaaaaaaaaa",
@@ -317,6 +321,7 @@ std::unique_ptr<OracleWorld> MakeAdversarialWorld() {
       add(StrFormat("%s %d", name.c_str(), v));
     }
   }
+  world->dag = std::move(dag).Build();
   world->index = std::make_unique<NameIndex>(&world->dag);
   return world;
 }
@@ -330,7 +335,7 @@ std::vector<std::string> AdversarialQueries(const NameIndex& index,
       std::string(shortest, 'a'), std::string(shortest + 1, 'a'),
       std::string("abcabcabcabcabcabc").substr(0, shortest),
       std::string("aaaaaaaaaaaaaaaaaa").substr(0, shortest - 1) + "b"};
-  const std::vector<NameEntry>& entries = index.entries();
+  const NameIndex::Entries entries = index.entries();
   for (size_t i = 0; i < 40; ++i) {
     const std::string& surface =
         entries[rng.UniformU64(entries.size())].surface;

@@ -40,20 +40,22 @@ TEST(Merge, DisjointSourcesUnionUnderFreshRoot) {
 
 TEST(Merge, UnifiesBySynonymAndMergesParents) {
   // Source A: root <- kidney disease (synonym "nephropathy").
-  ConceptDag a;
-  ConceptId a_root = *a.AddConcept("root a");
-  ConceptId a_kidney = *a.AddConcept("kidney disease");
-  ASSERT_TRUE(a.AddSynonym(a_kidney, "nephropathy").ok());
-  ASSERT_TRUE(a.AddSubsumption(a_kidney, a_root).ok());
+  ConceptDagBuilder a_builder;
+  ConceptId a_root = *a_builder.AddConcept("root a");
+  ConceptId a_kidney = *a_builder.AddConcept("kidney disease");
+  ASSERT_TRUE(a_builder.AddSynonym(a_kidney, "nephropathy").ok());
+  ASSERT_TRUE(a_builder.AddSubsumption(a_kidney, a_root).ok());
+  const ConceptDag a = std::move(a_builder).Build();
 
   // Source B names the same thing "nephropathy" under its own parent.
-  ConceptDag b;
-  ConceptId b_root = *b.AddConcept("root b");
-  ConceptId b_organ = *b.AddConcept("organ disorder");
-  ConceptId b_kidney = *b.AddConcept("nephropathy");
-  ASSERT_TRUE(b.AddSynonym(b_kidney, "renal disorder").ok());
-  ASSERT_TRUE(b.AddSubsumption(b_organ, b_root).ok());
-  ASSERT_TRUE(b.AddSubsumption(b_kidney, b_organ).ok());
+  ConceptDagBuilder b_builder;
+  ConceptId b_root = *b_builder.AddConcept("root b");
+  ConceptId b_organ = *b_builder.AddConcept("organ disorder");
+  ConceptId b_kidney = *b_builder.AddConcept("nephropathy");
+  ASSERT_TRUE(b_builder.AddSynonym(b_kidney, "renal disorder").ok());
+  ASSERT_TRUE(b_builder.AddSubsumption(b_organ, b_root).ok());
+  ASSERT_TRUE(b_builder.AddSubsumption(b_kidney, b_organ).ok());
+  const ConceptDag b = std::move(b_builder).Build();
 
   auto merged = MergeExternalSources(a, b, MergeOptions{});
   ASSERT_TRUE(merged.ok()) << merged.status();
@@ -71,17 +73,19 @@ TEST(Merge, UnifiesBySynonymAndMergesParents) {
 }
 
 TEST(Merge, NoUnificationDisambiguatesCollisions) {
-  ConceptDag a;
-  ConceptId a_root = *a.AddConcept("root");
-  ConceptId a_x = *a.AddConcept("fever");
-  ASSERT_TRUE(a.AddSubsumption(a_x, a_root).ok());
-  ConceptDag b;
-  ConceptId b_root = *b.AddConcept("root");
-  ConceptId b_x = *b.AddConcept("fever");
-  ASSERT_TRUE(b.AddSubsumption(b_x, b_root).ok());
+  ConceptDagBuilder a_builder;
+  ConceptId a_root = *a_builder.AddConcept("root");
+  ConceptId a_x = *a_builder.AddConcept("fever");
+  ASSERT_TRUE(a_builder.AddSubsumption(a_x, a_root).ok());
+  ConceptDagBuilder b_builder;
+  ConceptId b_root = *b_builder.AddConcept("root");
+  ConceptId b_x = *b_builder.AddConcept("fever");
+  ASSERT_TRUE(b_builder.AddSubsumption(b_x, b_root).ok());
 
   MergeOptions opts;
   opts.unify_by_name = false;
+  ConceptDag a = std::move(a_builder).Build();
+  ConceptDag b = std::move(b_builder).Build();
   auto merged = MergeExternalSources(a, b, opts);
   ASSERT_TRUE(merged.ok()) << merged.status();
   EXPECT_EQ(merged->unified, 0u);
@@ -91,19 +95,21 @@ TEST(Merge, NoUnificationDisambiguatesCollisions) {
 
 TEST(Merge, RejectsContradictoryHierarchies) {
   // A says x ⊑ y; B says y ⊑ x — unification makes a cycle.
-  ConceptDag a;
-  ConceptId a_root = *a.AddConcept("root");
-  ConceptId a_y = *a.AddConcept("y");
-  ConceptId a_x = *a.AddConcept("x");
-  ASSERT_TRUE(a.AddSubsumption(a_y, a_root).ok());
-  ASSERT_TRUE(a.AddSubsumption(a_x, a_y).ok());
-  ConceptDag b;
-  ConceptId b_root = *b.AddConcept("root");
-  ConceptId b_x = *b.AddConcept("x");
-  ConceptId b_y = *b.AddConcept("y");
-  ASSERT_TRUE(b.AddSubsumption(b_x, b_root).ok());
-  ASSERT_TRUE(b.AddSubsumption(b_y, b_x).ok());
+  ConceptDagBuilder a_builder;
+  ConceptId a_root = *a_builder.AddConcept("root");
+  ConceptId a_y = *a_builder.AddConcept("y");
+  ConceptId a_x = *a_builder.AddConcept("x");
+  ASSERT_TRUE(a_builder.AddSubsumption(a_y, a_root).ok());
+  ASSERT_TRUE(a_builder.AddSubsumption(a_x, a_y).ok());
+  ConceptDagBuilder b_builder;
+  ConceptId b_root = *b_builder.AddConcept("root");
+  ConceptId b_x = *b_builder.AddConcept("x");
+  ConceptId b_y = *b_builder.AddConcept("y");
+  ASSERT_TRUE(b_builder.AddSubsumption(b_x, b_root).ok());
+  ASSERT_TRUE(b_builder.AddSubsumption(b_y, b_x).ok());
 
+  ConceptDag a = std::move(a_builder).Build();
+  ConceptDag b = std::move(b_builder).Build();
   auto merged = MergeExternalSources(a, b, MergeOptions{});
   EXPECT_TRUE(merged.status().IsFailedPrecondition()) << merged.status();
 }

@@ -47,10 +47,11 @@ std::unique_ptr<NliWorld> MakeNliWorld() {
   auto fx = BuildFigure5Fixture();
   EXPECT_TRUE(fx.ok());
   w->fx = std::move(*fx);
-  w->pyelectasia = *w->fx.dag.AddConcept("pyelectasia");
+  ConceptDagBuilder dag(w->fx.dag);
+  w->pyelectasia = *dag.AddConcept("pyelectasia");
   EXPECT_TRUE(
-      w->fx.dag.AddSubsumption(w->pyelectasia, w->fx.hypertensive_nephropathy)
-          .ok());
+      dag.AddSubsumption(w->pyelectasia, w->fx.hypertensive_nephropathy).ok());
+  w->fx.dag = std::move(dag).Build();
 
   auto onto = BuildFigure1Ontology();
   EXPECT_TRUE(onto.ok());

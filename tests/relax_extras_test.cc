@@ -74,12 +74,13 @@ TEST(Baselines, ResnikIsLcsIc) {
 }
 
 TEST(Baselines, RejectsCyclicDag) {
-  ConceptDag dag;
-  ConceptId x = *dag.AddConcept("x");
-  ConceptId y = *dag.AddConcept("y");
-  ASSERT_TRUE(dag.AddSubsumption(x, y).ok());
-  ASSERT_TRUE(dag.AddSubsumption(y, x).ok());
+  ConceptDagBuilder builder;
+  ConceptId x = *builder.AddConcept("x");
+  ConceptId y = *builder.AddConcept("y");
+  ASSERT_TRUE(builder.AddSubsumption(x, y).ok());
+  ASSERT_TRUE(builder.AddSubsumption(y, x).ok());
   FrequencyModel dummy(2, 1);
+  ConceptDag dag = std::move(builder).Build();
   EXPECT_FALSE(BaselineMeasures::Create(&dag, &dummy).ok());
 }
 
@@ -277,11 +278,12 @@ TEST(Relaxer, NoContextQueryUsesAggregatedFrequencies) {
 }
 
 TEST(Explain, DisconnectedPairIsMarked) {
-  ConceptDag dag;
-  ConceptId a = *dag.AddConcept("a");
-  ConceptId b = *dag.AddConcept("b");
+  ConceptDagBuilder builder;
+  ConceptId a = *builder.AddConcept("a");
+  ConceptId b = *builder.AddConcept("b");
   FrequencyModel freq(2, 1);
   freq.Normalize(a);
+  ConceptDag dag = std::move(builder).Build();
   SimilarityModel model(&dag, &freq, SimilarityOptions{});
   SimilarityExplanation ex = ExplainSimilarity(model, dag, a, b, 0);
   EXPECT_FALSE(ex.connected);

@@ -37,10 +37,11 @@ RelaxWorld MakeRelaxWorld() {
   w.fx = std::move(*fx);
   // Add a synonym-named concept "pyelectasia" as a deep leaf near the ckd
   // chain so the Scenario 1 unknown-term flow has a resolvable query term.
-  ConceptId pyelectasia = *w.fx.dag.AddConcept("pyelectasia");
+  ConceptDagBuilder dag(w.fx.dag);
+  ConceptId pyelectasia = *dag.AddConcept("pyelectasia");
   EXPECT_TRUE(
-      w.fx.dag.AddSubsumption(pyelectasia, w.fx.hypertensive_nephropathy)
-          .ok());
+      dag.AddSubsumption(pyelectasia, w.fx.hypertensive_nephropathy).ok());
+  w.fx.dag = std::move(dag).Build();
 
   auto onto = BuildFigure1Ontology();
   EXPECT_TRUE(onto.ok());
@@ -356,10 +357,11 @@ TEST(Relaxer, FlaggedLeafStaysInTheCore) {
   auto fx = BuildFigure5Fixture();
   ASSERT_TRUE(fx.ok());
   w.fx = std::move(*fx);
-  ConceptId pyelectasia = *w.fx.dag.AddConcept("pyelectasia");
+  ConceptDagBuilder dag(w.fx.dag);
+  ConceptId pyelectasia = *dag.AddConcept("pyelectasia");
   ASSERT_TRUE(
-      w.fx.dag.AddSubsumption(pyelectasia, w.fx.hypertensive_nephropathy)
-          .ok());
+      dag.AddSubsumption(pyelectasia, w.fx.hypertensive_nephropathy).ok());
+  w.fx.dag = std::move(dag).Build();
   auto onto = BuildFigure1Ontology();
   ASSERT_TRUE(onto.ok());
   w.kb.ontology = std::move(*onto);

@@ -65,11 +65,12 @@ TEST(Snapshot, OptionsFingerprintReflectsConfiguration) {
 TEST(Snapshot, BuildFailsOnMultiRootedDag) {
   Result<GeneratedWorld> world = SmallWorld();
   ASSERT_TRUE(world.ok());
-  ConceptDag dag = std::move(world->eks.dag);
+  ConceptDagBuilder dag(world->eks.dag);
   // A second root: a concept nothing subsumes.
   ASSERT_TRUE(dag.AddConcept("orphan root").ok());
-  Result<std::shared_ptr<Snapshot>> snapshot = Snapshot::Build(
-      std::move(dag), std::move(world->kb), nullptr, SnapshotOptions{});
+  Result<std::shared_ptr<Snapshot>> snapshot =
+      Snapshot::Build(std::move(dag).Build(), std::move(world->kb), nullptr,
+                      SnapshotOptions{});
   EXPECT_FALSE(snapshot.ok());
 }
 

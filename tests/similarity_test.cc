@@ -296,23 +296,23 @@ TEST(SimilarityInvariants, HoldOnFigure4World) {
 TEST(IntroExample, PertussisRelaxesToBronchitis) {
   // respiratory fragment: pertussis is 3 generalization hops below
   // "bronchitis"-adjacent territory.
-  ConceptDag dag;
-  ConceptId root = *dag.AddConcept("snomed ct concept");
-  ConceptId finding = *dag.AddConcept("clinical finding");
-  ConceptId resp = *dag.AddConcept("disorder of respiratory system");
-  ConceptId infection = *dag.AddConcept("respiratory tract infection");
-  ConceptId lower = *dag.AddConcept("lower respiratory tract infection");
-  ConceptId bronchitis = *dag.AddConcept("bronchitis");
-  ConceptId bacterial = *dag.AddConcept("bacterial respiratory infection");
-  ConceptId pertussis = *dag.AddConcept("pertussis");
-  ASSERT_TRUE(dag.AddSynonym(pertussis, "whooping cough").ok());
-  ASSERT_TRUE(dag.AddSubsumption(finding, root).ok());
-  ASSERT_TRUE(dag.AddSubsumption(resp, finding).ok());
-  ASSERT_TRUE(dag.AddSubsumption(infection, resp).ok());
-  ASSERT_TRUE(dag.AddSubsumption(lower, infection).ok());
-  ASSERT_TRUE(dag.AddSubsumption(bronchitis, lower).ok());
-  ASSERT_TRUE(dag.AddSubsumption(bacterial, infection).ok());
-  ASSERT_TRUE(dag.AddSubsumption(pertussis, bacterial).ok());
+  ConceptDagBuilder builder;
+  ConceptId root = *builder.AddConcept("snomed ct concept");
+  ConceptId finding = *builder.AddConcept("clinical finding");
+  ConceptId resp = *builder.AddConcept("disorder of respiratory system");
+  ConceptId infection = *builder.AddConcept("respiratory tract infection");
+  ConceptId lower = *builder.AddConcept("lower respiratory tract infection");
+  ConceptId bronchitis = *builder.AddConcept("bronchitis");
+  ConceptId bacterial = *builder.AddConcept("bacterial respiratory infection");
+  ConceptId pertussis = *builder.AddConcept("pertussis");
+  ASSERT_TRUE(builder.AddSynonym(pertussis, "whooping cough").ok());
+  ASSERT_TRUE(builder.AddSubsumption(finding, root).ok());
+  ASSERT_TRUE(builder.AddSubsumption(resp, finding).ok());
+  ASSERT_TRUE(builder.AddSubsumption(infection, resp).ok());
+  ASSERT_TRUE(builder.AddSubsumption(lower, infection).ok());
+  ASSERT_TRUE(builder.AddSubsumption(bronchitis, lower).ok());
+  ASSERT_TRUE(builder.AddSubsumption(bacterial, infection).ok());
+  ASSERT_TRUE(builder.AddSubsumption(pertussis, bacterial).ok());
 
   // Only "bronchitis" has drug information in the KB.
   auto onto = BuildFigure1Ontology();
@@ -323,6 +323,7 @@ TEST(IntroExample, PertussisRelaxesToBronchitis) {
   InstanceId bronchitis_i =
       *kb.instances.AddInstance("bronchitis", finding_c);
 
+  ConceptDag dag = std::move(builder).Build();
   NameIndex index(&dag);
   ExactMatcher matcher(&index);
   auto ingestion =

@@ -19,19 +19,21 @@ struct Fan {
 
 Fan MakeFan() {
   Fan f;
-  f.root = *f.dag.AddConcept("root");
-  f.mid = *f.dag.AddConcept("mid");
-  f.left = *f.dag.AddConcept("left");
-  f.right = *f.dag.AddConcept("right");
-  f.l1 = *f.dag.AddConcept("l1");
-  f.l2 = *f.dag.AddConcept("l2");
-  f.r1 = *f.dag.AddConcept("r1");
-  EXPECT_TRUE(f.dag.AddSubsumption(f.mid, f.root).ok());
-  EXPECT_TRUE(f.dag.AddSubsumption(f.left, f.mid).ok());
-  EXPECT_TRUE(f.dag.AddSubsumption(f.right, f.mid).ok());
-  EXPECT_TRUE(f.dag.AddSubsumption(f.l1, f.left).ok());
-  EXPECT_TRUE(f.dag.AddSubsumption(f.l2, f.left).ok());
-  EXPECT_TRUE(f.dag.AddSubsumption(f.r1, f.right).ok());
+  ConceptDagBuilder f_dag;
+  f.root = *f_dag.AddConcept("root");
+  f.mid = *f_dag.AddConcept("mid");
+  f.left = *f_dag.AddConcept("left");
+  f.right = *f_dag.AddConcept("right");
+  f.l1 = *f_dag.AddConcept("l1");
+  f.l2 = *f_dag.AddConcept("l2");
+  f.r1 = *f_dag.AddConcept("r1");
+  EXPECT_TRUE(f_dag.AddSubsumption(f.mid, f.root).ok());
+  EXPECT_TRUE(f_dag.AddSubsumption(f.left, f.mid).ok());
+  EXPECT_TRUE(f_dag.AddSubsumption(f.right, f.mid).ok());
+  EXPECT_TRUE(f_dag.AddSubsumption(f.l1, f.left).ok());
+  EXPECT_TRUE(f_dag.AddSubsumption(f.l2, f.left).ok());
+  EXPECT_TRUE(f_dag.AddSubsumption(f.r1, f.right).ok());
+  f.dag = std::move(f_dag).Build();
   return f;
 }
 

@@ -17,9 +17,10 @@
 //       server keeps serving the old image's bytes.
 //
 //   medrelax_ingest info <image>
-//       Prints the image's meta block (counts, options fingerprint,
-//       file size) without rebuilding anything — the operator's sanity
-//       check before pointing a server at it.
+//       Loads the image as the server would, with every check that runs
+//       (so `ok` means `serve --image` and `RELOAD` accept it), and
+//       prints its meta block (counts, options fingerprint, file size)
+//       — the operator's sanity check before pointing a server at it.
 //
 // Summary lines go to stdout (machine-greppable "ok ingest ..."), timing
 // to stderr, mirroring the medrelax_server convention.
@@ -49,6 +50,13 @@ int Usage() {
 }
 
 int RunInfo(const std::string& path) {
+  // Every check a server runs before it serves the image, so `ok` means
+  // `serve --image` and `RELOAD` accept it.
+  Result<std::shared_ptr<Snapshot>> loaded = Snapshot::LoadFromImage(path);
+  if (!loaded.ok()) {
+    std::printf("err %s\n", loaded.status().ToString().c_str());
+    return 1;
+  }
   Result<std::unique_ptr<flat::FlatImageView>> image =
       flat::FlatImageView::Open(path);
   if (!image.ok()) {
