@@ -9,13 +9,17 @@
 //     thread posts, the loop thread (this thread, via RunOnce) drains.
 //     This is the path a finished RELOAD's reply (and an accepted socket)
 //     takes to its loop.
-//   * BM_WireRelax — one RELAX line's round trip through the server's TCP
-//     path (serve::TcpServer, one event loop on its own thread) over a
-//     socketpair, and the same line answered in-process by
-//     serve::LineProtocol::Answer on this thread, timed in the same run.
-//     The counter wire_vs_inproc = in-process time / round-trip time is
-//     1.0 when the transport costs nothing; CI floors it, so the reply
-//     path cannot quietly grow back thread hand-offs.
+//   * BM_WireRelax — the transport cost a RELAX adds, independent of how
+//     fast the relaxer is. Each iteration times, over one socketpair to
+//     the server's TCP path (serve::TcpServer, one event loop on its own
+//     thread), a GEN round trip and a RELAX round trip, then answers both
+//     lines in-process with serve::LineProtocol::Answer on this thread.
+//     A line's transport is its round trip minus its in-process answer.
+//     The counter gen_vs_relax_transport = GEN transport / RELAX
+//     transport (medians) is ~1.0 when a RELAX is answered on the loop
+//     that read it, like every control verb, and falls towards 0.5 when
+//     it takes a thread hand-off there and back; CI floors it, so the
+//     reply path cannot quietly grow back thread hand-offs.
 //
 // Pre-1.8 google-benchmark binary — plain-double --benchmark_min_time.
 
@@ -161,8 +165,8 @@ std::shared_ptr<Snapshot> ServingSnapshot() {
 }
 
 /// Reads from the blocking `fd` until `*buffer` ends with a whole reply:
-/// an `end` line after an `ok relax` header, or one `err` line. False on
-/// EOF or error.
+/// an `end` line after an `ok relax` header, or any other single line
+/// (`ok gen=G`, an `err`). False on EOF or error.
 bool ReadReply(int fd, std::string* buffer) {
   buffer->clear();
   char chunk[4096];
@@ -171,8 +175,8 @@ bool ReadReply(int fd, std::string* buffer) {
     if (n <= 0) return false;
     buffer->append(chunk, static_cast<size_t>(n));
     const std::string_view got(*buffer);
-    if (got.ends_with("\nend\n") ||
-        (got.starts_with("err ") && got.ends_with("\n"))) {
+    if (got.ends_with("\n") &&
+        (!got.starts_with("ok relax") || got.ends_with("\nend\n"))) {
       return true;
     }
   }
@@ -216,39 +220,61 @@ void BM_WireRelax(benchmark::State& state) {
     return;
   }
 
-  // Each iteration times one round trip and then the same request
-  // relaxed in-process, so both halves see the same machine state.
+  // Each iteration times both round trips and then both lines answered
+  // in-process, so every half sees the same machine state.
   using Clock = std::chrono::steady_clock;
-  RelaxRequest request;
-  request.term = term;
-  std::vector<Clock::duration> wire_times;
-  std::vector<Clock::duration> inproc_times;
-  for (auto _ : state) {
+  const std::string gen_framed = "GEN\n";
+  std::vector<Clock::duration> gen_rtt;
+  std::vector<Clock::duration> gen_inproc;
+  std::vector<Clock::duration> relax_rtt;
+  std::vector<Clock::duration> relax_inproc;
+  const auto round_trip = [&](const std::string& framed_line,
+                              std::vector<Clock::duration>* times) {
     const Clock::time_point start = Clock::now();
-    if (send(fds[0], framed.data(), framed.size(), MSG_NOSIGNAL) < 0 ||
+    if (send(fds[0], framed_line.data(), framed_line.size(), MSG_NOSIGNAL) <
+            0 ||
         !ReadReply(fds[0], &reply)) {
+      return false;
+    }
+    times->push_back(Clock::now() - start);
+    return true;
+  };
+  const auto answer = [&](std::string_view answered_line,
+                          std::vector<Clock::duration>* times) {
+    const Clock::time_point start = Clock::now();
+    benchmark::DoNotOptimize(protocol.Answer(answered_line, start));
+    times->push_back(Clock::now() - start);
+  };
+  for (auto _ : state) {
+    if (!round_trip(gen_framed, &gen_rtt) ||
+        !round_trip(framed, &relax_rtt)) {
       state.SkipWithError("round trip failed");
       break;
     }
-    const Clock::time_point replied = Clock::now();
-    benchmark::DoNotOptimize(service.Relax(request));
-    wire_times.push_back(replied - start);
-    inproc_times.push_back(Clock::now() - replied);
+    answer("GEN", &gen_inproc);
+    answer(line, &relax_inproc);
   }
   close(fds[0]);
   server.Stop();
 
   // Medians: a scheduling hiccup in a few round trips must not move the
   // ratio.
-  const auto median = [](std::vector<Clock::duration>& times) {
+  const auto median_us = [](std::vector<Clock::duration>& times) {
     if (times.empty()) return 0.0;
     std::nth_element(times.begin(), times.begin() + times.size() / 2,
                      times.end());
-    return static_cast<double>(times[times.size() / 2].count());
+    return std::chrono::duration<double, std::micro>(
+               times[times.size() / 2])
+        .count();
   };
-  const double wire = median(wire_times);
-  state.counters["wire_vs_inproc"] =
-      wire > 0 ? median(inproc_times) / wire : 0.0;
+  const double gen_transport = median_us(gen_rtt) - median_us(gen_inproc);
+  const double relax_transport =
+      median_us(relax_rtt) - median_us(relax_inproc);
+  state.counters["gen_transport_us"] = gen_transport;
+  state.counters["relax_transport_us"] = relax_transport;
+  state.counters["relax_inproc_us"] = median_us(relax_inproc);
+  state.counters["gen_vs_relax_transport"] =
+      relax_transport > 0 ? gen_transport / relax_transport : 0.0;
   state.SetLabel("loops=1 cache=off");
 }
 BENCHMARK(BM_WireRelax)->UseRealTime()->Unit(benchmark::kMicrosecond);

@@ -15,17 +15,25 @@
 //     unflagged hub leaf, whose ball holds every other leaf); near_vs_far
 //     (near ÷ far time) is CI-floored too, so a candidate search that
 //     walks peeled filler concepts cannot come back either.
+//   * BM_OnlineRelaxation also reports candidates_per_alloc: candidates
+//     scored per heap allocation inside RelaxConcept, counted by this
+//     binary's replacement of the global operator new (alloc_counter.cc)
+//     over a fixed query set on a warm thread. The count is exact and
+//     repeats run to run, so it is CI-floored: per-candidate copies in
+//     the scoring loop cannot come back unnoticed.
 //
 // google-benchmark binary: run with --benchmark_filter=... to narrow.
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "bench/alloc_counter.h"
 #include "bench/bench_common.h"
 #include "medrelax/common/random.h"
 #include "medrelax/common/string_util.h"
@@ -96,6 +104,31 @@ BENCHMARK(BM_OfflineIngestion)
     ->Arg(8000)
     ->Unit(benchmark::kMillisecond);
 
+// Candidates scored per heap allocation made inside RelaxConcept, over
+// the first 256 queries of `queries`. A first pass warms this thread's
+// relax scratch, so the counted pass sees only what every relaxation
+// allocates and the figure does not depend on the timed iterations.
+double CandidatesPerAlloc(const QueryRelaxer& relaxer,
+                          const std::vector<ConceptId>& queries,
+                          ContextId context) {
+  const size_t n = std::min<size_t>(256, queries.size());
+  for (size_t i = 0; i < n; ++i) {
+    benchmark::DoNotOptimize(relaxer.RelaxConcept(queries[i], context));
+  }
+  size_t candidates = 0;
+  uint64_t allocations = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t before = HeapAllocations();
+    RelaxationOutcome outcome = relaxer.RelaxConcept(queries[i], context);
+    allocations += HeapAllocations() - before;
+    candidates += outcome.stats.candidates_scanned;
+    benchmark::DoNotOptimize(outcome);
+  }
+  return allocations == 0 ? static_cast<double>(candidates)
+                          : static_cast<double>(candidates) /
+                                static_cast<double>(allocations);
+}
+
 void BM_OnlineRelaxation(benchmark::State& state) {
   const size_t num_concepts = static_cast<size_t>(state.range(0));
   auto& s = WorldForSize(num_concepts);
@@ -123,6 +156,8 @@ void BM_OnlineRelaxation(benchmark::State& state) {
       static_cast<double>(total.candidates_scanned) / runs;
   state.counters["avg_neighbors"] =
       static_cast<double>(total.neighbors_visited) / runs;
+  state.counters["candidates_per_alloc"] =
+      CandidatesPerAlloc(relaxer, region, s->world.ctx_indication);
   state.SetLabel("concepts=" + std::to_string(num_concepts));
 }
 BENCHMARK(BM_OnlineRelaxation)
@@ -219,12 +254,14 @@ std::unique_ptr<HubWorld> BuildHubWorld(size_t num_concepts) {
   }
   ingestion.frequencies.Normalize(root);
   ingestion.flagged.assign(num_concepts, false);
+  std::vector<std::vector<InstanceId>> instances(num_concepts);
   InstanceId next_instance = 0;
   for (ConceptId id : flagged) {
     ingestion.flagged[id] = true;
-    ingestion.concept_instances[id] = {next_instance, next_instance + 1};
+    instances[id] = {next_instance, next_instance + 1};
     next_instance += 2;
   }
+  ingestion.concept_instances = ConceptCsr::FromGroups(instances);
   return w;
 }
 

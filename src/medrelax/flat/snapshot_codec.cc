@@ -236,47 +236,22 @@ Result<NameIndexViews> ReadNameIndex(const FlatImageView& image,
   return views;
 }
 
-/// Decodes a CSR of uint32 values per concept, bounds-checking each value
-/// against `value_limit`, inserting only non-empty groups (parity with
-/// the ingestion builder, which never stores empty vectors).
-template <typename ValueT>
-Status DecodeConceptCsr(const FlatImageView& image, SectionId offsets_id,
-                        SectionId values_id, size_t num_concepts,
-                        uint64_t value_limit, const char* what,
-                        std::unordered_map<ConceptId, std::vector<ValueT>>* out) {
+/// Reads a concept-indexed CSR in place, checking that its offsets span
+/// `num_concepts` groups over the values and that every value is below
+/// `value_limit`.
+Result<ConceptCsr> ReadConceptCsr(const FlatImageView& image,
+                                  SectionId offsets_id, SectionId values_id,
+                                  size_t num_concepts, uint64_t value_limit,
+                                  const char* what) {
   MEDRELAX_ASSIGN_OR_RETURN(std::span<const uint64_t> offsets,
                             image.SectionArray<uint64_t>(offsets_id));
   MEDRELAX_ASSIGN_OR_RETURN(std::span<const uint32_t> values,
                             image.SectionArray<uint32_t>(values_id));
-  if (offsets.size() != num_concepts + 1 || offsets.front() != 0 ||
-      offsets.back() != values.size()) {
-    return Status::InvalidArgument(
-        StrFormat("%s index: offsets do not span the %zu values", what,
-                  values.size()));
-  }
-  for (size_t id = 0; id < num_concepts; ++id) {
-    if (offsets[id] > offsets[id + 1]) {
-      return Status::InvalidArgument(
-          StrFormat("%s index: offsets decrease at concept %zu", what, id));
-    }
-    const uint64_t begin = offsets[id];
-    const uint64_t end = offsets[id + 1];
-    if (begin == end) continue;
-    std::vector<ValueT> group;
-    group.reserve(end - begin);
-    for (uint64_t j = begin; j < end; ++j) {
-      if (values[j] >= value_limit) {
-        return Status::InvalidArgument(
-            StrFormat("%s index: value %u at %llu exceeds limit %llu", what,
-                      static_cast<unsigned>(values[j]),
-                      static_cast<unsigned long long>(j),
-                      static_cast<unsigned long long>(value_limit)));
-      }
-      group.push_back(static_cast<ValueT>(values[j]));
-    }
-    out->emplace(static_cast<ConceptId>(id), std::move(group));
-  }
-  return Status::OK();
+  MEDRELAX_RETURN_NOT_OK(
+      CheckOffsets(offsets, num_concepts, values.size(), what));
+  MEDRELAX_RETURN_NOT_OK(
+      CheckBelow(values, value_limit, /*free_slots=*/false, what));
+  return ConceptCsr::Borrow(offsets, values);
 }
 
 }  // namespace
@@ -296,6 +271,11 @@ Status WriteSnapshotImage(const ConceptDag& dag, const NameIndex& index,
   }
   if (ingestion.flagged.size() != n) {
     return Status::InvalidArgument("flagged vector does not cover the DAG");
+  }
+  if (ingestion.concept_instances.num_concepts() != n ||
+      ingestion.concept_contexts.num_concepts() != n) {
+    return Status::InvalidArgument(
+        "concept-instance or concept-context index does not cover the DAG");
   }
   if (&index.dag() != &dag ||
       (!config.use_exact_mapper && !index.views().has_fuzzy_tables())) {
@@ -372,29 +352,14 @@ Status WriteSnapshotImage(const ConceptDag& dag, const NameIndex& index,
   }
   writer.AddArray<uint64_t>(SectionId::kFlaggedBits, flagged_bits);
 
-  const auto add_concept_csr = [&writer, n](
-                                   SectionId offsets_id, SectionId values_id,
-                                   const auto& by_concept) {
-    std::vector<uint64_t> offsets;
-    offsets.reserve(n + 1);
-    offsets.push_back(0);
-    std::vector<uint32_t> values;
-    for (ConceptId id = 0; id < n; ++id) {
-      auto it = by_concept.find(id);
-      if (it != by_concept.end()) {
-        for (uint32_t value : it->second) values.push_back(value);
-      }
-      offsets.push_back(values.size());
-    }
-    writer.AddArray<uint64_t>(offsets_id, offsets);
-    writer.AddArray<uint32_t>(values_id, values);
-  };
-  add_concept_csr(SectionId::kConceptInstanceOffsets,
-                  SectionId::kConceptInstanceValues,
-                  ingestion.concept_instances);
-  add_concept_csr(SectionId::kConceptContextOffsets,
-                  SectionId::kConceptContextValues,
-                  ingestion.concept_contexts);
+  writer.AddArray<uint64_t>(SectionId::kConceptInstanceOffsets,
+                            ingestion.concept_instances.offsets());
+  writer.AddArray<uint32_t>(SectionId::kConceptInstanceValues,
+                            ingestion.concept_instances.values());
+  writer.AddArray<uint64_t>(SectionId::kConceptContextOffsets,
+                            ingestion.concept_contexts.offsets());
+  writer.AddArray<uint32_t>(SectionId::kConceptContextValues,
+                            ingestion.concept_contexts.values());
 
   const DomainOntology& ontology = kb.ontology;
   StringTableBuilder ontology_names;
@@ -729,16 +694,16 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
         (flagged_bits[id / 64] >> (id % 64) & uint64_t{1}) != 0;
   }
 
-  Status index_status = DecodeConceptCsr<InstanceId>(
-      *image, SectionId::kConceptInstanceOffsets,
-      SectionId::kConceptInstanceValues, n, meta.num_instances,
-      "concept-instance", &ingestion.concept_instances);
-  if (!index_status.ok()) return index_status;
-  index_status = DecodeConceptCsr<ContextId>(
-      *image, SectionId::kConceptContextOffsets,
-      SectionId::kConceptContextValues, n, num_contexts, "concept-context",
-      &ingestion.concept_contexts);
-  if (!index_status.ok()) return index_status;
+  MEDRELAX_ASSIGN_OR_RETURN(
+      ingestion.concept_instances,
+      ReadConceptCsr(*image, SectionId::kConceptInstanceOffsets,
+                     SectionId::kConceptInstanceValues, n, meta.num_instances,
+                     "concept-instance index"));
+  MEDRELAX_ASSIGN_OR_RETURN(
+      ingestion.concept_contexts,
+      ReadConceptCsr(*image, SectionId::kConceptContextOffsets,
+                     SectionId::kConceptContextValues, n, num_contexts,
+                     "concept-context index"));
 
   ingestion.unmapped_instances = meta.unmapped_instances;
   ingestion.shortcuts_added = meta.shortcuts_added;

@@ -43,9 +43,10 @@ struct ImageSnapshotConfig {
     MEDRELAX_BLOCKING;
 
 /// A mapped image and what the serving snapshot reads from it. `dag`,
-/// `index_views` and `ingestion.frequencies` borrow the mapping; the KB
-/// and the rest of the ingestion artifacts are decoded copies (under
-/// 1 MiB at 64k concepts). `image` is declared first so it outlives
+/// `index_views`, `ingestion.frequencies`, `ingestion.concept_instances`
+/// and `ingestion.concept_contexts` borrow the mapping; the KB and the
+/// rest of the ingestion artifacts are decoded copies (under 1 MiB at 64k
+/// concepts). `image` is declared first so it outlives
 /// every borrower during destruction; keep it that way.
 struct DecodedSnapshotImage {
   std::unique_ptr<FlatImageView> image;
@@ -59,7 +60,8 @@ struct DecodedSnapshotImage {
 
 /// Maps `path`, validates every structure the snapshot will borrow —
 /// each edge target, the mirroring of the two edge sides, every string
-/// terminator, slot entry, offset and posting — and decodes the KB.
+/// terminator, slot entry, offset, posting and concept-indexed value —
+/// and decodes the KB.
 /// A corrupt or crafted image yields a typed error here, never UB at
 /// lookup time. MEDRELAX_BLOCKING: maps and walks the whole image.
 [[nodiscard]] Result<DecodedSnapshotImage> ReadSnapshotImage(

@@ -46,8 +46,12 @@ void GeometryEngine::SetSource(ConceptId source) {
   }
 }
 
-PairGeometry GeometryEngine::Compute(ConceptId target) {
-  PairGeometry g;
+const PairGeometry& GeometryEngine::Compute(ConceptId target) {
+  PairGeometry& g = geometry_;
+  g.connected = false;
+  g.gen_exponent = 0.0;
+  g.spec_exponent = 0.0;
+  g.lcs.clear();
   if (!dag_->IsValid(source_) || !dag_->IsValid(target)) return g;
 
   // Sparse upward BFS from the target over native edges: the reflexive

@@ -70,8 +70,11 @@ class GeometryEngine {
   /// a Reset.
   [[nodiscard]] ConceptId source() const { return source_; }
 
-  /// Geometry of (source(), target). Precondition: SetSource was called.
-  [[nodiscard]] PairGeometry Compute(ConceptId target);
+  /// Geometry of (source(), target), computed into the engine's own
+  /// geometry and valid until the next Compute, SetSource or Reset; a
+  /// warm engine allocates nothing here. Precondition: SetSource was
+  /// called.
+  [[nodiscard]] const PairGeometry& Compute(ConceptId target);
 
  private:
   /// Per-concept scratch; each half is valid only while its stamp equals
@@ -100,6 +103,8 @@ class GeometryEngine {
   /// BFS queue of the last sweep: the source's reflexive ancestors after
   /// SetSource, the target's after Compute (in BFS order).
   std::vector<ConceptId> cone_;
+  /// What Compute returns; its LCS vector keeps its capacity.
+  PairGeometry geometry_;
 };
 
 }  // namespace medrelax

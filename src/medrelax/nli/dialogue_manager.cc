@@ -1,6 +1,7 @@
 #include "medrelax/nli/dialogue_manager.h"
 
 #include <algorithm>
+#include <span>
 
 #include "medrelax/common/string_util.h"
 #include "medrelax/kb/kb_query.h"
@@ -166,13 +167,15 @@ DialogueResponse DialogueManager::AnswerUnknown(const std::string& term,
     if (response.surfaced_concepts.size() >= options_.max_suggestions) break;
     response.surfaced_concepts.push_back(sc.concept_id);
   }
-  // Render suggestion names from the ingestion's concept->instances map.
+  // Render suggestion names from the ingestion's concept->instances index.
   std::vector<std::string> suggestions;
   for (ConceptId c : response.surfaced_concepts) {
-    auto it = ingestion_->concept_instances.find(c);
-    if (it != ingestion_->concept_instances.end() && !it->second.empty()) {
-      suggestions.push_back(kb_->instances.instance(it->second[0]).name);
-      for (InstanceId i : it->second) response.answers.push_back(i);
+    const std::span<const InstanceId> instances =
+        ingestion_->concept_instances[c];
+    if (!instances.empty()) {
+      suggestions.push_back(kb_->instances.instance(instances[0]).name);
+      response.answers.insert(response.answers.end(), instances.begin(),
+                              instances.end());
     }
   }
   response.text = StrFormat(

@@ -40,6 +40,30 @@ ConceptMentions CountConceptMentions(const ConceptDag& eks,
 
 }  // namespace
 
+ConceptCsr ConceptCsr::FromGroups(
+    const std::vector<std::vector<uint32_t>>& groups) {
+  auto storage = std::make_shared<Storage>();
+  storage->offsets.reserve(groups.size() + 1);
+  storage->offsets.push_back(0);
+  for (const std::vector<uint32_t>& group : groups) {
+    storage->values.insert(storage->values.end(), group.begin(), group.end());
+    storage->offsets.push_back(storage->values.size());
+  }
+  ConceptCsr csr;
+  csr.offsets_ = storage->offsets;
+  csr.values_ = storage->values;
+  csr.storage_ = std::move(storage);
+  return csr;
+}
+
+ConceptCsr ConceptCsr::Borrow(std::span<const uint64_t> offsets,
+                              std::span<const uint32_t> values) {
+  ConceptCsr csr;
+  csr.offsets_ = offsets;
+  csr.values_ = values;
+  return csr;
+}
+
 Result<IngestionResult> RunIngestion(const KnowledgeBase& kb, ConceptDag* eks,
                                      const MappingFunction& mapper,
                                      const Corpus* corpus,
@@ -54,6 +78,8 @@ Result<IngestionResult> RunIngestion(const KnowledgeBase& kb, ConceptDag* eks,
 
   // --- Mappings (lines 5-11). ---
   result.flagged.assign(eks->num_concepts(), false);
+  std::vector<std::vector<InstanceId>> instances_of(eks->num_concepts());
+  std::vector<std::vector<ContextId>> contexts_of(eks->num_concepts());
   for (InstanceId i = 0; i < kb.instances.num_instances(); ++i) {
     const Instance& instance = kb.instances.instance(i);
     std::optional<ConceptMatch> match = mapper.Map(instance.name);
@@ -64,18 +90,20 @@ Result<IngestionResult> RunIngestion(const KnowledgeBase& kb, ConceptDag* eks,
     ConceptId a = match->id;
     result.mappings.emplace_back(i, a);
     result.flagged[a] = true;
-    result.concept_instances[a].push_back(i);
+    instances_of[a].push_back(i);
     // The contexts of A are the relationships associated with the mapped
     // instance's ontology concept (Section 5.1, "Concept frequency").
     const std::string& concept_name =
         kb.ontology.concept_name(instance.concept_id);
     for (ContextId ctx : result.contexts.ContextsWithRange(concept_name)) {
-      std::vector<ContextId>& ctxs = result.concept_contexts[a];
+      std::vector<ContextId>& ctxs = contexts_of[a];
       if (std::find(ctxs.begin(), ctxs.end(), ctx) == ctxs.end()) {
         ctxs.push_back(ctx);
       }
     }
   }
+  result.concept_instances = ConceptCsr::FromGroups(instances_of);
+  result.concept_contexts = ConceptCsr::FromGroups(contexts_of);
 
   // --- Concept frequency (lines 12-18). ---
   // Direct mention weight |A| per context, Equation 2's base term.

@@ -2,7 +2,8 @@
 #define MEDRELAX_RELAX_INGESTION_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,61 @@ struct IngestionOptions {
   double ic_smoothing = 1.0;
 };
 
+/// A concept-indexed CSR of 32-bit values (instance or context ids): the
+/// values of concept c are values[offsets[c] .. offsets[c + 1]). It owns
+/// its arrays when built from groups (RunIngestion) or borrows them from
+/// a mapped image, whose sections have this layout (flat/format.h), so
+/// a served snapshot reads them in place. Concepts past the offsets —
+/// every concept of a default-constructed CSR — have no values. Copies
+/// share the (immutable) owned arrays.
+class ConceptCsr {
+ public:
+  ConceptCsr() = default;
+
+  /// Owns one group per concept: `groups[c]` are the values of c, in order.
+  [[nodiscard]] static ConceptCsr FromGroups(
+      const std::vector<std::vector<uint32_t>>& groups);
+
+  /// Reads `offsets` and `values`, whose storage must outlive the CSR.
+  /// The caller vouches for the layout (the image reader checks that the
+  /// offsets start at 0, never decrease and end at values.size()).
+  [[nodiscard]] static ConceptCsr Borrow(std::span<const uint64_t> offsets,
+                                         std::span<const uint32_t> values);
+
+  /// Concepts the offsets cover.
+  [[nodiscard]] size_t num_concepts() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+
+  /// The values of concept `id`; empty past num_concepts().
+  [[nodiscard]] std::span<const uint32_t> operator[](ConceptId id) const {
+    if (id >= num_concepts()) return {};
+    return values_.subspan(offsets_[id], offsets_[id + 1] - offsets_[id]);
+  }
+
+  /// How many values concept `id` has, without touching them.
+  [[nodiscard]] size_t count(ConceptId id) const {
+    return id >= num_concepts()
+               ? 0
+               : static_cast<size_t>(offsets_[id + 1] - offsets_[id]);
+  }
+
+  /// The layout itself, for the image writer.
+  [[nodiscard]] std::span<const uint64_t> offsets() const { return offsets_; }
+  [[nodiscard]] std::span<const uint32_t> values() const { return values_; }
+
+ private:
+  struct Storage {
+    std::vector<uint64_t> offsets;
+    std::vector<uint32_t> values;
+  };
+
+  /// Null when the arrays are borrowed.
+  std::shared_ptr<const Storage> storage_;
+  std::span<const uint64_t> offsets_;
+  std::span<const uint32_t> values_;
+};
+
 /// Everything Algorithm 1 returns: C, F, M, FEC — plus reverse indexes the
 /// online phase needs.
 struct IngestionResult {
@@ -42,12 +98,12 @@ struct IngestionResult {
   std::vector<std::pair<InstanceId, ConceptId>> mappings;
   /// FEC: flag per external concept — true iff some KB instance maps to it.
   std::vector<bool> flagged;
-  /// Reverse of M: external concept -> the instances mapped to it
-  /// (Algorithm 2 line 7 materializes results through this).
-  std::unordered_map<ConceptId, std::vector<InstanceId>> concept_instances;
+  /// Reverse of M: external concept -> the instances mapped to it, in
+  /// ascending id (Algorithm 2 line 7 materializes results through this).
+  ConceptCsr concept_instances;
   /// Contexts each external concept participates in (ranges of the mapped
-  /// instances' ontology concepts).
-  std::unordered_map<ConceptId, std::vector<ContextId>> concept_contexts;
+  /// instances' ontology concepts), in first-seen order.
+  ConceptCsr concept_contexts;
   /// Number of KB instances the mapper could not map.
   size_t unmapped_instances = 0;
   /// Shortcut edges added to the external source.

@@ -19,14 +19,25 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
 }
 
-/// One thread's traversal scratch, shared by every relaxer that runs on
-/// the thread. Both members are epoch-stamped, so re-anchoring them costs
-/// O(1) and no query allocates or fills a |V|-sized array; the arrays
-/// only grow to the largest core (expander) and DAG (engine) the thread
-/// has relaxed against.
+/// One flagged candidate's Equation 5 score: what the scoring loop
+/// writes and the ranking sorts, before any instance is touched.
+struct ScoredRecord {
+  double similarity;
+  ConceptId concept_id;
+};
+
+/// One thread's relaxation scratch, shared by every relaxer that runs on
+/// the thread. The expander and engine are epoch-stamped, so re-anchoring
+/// them costs O(1) and no query allocates or fills a |V|-sized array;
+/// their arrays only grow to the largest core (expander) and DAG (engine)
+/// the thread has relaxed against. The vectors are cleared per query and
+/// keep their capacity, so a warm thread scores without allocating.
 struct RelaxScratch {
   RadiusExpander expander;
   GeometryEngine engine;
+  std::vector<Neighbor> neighbors;  // hops measured from a(q)
+  std::vector<ConceptId> candidates;
+  std::vector<ScoredRecord> scored;
 };
 
 RelaxScratch& ThreadScratch() {
@@ -81,10 +92,7 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
   outcome.query_concept = query;
 
   const std::vector<bool>& flagged = ingestion_->flagged;
-  auto instance_count = [&](ConceptId b) -> size_t {
-    auto it = ingestion_->concept_instances.find(b);
-    return it == ingestion_->concept_instances.end() ? 0 : it->second.size();
-  };
+  const ConceptCsr& instances_of = ingestion_->concept_instances;
 
   // Line 2: candidates = flagged concepts within radius r. Every flagged
   // concept is in the core, and a query peeled off it reaches them only
@@ -98,13 +106,15 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
   const FlaggedCore::Attachment anchor = core_.Attach(query);
   RadiusExpander& expander = scratch.expander;
   expander.Reset(core_, anchor.node);
-  std::vector<Neighbor> neighbors;  // hops measured from a(q)
-  std::vector<ConceptId> candidates;
+  std::vector<Neighbor>& neighbors = scratch.neighbors;
+  std::vector<ConceptId>& candidates = scratch.candidates;
+  neighbors.clear();
+  candidates.clear();
   size_t covered_instances = 0;
   auto consider = [&](ConceptId id) {
     if (id < flagged.size() && flagged[id]) {
       candidates.push_back(id);
-      covered_instances += instance_count(id);
+      covered_instances += instances_of.count(id);
     }
   };
   consider(query);  // the term itself, when in the KB
@@ -136,20 +146,19 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
 
   // Line 3: score each candidate from its own geometry, computed by the
   // shared-frontier engine (one upward BFS for the query, then one small
-  // cone per candidate).
+  // cone per candidate) into flat records; the query's side of Equation 5
+  // is taken once.
   GeometryEngine& engine = scratch.engine;
   engine.SetSource(query);
-  std::vector<ScoredConcept> scored;
-  scored.reserve(candidates.size());
+  const SimilarityModel::ScoreSource source =
+      similarity_.Source(query, context);
+  std::vector<ScoredRecord>& scored = scratch.scored;
+  scored.clear();
   for (ConceptId b : candidates) {
-    ScoredConcept sc;
-    sc.concept_id = b;
-    sc.similarity = b == query ? 1.0
-                               : similarity_.ScoreGeometry(engine.Compute(b),
-                                                           query, b, context);
-    auto it = ingestion_->concept_instances.find(b);
-    if (it != ingestion_->concept_instances.end()) sc.instances = it->second;
-    scored.push_back(std::move(sc));
+    scored.push_back(
+        {b == query ? 1.0
+                    : similarity_.ScoreGeometry(engine.Compute(b), source, b),
+         b});
   }
   outcome.stats.candidates_scanned = candidates.size();
   const auto t_scored = std::chrono::steady_clock::now();
@@ -157,7 +166,7 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
 
   // Sort by sim(A, B) descending; deterministic tie-break on concept id.
   std::sort(scored.begin(), scored.end(),
-            [](const ScoredConcept& a, const ScoredConcept& b) {
+            [](const ScoredRecord& a, const ScoredRecord& b) {
               if (a.similarity != b.similarity) {
                 return a.similarity > b.similarity;
               }
@@ -165,14 +174,28 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
             });
 
   // Lines 4-8: pop candidates until exactly k instances are gathered; the
-  // last concept's contribution is truncated at the k boundary.
-  for (ScoredConcept& sc : scored) {
-    if (outcome.instances.size() >= k) break;
-    for (InstanceId i : sc.instances) {
-      if (outcome.instances.size() >= k) break;
-      outcome.instances.push_back(i);
-    }
-    outcome.concepts.push_back(std::move(sc));
+  // last concept's contribution is truncated at the k boundary. Only the
+  // concepts that fill k become ScoredConcepts, each with its own copy of
+  // its instances (a cached outcome must not point into an image that a
+  // RELOAD may unmap).
+  size_t returned = 0;
+  size_t gathered = 0;
+  while (returned < scored.size() && gathered < k) {
+    gathered += instances_of.count(scored[returned++].concept_id);
+  }
+  outcome.concepts.reserve(returned);
+  outcome.instances.reserve(std::min(gathered, k));
+  for (size_t r = 0; r < returned; ++r) {
+    const std::span<const InstanceId> instances =
+        instances_of[scored[r].concept_id];
+    const size_t room = k - outcome.instances.size();
+    outcome.instances.insert(
+        outcome.instances.end(), instances.begin(),
+        instances.begin() +
+            static_cast<std::ptrdiff_t>(std::min(room, instances.size())));
+    outcome.concepts.push_back(
+        {scored[r].concept_id, scored[r].similarity,
+         std::vector<InstanceId>(instances.begin(), instances.end())});
   }
   const auto t_ranked = std::chrono::steady_clock::now();
   outcome.stats.rank_ns = ElapsedNs(t_scored, t_ranked);

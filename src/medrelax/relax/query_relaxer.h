@@ -76,11 +76,13 @@ struct ConceptQuery {
 ///
 /// Thread-safe: all entry points are const and the underlying
 /// SimilarityModel holds no mutable state, so one relaxer can serve
-/// concurrent queries. The traversal scratch (a RadiusExpander and
-/// a GeometryEngine) is thread_local and shared by every relaxer on the
-/// thread: it is epoch-stamped, so a query allocates and fills nothing
-/// |V|-sized, and each top-level call below re-anchors it, so no call
-/// inherits state from another DAG or an earlier call.
+/// concurrent queries. The scratch (a RadiusExpander, a GeometryEngine,
+/// and the neighbor, candidate and score vectors) is thread_local and
+/// shared by every relaxer on the thread: it is epoch-stamped or cleared
+/// per query, so a query allocates and fills nothing |V|-sized, and each
+/// top-level call below re-anchors it, so no call inherits state from
+/// another DAG or an earlier call. A warm thread allocates only the
+/// returned outcome: one ScoredConcept per concept that fills k.
 class QueryRelaxer {
  public:
   QueryRelaxer(const ConceptDag* eks, const IngestionResult* ingestion,
@@ -122,8 +124,8 @@ class QueryRelaxer {
 
  private:
   /// The core of Algorithm 2 on this thread's scratch: incremental
-  /// radius growth, per-candidate geometry, scoring, ranking, exact-k
-  /// truncation. Precondition: the calling entry point has Reset the
+  /// radius growth, per-candidate geometry, scoring into flat records,
+  /// ranking, exact-k truncation. Precondition: the calling entry point has Reset the
   /// thread's GeometryEngine on eks_ during the current top-level call.
   RelaxationOutcome RelaxOnThread(ConceptId query, ContextId context,
                                   size_t k) const;

@@ -5,10 +5,34 @@
 
 namespace medrelax {
 
+namespace {
+
+/// w^exponent, read from `powers` (powers[e] = std::pow(w, double(e)))
+/// when the exponent is one of its integers. Equation 4's exponents are
+/// sums of small integers, exact in a double (graph/geometry.h).
+double Power(const std::array<double, SimilarityModel::kPowerTableSize>& powers,
+             double w, double exponent) {
+  if (exponent >= 0.0 &&
+      exponent < static_cast<double>(SimilarityModel::kPowerTableSize)) {
+    const auto e = static_cast<size_t>(exponent);
+    if (static_cast<double>(e) == exponent) return powers[e];
+  }
+  return std::pow(w, exponent);
+}
+
+}  // namespace
+
 SimilarityModel::SimilarityModel(const ConceptDag* dag,
                                  const FrequencyModel* freq,
                                  const SimilarityOptions& options)
-    : dag_(dag), freq_(freq), options_(options) {}
+    : dag_(dag), freq_(freq), options_(options) {
+  for (size_t e = 0; e < kPowerTableSize; ++e) {
+    gen_powers_[e] =
+        std::pow(options_.generalization_weight, static_cast<double>(e));
+    spec_powers_[e] =
+        std::pow(options_.specialization_weight, static_cast<double>(e));
+  }
+}
 
 ContextId SimilarityModel::EffectiveContext(ContextId ctx) const {
   return options_.use_context ? ctx : kNoContext;
@@ -71,30 +95,46 @@ double SimilarityModel::PathPenaltyForHops(
   return penalty;
 }
 
+double SimilarityModel::Penalty(const PairGeometry& g) const {
+  return Power(gen_powers_, options_.generalization_weight, g.gen_exponent) *
+         Power(spec_powers_, options_.specialization_weight, g.spec_exponent);
+}
+
 double SimilarityModel::PathPenalty(ConceptId from, ConceptId to) const {
   if (!options_.use_path_penalty) return 1.0;
   if (from == to) return 1.0;
   const PairGeometry g = Geometry(from, to);
   if (!g.connected) return 0.0;
-  return std::pow(options_.generalization_weight, g.gen_exponent) *
-         std::pow(options_.specialization_weight, g.spec_exponent);
+  return Penalty(g);
 }
 
-double SimilarityModel::ScoreGeometry(const PairGeometry& g, ConceptId from,
-                                      ConceptId to, ContextId ctx) const {
-  if (from == to) return 1.0;
-  ContextId effective = EffectiveContext(ctx);
+SimilarityModel::ScoreSource SimilarityModel::Source(ConceptId from,
+                                                     ContextId ctx) const {
+  ScoreSource source;
+  source.concept_id = from;
+  source.context = EffectiveContext(ctx);
+  // The relaxer takes the source before it knows whether any candidate
+  // will be scored, so an id past the table reads nothing here; its IC
+  // of 0 is never used.
+  if (from < freq_->num_concepts() &&
+      (source.context == kNoContext ||
+       source.context <= freq_->num_contexts())) {
+    source.ic = freq_->Ic(from, source.context);
+  }
+  return source;
+}
+
+double SimilarityModel::ScoreGeometry(const PairGeometry& g,
+                                      const ScoreSource& from,
+                                      ConceptId to) const {
+  if (from.concept_id == to) return 1.0;
   if (!g.connected || g.lcs.empty()) return 0.0;
 
-  double penalty = 1.0;
-  if (options_.use_path_penalty) {
-    penalty = std::pow(options_.generalization_weight, g.gen_exponent) *
-              std::pow(options_.specialization_weight, g.spec_exponent);
-  }
+  const double penalty = options_.use_path_penalty ? Penalty(g) : 1.0;
   double lcs_ic = 0.0;
-  for (ConceptId c : g.lcs) lcs_ic += freq_->Ic(c, effective);
+  for (ConceptId c : g.lcs) lcs_ic += freq_->Ic(c, from.context);
   lcs_ic /= static_cast<double>(g.lcs.size());
-  double denom = freq_->Ic(from, effective) + freq_->Ic(to, effective);
+  double denom = from.ic + freq_->Ic(to, from.context);
   if (denom <= 1e-12) return 0.0;
   return penalty * 2.0 * lcs_ic / denom;
 }
@@ -102,7 +142,7 @@ double SimilarityModel::ScoreGeometry(const PairGeometry& g, ConceptId from,
 double SimilarityModel::Similarity(ConceptId from, ConceptId to,
                                    ContextId ctx) const {
   if (from == to) return 1.0;
-  return ScoreGeometry(Geometry(from, to), from, to, ctx);
+  return ScoreGeometry(Geometry(from, to), Source(from, ctx), to);
 }
 
 }  // namespace medrelax

@@ -1,6 +1,7 @@
 #ifndef MEDRELAX_RELAX_SIMILARITY_H_
 #define MEDRELAX_RELAX_SIMILARITY_H_
 
+#include <array>
 #include <vector>
 
 #include "medrelax/graph/concept_dag.h"
@@ -44,9 +45,25 @@ struct SimilarityOptions {
 /// lookup table of pair geometries.
 class SimilarityModel {
  public:
-  /// Borrows `dag` and `freq`, which must outlive the model.
+  /// Borrows `dag` and `freq`, which must outlive the model. Builds the
+  /// Equation 4 power tables (2 x kPowerTableSize std::pow calls).
   SimilarityModel(const ConceptDag* dag, const FrequencyModel* freq,
                   const SimilarityOptions& options);
+
+  /// Equation 4 exponents below this read w^e from a table built with
+  /// std::pow(w, double(e)), the call the penalty would otherwise make,
+  /// so a lookup is bit-identical to it; larger ones call std::pow. A
+  /// path of D hops has exponents up to D(D - 1)/2, so the table covers
+  /// every path of up to 23 hops.
+  static constexpr size_t kPowerTableSize = 256;
+
+  /// The query side of Equation 5, fixed for one request: the query, the
+  /// effective context and the query's IC under it.
+  struct ScoreSource {
+    ConceptId concept_id = kInvalidConcept;
+    ContextId context = kNoContext;
+    double ic = 0.0;
+  };
 
   [[nodiscard]] const SimilarityOptions& options() const { return options_; }
 
@@ -71,11 +88,18 @@ class SimilarityModel {
   [[nodiscard]]
   double Similarity(ConceptId from, ConceptId to, ContextId ctx) const;
 
-  /// Equation 5 evaluated on an externally supplied geometry (the
-  /// QueryRelaxer hot path computes geometries through a shared-frontier
-  /// GeometryEngine and scores them here). Returns 1 when from == to.
-  [[nodiscard]] double ScoreGeometry(const PairGeometry& g, ConceptId from,
-                                     ConceptId to, ContextId ctx) const;
+  /// The query side of Equation 5 for `from` under `ctx`; a relaxation
+  /// takes it once and scores every candidate against it.
+  [[nodiscard]] ScoreSource Source(ConceptId from, ContextId ctx) const;
+
+  /// Equation 5 evaluated on the geometry of (from.concept_id, to), the
+  /// one implementation of the measure: Similarity scores the naive
+  /// per-pair geometry here, and the QueryRelaxer hot path the geometries
+  /// of its shared-frontier GeometryEngine. Returns 1 when the two
+  /// concepts are the same.
+  [[nodiscard]] double ScoreGeometry(const PairGeometry& g,
+                                     const ScoreSource& from,
+                                     ConceptId to) const;
 
   /// The geometry of (from, to) by the naive per-pair formulation (four
   /// full-graph traversals per call); the reference the shared-frontier
@@ -85,9 +109,15 @@ class SimilarityModel {
  private:
   [[nodiscard]] ContextId EffectiveContext(ContextId ctx) const;
 
+  /// p of Equation 4 from a connected geometry's exponents.
+  [[nodiscard]] double Penalty(const PairGeometry& g) const;
+
   const ConceptDag* dag_;
   const FrequencyModel* freq_;
   const SimilarityOptions options_;
+  /// w_gen^e and w_spec^e for e < kPowerTableSize.
+  std::array<double, kPowerTableSize> gen_powers_;
+  std::array<double, kPowerTableSize> spec_powers_;
 };
 
 }  // namespace medrelax

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -137,12 +138,14 @@ CoreWorld MakeCoreWorld(size_t n, Flags flags, uint64_t seed) {
       break;
   }
   InstanceId next_instance = 0;
+  std::vector<std::vector<InstanceId>> instances(ingestion.flagged.size());
   for (ConceptId id = 0; id < ingestion.flagged.size(); ++id) {
     if (!ingestion.flagged[id]) continue;
     for (ConceptId i = 0; i <= id % 3; ++i) {
-      ingestion.concept_instances[id].push_back(next_instance++);
+      instances[id].push_back(next_instance++);
     }
   }
+  ingestion.concept_instances = ConceptCsr::FromGroups(instances);
   return w;
 }
 
@@ -237,9 +240,8 @@ RelaxationOutcome ReferenceRelax(const CoreWorld& w,
                                  uint32_t radius, size_t k) {
   const IngestionResult& ing = w.ingestion;
   auto instances = [&](ConceptId id) {
-    auto it = ing.concept_instances.find(id);
-    return it == ing.concept_instances.end() ? std::vector<InstanceId>{}
-                                             : it->second;
+    const std::span<const InstanceId> of = ing.concept_instances[id];
+    return std::vector<InstanceId>(of.begin(), of.end());
   };
   RelaxationOutcome outcome;
   std::vector<ConceptId> candidates;
@@ -264,12 +266,13 @@ RelaxationOutcome ReferenceRelax(const CoreWorld& w,
 
   GeometryEngine engine(&w.dag);
   engine.SetSource(query);
+  const SimilarityModel::ScoreSource source =
+      similarity.Source(query, context);
   std::vector<ScoredConcept> scored;
   for (ConceptId b : candidates) {
     const double sim =
         b == query ? 1.0
-                   : similarity.ScoreGeometry(engine.Compute(b), query, b,
-                                              context);
+                   : similarity.ScoreGeometry(engine.Compute(b), source, b);
     scored.push_back({b, sim, instances(b)});
   }
   std::sort(scored.begin(), scored.end(),

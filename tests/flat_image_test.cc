@@ -4,11 +4,13 @@
 // Status from the validation pipeline — never UB (the asan job keeps
 // this honest).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -193,6 +195,18 @@ TEST(FlatImageRoundTrip, MappedSnapshotMatchesTheBuiltOne) {
   }
   EXPECT_EQ(ia.mappings, ib.mappings);
   EXPECT_EQ(ia.flagged, ib.flagged);
+  ASSERT_EQ(ib.concept_instances.num_concepts(), a.num_concepts());
+  ASSERT_EQ(ib.concept_contexts.num_concepts(), a.num_concepts());
+  for (ConceptId id = 0; id < a.num_concepts(); ++id) {
+    const std::span<const InstanceId> ai = ia.concept_instances[id];
+    const std::span<const InstanceId> bi = ib.concept_instances[id];
+    ASSERT_TRUE(std::equal(ai.begin(), ai.end(), bi.begin(), bi.end()))
+        << "instances of concept " << id;
+    const std::span<const ContextId> ac = ia.concept_contexts[id];
+    const std::span<const ContextId> bc = ib.concept_contexts[id];
+    ASSERT_TRUE(std::equal(ac.begin(), ac.end(), bc.begin(), bc.end()))
+        << "contexts of concept " << id;
+  }
   EXPECT_EQ(ia.unmapped_instances, ib.unmapped_instances);
   EXPECT_EQ(ia.shortcuts_added, ib.shortcuts_added);
   for (ConceptId id = 0; id < a.num_concepts(); ++id) {
@@ -648,6 +662,75 @@ TEST(FlatImageHardening, TrigramPostingBeyondTheEntriesIsInvalidArgument) {
   EXPECT_TRUE(status.IsInvalidArgument()) << status;
 }
 
+/// Rewrites the shared image's concept-instance offsets with `patch`,
+/// restamps, and returns the load status of the result.
+template <typename Patch>
+Status LoadWithPatchedInstanceOffsets(const std::string& name, Patch patch) {
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  SectionEntry entry;
+  EXPECT_TRUE(FindSection(bytes, SectionId::kConceptInstanceOffsets, &entry));
+  std::vector<uint64_t> offsets(entry.size / sizeof(uint64_t));
+  std::memcpy(offsets.data(), bytes.data() + entry.offset,
+              offsets.size() * sizeof(uint64_t));
+  patch(offsets);
+  std::memcpy(bytes.data() + entry.offset, offsets.data(),
+              offsets.size() * sizeof(uint64_t));
+  Restamp(bytes);
+  const std::string path = WriteCorrupted(name, bytes);
+  EXPECT_TRUE(FlatImageView::Open(path).ok());
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  return snap.ok() ? Status::OK() : snap.status();
+}
+
+TEST(FlatImageHardening, ConceptInstanceOffsetPastTheValuesIsInvalidArgument) {
+  // The relaxer reads a concept's instances straight out of the mapping,
+  // so an offset past the values would read past the section.
+  ASSERT_FALSE(SharedImagePath().empty());
+  const Status status = LoadWithPatchedInstanceOffsets(
+      "flat_instance_offset_past.img",
+      [](std::vector<uint64_t>& offsets) { offsets.back() += 1; });
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("concept-instance"), std::string::npos)
+      << status;
+}
+
+TEST(FlatImageHardening, DecreasingConceptInstanceOffsetsAreInvalidArgument) {
+  ASSERT_FALSE(SharedImagePath().empty());
+  const Status status = LoadWithPatchedInstanceOffsets(
+      "flat_instance_offsets_decrease.img",
+      [](std::vector<uint64_t>& offsets) {
+        // The first inner offset past a non-zero one drops below it;
+        // the first and last offsets stay as they were.
+        for (size_t j = 1; j + 1 < offsets.size(); ++j) {
+          if (offsets[j - 1] > 0) {
+            offsets[j] = offsets[j - 1] - 1;
+            return;
+          }
+        }
+        ADD_FAILURE() << "no offset could be made to decrease";
+      });
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("decrease"), std::string::npos) << status;
+}
+
+TEST(FlatImageHardening, ConceptInstanceBeyondTheInstancesIsInvalidArgument) {
+  ASSERT_FALSE(SharedImagePath().empty());
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  SectionEntry meta;
+  ASSERT_TRUE(FindSection(bytes, SectionId::kMeta, &meta));
+  uint64_t num_instances = 0;
+  std::memcpy(&num_instances,
+              bytes.data() + meta.offset +
+                  offsetof(flat::FlatMeta, num_instances),
+              sizeof(num_instances));
+  const Status status = LoadWithPatchedWord(
+      SectionId::kConceptInstanceValues, 0,
+      static_cast<uint32_t>(num_instances), "flat_instance_beyond.img");
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("concept-instance"), std::string::npos)
+      << status;
+}
+
 TEST(FlatImageHardening, UnterminatedNameIsInvalidArgument) {
   ASSERT_FALSE(SharedImagePath().empty());
   std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
@@ -719,6 +802,12 @@ TEST(FlatImageRoundTrip, ServedStructuresAreReadFromTheMapping) {
   EXPECT_TRUE(InMapping(dag.name(0).data(), ranges));
   EXPECT_TRUE(InMapping(dag.views().parents.edges.data(), ranges));
   EXPECT_TRUE(InMapping(dag.views().children.edges.data(), ranges));
+
+  const IngestionResult& ingestion = (*snap)->ingestion();
+  EXPECT_TRUE(InMapping(ingestion.concept_instances.offsets().data(), ranges));
+  EXPECT_TRUE(InMapping(ingestion.concept_instances.values().data(), ranges));
+  EXPECT_TRUE(InMapping(ingestion.concept_contexts.offsets().data(), ranges));
+  EXPECT_TRUE(InMapping(ingestion.concept_contexts.values().data(), ranges));
 }
 
 TEST(FlatImageRoundTrip, ExactImageCarriesNoFuzzyTables) {

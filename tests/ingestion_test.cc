@@ -61,10 +61,10 @@ TEST(Ingestion, MapsAndFlagsInstances) {
   EXPECT_FALSE(result->flagged[w.fx.hypertensive_nephropathy]);
   EXPECT_EQ(result->unmapped_instances, 0u);
   // Reverse index materializes the instance.
-  auto it = result->concept_instances.find(w.fx.kidney_disease);
-  ASSERT_NE(it, result->concept_instances.end());
-  ASSERT_EQ(it->second.size(), 1u);
-  EXPECT_EQ(it->second[0], w.kidney_instance);
+  const std::span<const InstanceId> instances =
+      result->concept_instances[w.fx.kidney_disease];
+  ASSERT_EQ(instances.size(), 1u);
+  EXPECT_EQ(instances[0], w.kidney_instance);
 }
 
 TEST(Ingestion, ConceptContextsComeFromTheInstanceConcept) {
@@ -74,10 +74,8 @@ TEST(Ingestion, ConceptContextsComeFromTheInstanceConcept) {
   auto result =
       RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, IngestionOptions{});
   ASSERT_TRUE(result.ok());
-  auto it = result->concept_contexts.find(w.fx.kidney_disease);
-  ASSERT_NE(it, result->concept_contexts.end());
   // Figure 1 ontology has exactly 2 relationships with range Finding.
-  EXPECT_EQ(it->second.size(), 2u);
+  EXPECT_EQ(result->concept_contexts[w.fx.kidney_disease].size(), 2u);
 }
 
 TEST(Ingestion, Figure5ShortcutEdges) {
@@ -263,9 +261,7 @@ TEST(Ingestion, SynonymMappingFlagsSameConcept) {
       RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, IngestionOptions{});
   ASSERT_TRUE(result.ok());
   // Both instances map to the same external concept.
-  auto it = result->concept_instances.find(w.fx.kidney_disease);
-  ASSERT_NE(it, result->concept_instances.end());
-  EXPECT_EQ(it->second.size(), 2u);
+  EXPECT_EQ(result->concept_instances.count(w.fx.kidney_disease), 2u);
 }
 
 // Property sweep over generated worlds: structural invariants of the
@@ -321,9 +317,7 @@ TEST_P(IngestionSweep, InvariantsHold) {
   }
   for (ConceptId c = 0; c < dag.num_concepts(); ++c) {
     if (!result->flagged[c]) continue;
-    auto it = result->concept_instances.find(c);
-    ASSERT_NE(it, result->concept_instances.end());
-    EXPECT_FALSE(it->second.empty());
+    EXPECT_FALSE(result->concept_instances[c].empty());
   }
   // (4) Shortcut edges never connect direct native neighbors, always have
   // distance >= 2, and always touch at least one flagged endpoint.

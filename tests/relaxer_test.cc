@@ -333,7 +333,7 @@ TEST(Relaxer, NoFlaggedConceptFindsNothingAndGrowsToMaxRadius) {
   // and unattached, and coverage is never met.
   RelaxWorld w = MakeRelaxWorld();
   w.ingestion.flagged.assign(w.fx.dag.num_concepts(), false);
-  w.ingestion.concept_instances.clear();
+  w.ingestion.concept_instances = ConceptCsr{};
   RelaxationOptions opts;
   opts.radius = 2;
   opts.max_radius = 7;
