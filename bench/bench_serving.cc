@@ -7,11 +7,6 @@
 //     the steady state of a production mix dominated by repeated
 //     near-identical queries. The warm/cold ratio is the headline number;
 //     the serving layer targets >= 5x.
-//   * BM_ServingSkewedMix — a Zipf hot set with scan-pollution bursts
-//     against a cache smaller than one burst: the decayed-activity
-//     policy's reason to exist. An untimed strict-LRU twin replays the
-//     identical trace; hit_rate_advantage (activity minus LRU) is the
-//     counter CI floors (scripts/bench_diff.py --floor).
 //   * BM_ServingTermCold — BM_ServingCold with RELAX-by-term requests
 //     (exact and one-typo KB instance names), so every request pays the
 //     EDIT term mapping too. The counter term_vs_concept divides the
@@ -35,12 +30,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
-#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -55,7 +48,6 @@
 #include "medrelax/matching/edit_matcher.h"
 #include "medrelax/matching/name_index.h"
 #include "medrelax/serve/relaxation_service.h"
-#include "medrelax/serve/result_cache.h"
 #include "medrelax/text/normalize.h"
 
 using namespace medrelax;  // NOLINT — bench brevity
@@ -350,159 +342,6 @@ void BM_TermMapping(benchmark::State& state) {
 }
 BENCHMARK(BM_TermMapping)->Arg(16000)->Arg(64000)->Unit(
     benchmark::kMicrosecond);
-
-// ---- Skewed-mix cache-policy benches -------------------------------------
-//
-// The workload the activity policy is built for: a Zipf(1.1)-popular hot
-// set alternating with scan-pollution bursts as large as the whole
-// cache. Strict LRU lets every burst flush the hot set; decayed activity
-// plus the second-hit admission doorkeeper keeps it resident. The bench
-// times the activity side only and replays the identical trace through
-// an untimed strict-LRU twin, reporting
-//   hit_rate           — the timed activity cache
-//   hit_rate_lru       — the LRU twin on the same trace
-//   hit_rate_advantage — activity minus LRU; CI floors this above zero
-// so a regression back toward recency-only eviction fails the gate.
-
-constexpr size_t kSkewCacheCapacity = 32;  // one scan burst == capacity
-constexpr size_t kSkewHotKeys = 16;
-constexpr double kSkewZipfTheta = 1.1;
-constexpr size_t kSkewTraceLen = 2048;
-
-// One trace slot: a Zipf-ranked hot key, or the serial number of a
-// scan-pollution key (minted into distinct cache keys by the bench).
-struct SkewSlot {
-  bool scan = false;
-  size_t index = 0;  // hot rank, or scan serial
-};
-
-// Alternating blocks: kSkewCacheCapacity Zipf-hot draws, then a
-// kSkewCacheCapacity-request scan burst — each burst large enough to
-// evict every resident entry under strict LRU. Seeded, so every run (and
-// the LRU twin replay) sees the same sequence.
-std::vector<SkewSlot> SkewedMixSlots() {
-  std::vector<double> cdf(kSkewHotKeys);
-  double total = 0;
-  for (size_t r = 0; r < kSkewHotKeys; ++r) {
-    total += 1.0 / std::pow(static_cast<double>(r + 1), kSkewZipfTheta);
-    cdf[r] = total;
-  }
-  for (double& c : cdf) c /= total;
-
-  std::mt19937_64 rng(2028);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  std::vector<SkewSlot> trace;
-  trace.reserve(kSkewTraceLen);
-  size_t scan_serial = 0;
-  while (trace.size() < kSkewTraceLen) {
-    for (size_t i = 0; i < kSkewCacheCapacity && trace.size() < kSkewTraceLen;
-         ++i) {
-      const size_t rank = static_cast<size_t>(
-          std::upper_bound(cdf.begin(), cdf.end(), unit(rng)) - cdf.begin());
-      trace.push_back({false, std::min(rank, kSkewHotKeys - 1)});
-    }
-    for (size_t i = 0; i < kSkewCacheCapacity && trace.size() < kSkewTraceLen;
-         ++i) {
-      trace.push_back({true, scan_serial++});
-    }
-  }
-  return trace;
-}
-
-void BM_ServingSkewedMix(benchmark::State& state) {
-  std::shared_ptr<Snapshot> snap = SharedSnapshot();
-  if (snap == nullptr) {
-    state.SkipWithError("snapshot build failed");
-    return;
-  }
-  // Hot pool and a disjoint scan pool of flagged concepts; scan keys are
-  // minted distinct as (concept, top_k) combinations, so they recur only
-  // every |scan| * 8 scans — far beyond the cache's lifetime.
-  std::vector<ConceptId> flagged;
-  const std::vector<bool>& mask = snap->ingestion().flagged;
-  for (ConceptId id = 0; id < mask.size() && flagged.size() < kSkewHotKeys + 64;
-       ++id) {
-    if (mask[id]) flagged.push_back(id);
-  }
-  if (flagged.size() < kSkewHotKeys + 8) {
-    state.SkipWithError("not enough flagged concepts");
-    return;
-  }
-  const std::vector<ConceptId> hot(flagged.begin(),
-                                   flagged.begin() + kSkewHotKeys);
-  const std::vector<ConceptId> scan(flagged.begin() + kSkewHotKeys,
-                                    flagged.end());
-  const std::vector<SkewSlot> trace = SkewedMixSlots();
-  const auto request_for = [&](const SkewSlot& slot) {
-    RelaxRequest request;
-    if (slot.scan) {
-      request.concept_id = scan[slot.index % scan.size()];
-      request.top_k = 1 + (slot.index / scan.size()) % 8;
-    } else {
-      request.concept_id = hot[slot.index];
-    }
-    return request;
-  };
-
-  ServiceOptions options;
-  options.cache.capacity = kSkewCacheCapacity;
-  options.cache.num_shards = 1;  // one ranked pool, same shape as the twin
-  RelaxationService service(snap, options);
-
-  // One caller, so the service sees the trace in the twin's order.
-  size_t offset = 0;
-  for (auto _ : state) {
-    for (size_t i = 0; i < kBatch; ++i) {
-      Result<RelaxResponse> response =
-          service.Relax(request_for(trace[(offset + i) % trace.size()]));
-      benchmark::DoNotOptimize(response);
-    }
-    offset += kBatch;
-  }
-
-  // Untimed strict-LRU twin over the identical key sequence. Only the
-  // eviction decisions matter, so misses insert a shared dummy outcome;
-  // top_k is resolved to the snapshot default exactly like the service
-  // keys its cache.
-  ResultCacheOptions lru;
-  lru.capacity = kSkewCacheCapacity;
-  lru.num_shards = 1;
-  lru.policy.eviction = CachePolicy::Eviction::kLru;
-  ResultCache twin(lru);
-  const std::shared_ptr<const RelaxationOutcome> dummy =
-      std::make_shared<RelaxationOutcome>();
-  const uint64_t default_k = snap->relaxer().options().top_k;
-  for (size_t i = 0; i < offset; ++i) {
-    const RelaxRequest request = request_for(trace[i % trace.size()]);
-    const CacheKey key{request.concept_id, kNoContext,
-                       request.top_k != 0 ? request.top_k : default_k,
-                       /*options_fingerprint=*/0, /*generation=*/1};
-    if (twin.Lookup(key) == nullptr) twin.Insert(key, dummy);
-  }
-
-  const ServiceStatsSnapshot stats = service.Stats();
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kBatch));
-  const double completed =
-      stats.completed > 0 ? static_cast<double>(stats.completed) : 1.0;
-  const double twin_total =
-      static_cast<double>(twin.hits() + twin.misses());
-  const double hit_rate = static_cast<double>(stats.cache_hits) / completed;
-  const double hit_rate_lru =
-      twin_total > 0 ? static_cast<double>(twin.hits()) / twin_total : 0.0;
-  state.counters["hit_rate"] = hit_rate;
-  state.counters["hit_rate_lru"] = hit_rate_lru;
-  state.counters["hit_rate_advantage"] = hit_rate - hit_rate_lru;
-  state.counters["admission_rejects"] =
-      static_cast<double>(service.cache().admission_rejects());
-  state.counters["sweeps_completed"] =
-      static_cast<double>(service.cache().sweeps_completed());
-  state.SetLabel("mix=zipf+scan");
-}
-BENCHMARK(BM_ServingSkewedMix)
-    ->Arg(1)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 // Offline-image pipeline headline: BM_SnapshotBuild is the full offline
 // phase (Algorithm 1 + mapper + relaxer wiring) on a 64k-concept world;

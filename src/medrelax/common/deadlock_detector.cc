@@ -43,6 +43,11 @@ std::string DeadlockDetector::SiteName(int site) const {
   return site_names_[static_cast<size_t>(site)];
 }
 
+int DeadlockDetector::num_sites() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(site_names_.size());
+}
+
 void DeadlockDetector::OnAcquire(int site) {
   std::vector<int>& held = HeldStack();
   if (!held.empty()) {

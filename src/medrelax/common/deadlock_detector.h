@@ -45,6 +45,9 @@ class DeadlockDetector {
 
   [[nodiscard]] std::string SiteName(int site) const;
 
+  /// Sites registered so far; their ids are 0 .. num_sites() - 1 (tests).
+  [[nodiscard]] int num_sites() const;
+
   /// Records that the calling thread is about to acquire `site`. Adds
   /// held-site -> site edges; on a would-be cycle, prints a one-line
   /// report naming both acquisition sites (and the full cycle path) to

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <thread>
 
+#include "medrelax/common/logging.h"
 #include "medrelax/common/string_util.h"
 #include "medrelax/graph/geometry.h"
 #include "medrelax/graph/traversal.h"
@@ -86,6 +87,13 @@ RelaxationOutcome QueryRelaxer::RelaxConceptWithK(ConceptId query,
 RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
                                               ContextId context,
                                               size_t k) const {
+  // Every entry point passes through here. A context past the frequency
+  // model's would read past its table while scoring; an out-of-range
+  // query concept is fine — it is in no table row and finds nothing.
+  const size_t num_contexts = ingestion_->frequencies.num_contexts();
+  MEDRELAX_CHECK(context == kNoContext || context < num_contexts)
+      << "context " << context << " is out of range: the frequency model has "
+      << num_contexts << " contexts";
   const auto t_start = std::chrono::steady_clock::now();
   RelaxScratch& scratch = ThreadScratch();
   RelaxationOutcome outcome;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "medrelax/common/logging.h"
+
 namespace medrelax {
 
 namespace {
@@ -141,6 +143,15 @@ double SimilarityModel::ScoreGeometry(const PairGeometry& g,
 
 double SimilarityModel::Similarity(ConceptId from, ConceptId to,
                                    ContextId ctx) const {
+  const size_t num_concepts = freq_->num_concepts();
+  for (ConceptId id : {from, to}) {
+    MEDRELAX_CHECK(id < num_concepts)
+        << "concept " << id << " is out of range: the frequency model has "
+        << num_concepts << " concepts";
+  }
+  MEDRELAX_CHECK(ctx == kNoContext || ctx < freq_->num_contexts())
+      << "context " << ctx << " is out of range: the frequency model has "
+      << freq_->num_contexts() << " contexts";
   if (from == to) return 1.0;
   return ScoreGeometry(Geometry(from, to), Source(from, ctx), to);
 }

@@ -127,14 +127,6 @@ uint64_t RelaxationService::PublishSnapshot(
   return generation;
 }
 
-ServiceStatsSnapshot RelaxationService::Stats() const {
-  ServiceStatsSnapshot snap = stats_.Snapshot();
-  snap.admission_rejects = cache_.admission_rejects();
-  snap.sweeps_completed = cache_.sweeps_completed();
-  snap.activity_evictions = cache_.activity_evictions();
-  return snap;
-}
-
 void RelaxationService::Shutdown() {
   shut_down_.store(true, std::memory_order_release);
 }

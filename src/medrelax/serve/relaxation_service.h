@@ -114,10 +114,10 @@ class RelaxationService {
     return registry_.Current();
   }
 
-  /// Service counters plus the result cache's activity-policy counters
-  /// (admission rejects, sweeps, sweep evictions) merged into one
-  /// coherent snapshot.
-  [[nodiscard]] ServiceStatsSnapshot Stats() const;
+  /// The service counters as one coherent snapshot.
+  [[nodiscard]] ServiceStatsSnapshot Stats() const {
+    return stats_.Snapshot();
+  }
 
   /// Mutable counter sink for the transport layer: the TCP frontend
   /// records connection lifecycle events (opened/closed/rejected,

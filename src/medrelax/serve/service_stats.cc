@@ -121,12 +121,6 @@ std::string ServiceStatsSnapshot::ToString(bool deterministic_only) const {
                    static_cast<size_t>(snapshot_swaps));
   out += StrFormat("reloads_completed=%zu\n",
                    static_cast<size_t>(reloads_completed));
-  out += StrFormat("admission_rejects=%zu\n",
-                   static_cast<size_t>(admission_rejects));
-  out += StrFormat("sweeps_completed=%zu\n",
-                   static_cast<size_t>(sweeps_completed));
-  out += StrFormat("activity_evictions=%zu\n",
-                   static_cast<size_t>(activity_evictions));
   if (deterministic_only) return out;
   // Wall-clock, so excluded from the deterministic subset like the
   // latency histogram below.

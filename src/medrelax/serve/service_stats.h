@@ -29,14 +29,6 @@ struct ServiceStatsSnapshot {
   /// RELOADs that produced and published a new snapshot (failed reloads
   /// leave the counter alone — the old generation keeps serving).
   uint64_t reloads_completed = 0;
-  /// Result-cache activity-policy counters, merged in from the cache by
-  /// RelaxationService::Stats(): inserts rejected by the second-hit
-  /// admission filter, bottom-activity sweep passes completed, and
-  /// entries those sweeps evicted. Deterministic for a scripted session:
-  /// admission and sweeps depend only on the request sequence.
-  uint64_t admission_rejects = 0;
-  uint64_t sweeps_completed = 0;
-  uint64_t activity_evictions = 0;
   /// Microseconds the most recent image map-and-rehydrate took (boot or
   /// RELOAD); 0 until one is recorded. Wall-clock, so outside the
   /// deterministic ToString subset.

@@ -4,6 +4,7 @@
 // Mutex hooks and is skipped unless MEDRELAX_DEADLOCK_DEBUG is on (the
 // default/debug/asan/tsan presets all enable it).
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,10 @@ TEST(DeadlockDetector, RegistersSitesByNameOnce) {
   EXPECT_EQ(a, detector.RegisterSite("DetectorTest::RegisterA"));
   EXPECT_EQ(detector.SiteName(a), "DetectorTest::RegisterA");
   EXPECT_EQ(detector.SiteName(b), "DetectorTest::RegisterB");
+  const int sites = detector.num_sites();
+  EXPECT_GT(sites, std::max(a, b));
+  EXPECT_EQ(detector.RegisterSite("DetectorTest::RegisterB"), b);
+  EXPECT_EQ(detector.num_sites(), sites) << "a known name adds no site";
 }
 
 TEST(DeadlockDetector, RecordsAcquisitionOrderEdges) {

@@ -328,6 +328,66 @@ TEST(Relaxer, OutOfRangeConceptFindsNothingAndGrowsToMaxRadius) {
   }
 }
 
+// Three concepts (a root and its flagged children a and b, one instance
+// each) and a one-context frequency model: relaxing a scores b, so an
+// out-of-range context would reach the frequency table.
+struct TinyWorld {
+  ConceptDag dag;
+  IngestionResult ingestion;
+  ConceptId a = kInvalidConcept;
+  ConceptId b = kInvalidConcept;
+};
+
+TinyWorld MakeTinyWorld() {
+  TinyWorld w;
+  ConceptDagBuilder builder;
+  const ConceptId root = *builder.AddConcept("root");
+  w.a = *builder.AddConcept("a");
+  w.b = *builder.AddConcept("b");
+  EXPECT_TRUE(builder.AddSubsumption(w.a, root).ok());
+  EXPECT_TRUE(builder.AddSubsumption(w.b, root).ok());
+  w.dag = std::move(builder).Build();
+  w.ingestion.frequencies = FrequencyModel(3, /*num_contexts=*/1);
+  w.ingestion.frequencies.SetRaw(root, 0, 3.0);
+  w.ingestion.frequencies.SetRaw(w.a, 0, 1.0);
+  w.ingestion.frequencies.SetRaw(w.b, 0, 1.0);
+  w.ingestion.frequencies.Normalize(root);
+  w.ingestion.flagged = {false, true, true};
+  w.ingestion.concept_instances = ConceptCsr::FromGroups({{}, {0}, {1}});
+  return w;
+}
+
+TEST(RelaxerDeathTest, OutOfRangeContextAbortsNamingIt) {
+  TinyWorld w = MakeTinyWorld();
+  QueryRelaxer relaxer(&w.dag, &w.ingestion, /*mapper=*/nullptr,
+                       SimilarityOptions{}, RelaxationOptions{});
+  // The in-range and aggregate contexts relax normally.
+  EXPECT_FALSE(relaxer.RelaxConcept(w.a, 0).concepts.empty());
+  EXPECT_FALSE(relaxer.RelaxConcept(w.a, kNoContext).concepts.empty());
+
+  EXPECT_DEATH((void)relaxer.RelaxConcept(w.a, 7), "context 7 is out of range");
+  EXPECT_DEATH((void)relaxer.RelaxConceptWithK(w.a, 7, 1),
+               "context 7 is out of range");
+  const std::vector<ConceptQuery> batch = {{w.a, 0}, {w.a, 7}};
+  EXPECT_DEATH((void)relaxer.RelaxBatch(batch, 1),
+               "context 7 is out of range");
+}
+
+TEST(RelaxerDeathTest, SimilarityRejectsOutOfRangeIds) {
+  TinyWorld w = MakeTinyWorld();
+  const SimilarityModel model(&w.dag, &w.ingestion.frequencies,
+                              SimilarityOptions{});
+  EXPECT_EQ(model.Similarity(w.a, w.a, 0), 1.0);
+  EXPECT_EQ(model.Similarity(w.a, w.b, kNoContext), 0.0);  // LCS: the root
+
+  EXPECT_DEATH((void)model.Similarity(w.a, w.b, 7),
+               "context 7 is out of range");
+  EXPECT_DEATH((void)model.Similarity(w.a, 3, 0), "concept 3 is out of range");
+  EXPECT_DEATH((void)model.Similarity(3, w.a, kNoContext),
+               "concept 3 is out of range");
+  EXPECT_DEATH((void)model.Similarity(3, 3, 0), "concept 3 is out of range");
+}
+
 TEST(Relaxer, NoFlaggedConceptFindsNothingAndGrowsToMaxRadius) {
   // With no flagged concept the core is empty: every concept is peeled
   // and unattached, and coverage is never met.

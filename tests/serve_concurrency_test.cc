@@ -159,13 +159,9 @@ TEST(ServeConcurrency, SharedCacheUnderContentionStaysConsistent) {
 
   ServiceOptions options;
   // A cache smaller than the working set: hits, misses, and evictions all
-  // happen concurrently. Pinned to strict LRU: under the activity policy
-  // the second-hit doorkeeper can reject cold keys outright — zero
-  // evictions. ActivitySweepUnderContentionKeepsShardBounded covers that
-  // policy.
+  // happen concurrently, every caller contending on the one shard mutex.
   options.cache.capacity = 4;
   options.cache.num_shards = 1;
-  options.cache.policy.eviction = CachePolicy::Eviction::kLru;
   RelaxationService service(snap, options);
 
   // Skewed mix: a hot key every other request, cold keys rotating through
@@ -196,65 +192,9 @@ TEST(ServeConcurrency, SharedCacheUnderContentionStaysConsistent) {
   EXPECT_GT(stats.cache_hits, 0u);
   EXPECT_GT(service.cache().evictions(), 0u)
       << "the test must actually exercise concurrent eviction";
-}
-
-TEST(ServeConcurrency, ActivitySweepUnderContentionKeepsShardBounded) {
-  std::shared_ptr<Snapshot> snap = BuildSnapshot(7);
-  std::vector<ConceptId> queries = FlaggedConcepts(*snap, 12);
-  ASSERT_GE(queries.size(), 12u);
-
-  ServiceOptions options;
-  // One tiny shard: every caller contends on the same shard mutex AND the
-  // same sweep mutex, so tsan sees Lookup bumps, doorkeeper inserts, and
-  // bottom-activity sweeps interleaved on one Entry list.
-  options.cache.capacity = 4;
-  options.cache.num_shards = 1;
-  RelaxationService service(snap, options);
-
-  // Seed pass, sequential for determinism: the first 4 distinct keys fill
-  // the shard unconditionally; the remaining 8 arrive full and are
-  // first sightings, so the doorkeeper rejects each and records its
-  // fingerprint.
-  for (ConceptId id : queries) {
-    RelaxRequest request;
-    request.concept_id = id;
-    Result<RelaxResponse> response = service.Relax(request);
-    ASSERT_TRUE(response.ok()) << response.status();
-  }
-  const uint64_t seeded_rejects = service.cache().admission_rejects();
-  EXPECT_EQ(seeded_rejects, queries.size() - options.cache.capacity);
-
-  // Storm pass: re-offer every key concurrently. The 8 sketch-recorded
-  // cold keys are now second sightings, so their inserts are admitted
-  // into the full shard and each admission overflows it into a sweep —
-  // racing the hot keys' Lookup-side activity bumps.
-  constexpr int kCallers = 4;
-  std::atomic<size_t> ok{0};
-  std::vector<std::thread> callers;
-  for (int t = 0; t < kCallers; ++t) {
-    callers.emplace_back([&, t] {
-      for (int i = t; i < 512; i += kCallers) {
-        RelaxRequest request;
-        request.concept_id =
-            queries[(i % 2 == 0) ? static_cast<size_t>(i / 2) % 3
-                                 : 3 + (static_cast<size_t>(i) / 2) %
-                                           (queries.size() - 3)];
-        if (service.Relax(std::move(request)).ok()) ok.fetch_add(1);
-      }
-    });
-  }
-  // Joined: every Insert (and the sweep it may have kicked off) has
-  // finished before the size assertion.
-  for (std::thread& caller : callers) caller.join();
-  EXPECT_EQ(ok.load(), 512u);
-
-  const ResultCache& cache = service.cache();
-  EXPECT_LE(cache.size(), options.cache.capacity)
-      << "a sweep must restore the capacity bound before Insert returns";
-  EXPECT_GT(cache.sweeps_completed(), 0u);
-  EXPECT_GT(cache.admission_rejects(), 0u);
-  EXPECT_EQ(cache.evictions(), cache.activity_evictions())
-      << "under the activity policy every eviction is a sweep eviction";
+  // Joined: every Insert has returned, so the bound must hold exactly.
+  EXPECT_LE(service.cache().size(), options.cache.capacity)
+      << "an insert must restore the capacity bound before it returns";
 }
 
 TEST(ServeConcurrency, MidFlightPublishDoesNotFanStaleGeneration) {
@@ -373,16 +313,15 @@ TEST(ServeConcurrency, PublishStormKeepsLockOrderAcyclic) {
   // cache shards, a publisher swaps the registry, and a poller reads
   // stats and cache size. With the deadlock detector compiled in
   // (default/asan/tsan presets), any inconsistent acquisition order
-  // between the registry, shard, sweep and stats locks aborts the test;
-  // afterwards we assert the recorded order graph itself is cycle-free.
+  // between the registry, shard and stats locks aborts the test;
+  // afterwards we assert that no code path nested any two of them.
   std::shared_ptr<Snapshot> initial = BuildSnapshot(7);
   std::vector<ConceptId> queries = FlaggedConcepts(*initial, 8);
   ASSERT_FALSE(queries.empty());
 
   ServiceOptions options;
   // Smaller than the per-generation working set (8 keys), so the storm
-  // also drives overflow admissions and bottom-activity sweeps: the
-  // sweep mutex joins the order graph alongside the shard locks.
+  // also drives evictions under the shard lock.
   options.cache.capacity = 4;
   options.cache.num_shards = 1;
   RelaxationService service(initial, options);
@@ -438,22 +377,24 @@ TEST(ServeConcurrency, PublishStormKeepsLockOrderAcyclic) {
 
 #ifdef MEDRELAX_DEADLOCK_DEBUG
   // The storm above fed the detector's acquisition-order graph through
-  // the Mutex hooks; the documented total order (docs/CONCURRENCY.md)
-  // must hold pairwise — no two serving-layer sites may each be ordered
-  // before the other.
+  // the Mutex hooks. No serving-layer code path holds a lock while it
+  // acquires another (docs/CONCURRENCY.md), so the graph must hold no
+  // order at all between these sites and any other — not merely no cycle.
   DeadlockDetector& detector = DeadlockDetector::Instance();
   const std::vector<int> sites = {
       detector.RegisterSite("SnapshotRegistry::mu"),
       detector.RegisterSite("ResultCache::Shard::mu"),
-      detector.RegisterSite("ResultCache::sweep_mu"),
       detector.RegisterSite("ServiceStats::relax_mu"),
   };
-  for (int a : sites) {
-    for (int b : sites) {
-      if (a == b) continue;
-      EXPECT_FALSE(detector.PathExists(a, b) && detector.PathExists(b, a))
-          << "lock-order cycle between " << detector.SiteName(a) << " and "
-          << detector.SiteName(b);
+  for (int site : sites) {
+    for (int other = 0; other < detector.num_sites(); ++other) {
+      if (other == site) continue;
+      EXPECT_FALSE(detector.HasEdge(site, other))
+          << detector.SiteName(site) << " was held while acquiring "
+          << detector.SiteName(other);
+      EXPECT_FALSE(detector.HasEdge(other, site))
+          << detector.SiteName(other) << " was held while acquiring "
+          << detector.SiteName(site);
     }
   }
 #endif  // MEDRELAX_DEADLOCK_DEBUG

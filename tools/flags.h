@@ -3,8 +3,10 @@
 #ifndef MEDRELAX_TOOLS_FLAGS_H_
 #define MEDRELAX_TOOLS_FLAGS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 
 #include "medrelax/common/status.h"
@@ -19,6 +21,36 @@ inline const char* FlagValue(int argc, char** argv, const char* flag) {
     if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
   }
   return nullptr;
+}
+
+/// Checks that argv[first..] is a run of distinct, known `--flag value`
+/// pairs. An ignored typo (`--worker 4`), a stray positional or a
+/// repeated flag (only its first value would count) would otherwise run
+/// the tool with settings the operator did not ask for. The error names
+/// the offending argument.
+[[nodiscard]] inline Status CheckFlagPairs(
+    int argc, char** argv, int first,
+    std::initializer_list<const char*> known) {
+  for (int i = first; i < argc; i += 2) {
+    auto same = [&](const char* flag) {
+      return std::strcmp(argv[i], flag) == 0;
+    };
+    const char* problem = nullptr;
+    if (std::none_of(known.begin(), known.end(), same)) {
+      problem = "unexpected";
+    } else if (i + 1 == argc) {
+      problem = "missing value for";
+    } else {
+      for (int j = first; j < i; j += 2) {
+        if (same(argv[j])) problem = "repeated";
+      }
+    }
+    if (problem != nullptr) {
+      return Status::InvalidArgument(
+          StrFormat("%s argument '%s'", problem, argv[i]));
+    }
+  }
+  return Status::OK();
 }
 
 /// Parses a decimal count with the protocol's overflow-checked parser

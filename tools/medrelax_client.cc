@@ -12,26 +12,19 @@
 //
 //   medrelax_client load <port> [--requests N] [--connections C]
 //                        [--line 'RELAX ...' | --replay FILE]
-//                        [--zipf THETA] [--seed S]
 //       C concurrent sessions issue N requests total, each waiting for
 //       its full reply frame before sending the next (closed loop).
 //       With --replay FILE the request stream is a session replay: every
 //       session cycles through FILE's command lines in order (blank and
 //       '#' lines skipped), so a recorded session with repeated or
-//       correlated keys reproduces a duplicate-heavy mix. With
-//       --zipf THETA the replay lines are not cycled in order: each
-//       request draws a line by Zipf(THETA) popularity rank (line 1 of
-//       FILE is the hottest), from a per-session mt19937 seeded with
-//       S + session index — the skewed-popularity mix the result
-//       cache's activity policy is built for (scripts/server_smoke.sh
-//       "cache-stress"). Prints
+//       correlated keys reproduces a duplicate-heavy mix. Prints
 //       "ok load requests=N answered=A errors=E" on stdout. Timing goes
 //       to stderr so stdout stays machine-diffable: wall time and
 //       throughput, then the p50/p99/p999/max of every reply's
 //       send-to-reply latency as this client saw it.
 //
-//   A port outside 1..65535, or a malformed numeric flag, exits 2 with
-//   the reason on stderr.
+//   A port outside 1..65535, a malformed numeric flag, or an unknown,
+//   repeated or value-less flag exits 2 with the reason on stderr.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -44,13 +37,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,37 +55,12 @@ int Usage() {
                "usage:\n"
                "  medrelax_client session <port>\n"
                "  medrelax_client load <port> [--requests N]"
-               " [--connections C] [--line 'RELAX ...' | --replay FILE]"
-               " [--zipf THETA] [--seed S]\n");
+               " [--connections C] [--line 'RELAX ...' | --replay FILE]\n");
   return 2;
 }
 
 using medrelax::tools::CountFlags;
 using medrelax::tools::FlagValue;
-
-/// --zipf THETA: a finite, non-negative decimal; anything else (trailing
-/// junk included) is rejected rather than read as a prefix or as 0.
-bool ParseTheta(const char* text, double* theta) {
-  char* end = nullptr;
-  errno = 0;
-  *theta = std::strtod(text, &end);
-  return end != text && *end == '\0' && errno == 0 && std::isfinite(*theta) &&
-         *theta >= 0;
-}
-
-/// Cumulative Zipf(theta) popularity over `ranks` items: weight of rank r
-/// is 1/(r+1)^theta. Sampling is an upper_bound over this prefix table,
-/// so two runs with the same seed draw the same request sequence.
-std::vector<double> ZipfCdf(size_t ranks, double theta) {
-  std::vector<double> cdf(ranks);
-  double total = 0;
-  for (size_t r = 0; r < ranks; ++r) {
-    total += 1.0 / std::pow(static_cast<double>(r + 1), theta);
-    cdf[r] = total;
-  }
-  for (double& c : cdf) c /= total;
-  return cdf;
-}
 
 /// Nanoseconds elapsed since `start` on the steady clock.
 uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
@@ -231,9 +197,8 @@ bool IsMultiLineReply(const std::string& command) {
 }
 
 /// One load session: greet, then `requests` closed-loop command/reply
-/// rounds over `script` — in order (one entry for --line, the whole
-/// replay file otherwise), or by Zipf popularity rank when `zipf_cdf` is
-/// non-null (--zipf; `seed` makes the draw sequence reproducible).
+/// rounds cycling `script` in order (one entry for --line, the whole
+/// replay file otherwise).
 /// Replies are framed like the server formats them: "err ..." is one
 /// line, multi-line "ok" frames end with "end", other "ok" replies are
 /// one line. Appends the send-to-reply nanoseconds of every whole reply
@@ -241,7 +206,6 @@ bool IsMultiLineReply(const std::string& command) {
 /// own.
 void LoadWorker(uint16_t port, size_t requests,
                 const std::vector<std::string>& script,
-                const std::vector<double>* zipf_cdf, uint64_t seed,
                 std::atomic<uint64_t>* answered, std::atomic<uint64_t>* errors,
                 std::vector<uint64_t>* latencies_ns) {
   const int fd = ConnectLoopback(port);
@@ -257,17 +221,8 @@ void LoadWorker(uint16_t port, size_t requests,
     close(fd);
     return;
   }
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
   for (size_t i = 0; i < requests; ++i) {
-    size_t slot = i % script.size();
-    if (zipf_cdf != nullptr) {
-      slot = static_cast<size_t>(
-          std::upper_bound(zipf_cdf->begin(), zipf_cdf->end(), unit(rng)) -
-          zipf_cdf->begin());
-      if (slot >= script.size()) slot = script.size() - 1;
-    }
-    const std::string& command = script[slot];
+    const std::string& command = script[i % script.size()];
     const auto sent = std::chrono::steady_clock::now();
     if (!SendAll(fd, command + "\n") || !reader.ReadLine(&line)) {
       errors->fetch_add(requests - i, std::memory_order_relaxed);
@@ -303,22 +258,18 @@ void LoadWorker(uint16_t port, size_t requests,
 }
 
 int DriveLoad(int argc, char** argv, uint16_t port) {
+  const medrelax::Status args = medrelax::tools::CheckFlagPairs(
+      argc, argv, 3, {"--requests", "--connections", "--line", "--replay"});
+  if (!args.ok()) {
+    std::fprintf(stderr, "medrelax_client: %s\n", args.message().c_str());
+    return Usage();
+  }
   CountFlags flags(argc, argv);
   const size_t requests = flags.Get("--requests", 100);
   const size_t connections = flags.Get("--connections", 1, 1024);
-  const uint64_t seed = flags.Get("--seed", 42);
-  double zipf_theta = 0.0;
-  const char* zipf_flag = FlagValue(argc, argv, "--zipf");
   if (!flags.status().ok()) {
     std::fprintf(stderr, "medrelax_client: %s\n",
                  flags.status().ToString().c_str());
-    return 2;
-  }
-  if (zipf_flag != nullptr && !ParseTheta(zipf_flag, &zipf_theta)) {
-    std::fprintf(stderr,
-                 "medrelax_client: --zipf wants a non-negative number, got"
-                 " '%s'\n",
-                 zipf_flag);
     return 2;
   }
   const char* line_flag = FlagValue(argc, argv, "--line");
@@ -346,8 +297,6 @@ int DriveLoad(int argc, char** argv, uint16_t port) {
     script.push_back(line_flag != nullptr ? line_flag : "GEN");
   }
   if (connections == 0 || requests == 0) return Usage();
-  std::vector<double> zipf_cdf;
-  if (zipf_theta > 0) zipf_cdf = ZipfCdf(script.size(), zipf_theta);
 
   std::atomic<uint64_t> answered{0};
   std::atomic<uint64_t> errors{0};
@@ -360,7 +309,6 @@ int DriveLoad(int argc, char** argv, uint16_t port) {
     size_t share = requests / connections;
     if (c == 0) share += requests % connections;
     threads.emplace_back(LoadWorker, port, share, std::cref(script),
-                         zipf_theta > 0 ? &zipf_cdf : nullptr, seed + c,
                          &answered, &errors, &latencies_ns[c]);
   }
   for (std::thread& t : threads) t.join();

@@ -1,8 +1,8 @@
 // medrelax_server: the long-lived serving front end over medrelax/serve.
 //
 //   medrelax_server serve --image FILE [--workers N] [--cache N]
-//                         [--cache-policy lru|activity] [--deadline-ms D]
-//                         [--listen PORT] [--max-conns N] [--max-line N]
+//                         [--deadline-ms D] [--listen PORT]
+//                         [--max-conns N] [--max-line N]
 //       Maps FILE, a flat snapshot image frozen by medrelax_ingest
 //       (docs/SNAPSHOT_FORMAT.md), read-only and serves it zero-copy: the
 //       offline phase (Algorithm 1) never runs here, and the term mapper
@@ -51,12 +51,10 @@
 //
 // For load over TCP, see medrelax_client load.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -76,9 +74,9 @@ int Usage() {
       stderr,
       "usage:\n"
       "  medrelax_server serve --image FILE [--workers N] [--cache N]"
-      " [--cache-policy lru|activity]\n"
-      "                       [--deadline-ms D] [--listen PORT]"
-      " [--max-conns N] [--max-line BYTES]\n"
+      " [--deadline-ms D]\n"
+      "                       [--listen PORT] [--max-conns N]"
+      " [--max-line BYTES]\n"
       "      (FILE is a snapshot image written by medrelax_ingest)\n");
   return 2;
 }
@@ -99,38 +97,17 @@ int RejectBadFlags(const CountFlags& flags) {
   return 2;
 }
 
-/// The flags `serve` accepts, each followed by exactly one value.
-constexpr const char* kServeFlags[] = {
-    "--image",       "--workers", "--cache",     "--cache-policy",
-    "--deadline-ms", "--listen",  "--max-conns", "--max-line"};
-
-/// Checks that argv[2..] is a run of distinct, known `--flag value`
-/// pairs. An ignored typo (`--worker 4`), a stray positional or a
-/// repeated flag (only its first value would count) would otherwise
-/// start a server with settings the operator did not ask for. Returns
-/// the usage exit code, naming the offending argument, or 0.
+/// Rejects anything after `serve` that is not a distinct, known
+/// `--flag value` pair (tools::CheckFlagPairs), naming the offending
+/// argument; returns the usage exit code, or 0.
 int RejectUnknownArgs(int argc, char** argv) {
-  for (int i = 2; i < argc; i += 2) {
-    auto same = [&](const char* flag) {
-      return std::strcmp(argv[i], flag) == 0;
-    };
-    const char* problem = nullptr;
-    if (std::none_of(std::begin(kServeFlags), std::end(kServeFlags), same)) {
-      problem = "unexpected";
-    } else if (i + 1 == argc) {
-      problem = "missing value for";
-    } else {
-      for (int j = 2; j < i; j += 2) {
-        if (same(argv[j])) problem = "repeated";
-      }
-    }
-    if (problem != nullptr) {
-      std::fprintf(stderr, "medrelax_server: %s argument '%s'\n", problem,
-                   argv[i]);
-      return Usage();
-    }
-  }
-  return 0;
+  const Status args = tools::CheckFlagPairs(
+      argc, argv, 2,
+      {"--image", "--workers", "--cache", "--deadline-ms", "--listen",
+       "--max-conns", "--max-line"});
+  if (args.ok()) return 0;
+  std::fprintf(stderr, "medrelax_server: %s\n", args.message().c_str());
+  return Usage();
 }
 
 /// The stdin/stdout transport: one synchronous session on this thread.
@@ -182,22 +159,6 @@ int RunServe(int argc, char** argv) {
     std::fprintf(stderr, "medrelax_server: --listen needs --workers >= 1\n");
     return 2;
   }
-  // --cache-policy lru|activity: "lru" pins the pre-activity strict-LRU
-  // behavior (the golden-parity escape hatch and the A/B baseline the
-  // smoke script's cache-stress stage compares against); the default is
-  // the decayed-activity policy from ResultCacheOptions.
-  if (const char* policy = FlagValue(argc, argv, "--cache-policy")) {
-    if (std::strcmp(policy, "lru") == 0) {
-      service_options.cache.policy.eviction = CachePolicy::Eviction::kLru;
-    } else if (std::strcmp(policy, "activity") == 0) {
-      service_options.cache.policy.eviction =
-          CachePolicy::Eviction::kDecayedActivity;
-    } else {
-      std::fprintf(stderr, "unknown --cache-policy '%s'\n", policy);
-      return Usage();
-    }
-  }
-
   Result<std::shared_ptr<Snapshot>> snapshot = Snapshot::LoadFromImage(image);
   if (!snapshot.ok()) {
     std::fprintf(stderr, "snapshot image load failed: %s\n",
