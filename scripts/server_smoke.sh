@@ -367,6 +367,9 @@ expect_flag_error "client port 70000" "exceeds the maximum 65535" \
   "${CLIENT}" load 70000
 expect_flag_error "client port abc" "port" \
   "${CLIENT}" session abc
+expect_flag_error "client session trailing argument" \
+  "unexpected argument '--bogus'" \
+  "${CLIENT}" session 1 --bogus x
 expect_flag_error "client --connections abc" "--connections" \
   "${CLIENT}" load 9 --connections abc
 expect_flag_error "client --zipf (removed)" "unexpected argument '--zipf'" \

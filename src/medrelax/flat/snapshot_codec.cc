@@ -68,8 +68,9 @@ Status CheckSlotTable(size_t num_slots, size_t num_free, const char* what) {
   return Status::OK();
 }
 
-/// Reads one CSR edge side, checking its offsets, every target and flag
-/// word, and counting shortcuts for the cross-check against meta.
+/// Reads one CSR edge side, checking its offsets, every target, flag
+/// word and distance, and counting shortcuts for the cross-check against
+/// meta.
 Result<DagCsr> ReadEdgeCsr(const FlatImageView& image, SectionId offsets_id,
                            SectionId edges_id, size_t num_concepts,
                            uint64_t num_edges, uint64_t* shortcut_count) {
@@ -100,6 +101,16 @@ Result<DagCsr> ReadEdgeCsr(const FlatImageView& image, SectionId offsets_id,
           StrFormat("edge CSR %u: unknown edge flags %#x",
                     static_cast<unsigned>(edges_id),
                     static_cast<unsigned>(e.flags)));
+    }
+    // As ConceptDagBuilder enforces: a native edge is one hop, and a
+    // shortcut stands for at least two.
+    if (e.is_shortcut() ? e.original_distance < 2
+                        : e.original_distance != 1) {
+      return Status::InvalidArgument(
+          StrFormat("edge CSR %u: %s edge %zu has original distance %u",
+                    static_cast<unsigned>(edges_id),
+                    e.is_shortcut() ? "shortcut" : "native", j,
+                    static_cast<unsigned>(e.original_distance)));
     }
     if (e.is_shortcut()) ++shortcuts;
   }

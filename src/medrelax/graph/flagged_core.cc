@@ -10,13 +10,6 @@ namespace {
 /// Peeling state of one concept.
 enum class Peel : uint8_t { kKept, kQueued, kRemoved };
 
-/// The edge a removed concept hung from when it went: the neighbor left
-/// at that moment (kInvalidConcept when none was) and the edge's weight.
-struct TreeEdge {
-  ConceptId parent = kInvalidConcept;
-  uint32_t weight = 0;
-};
-
 }  // namespace
 
 FlaggedCore::FlaggedCore(const ConceptDag& dag,
@@ -26,30 +19,36 @@ FlaggedCore::FlaggedCore(const ConceptDag& dag,
     return v < flagged.size() && flagged[v];
   };
 
-  // Leaf stripping: degree[v] counts v's incident edges whose other end is
-  // not yet removed; `order` is the peel queue and, once drained, the
-  // removal order.
-  std::vector<uint32_t> degree(n);
+  // Leaf stripping over native edges: degree[v] counts v's incident
+  // native edges whose other end is not yet removed; `order` is the peel
+  // queue and, once drained, the removal order.
+  std::vector<uint32_t> degree(n, 0);
   std::vector<Peel> state(n, Peel::kKept);
   std::vector<ConceptId> order;
   for (ConceptId v = 0; v < n; ++v) {
-    degree[v] =
-        static_cast<uint32_t>(dag.parents(v).size() + dag.children(v).size());
+    for (const DagEdge& e : dag.parents(v)) {
+      if (!e.is_shortcut()) ++degree[v];
+    }
+    for (const DagEdge& e : dag.children(v)) {
+      if (!e.is_shortcut()) ++degree[v];
+    }
     if (degree[v] <= 1 && !is_flagged(v)) {
       state[v] = Peel::kQueued;
       order.push_back(v);
     }
   }
-  std::vector<TreeEdge> tree(n);
+  // tree_parent[v]: the neighbor a removed concept hung from when it
+  // went, kInvalidConcept when none was left.
+  std::vector<ConceptId> tree_parent(n, kInvalidConcept);
   for (size_t head = 0; head < order.size(); ++head) {
     const ConceptId v = order[head];
     state[v] = Peel::kRemoved;
     auto hang = [&](const DagEdge& e) {
-      if (tree[v].parent != kInvalidConcept ||
+      if (e.is_shortcut() || tree_parent[v] != kInvalidConcept ||
           state[e.target] == Peel::kRemoved) {
         return;
       }
-      tree[v] = {e.target, HopWeight(e)};
+      tree_parent[v] = e.target;
       if (--degree[e.target] <= 1 && state[e.target] == Peel::kKept &&
           !is_flagged(e.target)) {
         state[e.target] = Peel::kQueued;
@@ -73,20 +72,18 @@ FlaggedCore::FlaggedCore(const ConceptDag& dag,
   }
   for (size_t i = order.size(); i-- > 0;) {
     const ConceptId v = order[i];
-    if (tree[v].parent == kInvalidConcept) continue;
-    const Attachment up = attachments_[tree[v].parent];
+    if (tree_parent[v] == kInvalidConcept) continue;
+    const Attachment up = attachments_[tree_parent[v]];
     if (up.node == kNoNode) continue;
-    const auto offset = static_cast<uint32_t>(
-        std::min<uint64_t>(uint64_t{up.offset} + tree[v].weight, UINT32_MAX));
-    attachments_[v] = {up.node, offset};
+    attachments_[v] = {up.node, up.offset + 1};
   }
 
   offsets_.reserve(concepts_.size() + 1);
   offsets_.push_back(0);
   for (ConceptId v : concepts_) {
     auto keep = [&](const DagEdge& e) {
-      if (state[e.target] != Peel::kRemoved) {
-        edges_.push_back({attachments_[e.target].node, HopWeight(e)});
+      if (!e.is_shortcut() && state[e.target] != Peel::kRemoved) {
+        edges_.push_back(attachments_[e.target].node);
       }
     };
     for (const DagEdge& e : dag.parents(v)) keep(e);
@@ -97,64 +94,42 @@ FlaggedCore::FlaggedCore(const ConceptDag& dag,
 
 void RadiusExpander::Reset(const FlaggedCore& core, FlaggedCore::Node start) {
   core_ = &core;
-  if (slots_.size() < core.num_nodes()) slots_.resize(core.num_nodes());
+  if (seen_.size() < core.num_nodes()) seen_.resize(core.num_nodes(), 0);
   if (++epoch_ == 0) {
     // Wrapped: a stamp from 2^32 resets ago would alias the new epoch.
-    std::fill(slots_.begin(), slots_.end(), Slot{});
+    std::fill(seen_.begin(), seen_.end(), 0);
     epoch_ = 1;
   }
-  for (std::vector<FlaggedCore::Node>& bucket : buckets_) bucket.clear();
-  next_bucket_ = 0;
-  shell_pending_ = false;
+  settled_.clear();
+  shell_begin_ = 0;
+  level_ = 0;
   edges_relaxed_ = 0;
   if (start < core.num_nodes()) {
-    slots_[start] = {epoch_, 0};
-    if (buckets_.empty()) buckets_.resize(1);
-    buckets_[0].push_back(start);
+    seen_[start] = epoch_;
+    settled_.push_back(start);
   }
-}
-
-void RadiusExpander::RelaxBucket(uint32_t d) {
-  // Index-based loop: relaxations never push into bucket d (edge weights
-  // are >= 1) but do grow `buckets_`.
-  for (size_t i = 0; i < buckets_[d].size(); ++i) {
-    const FlaggedCore::Node u = buckets_[d][i];
-    if (Dist(u) != d) continue;  // stale dial entry
-    for (const FlaggedCore::Edge& e : core_->edges(u)) {
-      ++edges_relaxed_;
-      const uint32_t candidate = d + e.weight;
-      if (candidate < d) continue;  // overflow guard
-      if (candidate < Dist(e.target)) {
-        slots_[e.target] = {epoch_, candidate};
-        if (candidate >= buckets_.size()) buckets_.resize(candidate + 1);
-        buckets_[candidate].push_back(e.target);
-      }
-    }
-  }
-  buckets_[d].clear();
 }
 
 void RadiusExpander::ExpandTo(uint32_t radius, std::vector<Neighbor>* out) {
-  if (shell_pending_ && radius >= next_bucket_) {
-    RelaxBucket(next_bucket_ - 1);
-    shell_pending_ = false;
-  }
-  while (next_bucket_ < buckets_.size() && next_bucket_ <= radius) {
-    const uint32_t d = next_bucket_++;
-    if (d > 0 && out != nullptr) {
-      for (FlaggedCore::Node u : buckets_[d]) {
-        if (Dist(u) == d) out->push_back({core_->concept_of(u), d});
+  // Walk the pending shell at hop level_, settling the next one, until the
+  // shell at `radius` is settled (and left unwalked) or the ball is whole.
+  while (level_ < radius && shell_begin_ < settled_.size()) {
+    const size_t shell_end = settled_.size();
+    const uint32_t hops = level_ + 1;
+    for (size_t i = shell_begin_; i < shell_end; ++i) {
+      const std::span<const FlaggedCore::Node> next =
+          core_->edges(settled_[i]);
+      edges_relaxed_ += next.size();
+      for (FlaggedCore::Node v : next) {
+        if (seen_[v] == epoch_) continue;
+        seen_[v] = epoch_;
+        settled_.push_back(v);
+        out->push_back({core_->concept_of(v), hops});
       }
     }
-    if (d == radius) {
-      shell_pending_ = true;  // relaxed only if a larger radius is asked
-      return;
-    }
-    RelaxBucket(d);
+    shell_begin_ = shell_end;
+    level_ = hops;
   }
-  // When the queue drains early, remember the requested radius so a later
-  // ExpandTo with a larger one resumes correctly (nothing left to do).
-  if (next_bucket_ <= radius) next_bucket_ = radius + 1;
 }
 
 }  // namespace medrelax

@@ -9,6 +9,12 @@ namespace {
 
 constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
 
+/// The search weight of an edge: its original distance, with a malformed
+/// zero clamped to 1 so the Dial queue always advances.
+uint32_t HopWeight(const DagEdge& e) {
+  return e.original_distance == 0 ? 1 : e.original_distance;
+}
+
 // BFS over native edges in one direction; returns per-concept hop counts.
 // Shortcut edges preserve original distances by construction, so original
 // hop distances are exactly the native-edge BFS distances.

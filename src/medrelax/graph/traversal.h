@@ -25,20 +25,13 @@ bool IsAncestorOf(const ConceptDag& dag, ConceptId ancestor,
 struct Neighbor {
   ConceptId id = kInvalidConcept;
   /// Shortest distance in *original* hops: a native edge counts 1 and a
-  /// shortcut edge counts its annotated original distance. The radius-r
-  /// ball is therefore identical whether or not shortcut edges were
-  /// materialized — shortcuts are a traversal-latency lever (one edge
-  /// relaxation spans several original hops), never a semantics change
-  /// (DESIGN.md ablation promise: shortcut edges on/off yields the same
-  /// candidates).
+  /// shortcut edge counts its annotated original distance, which is its
+  /// native up-distance. The radius-r ball is therefore identical whether
+  /// or not shortcut edges were materialized (DESIGN.md ablation promise:
+  /// shortcut edges on/off yields the same candidates); the relaxer's
+  /// core search (flagged_core.h) walks native edges only.
   uint32_t hops = 0;
 };
-
-/// The search weight of an edge: its original distance, with a malformed
-/// zero clamped to 1 so a Dial queue always advances.
-inline uint32_t HopWeight(const DagEdge& e) {
-  return e.original_distance == 0 ? 1 : e.original_distance;
-}
 
 /// Concepts within `radius` original hops of `start`, traversing edges in
 /// both directions (generalization and specialization), excluding `start`

@@ -27,6 +27,9 @@ struct ScoredRecord {
   ConceptId concept_id;
 };
 
+/// The fewest records one ranking step orders; a step covers at least k.
+constexpr size_t kMinRankStep = 8;
+
 /// One thread's relaxation scratch, shared by every relaxer that runs on
 /// the thread. The expander and engine are epoch-stamped, so re-anchoring
 /// them costs O(1) and no query allocates or fills a |V|-sized array;
@@ -107,9 +110,9 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
   // through its attachment a(q), δ(q) hops away: d(q, f) = δ(q) +
   // d_core(a(q), f). So the search runs over the core from a(q) to radius
   // r - δ(q); a(q) itself is a candidate once r >= δ(q). The expander
-  // keeps its Dijkstra frontier across iterations, so dynamic growth only
-  // pays for the newly uncovered ring, and candidate/coverage bookkeeping
-  // only touches neighbors not seen at the previous radius.
+  // keeps its breadth-first frontier across iterations, so dynamic growth
+  // only pays for the newly uncovered ring, and candidate/coverage
+  // bookkeeping only touches neighbors not seen at the previous radius.
   uint32_t radius = relaxation_options_.radius;
   const FlaggedCore::Attachment anchor = core_.Attach(query);
   RadiusExpander& expander = scratch.expander;
@@ -172,25 +175,36 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
   const auto t_scored = std::chrono::steady_clock::now();
   outcome.stats.scoring_ns = ElapsedNs(t_candidates, t_scored);
 
-  // Sort by sim(A, B) descending; deterministic tie-break on concept id.
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredRecord& a, const ScoredRecord& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.concept_id < b.concept_id;
-            });
-
-  // Lines 4-8: pop candidates until exactly k instances are gathered; the
-  // last concept's contribution is truncated at the k boundary. Only the
-  // concepts that fill k become ScoredConcepts, each with its own copy of
-  // its instances (a cached outcome must not point into an image that a
-  // RELOAD may unmap).
+  // Lines 4-8: pop candidates in rank order until exactly k instances are
+  // gathered; the last concept's contribution is truncated at the k
+  // boundary. Rank order is sim(A, B) descending with a deterministic
+  // tie-break on concept id, a strict order, so ordering only a prefix
+  // yields exactly the prefix a full sort would: each step partially
+  // sorts the next `step` records of the unranked rest, and another
+  // (twice as long) step is taken only while zero-instance concepts
+  // leave k unfilled.
+  auto ranks_before = [](const ScoredRecord& a, const ScoredRecord& b) {
+    if (a.similarity != b.similarity) return a.similarity > b.similarity;
+    return a.concept_id < b.concept_id;
+  };
+  size_t step = std::max<size_t>(k, kMinRankStep);
+  size_t ranked = 0;
   size_t returned = 0;
   size_t gathered = 0;
   while (returned < scored.size() && gathered < k) {
+    if (returned == ranked) {
+      const size_t end = ranked + std::min(step, scored.size() - ranked);
+      std::partial_sort(scored.begin() + static_cast<std::ptrdiff_t>(ranked),
+                        scored.begin() + static_cast<std::ptrdiff_t>(end),
+                        scored.end(), ranks_before);
+      ranked = end;
+      step *= 2;
+    }
     gathered += instances_of.count(scored[returned++].concept_id);
   }
+  // Only the concepts that fill k become ScoredConcepts, each with its own
+  // copy of its instances (a cached outcome must not point into an image
+  // that a RELOAD may unmap).
   outcome.concepts.reserve(returned);
   outcome.instances.reserve(std::min(gathered, k));
   for (size_t r = 0; r < returned; ++r) {

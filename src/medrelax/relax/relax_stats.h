@@ -28,7 +28,8 @@ struct RelaxStats {
   uint64_t candidate_ns = 0;
   /// Wall time of geometry computation + scoring.
   uint64_t scoring_ns = 0;
-  /// Wall time of the final sort + instance materialization.
+  /// Wall time of the ranking (partial selection of the records that fill
+  /// k) + instance materialization.
   uint64_t rank_ns = 0;
   /// End-to-end wall time of the relaxation.
   uint64_t total_ns = 0;

@@ -3,9 +3,13 @@
 // (NeighborsWithinRadius). The worlds are random DAGs with shortcut edges,
 // a 1000-child hub with a native chain below it, a dangling chain, two
 // isolated concepts and a detached component, under empty, all, one and
-// sparse flag sets:
+// sparse flag sets; some worlds also give the root a shortcut from every
+// concept 2-6 hops below it, as "clinical finding" has:
 //   * every flagged concept stays in the core, and for every concept v
 //     and flagged f, d(v, f) = δ(v) + d_core(a(v), f);
+//   * the core holds exactly the native edges between kept concepts, and
+//     a search walks no more edges than the native degrees of the nodes
+//     it expands;
 //   * for every start (including out-of-range ids), every radius r up to
 //     max_radius and several k, the relaxer returns the candidates,
 //     effective radius and ranked outcome (scores bit for bit) of the
@@ -51,8 +55,11 @@ struct CoreWorld {
 // under a random concept with kHubChildren leaves (every tenth also under
 // a random concept) and a native 3-chain below it; a dangling 4-chain
 // under a random concept; two isolated concepts; and a detached 5-concept
-// tree. Flags and instances per `flags`; two contexts.
-CoreWorld MakeCoreWorld(size_t n, Flags flags, uint64_t seed) {
+// tree. With `root_shortcuts`, every concept 2-6 native hops below the
+// root also gets a shortcut to it. Flags and instances per `flags`; two
+// contexts.
+CoreWorld MakeCoreWorld(size_t n, Flags flags, uint64_t seed,
+                        bool root_shortcuts) {
   CoreWorld w;
   ConceptDagBuilder dag;
   Rng rng(seed);
@@ -108,6 +115,15 @@ CoreWorld MakeCoreWorld(size_t n, Flags flags, uint64_t seed) {
     EXPECT_TRUE(dag.AddSubsumption(add("detached"), detached).ok());
   }
 
+  if (root_shortcuts) {
+    const ConceptDag native = ConceptDagBuilder(dag).Build();
+    for (ConceptId v = 0; v < native.num_concepts(); ++v) {
+      const uint32_t up = UpDistance(native, v, w.root);
+      if (up >= 2 && up <= 6) {
+        EXPECT_TRUE(dag.AddShortcut(v, w.root, up).ok());
+      }
+    }
+  }
   w.dag = std::move(dag).Build();
   const size_t total = w.dag.num_concepts();
   IngestionResult& ingestion = w.ingestion;
@@ -172,18 +188,24 @@ std::vector<ConceptId> Starts(const CoreWorld& w, Flags flags) {
 struct Case {
   Flags flags;
   uint64_t seed;
+  bool root_shortcuts = false;
 };
 
 constexpr const char* kFlagNames[] = {"Empty", "All", "One", "Sparse"};
 
 void PrintTo(const Case& c, std::ostream* os) {
-  *os << kFlagNames[static_cast<int>(c.flags)] << " flags, seed " << c.seed;
+  *os << kFlagNames[static_cast<int>(c.flags)] << " flags, seed " << c.seed
+      << (c.root_shortcuts ? ", root shortcuts" : "");
+}
+
+CoreWorld MakeCoreWorld(const Case& c) {
+  return MakeCoreWorld(40, c.flags, c.seed, c.root_shortcuts);
 }
 
 class FlaggedCoreSweep : public ::testing::TestWithParam<Case> {};
 
 TEST_P(FlaggedCoreSweep, CoreDistancesAddUpThroughTheAttachment) {
-  const CoreWorld w = MakeCoreWorld(40, GetParam().flags, GetParam().seed);
+  const CoreWorld w = MakeCoreWorld(GetParam());
   const IngestionResult& ing = w.ingestion;
   const FlaggedCore core(w.dag, ing.flagged);
   const size_t n = w.dag.num_concepts();
@@ -227,6 +249,56 @@ TEST_P(FlaggedCoreSweep, CoreDistancesAddUpThroughTheAttachment) {
     }
     EXPECT_EQ(got, want) << "from concept " << v << " (" << w.dag.name(v)
                          << ")";
+  }
+}
+
+size_t NativeDegree(const ConceptDag& dag, ConceptId v) {
+  size_t degree = 0;
+  for (const DagEdge& e : dag.parents(v)) degree += e.is_shortcut() ? 0 : 1;
+  for (const DagEdge& e : dag.children(v)) degree += e.is_shortcut() ? 0 : 1;
+  return degree;
+}
+
+TEST_P(FlaggedCoreSweep, CoreWalksOnlyNativeEdges) {
+  const CoreWorld w = MakeCoreWorld(GetParam());
+  const FlaggedCore core(w.dag, w.ingestion.flagged);
+  auto kept = [&](ConceptId id) {
+    const FlaggedCore::Attachment a = core.Attach(id);
+    return a.node != FlaggedCore::kNoNode && a.offset == 0;
+  };
+  // A node's core edges are its native edges to kept concepts, parents
+  // first, in DAG order: no shortcut survives.
+  for (FlaggedCore::Node u = 0; u < core.num_nodes(); ++u) {
+    const ConceptId v = core.concept_of(u);
+    std::vector<ConceptId> want;
+    for (const DagEdge& e : w.dag.parents(v)) {
+      if (!e.is_shortcut() && kept(e.target)) want.push_back(e.target);
+    }
+    for (const DagEdge& e : w.dag.children(v)) {
+      if (!e.is_shortcut() && kept(e.target)) want.push_back(e.target);
+    }
+    std::vector<ConceptId> got;
+    for (FlaggedCore::Node t : core.edges(u)) got.push_back(core.concept_of(t));
+    ASSERT_EQ(got, want) << "core node of " << w.dag.name(v);
+  }
+
+  // A radius-r search walks the edges of the start and of every node
+  // below hop r, and no others: at most their native degrees.
+  RadiusExpander expander;
+  for (FlaggedCore::Node start = 0; start < core.num_nodes(); ++start) {
+    expander.Reset(core, start);
+    std::vector<Neighbor> ball;
+    size_t native_degrees = NativeDegree(w.dag, core.concept_of(start));
+    size_t walked = 0;  // ball entries whose degrees are summed
+    for (uint32_t radius = 1; radius <= kMaxRadius; ++radius) {
+      expander.ExpandTo(radius, &ball);
+      for (; walked < ball.size() && ball[walked].hops < radius; ++walked) {
+        native_degrees += NativeDegree(w.dag, ball[walked].id);
+      }
+      ASSERT_LE(expander.edges_relaxed(), native_degrees)
+          << "from " << w.dag.name(core.concept_of(start)) << " radius "
+          << radius;
+    }
   }
 }
 
@@ -294,7 +366,7 @@ RelaxationOutcome ReferenceRelax(const CoreWorld& w,
 }
 
 TEST_P(FlaggedCoreSweep, RelaxerMatchesWholeDagSearch) {
-  const CoreWorld w = MakeCoreWorld(40, GetParam().flags, GetParam().seed);
+  const CoreWorld w = MakeCoreWorld(GetParam());
   std::vector<QueryRelaxer> relaxers;
   relaxers.reserve(kMaxRadius + 1);
   for (uint32_t radius = 0; radius <= kMaxRadius; ++radius) {
@@ -341,8 +413,9 @@ TEST_P(FlaggedCoreSweep, RelaxerMatchesWholeDagSearch) {
 }
 
 std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
-  return StrFormat("%s%llu", kFlagNames[static_cast<int>(info.param.flags)],
-                   static_cast<unsigned long long>(info.param.seed));
+  return StrFormat("%s%llu%s", kFlagNames[static_cast<int>(info.param.flags)],
+                   static_cast<unsigned long long>(info.param.seed),
+                   info.param.root_shortcuts ? "RootShortcuts" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -350,7 +423,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{Flags::kEmpty, 3}, Case{Flags::kAll, 3},
                       Case{Flags::kOne, 3}, Case{Flags::kOne, 17},
                       Case{Flags::kSparse, 3}, Case{Flags::kSparse, 17},
-                      Case{Flags::kSparse, 29}),
+                      Case{Flags::kSparse, 29}, Case{Flags::kAll, 3, true},
+                      Case{Flags::kOne, 17, true},
+                      Case{Flags::kSparse, 3, true},
+                      Case{Flags::kSparse, 29, true}),
     CaseName);
 
 }  // namespace

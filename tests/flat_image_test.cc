@@ -613,15 +613,85 @@ Status LoadWithPatchedWord(SectionId id, size_t index, uint32_t value,
   return snap.ok() ? Status::OK() : snap.status();
 }
 
+/// The edges of one edge-CSR section of the shared image.
+std::vector<DagEdge> SharedImageEdges(SectionId id) {
+  const std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  SectionEntry entry;
+  EXPECT_TRUE(FindSection(bytes, id, &entry));
+  std::vector<DagEdge> edges(entry.size / sizeof(DagEdge));
+  std::memcpy(edges.data(), bytes.data() + entry.offset,
+              edges.size() * sizeof(DagEdge));
+  return edges;
+}
+
 TEST(FlatImageHardening, UnmirroredEdgeSidesAreInvalidArgument) {
   // Both sides are borrowed as they are, so a child edge whose distance
-  // disagrees with its parent edge must be caught at load.
+  // disagrees with its parent edge must be caught at load. The edge is a
+  // shortcut whose distance stays at least 2, so only the mirroring is
+  // wrong.
   ASSERT_FALSE(SharedImagePath().empty());
+  const std::vector<DagEdge> children =
+      SharedImageEdges(SectionId::kDagChildEdges);
+  const auto shortcut =
+      std::find_if(children.begin(), children.end(),
+                   [](const DagEdge& e) { return e.is_shortcut(); });
+  ASSERT_NE(shortcut, children.end()) << "the world has no shortcut edge";
+  const auto index = static_cast<size_t>(shortcut - children.begin());
   const Status status = LoadWithPatchedWord(
-      SectionId::kDagChildEdges, offsetof(DagEdge, original_distance) / 4,
-      7, "flat_unmirrored.img");
+      SectionId::kDagChildEdges,
+      (index * sizeof(DagEdge) + offsetof(DagEdge, original_distance)) / 4,
+      shortcut->original_distance + 1, "flat_unmirrored.img");
   EXPECT_TRUE(status.IsInvalidArgument()) << status;
   EXPECT_NE(status.message().find("mirror"), std::string::npos) << status;
+}
+
+/// Rewrites every edge of both edge-CSR sides with `patch`, which keeps
+/// the sides mirrored, restamps, and returns the load status.
+template <typename Patch>
+Status LoadWithPatchedEdges(const std::string& name, Patch patch) {
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  for (SectionId id : {SectionId::kDagParentEdges, SectionId::kDagChildEdges}) {
+    SectionEntry entry;
+    EXPECT_TRUE(FindSection(bytes, id, &entry));
+    for (size_t j = 0; j < entry.size / sizeof(DagEdge); ++j) {
+      std::byte* at = bytes.data() + entry.offset + j * sizeof(DagEdge);
+      DagEdge e;
+      std::memcpy(&e, at, sizeof(e));
+      patch(e);
+      std::memcpy(at, &e, sizeof(e));
+    }
+  }
+  Restamp(bytes);
+  const std::string path = WriteCorrupted(name, bytes);
+  EXPECT_TRUE(FlatImageView::Open(path).ok());
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  return snap.ok() ? Status::OK() : snap.status();
+}
+
+TEST(FlatImageHardening, NativeEdgeOfTwoHopsIsInvalidArgument) {
+  // ConceptDagBuilder makes every native edge one hop; the candidate
+  // search counts it as one, so the loader refuses any other distance.
+  ASSERT_FALSE(SharedImagePath().empty());
+  const Status status =
+      LoadWithPatchedEdges("flat_native_two_hops.img", [](DagEdge& e) {
+        if (!e.is_shortcut()) e.original_distance = 2;
+      });
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("native edge"), std::string::npos)
+      << status;
+}
+
+TEST(FlatImageHardening, ShortcutOfOneHopIsInvalidArgument) {
+  // A shortcut stands for at least two native hops, as AddShortcut
+  // requires.
+  ASSERT_FALSE(SharedImagePath().empty());
+  const Status status =
+      LoadWithPatchedEdges("flat_shortcut_one_hop.img", [](DagEdge& e) {
+        if (e.is_shortcut()) e.original_distance = 1;
+      });
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("shortcut edge"), std::string::npos)
+      << status;
 }
 
 TEST(FlatImageHardening, ExactSlotBeyondTheEntriesIsInvalidArgument) {

@@ -336,10 +336,20 @@ HubDag RandomHubDag(size_t n, size_t hub_children, uint64_t seed) {
   return h;
 }
 
-std::vector<std::pair<ConceptId, uint32_t>> Pairs(
+// (hops, id) of every neighbor, each hop level sorted by id, after
+// checking that hops never decrease. The expander emits a level in
+// breadth-first order over the core and the eager search in Dial-queue
+// order, so only the levels' contents, not their order, must agree: the
+// same ball, and every concept at the same hop.
+std::vector<std::pair<uint32_t, ConceptId>> Levels(
     const std::vector<Neighbor>& neighbors) {
-  std::vector<std::pair<ConceptId, uint32_t>> out;
-  for (const Neighbor& nb : neighbors) out.emplace_back(nb.id, nb.hops);
+  std::vector<std::pair<uint32_t, ConceptId>> out;
+  for (const Neighbor& nb : neighbors) {
+    EXPECT_TRUE(out.empty() || out.back().first <= nb.hops)
+        << "hop " << nb.hops << " after hop " << out.back().first;
+    out.emplace_back(nb.hops, nb.id);
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -374,9 +384,9 @@ TEST_P(GraphReferenceSweep, IncrementalExpansionMatchesEagerOnHubDag) {
             NeighborsWithinRadius(h.dag, start, radius);
         fresh.ExpandTo(radius, &got_fresh);
         reused.ExpandTo(radius, &got_reused);
-        ASSERT_EQ(Pairs(got_fresh), Pairs(want))
+        ASSERT_EQ(Levels(got_fresh), Levels(want))
             << "start " << start << " radius " << radius;
-        ASSERT_EQ(Pairs(got_reused), Pairs(want))
+        ASSERT_EQ(Levels(got_reused), Levels(want))
             << "start " << start << " radius " << radius;
       }
     }
@@ -404,7 +414,8 @@ TEST_P(GraphReferenceSweep, BallEndingAtHubSkipsHubFanOut) {
   // eager one.
   expander.ExpandTo(4, &out);
   EXPECT_GE(expander.edges_relaxed(), hub_degree);
-  EXPECT_EQ(Pairs(out), Pairs(NeighborsWithinRadius(h.dag, h.chain[2], 4)));
+  EXPECT_EQ(Levels(out),
+            Levels(NeighborsWithinRadius(h.dag, h.chain[2], 4)));
 }
 
 TEST_P(GraphReferenceSweep, GeometryEngineMatchesNaiveOnHubDag) {

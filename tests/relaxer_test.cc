@@ -2,12 +2,14 @@
 // within the radius, ranking by Equation 5, top-k materialization, dynamic
 // radius growth, and the Scenario 1 flow ("pyelectasia" -> kidney disease).
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "medrelax/common/string_util.h"
 #include "medrelax/datasets/paper_fixtures.h"
 #include "medrelax/matching/edit_matcher.h"
 #include "medrelax/matching/exact_matcher.h"
@@ -562,6 +564,145 @@ TEST(Relaxer, StatsReportCandidatesAndCacheTraffic) {
     EXPECT_EQ(second.concepts[i].similarity, first.concepts[i].similarity);
   }
   EXPECT_EQ(second.instances, first.instances);
+}
+
+void ExpectSameOutcome(const RelaxationOutcome& got,
+                       const RelaxationOutcome& want) {
+  EXPECT_EQ(got.effective_radius, want.effective_radius);
+  ASSERT_EQ(got.concepts.size(), want.concepts.size());
+  for (size_t i = 0; i < want.concepts.size(); ++i) {
+    EXPECT_EQ(got.concepts[i].concept_id, want.concepts[i].concept_id);
+    EXPECT_EQ(got.concepts[i].similarity, want.concepts[i].similarity);
+    EXPECT_EQ(got.concepts[i].instances, want.concepts[i].instances);
+  }
+  EXPECT_EQ(got.instances, want.instances);
+}
+
+TEST(Relaxer, HugeShortcutDistanceFindsTheNativeAnswer) {
+  // root <- mid <- leaf, root <- other; mid and other flagged. A shortcut
+  // leaf -> root claiming a huge distance (AddShortcut takes any distance
+  // of at least 2) must neither change the answer nor size anything by
+  // its distance: the search walks native edges only.
+  auto build = [](uint32_t shortcut_distance) {
+    TinyWorld w;
+    ConceptDagBuilder builder;
+    const ConceptId root = *builder.AddConcept("root");
+    const ConceptId mid = *builder.AddConcept("mid");
+    const ConceptId leaf = *builder.AddConcept("leaf");
+    const ConceptId other = *builder.AddConcept("other");
+    EXPECT_TRUE(builder.AddSubsumption(mid, root).ok());
+    EXPECT_TRUE(builder.AddSubsumption(leaf, mid).ok());
+    EXPECT_TRUE(builder.AddSubsumption(other, root).ok());
+    if (shortcut_distance > 0) {
+      EXPECT_TRUE(builder.AddShortcut(leaf, root, shortcut_distance).ok());
+    }
+    w.dag = std::move(builder).Build();
+    w.ingestion.frequencies = FrequencyModel(4, /*num_contexts=*/1);
+    for (ConceptId id = 0; id < 4; ++id) {
+      w.ingestion.frequencies.SetRaw(id, 0, id == root ? 8.0 : 2.0);
+    }
+    w.ingestion.frequencies.Normalize(root);
+    w.ingestion.flagged = {false, true, false, true};
+    w.ingestion.concept_instances =
+        ConceptCsr::FromGroups({{}, {0, 1}, {}, {2}});
+    return w;
+  };
+  const TinyWorld native = build(0);
+  const QueryRelaxer want_relaxer(&native.dag, &native.ingestion, nullptr,
+                                  SimilarityOptions{}, RelaxationOptions{});
+  for (uint32_t distance : {uint32_t{1} << 31, UINT32_MAX - 1, UINT32_MAX}) {
+    const TinyWorld huge = build(distance);
+    ASSERT_EQ(huge.dag.num_shortcut_edges(), 1u);
+    const QueryRelaxer got_relaxer(&huge.dag, &huge.ingestion, nullptr,
+                                   SimilarityOptions{}, RelaxationOptions{});
+    for (ConceptId query = 0; query < 4; ++query) {
+      for (size_t k : {1, 3, 10}) {
+        SCOPED_TRACE(StrFormat("distance %u query %u k %zu", distance, query,
+                               k));
+        ExpectSameOutcome(got_relaxer.RelaxConceptWithK(query, 0, k),
+                          want_relaxer.RelaxConceptWithK(query, 0, k));
+      }
+    }
+  }
+}
+
+TEST(Relaxer, RankingTiesStraddleSelectionSteps) {
+  // root <- p <- {query, s0 .. s19}, root <- q <- {c0 .. c3}: the twenty
+  // siblings tie (same geometry, same frequency) and rank by id; the
+  // cousins score lower. s0 .. s9 are flagged but hold no instance, so
+  // with k = 3 the answer runs to s12: past the first selection step
+  // (8 records), with the tie straddling every step boundary.
+  ConceptDagBuilder builder;
+  const ConceptId root = *builder.AddConcept("root");
+  const ConceptId p = *builder.AddConcept("p");
+  const ConceptId q = *builder.AddConcept("q");
+  const ConceptId query = *builder.AddConcept("query");
+  EXPECT_TRUE(builder.AddSubsumption(p, root).ok());
+  EXPECT_TRUE(builder.AddSubsumption(q, root).ok());
+  EXPECT_TRUE(builder.AddSubsumption(query, p).ok());
+  std::vector<ConceptId> siblings;
+  for (int i = 0; i < 20; ++i) {
+    siblings.push_back(*builder.AddConcept(StrFormat("s%d", i)));
+  }
+  // Linked in a scrambled order, so the search meets them out of rank
+  // order and a selection step must really order its records.
+  for (size_t i = 0; i < siblings.size(); ++i) {
+    const ConceptId s = siblings[(7 * i + 3) % siblings.size()];
+    EXPECT_TRUE(builder.AddSubsumption(s, p).ok());
+  }
+  std::vector<ConceptId> cousins;
+  for (int i = 0; i < 4; ++i) {
+    cousins.push_back(*builder.AddConcept(StrFormat("c%d", i)));
+    EXPECT_TRUE(builder.AddSubsumption(cousins.back(), q).ok());
+  }
+  const ConceptDag dag = std::move(builder).Build();
+  const size_t n = dag.num_concepts();
+  IngestionResult ingestion;
+  ingestion.frequencies = FrequencyModel(n, /*num_contexts=*/1);
+  for (ConceptId id = 0; id < n; ++id) {
+    ingestion.frequencies.SetRaw(id, 0, id == root ? 100.0
+                                       : id == p || id == q ? 10.0 : 1.0);
+  }
+  ingestion.frequencies.Normalize(root);
+  ingestion.flagged.assign(n, false);
+  std::vector<std::vector<InstanceId>> instances(n);
+  InstanceId next = 0;
+  for (size_t i = 0; i < siblings.size(); ++i) {
+    ingestion.flagged[siblings[i]] = true;
+    if (i >= 10) instances[siblings[i]] = {next++};
+  }
+  for (ConceptId c : cousins) {
+    ingestion.flagged[c] = true;
+    instances[c] = {next++, next++};
+  }
+  ingestion.concept_instances = ConceptCsr::FromGroups(instances);
+
+  RelaxationOptions options;
+  options.radius = 4;
+  options.dynamic_radius = false;
+  const QueryRelaxer relaxer(&dag, &ingestion, nullptr, SimilarityOptions{},
+                             options);
+  const RelaxationOutcome outcome = relaxer.RelaxConceptWithK(query, 0, 3);
+  EXPECT_EQ(outcome.stats.candidates_scanned, 24u);
+  ASSERT_EQ(outcome.concepts.size(), 13u);
+  for (size_t i = 0; i < outcome.concepts.size(); ++i) {
+    EXPECT_EQ(outcome.concepts[i].concept_id, siblings[i]) << "rank " << i;
+    EXPECT_EQ(outcome.concepts[i].similarity, outcome.concepts[0].similarity)
+        << "rank " << i;
+  }
+  EXPECT_GT(outcome.concepts[0].similarity,
+            relaxer.similarity().Similarity(query, cousins[0], 0));
+  EXPECT_EQ(outcome.instances, (std::vector<InstanceId>{0, 1, 2}));
+
+  // With every record needed, the ranking is the whole candidate set:
+  // the twenty siblings by id, then the four cousins by id.
+  const RelaxationOutcome all = relaxer.RelaxConceptWithK(query, 0, 100);
+  ASSERT_EQ(all.concepts.size(), 24u);
+  for (size_t i = 0; i < all.concepts.size(); ++i) {
+    EXPECT_EQ(all.concepts[i].concept_id,
+              i < 20 ? siblings[i] : cousins[i - 20])
+        << "rank " << i;
+  }
 }
 
 TEST(Relaxer, EditMatcherResolvesTypos) {

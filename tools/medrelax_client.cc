@@ -353,7 +353,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto tcp_port = static_cast<uint16_t>(*port);
-  if (std::strcmp(argv[1], "session") == 0) return RunSession(tcp_port);
+  if (std::strcmp(argv[1], "session") == 0) {
+    // A session takes no flags: anything after the port is a mistake.
+    const medrelax::Status args =
+        medrelax::tools::CheckFlagPairs(argc, argv, 3, {});
+    if (!args.ok()) {
+      std::fprintf(stderr, "medrelax_client: %s\n", args.message().c_str());
+      return Usage();
+    }
+    return RunSession(tcp_port);
+  }
   if (std::strcmp(argv[1], "load") == 0) {
     return DriveLoad(argc, argv, tcp_port);
   }
