@@ -352,11 +352,15 @@ BENCHMARK(BM_TermMapping)->Arg(16000)->Arg(64000)->Unit(
 // open-and-validate time by the full load time, medians of one
 // interleaved run: 1.0 would mean a load costs nothing past the
 // checksum. CI floors it, so decoded copies cannot creep back into the
-// load path.
+// load path. BM_ImageOpenValidate's counter concepts_per_image_kib is
+// the world's concepts per KiB of image, floored in CI so a dense
+// per-concept table cannot creep back into the format.
+
+constexpr size_t kBigWorldConcepts = 65536;
 
 Result<GeneratedWorld> BigWorld() {
   SnomedGeneratorOptions eks;
-  eks.num_concepts = 65536;
+  eks.num_concepts = kBigWorldConcepts;
   eks.seed = 2026;
   KbGeneratorOptions kb;
   kb.num_drugs = 120;
@@ -414,6 +418,7 @@ void BM_ImageOpenValidate(benchmark::State& state) {
     state.SkipWithError("image ingest failed");
     return;
   }
+  size_t image_bytes = 0;
   for (auto _ : state) {
     Result<std::unique_ptr<flat::FlatImageView>> image =
         flat::FlatImageView::Open(path);
@@ -422,7 +427,14 @@ void BM_ImageOpenValidate(benchmark::State& state) {
       state.SkipWithError("image open failed");
       return;
     }
+    image_bytes = (*image)->file_size();
   }
+  // Deterministic: the image's size is fixed by the world and the
+  // format, so this counter is a floor on the format's bytes per concept
+  // that no host speed can move.
+  state.counters["concepts_per_image_kib"] =
+      static_cast<double>(kBigWorldConcepts) /
+      (static_cast<double>(image_bytes) / 1024.0);
   state.SetLabel("concepts=64k");
 }
 BENCHMARK(BM_ImageOpenValidate)->Unit(benchmark::kMillisecond);

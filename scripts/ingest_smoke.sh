@@ -117,8 +117,14 @@ if ! "${INGEST}" "${WORK}/world" "${WORK}/ok.img" --exact \
     | grep -q '^ok ingest '; then
   fail "positive-control ingest did not report ok"
 fi
-if ! "${INGEST}" info "${WORK}/ok.img" | grep -q '^ok image '; then
+info_out=$("${INGEST}" info "${WORK}/ok.img") ||
+  fail "positive-control info exited nonzero"
+if ! grep -q '^ok image ' <<<"${info_out}"; then
   fail "positive-control info did not report ok"
+fi
+# info also says where the image's bytes go, one line per section.
+if ! grep -q '^section id=[0-9]* bytes=[0-9]*$' <<<"${info_out}"; then
+  fail "positive-control info printed no section line"
 fi
 
 if [[ ${failures} -gt 0 ]]; then

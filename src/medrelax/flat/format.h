@@ -31,8 +31,11 @@ inline constexpr char kImageMagic[8] = {'M', 'R', 'X', 'I', 'M', 'G',
 /// (FailedPrecondition — the image is well-formed, just not ours).
 /// Version 2: NUL-terminated string tables, and the name index sections
 /// (kNameSurfaceOffsets onward), so a served snapshot borrows the DAG,
-/// its names and the name index from the mapping.
-inline constexpr uint32_t kImageVersion = 2;
+/// its names and the name index from the mapping. Version 3: the
+/// frequency model as per-row defaults plus the columns of the concepts
+/// that differ from them (kFrequencyColumns, kFrequencyRows) instead of
+/// the dense table of retired section 11.
+inline constexpr uint32_t kImageVersion = 3;
 
 /// Written as a native uint32; a reader on an opposite-endian host sees
 /// the byte-swapped value and refuses the image.
@@ -63,9 +66,7 @@ enum class SectionId : uint32_t {
   kSynonymGroupOffsets = 8,
   kSynonymNameOffsets = 9,
   kSynonymNameBlob = 10,
-  // The normalized per-context frequency table, row-major [ctx][concept]
-  // with the aggregate row last — served zero-copy out of the mapping.
-  kFrequencyTable = 11,
+  // 11 is retired: the dense normalized frequency table of versions 1-2.
   // Contexts: 3 consecutive strings (domain, relationship, range) per
   // context.
   kContextNameOffsets = 12,
@@ -104,6 +105,13 @@ enum class SectionId : uint32_t {
   kTrigramPostings = 36,
   kNameLengthOffsets = 37,
   kNameByLength = 38,
+  // The normalized frequency model (relax/frequency_model.h), served in
+  // place: one uint32 column per concept, then (contexts + 1) rows of
+  // FlatMeta::num_frequency_columns + 1 doubles, row-major [ctx][column]
+  // with the aggregate row last. A row's last column is its default,
+  // the value of every concept without a column of its own.
+  kFrequencyColumns = 39,
+  kFrequencyRows = 40,
 };
 
 /// Fixed prologue of every image.
@@ -171,7 +179,8 @@ struct FlatMeta {
   uint32_t relax_max_radius;
   uint32_t max_shortcut_distance;
   uint32_t flags;  ///< kMetaFlag*
-  uint32_t reserved;
+  /// Columns of kFrequencyRows before each row's default column.
+  uint32_t num_frequency_columns;
 };
 static_assert(sizeof(FlatMeta) == 168, "on-disk layout is frozen");
 static_assert(std::is_trivially_copyable_v<FlatMeta>);

@@ -74,6 +74,7 @@ Result<std::unique_ptr<FlatImageView>> FlatImageView::Open(
 
   auto view = std::make_unique<FlatImageView>(OpenTag{}, std::move(file));
   view->sections_.reserve(header.section_count);
+  view->directory_.reserve(header.section_count);
   const std::byte* base = view->file_.data();
   for (uint32_t i = 0; i < header.section_count; ++i) {
     SectionEntry entry;
@@ -103,6 +104,7 @@ Result<std::unique_ptr<FlatImageView>> FlatImageView::Open(
           StrFormat("'%s': duplicate section id %u", path.c_str(),
                     static_cast<unsigned>(entry.id)));
     }
+    view->directory_.push_back(entry);
   }
   // 5. No two byte ranges may alias: every raw byte a typed accessor
   // can hand out has exactly one owner. Without this, a corrupt

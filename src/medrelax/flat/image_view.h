@@ -9,6 +9,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "medrelax/common/result.h"
 #include "medrelax/common/string_table.h"
@@ -44,6 +45,11 @@ class FlatImageView {
 
   [[nodiscard]] const FlatMeta& meta() const { return *meta_; }
   [[nodiscard]] size_t file_size() const { return file_.size(); }
+
+  /// The section directory in file order, as validated at Open.
+  [[nodiscard]] std::span<const SectionEntry> directory() const {
+    return directory_;
+  }
 
   [[nodiscard]] bool HasSection(SectionId id) const {
     return sections_.find(static_cast<uint32_t>(id)) != sections_.end();
@@ -95,6 +101,7 @@ class FlatImageView {
 
  private:
   MappedFile file_;
+  std::vector<SectionEntry> directory_;
   std::unordered_map<uint32_t, SectionEntry> sections_;
   const FlatMeta* meta_ = nullptr;
 };

@@ -332,11 +332,12 @@ Status WriteSnapshotImage(const ConceptDag& dag, const NameIndex& index,
     writer.AddArray<uint32_t>(SectionId::kNameByLength, names.by_length);
   }
 
-  // The dominant payload: the full normalized frequency table, laid out
-  // exactly as FrequencyModel keeps it so the reader can borrow it
-  // zero-copy.
-  writer.AddArray<double>(SectionId::kFrequencyTable,
-                          ingestion.frequencies.NormalizedTable());
+  // The frequency model's sparse form, laid out exactly as
+  // FrequencyModel keeps it so the reader can borrow it zero-copy.
+  writer.AddArray<uint32_t>(SectionId::kFrequencyColumns,
+                            ingestion.frequencies.columns());
+  writer.AddArray<double>(SectionId::kFrequencyRows,
+                          ingestion.frequencies.rows());
 
   StringTableBuilder context_names;
   for (const Context& context : ingestion.contexts.contexts()) {
@@ -455,6 +456,8 @@ Status WriteSnapshotImage(const ConceptDag& dag, const NameIndex& index,
       (config.similarity.use_context ? kMetaFlagUseContext : 0u) |
       (config.relaxation.dynamic_radius ? kMetaFlagDynamicRadius : 0u) |
       (config.use_exact_mapper ? kMetaFlagExactMapper : 0u);
+  meta.num_frequency_columns =
+      static_cast<uint32_t>(ingestion.frequencies.num_columns());
   writer.AddArray<FlatMeta>(SectionId::kMeta,
                             std::span<const FlatMeta>(&meta, 1));
 
@@ -652,24 +655,44 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
     }
   }
 
+  // The sparse frequency model is served in place: every column must
+  // name a value of its row, and every row must hold m + 1 of them.
   MEDRELAX_ASSIGN_OR_RETURN(
-      std::span<const double> frequency_table,
-      image->SectionArray<double>(SectionId::kFrequencyTable));
-  // Divide instead of multiplying: (num_contexts + 1) * n can wrap for
-  // corrupt meta counts (Open bounds each against the file size, but a
-  // product of two large-yet-plausible counts can still overflow), and
-  // a wrapped product that happens to equal the real table size would
-  // hand FromNormalizedTable dimensions the table does not have.
-  const size_t rows = num_contexts + 1;
-  if (frequency_table.size() % rows != 0 ||
-      frequency_table.size() / rows != n) {
+      std::span<const uint32_t> frequency_columns,
+      image->SectionArray<uint32_t>(SectionId::kFrequencyColumns));
+  if (frequency_columns.size() != n) {
     return Status::InvalidArgument(
-        StrFormat("frequency table: %zu values do not factor as"
-                  " (%zu contexts + 1) x %zu concepts",
-                  frequency_table.size(), num_contexts, n));
+        StrFormat("frequency columns: %zu entries, want %zu",
+                  frequency_columns.size(), n));
   }
-  ingestion.frequencies = FrequencyModel::FromNormalizedTable(
-      n, num_contexts, meta.ic_smoothing, frequency_table);
+  const size_t num_columns = meta.num_frequency_columns;
+  for (size_t id = 0; id < n; ++id) {
+    if (frequency_columns[id] > num_columns) {
+      return Status::InvalidArgument(
+          StrFormat("frequency column %u of concept %zu is beyond the %zu"
+                    " columns",
+                    static_cast<unsigned>(frequency_columns[id]), id,
+                    num_columns));
+    }
+  }
+  MEDRELAX_ASSIGN_OR_RETURN(
+      std::span<const double> frequency_rows,
+      image->SectionArray<double>(SectionId::kFrequencyRows));
+  // Divide instead of multiplying: (num_contexts + 1) * (m + 1) can wrap
+  // for corrupt meta counts (Open bounds each against the file size, but
+  // a product of two large-yet-plausible counts can still overflow), and
+  // a wrapped product that happens to equal the real size would hand
+  // FromSparse rows shorter than its columns reach.
+  const size_t rows = num_contexts + 1;
+  if (frequency_rows.size() % rows != 0 ||
+      frequency_rows.size() / rows != num_columns + 1) {
+    return Status::InvalidArgument(
+        StrFormat("frequency rows: %zu values do not factor as"
+                  " (%zu contexts + 1) x (%zu columns + 1)",
+                  frequency_rows.size(), num_contexts, num_columns));
+  }
+  ingestion.frequencies = FrequencyModel::FromSparse(
+      num_contexts, meta.ic_smoothing, frequency_columns, frequency_rows);
 
   MEDRELAX_ASSIGN_OR_RETURN(
       std::span<const uint32_t> mapping_pairs,

@@ -114,15 +114,15 @@ SimilarityModel::ScoreSource SimilarityModel::Source(ConceptId from,
                                                      ContextId ctx) const {
   ScoreSource source;
   source.concept_id = from;
-  source.context = EffectiveContext(ctx);
+  const ContextId context = EffectiveContext(ctx);
   // The relaxer takes the source before it knows whether any candidate
   // will be scored, so an id past the table reads nothing here; its IC
   // of 0 is never used.
-  if (from < freq_->num_concepts() &&
-      (source.context == kNoContext ||
-       source.context <= freq_->num_contexts())) {
-    source.ic = freq_->Ic(from, source.context);
+  if (context != kNoContext && context > freq_->num_contexts()) {
+    return source;
   }
+  source.ic_row = freq_->IcRowOf(context);
+  if (from < freq_->num_concepts()) source.ic = source.ic_row[from];
   return source;
 }
 
@@ -134,9 +134,9 @@ double SimilarityModel::ScoreGeometry(const PairGeometry& g,
 
   const double penalty = options_.use_path_penalty ? Penalty(g) : 1.0;
   double lcs_ic = 0.0;
-  for (ConceptId c : g.lcs) lcs_ic += freq_->Ic(c, from.context);
+  for (ConceptId c : g.lcs) lcs_ic += from.ic_row[c];
   lcs_ic /= static_cast<double>(g.lcs.size());
-  double denom = from.ic + freq_->Ic(to, from.context);
+  double denom = from.ic + from.ic_row[to];
   if (denom <= 1e-12) return 0.0;
   return penalty * 2.0 * lcs_ic / denom;
 }

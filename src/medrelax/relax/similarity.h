@@ -58,10 +58,11 @@ class SimilarityModel {
   static constexpr size_t kPowerTableSize = 256;
 
   /// The query side of Equation 5, fixed for one request: the query, the
-  /// effective context and the query's IC under it.
+  /// IC of every concept under the effective context and the query's own
+  /// IC.
   struct ScoreSource {
     ConceptId concept_id = kInvalidConcept;
-    ContextId context = kNoContext;
+    FrequencyModel::IcRow ic_row;
     double ic = 0.0;
   };
 

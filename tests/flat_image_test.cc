@@ -5,6 +5,7 @@
 // this honest).
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "medrelax/common/checksum.h"
+#include "medrelax/datasets/corpus_generator.h"
 #include "medrelax/datasets/kb_generator.h"
 #include "medrelax/flat/format.h"
 #include "medrelax/flat/image_view.h"
@@ -336,7 +338,7 @@ TEST(FlatImageRoundTrip, ReservedMetaFlagsAreNeverWritten) {
 
 TEST(FlatImageCompat, CommittedImageWithReservedFlagsStillLoads) {
   // Written by an ingest that still set the reserved geometry-memo flag
-  // (and converted to format version 2 section for section); the
+  // (and converted to format versions 2 and 3 section for section); the
   // fingerprint scheme is unchanged, so it must load and keep its stored
   // fingerprint.
   const std::string path = std::string(MEDRELAX_SOURCE_DIR) +
@@ -442,7 +444,7 @@ TEST(FlatImageHardening, OutOfBoundsSectionOffsetIsInvalidArgument) {
   SectionEntry entry;
   size_t entry_pos = 0;
   ASSERT_TRUE(
-      FindSection(bytes, SectionId::kFrequencyTable, &entry, &entry_pos));
+      FindSection(bytes, SectionId::kFrequencyRows, &entry, &entry_pos));
   // Point the section past the end of the file, restamp so only the
   // bounds check (not the checksum) can reject it.
   const uint64_t oob_offset = bytes.size() + flat::kSectionAlignment;
@@ -461,7 +463,7 @@ TEST(FlatImageHardening, MisalignedSectionOffsetIsInvalidArgument) {
   SectionEntry entry;
   size_t entry_pos = 0;
   ASSERT_TRUE(
-      FindSection(bytes, SectionId::kFrequencyTable, &entry, &entry_pos));
+      FindSection(bytes, SectionId::kFrequencyRows, &entry, &entry_pos));
   const uint64_t skewed = entry.offset + 1;
   std::memcpy(bytes.data() + entry_pos + offsetof(SectionEntry, offset),
               &skewed, sizeof(skewed));
@@ -502,7 +504,7 @@ TEST(FlatImageHardening, SectionAliasingTheHeaderIsInvalidArgument) {
   SectionEntry entry;
   size_t entry_pos = 0;
   ASSERT_TRUE(
-      FindSection(bytes, SectionId::kFrequencyTable, &entry, &entry_pos));
+      FindSection(bytes, SectionId::kFrequencyRows, &entry, &entry_pos));
   // Offset 0 is 16-byte aligned and in bounds, but the first 48 bytes
   // belong to the header — a section may not serve them as payload.
   const uint64_t zero_offset = 0;
@@ -591,6 +593,21 @@ TEST(FlatImageHardening, VersionOneImageIsFailedPrecondition) {
   std::memcpy(bytes.data() + offsetof(ImageHeader, version), &version_one,
               sizeof(version_one));
   const std::string path = WriteCorrupted("flat_version_one.img", bytes);
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_TRUE(snap.status().IsFailedPrecondition()) << snap.status();
+}
+
+TEST(FlatImageHardening, VersionTwoImageIsFailedPrecondition) {
+  // Version 2 stored the dense frequency table (section 11) and no
+  // sparse frequency sections; the reader refuses it rather than
+  // guessing.
+  ASSERT_FALSE(SharedImagePath().empty());
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  const uint32_t version_two = 2;
+  std::memcpy(bytes.data() + offsetof(ImageHeader, version), &version_two,
+              sizeof(version_two));
+  const std::string path = WriteCorrupted("flat_version_two.img", bytes);
   Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
   ASSERT_FALSE(snap.ok());
   EXPECT_TRUE(snap.status().IsFailedPrecondition()) << snap.status();
@@ -718,6 +735,43 @@ TEST(FlatImageHardening, ExactSlotTableWithoutAFreeSlotIsInvalidArgument) {
   Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
   ASSERT_FALSE(snap.ok());
   EXPECT_TRUE(snap.status().IsInvalidArgument()) << snap.status();
+}
+
+TEST(FlatImageHardening, FrequencyColumnBeyondTheRowsIsInvalidArgument) {
+  // Column m is each row's default, the last value it holds; m + 1 would
+  // read past the row.
+  ASSERT_FALSE(SharedImagePath().empty());
+  Result<std::unique_ptr<FlatImageView>> image =
+      FlatImageView::Open(SharedImagePath());
+  ASSERT_TRUE(image.ok()) << image.status();
+  const uint32_t beyond = (*image)->meta().num_frequency_columns + 1;
+  const Status status = LoadWithPatchedWord(
+      SectionId::kFrequencyColumns, 0, beyond, "flat_bad_freq_column.img");
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("frequency column"), std::string::npos)
+      << status;
+}
+
+TEST(FlatImageHardening, ShortFrequencyRowsIsInvalidArgument) {
+  // One value short: the section stays aligned and in bounds, so only
+  // the loader's (contexts + 1) x (m + 1) check can reject it.
+  ASSERT_FALSE(SharedImagePath().empty());
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  SectionEntry entry;
+  size_t entry_pos = 0;
+  ASSERT_TRUE(
+      FindSection(bytes, SectionId::kFrequencyRows, &entry, &entry_pos));
+  const uint64_t short_size = entry.size - sizeof(double);
+  std::memcpy(bytes.data() + entry_pos + offsetof(SectionEntry, size),
+              &short_size, sizeof(short_size));
+  Restamp(bytes);
+  const std::string path = WriteCorrupted("flat_short_freq_rows.img", bytes);
+  ASSERT_TRUE(FlatImageView::Open(path).ok());
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_TRUE(snap.status().IsInvalidArgument()) << snap.status();
+  EXPECT_NE(snap.status().message().find("frequency rows"), std::string::npos)
+      << snap.status();
 }
 
 TEST(FlatImageHardening, TrigramPostingBeyondTheEntriesIsInvalidArgument) {
@@ -954,22 +1008,131 @@ TEST(FlatImageReload, AnonymousRssStaysFlatOverTenReloads) {
   std::remove(path.c_str());
 }
 
-TEST(FrequencyModel, FromNormalizedTableServesTheBorrowedRows) {
-  // 2 concepts x 1 context: one context row plus the aggregate row last.
-  const std::vector<double> table = {1.0, 0.25,   // context 0
-                                     1.0, 0.5};   // aggregate
-  FrequencyModel model = FrequencyModel::FromNormalizedTable(
-      /*num_concepts=*/2, /*num_contexts=*/1, /*smoothing=*/1.0,
-      std::span<const double>(table));
-  EXPECT_EQ(model.num_concepts(), 2u);
+/// Checks every (concept, context or kNoContext) pair of `served`
+/// against the dense Equation 1-2 reference computed inline from
+/// `built`'s raw frequencies: f = (raw + s) / (raw(root) + s) and
+/// IC = -log f, bit for bit.
+void ExpectMatchesDenseReference(const FrequencyModel& built,
+                                 ConceptId root,
+                                 const FrequencyModel& served) {
+  ASSERT_EQ(served.num_concepts(), built.num_concepts());
+  ASSERT_EQ(served.num_contexts(), built.num_contexts());
+  const double s = built.smoothing();
+  std::vector<ContextId> tables;
+  for (ContextId c = 0; c < built.num_contexts(); ++c) tables.push_back(c);
+  tables.push_back(kNoContext);
+  for (ContextId ctx : tables) {
+    const double root_value = built.Raw(root, ctx) + s;
+    for (ConceptId id = 0; id < built.num_concepts(); ++id) {
+      const double f = (built.Raw(id, ctx) + s) / root_value;
+      const double ic = f >= 1.0 ? 0.0 : -std::log(f);
+      ASSERT_EQ(served.Frequency(id, ctx), f)
+          << "concept " << id << " ctx " << ctx;
+      ASSERT_EQ(served.Ic(id, ctx), ic) << "concept " << id << " ctx " << ctx;
+      ASSERT_EQ(served.IcRowOf(ctx)[id], ic)
+          << "concept " << id << " ctx " << ctx;
+    }
+  }
+}
+
+/// Builds the seed-7 small world with `corpus` (null: corpus-free),
+/// writes its image, loads it back and checks the served frequencies
+/// against the dense reference. Returns the image's column count.
+size_t ImageFrequenciesMatchTheDenseReference(const Corpus* corpus,
+                                              const std::string& name) {
+  Result<GeneratedWorld> world = SmallWorld();
+  EXPECT_TRUE(world.ok()) << world.status();
+  if (!world.ok()) return 0;
+  Result<std::shared_ptr<Snapshot>> built =
+      Snapshot::Build(std::move(world->eks.dag), std::move(world->kb),
+                      corpus, SnapshotOptions{});
+  EXPECT_TRUE(built.ok()) << built.status();
+  if (!built.ok()) return 0;
+  const std::string path = testing::TempDir() + name + "." +
+                           std::to_string(::getpid()) + ".img";
+  EXPECT_TRUE((*built)->WriteImage(path).ok());
+  Result<std::shared_ptr<Snapshot>> mapped = Snapshot::LoadFromImage(path);
+  EXPECT_TRUE(mapped.ok()) << mapped.status();
+  if (!mapped.ok()) return 0;
+  const std::vector<ConceptId> roots = (*built)->dag().Roots();
+  EXPECT_EQ(roots.size(), 1u);
+  ExpectMatchesDenseReference((*built)->ingestion().frequencies,
+                              roots.front(),
+                              (*mapped)->ingestion().frequencies);
+  const size_t columns = (*mapped)->ingestion().frequencies.num_columns();
+  EXPECT_EQ(columns, (*built)->ingestion().frequencies.num_columns());
+  std::remove(path.c_str());
+  return columns;
+}
+
+TEST(FlatImageRoundTrip, CorpusFreeFrequenciesMatchTheDenseReference) {
+  // Without a corpus every concept counts once: the leaves share each
+  // row's default, and only the inner concepts get columns.
+  const size_t columns =
+      ImageFrequenciesMatchTheDenseReference(nullptr, "flat_freq_free");
+  EXPECT_GT(columns, 0u);
+  EXPECT_LT(columns, 600u);
+}
+
+TEST(FlatImageRoundTrip, CorpusFrequenciesMatchTheDenseReference) {
+  Result<GeneratedWorld> world = SmallWorld();
+  ASSERT_TRUE(world.ok()) << world.status();
+  const Corpus corpus =
+      GenerateMonographCorpus(*world, CorpusGeneratorOptions{});
+  const size_t columns =
+      ImageFrequenciesMatchTheDenseReference(&corpus, "flat_freq_corpus");
+  EXPECT_GT(columns, 0u);
+  EXPECT_LT(columns, 600u);
+}
+
+TEST(FlatImageRoundTrip, MentionlessCorpusFrequenciesHaveNoColumns) {
+  // A corpus that mentions nothing leaves every concept at f = s / s = 1:
+  // m = 0, and each row is its default alone.
+  const Corpus corpus;
+  EXPECT_EQ(ImageFrequenciesMatchTheDenseReference(&corpus,
+                                                   "flat_freq_mentionless"),
+            0u);
+}
+
+TEST(FrequencyModel, EveryConceptWithAColumnMatchesTheDenseReference) {
+  // Three concepts, two contexts. Context 0's values are all distinct,
+  // so its default (the vote's survivor) is concept 2's; context 1 gives
+  // concepts 0 and 1 the same value, which outvotes concept 2's. Each
+  // concept thus differs from some row's default.
+  FrequencyModel built(/*num_concepts=*/3, /*num_contexts=*/2);
+  const double raw[2][3] = {{3.0, 2.0, 1.0}, {3.0, 3.0, 1.0}};
+  for (ContextId c = 0; c < 2; ++c) {
+    for (ConceptId id = 0; id < 3; ++id) built.SetRaw(id, c, raw[c][id]);
+  }
+  built.Normalize(/*root=*/0);
+  ASSERT_EQ(built.num_columns(), 3u);
+  ExpectMatchesDenseReference(built, 0, built);
+  const FrequencyModel borrowed = FrequencyModel::FromSparse(
+      2, built.smoothing(), built.columns(), built.rows());
+  ExpectMatchesDenseReference(built, 0, borrowed);
+}
+
+TEST(FrequencyModel, SparseFormServesTheDefaultColumn) {
+  // 3 concepts x 1 context, m = 1: concept 1 has column 0, concepts 0
+  // and 2 read the default column 1 of each row.
+  const std::vector<uint32_t> columns = {1, 0, 1};
+  const std::vector<double> rows = {0.25, 1.0,   // context 0
+                                    0.5, 1.0};   // aggregate
+  const FrequencyModel model = FrequencyModel::FromSparse(
+      /*num_contexts=*/1, /*smoothing=*/1.0, columns, rows);
+  EXPECT_EQ(model.num_concepts(), 3u);
   EXPECT_EQ(model.num_contexts(), 1u);
-  EXPECT_DOUBLE_EQ(model.Frequency(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(model.Frequency(1, 0), 0.25);
-  EXPECT_DOUBLE_EQ(model.Frequency(0, kNoContext), 1.0);
-  EXPECT_DOUBLE_EQ(model.Frequency(1, kNoContext), 0.5);
-  EXPECT_DOUBLE_EQ(model.Ic(0, kNoContext), 0.0);
-  // The exposed table is the borrowed span itself — zero-copy.
-  EXPECT_EQ(model.NormalizedTable().data(), table.data());
+  EXPECT_EQ(model.num_columns(), 1u);
+  EXPECT_EQ(model.Frequency(0, 0), 1.0);
+  EXPECT_EQ(model.Frequency(1, 0), 0.25);
+  EXPECT_EQ(model.Frequency(2, kNoContext), 1.0);
+  EXPECT_EQ(model.Frequency(1, kNoContext), 0.5);
+  EXPECT_EQ(model.Ic(2, 0), 0.0);
+  EXPECT_EQ(model.Ic(1, 0), -std::log(0.25));
+  EXPECT_EQ(model.IcRowOf(kNoContext)[1], -std::log(0.5));
+  // The served form is the borrowed spans themselves — zero-copy.
+  EXPECT_EQ(model.columns().data(), columns.data());
+  EXPECT_EQ(model.rows().data(), rows.data());
 }
 
 }  // namespace

@@ -20,7 +20,8 @@
 //       Loads the image as the server would, with every check that runs
 //       (so `ok` means `serve --image` and `RELOAD` accept it), and
 //       prints its meta block (counts, options fingerprint, file size)
-//       — the operator's sanity check before pointing a server at it.
+//       — the operator's sanity check before pointing a server at it —
+//       then one `section id=<n> bytes=<b>` line per directory entry.
 //
 // Summary lines go to stdout (machine-greppable "ok ingest ..."), timing
 // to stderr, mirroring the medrelax_server convention.
@@ -67,7 +68,7 @@ int RunInfo(const std::string& path) {
   std::printf(
       "ok image bytes=%zu concepts=%llu edges=%llu shortcuts=%llu"
       " synonyms=%llu contexts=%llu mappings=%llu instances=%llu"
-      " triples=%llu fingerprint=%016llx\n",
+      " triples=%llu freq_columns=%u fingerprint=%016llx\n",
       (*image)->file_size(),
       static_cast<unsigned long long>(meta.num_concepts),
       static_cast<unsigned long long>(meta.num_edges),
@@ -77,7 +78,13 @@ int RunInfo(const std::string& path) {
       static_cast<unsigned long long>(meta.num_mappings),
       static_cast<unsigned long long>(meta.num_instances),
       static_cast<unsigned long long>(meta.num_triples),
+      static_cast<unsigned>(meta.num_frequency_columns),
       static_cast<unsigned long long>(meta.options_fingerprint));
+  // Where the bytes go: one line per directory entry, in file order.
+  for (const flat::SectionEntry& entry : (*image)->directory()) {
+    std::printf("section id=%u bytes=%llu\n", static_cast<unsigned>(entry.id),
+                static_cast<unsigned long long>(entry.size));
+  }
   return 0;
 }
 
