@@ -62,7 +62,7 @@ inline std::unique_ptr<StandardWorld> BuildStandardWorld(
   s->edit = std::make_unique<EditDistanceMatcher>(s->index.get(),
                                                   EditMatcherOptions{});
   Result<IngestionResult> with = RunIngestion(
-      s->world.kb, &s->world.eks.dag, *s->edit, &s->corpus,
+      s->world.kb, s->world.eks.dag, *s->edit, &s->corpus,
       IngestionOptions{});
   if (!with.ok()) {
     std::fprintf(stderr, "ingestion failed: %s\n",
@@ -71,7 +71,7 @@ inline std::unique_ptr<StandardWorld> BuildStandardWorld(
   }
   s->with_corpus = std::move(*with);
   Result<IngestionResult> without = RunIngestion(
-      s->world.kb, &s->world.eks.dag, *s->edit, nullptr, IngestionOptions{});
+      s->world.kb, s->world.eks.dag, *s->edit, nullptr, IngestionOptions{});
   if (!without.ok()) return nullptr;
   s->without_corpus = std::move(*without);
   return s;

@@ -14,11 +14,7 @@
 //     come back unnoticed. On the 64k DAG it also times a far term (an
 //     unflagged hub leaf, whose ball holds every other leaf); near_vs_far
 //     (near ÷ far time) is CI-floored too, so a candidate search that
-//     walks peeled filler concepts cannot come back either. It also
-//     times the near, a mid and the far relaxation on a 64k DAG with and
-//     without a shortcut from every core concept to the hub;
-//     shortcut_invariance (time without ÷ time with) is CI-floored, so a
-//     search that walks shortcut edges cannot come back.
+//     walks peeled filler concepts cannot come back either.
 //   * BM_OnlineRelaxation also reports candidates_per_alloc: candidates
 //     scored per heap allocation inside RelaxConcept, counted by this
 //     binary's replacement of the global operator new (alloc_counter.cc)
@@ -41,7 +37,6 @@
 #include "bench/bench_common.h"
 #include "medrelax/common/random.h"
 #include "medrelax/common/string_util.h"
-#include "medrelax/graph/traversal.h"
 #include "medrelax/relax/relax_stats.h"
 
 using namespace medrelax;         // NOLINT — bench brevity
@@ -89,14 +84,13 @@ void BM_OfflineIngestion(benchmark::State& state) {
   kb_opts.seed = 100;
   for (auto _ : state) {
     state.PauseTiming();
-    // Regenerate the DAG each iteration: ingestion mutates it (shortcuts).
     Result<GeneratedWorld> world = GenerateWorld(eks_opts, kb_opts);
     if (!world.ok()) state.SkipWithError("world generation failed");
     NameIndex index(&world->eks.dag);
     EditDistanceMatcher matcher(&index, EditMatcherOptions{});
     state.ResumeTiming();
     Result<IngestionResult> result = RunIngestion(
-        world->kb, &world->eks.dag, matcher, nullptr, IngestionOptions{});
+        world->kb, world->eks.dag, matcher, nullptr, IngestionOptions{});
     benchmark::DoNotOptimize(result);
   }
   state.SetLabel("concepts=" + std::to_string(num_concepts));
@@ -212,29 +206,16 @@ BENCHMARK(BM_RelaxBatch)
 // flagged leaf children and every other concept is a leaf child of the
 // hub. The radius-4 ball of `query` ends exactly at the hub, and every
 // candidate's ancestor cone passes through it.
-//
-// With `deep_flagged` > 0 the hub also has a native chain hub <- g1 <- g2
-// <- g3 with that many flagged leaves under g3, four hops below the hub
-// and so outside the radius-4 balls of `query`, `mid` and `far`. With
-// `hub_shortcuts`, every flagged concept two or more hops below the hub
-// gets a shortcut to it carrying that distance, so the hub holds a
-// shortcut to almost every core concept, as "clinical finding" does in
-// the perfbench worlds. Shortcuts change no distance, hence no answer.
 struct HubWorld {
   ConceptDag dag;
   IngestionResult ingestion;
   ConceptId query = kInvalidConcept;
-  /// c: three hops below the hub, so its radius-4 ball walks the hub's
-  /// edges.
-  ConceptId mid = kInvalidConcept;
   /// An unflagged leaf of the hub: a far term, whose radius-4 ball
   /// holds every other hub leaf.
   ConceptId far = kInvalidConcept;
 };
 
-std::unique_ptr<HubWorld> BuildHubWorld(size_t num_concepts,
-                                        size_t deep_flagged = 0,
-                                        bool hub_shortcuts = false) {
+std::unique_ptr<HubWorld> BuildHubWorld(size_t num_concepts) {
   auto w = std::make_unique<HubWorld>();
   ConceptDagBuilder dag;
   std::vector<ConceptId> parent_of;
@@ -253,21 +234,9 @@ std::unique_ptr<HubWorld> BuildHubWorld(size_t num_concepts,
     flagged.push_back(below);
     for (int leaf = 0; leaf < 3; ++leaf) flagged.push_back(add(below));
   }
-  w->mid = below;
   w->query = add(below);
   flagged.push_back(w->query);
-  if (deep_flagged > 0) {
-    const ConceptId g3 = add(add(add(hub)));
-    for (size_t i = 0; i < deep_flagged; ++i) flagged.push_back(add(g3));
-  }
   while (parent_of.size() < num_concepts) w->far = add(hub);
-  if (hub_shortcuts) {
-    const ConceptDag native = ConceptDagBuilder(dag).Build();
-    const std::vector<uint32_t> down = DownDistances(native, hub);
-    for (ConceptId id : flagged) {
-      if (down[id] >= 2) (void)dag.AddShortcut(id, hub, down[id]);
-    }
-  }
   w->dag = std::move(dag).Build();
 
   // One context; raw frequency = reflexive descendant count, normalized
@@ -297,11 +266,6 @@ std::unique_ptr<HubWorld> BuildHubWorld(size_t num_concepts,
 void BM_RelaxationVIndependence(benchmark::State& state) {
   static std::unique_ptr<HubWorld> small = BuildHubWorld(1000);
   static std::unique_ptr<HubWorld> large = BuildHubWorld(65536);
-  // The same 65k world twice, with and without the hub's shortcuts.
-  constexpr size_t kDeepFlagged = 1024;
-  static std::unique_ptr<HubWorld> deep = BuildHubWorld(65536, kDeepFlagged);
-  static std::unique_ptr<HubWorld> deep_shortcuts =
-      BuildHubWorld(65536, kDeepFlagged, /*hub_shortcuts=*/true);
   RelaxationOptions ropts;
   ropts.radius = 4;
   ropts.top_k = 10;
@@ -311,17 +275,8 @@ void BM_RelaxationVIndependence(benchmark::State& state) {
   };
   const QueryRelaxer small_relaxer = relaxer(*small);
   const QueryRelaxer large_relaxer = relaxer(*large);
-  const QueryRelaxer deep_relaxer = relaxer(*deep);
-  const QueryRelaxer shortcut_relaxer = relaxer(*deep_shortcuts);
-  // The near, mid and far relaxations of one world.
-  auto relax_three = [](const QueryRelaxer& r, const HubWorld& w) {
-    benchmark::DoNotOptimize(r.RelaxConcept(w.query, 0));
-    benchmark::DoNotOptimize(r.RelaxConcept(w.mid, 0));
-    benchmark::DoNotOptimize(r.RelaxConcept(w.far, 0));
-  };
   using Clock = std::chrono::steady_clock;
   Clock::duration small_time{0}, large_time{0}, far_time{0};
-  Clock::duration native_time{0}, shortcut_time{0};
   size_t neighbors = 0;
   for (auto _ : state) {
     const Clock::time_point t0 = Clock::now();
@@ -331,15 +286,9 @@ void BM_RelaxationVIndependence(benchmark::State& state) {
     const Clock::time_point t2 = Clock::now();
     RelaxationOutcome c = large_relaxer.RelaxConcept(large->far, 0);
     const Clock::time_point t3 = Clock::now();
-    relax_three(deep_relaxer, *deep);
-    const Clock::time_point t4 = Clock::now();
-    relax_three(shortcut_relaxer, *deep_shortcuts);
-    const Clock::time_point t5 = Clock::now();
     small_time += t1 - t0;
     large_time += t2 - t1;
     far_time += t3 - t2;
-    native_time += t4 - t3;
-    shortcut_time += t5 - t4;
     neighbors = b.stats.neighbors_visited;
     benchmark::DoNotOptimize(a);
     benchmark::DoNotOptimize(b);
@@ -353,9 +302,7 @@ void BM_RelaxationVIndependence(benchmark::State& state) {
   state.counters["avg_neighbors"] = static_cast<double>(neighbors);
   state.counters["v_independence"] = ratio(small_time, large_time);
   state.counters["near_vs_far"] = ratio(large_time, far_time);
-  state.counters["shortcut_invariance"] = ratio(native_time, shortcut_time);
-  state.SetLabel(
-      "concepts=1000 vs 65536, hub-ended ball; far hub leaf; hub shortcuts");
+  state.SetLabel("concepts=1000 vs 65536, hub-ended ball; far hub leaf");
 }
 BENCHMARK(BM_RelaxationVIndependence)->Unit(benchmark::kMicrosecond);
 
@@ -390,50 +337,6 @@ BENCHMARK(BM_OnlineRelaxationByRadius)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_NeighborhoodWithVsWithoutShortcuts(benchmark::State& state) {
-  const bool with_shortcuts = state.range(0) == 1;
-  // Build two DAG variants once.
-  static std::unique_ptr<StandardWorld> customized =
-      BuildStandardWorld(4000, 80, 250, 1234);
-  static std::unique_ptr<GeneratedWorld> plain = [] {
-    SnomedGeneratorOptions eks;
-    eks.num_concepts = 4000;
-    eks.seed = 1234;
-    KbGeneratorOptions kb;
-    kb.num_drugs = 80;
-    kb.num_findings = 250;
-    kb.seed = 1235;
-    auto w = GenerateWorld(eks, kb);
-    return w.ok() ? std::make_unique<GeneratedWorld>(std::move(*w)) : nullptr;
-  }();
-  if (customized == nullptr || plain == nullptr) {
-    state.SkipWithError("world build failed");
-    return;
-  }
-  const ConceptDag& dag =
-      with_shortcuts ? customized->world.eks.dag : plain->eks.dag;
-  const std::vector<ConceptId>& region =
-      with_shortcuts ? customized->world.eks.finding_concepts
-                     : plain->eks.finding_concepts;
-  size_t i = 0;
-  size_t reached = 0, runs = 0;
-  for (auto _ : state) {
-    std::vector<Neighbor> n =
-        NeighborsWithinRadius(dag, region[i % region.size()], 2);
-    reached += n.size();
-    ++runs;
-    benchmark::DoNotOptimize(n);
-    ++i;
-  }
-  state.counters["avg_reached"] =
-      runs == 0 ? 0.0 : static_cast<double>(reached) / runs;
-  state.SetLabel(with_shortcuts ? "with-shortcuts" : "without-shortcuts");
-}
-BENCHMARK(BM_NeighborhoodWithVsWithoutShortcuts)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SimilarityComputation(benchmark::State& state) {

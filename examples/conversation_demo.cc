@@ -50,7 +50,7 @@ int main() {
   NameIndex index(&world->eks.dag);
   EditDistanceMatcher matcher(&index, EditMatcherOptions{});
   Result<IngestionResult> ingestion = RunIngestion(
-      world->kb, &world->eks.dag, matcher, &corpus, IngestionOptions{});
+      world->kb, world->eks.dag, matcher, &corpus, IngestionOptions{});
   if (!ingestion.ok()) return 1;
 
   // Bootstrap the intent classifier from the ontology (Section 4).

@@ -123,7 +123,7 @@ int Relax(int argc, char** argv) {
   NameIndex index(&*dag);
   EditDistanceMatcher matcher(&index, EditMatcherOptions{});
   Result<IngestionResult> ingestion =
-      RunIngestion(*kb, &*dag, matcher, nullptr, IngestionOptions{});
+      RunIngestion(*kb, *dag, matcher, nullptr, IngestionOptions{});
   if (!ingestion.ok()) {
     std::fprintf(stderr, "ingestion failed: %s\n",
                  ingestion.status().ToString().c_str());

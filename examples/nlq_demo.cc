@@ -62,7 +62,7 @@ int main() {
   NameIndex index(&fx->dag);
   EditDistanceMatcher matcher(&index, EditMatcherOptions{});
   Result<IngestionResult> ingestion =
-      RunIngestion(kb, &fx->dag, matcher, nullptr, IngestionOptions{});
+      RunIngestion(kb, fx->dag, matcher, nullptr, IngestionOptions{});
   if (!ingestion.ok()) return 1;
   RelaxationOptions relax_opts;
   relax_opts.top_k = 5;

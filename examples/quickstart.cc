@@ -50,7 +50,7 @@ int main() {
   NameIndex index(&world->eks.dag);
   EditDistanceMatcher matcher(&index, EditMatcherOptions{});
   Result<IngestionResult> ingestion = RunIngestion(
-      world->kb, &world->eks.dag, matcher, &corpus, IngestionOptions{});
+      world->kb, world->eks.dag, matcher, &corpus, IngestionOptions{});
   if (!ingestion.ok()) {
     std::fprintf(stderr, "ingestion failed: %s\n",
                  ingestion.status().ToString().c_str());
@@ -59,9 +59,8 @@ int main() {
   size_t flagged = 0;
   for (bool f : ingestion->flagged) flagged += f ? 1 : 0;
   std::printf("ingestion      : %zu contexts, %zu mappings, %zu flagged "
-              "concepts, %zu shortcut edges\n\n",
-              ingestion->contexts.size(), ingestion->mappings.size(), flagged,
-              ingestion->shortcuts_added);
+              "concepts\n\n",
+              ingestion->contexts.size(), ingestion->mappings.size(), flagged);
 
   // --- 3. Online relaxation (Algorithm 2). ---
   RelaxationOptions relax_opts;

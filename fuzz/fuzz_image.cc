@@ -35,11 +35,21 @@ namespace {
 
 // One scratch file per process: FlatImageView::Open maps a path, so the
 // bytes have to hit a filesystem. /tmp keeps this off the source tree;
-// the pid keeps parallel fuzzer jobs from clobbering each other.
+// the pid keeps parallel fuzzer jobs from clobbering each other. The
+// file is removed when the process exits normally (static destruction,
+// which both the replay driver and libFuzzer's exit path run).
+struct ScratchFile {
+  std::string path = "/tmp/medrelax_fuzz_image_" +
+                     std::to_string(::getpid()) + ".img";
+  ScratchFile() = default;
+  ScratchFile(const ScratchFile&) = delete;
+  ScratchFile& operator=(const ScratchFile&) = delete;
+  ~ScratchFile() { ::unlink(path.c_str()); }
+};
+
 const std::string& ScratchPath() {
-  static const std::string path = "/tmp/medrelax_fuzz_image_" +
-                                  std::to_string(::getpid()) + ".img";
-  return path;
+  static const ScratchFile file;
+  return file.path;
 }
 
 }  // namespace

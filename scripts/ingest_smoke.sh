@@ -126,6 +126,11 @@ fi
 if ! grep -q '^section id=[0-9]* bytes=[0-9]*$' <<<"${info_out}"; then
   fail "positive-control info printed no section line"
 fi
+# A generated world's names and synonyms are normalized already, so the
+# image stores no surface a second time.
+if ! grep -q '^ok image .* stored_surfaces=0 ' <<<"${info_out}"; then
+  fail "positive-control info did not report stored_surfaces=0"
+fi
 
 if [[ ${failures} -gt 0 ]]; then
   printf 'ingest_smoke: %d case(s) failed\n' "${failures}" >&2

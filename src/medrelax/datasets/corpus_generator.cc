@@ -70,10 +70,9 @@ Corpus GenerateMonographCorpus(const GeneratedWorld& world,
       }
       // Mention generalizations so Equation 2's propagation has direct
       // corpus mass at inner concepts too.
-      for (const DagEdge& e : dag.parents(concept_id)) {
-        if (e.is_shortcut()) continue;
+      for (ConceptId parent : dag.parents(concept_id)) {
         if (rng.Bernoulli(options.ancestor_mention_prob)) {
-          AppendPhrase(&section.tokens, dag.name(e.target));
+          AppendPhrase(&section.tokens, dag.name(parent));
           AppendFiller(&section.tokens, 1 + rng.UniformU64(3),
                        kClinicalFiller, std::size(kClinicalFiller), &rng);
         }

@@ -194,8 +194,8 @@ Result<GeneratedWorld> GenerateWorld(const SnomedGeneratorOptions& eks_options,
       continue;
     }
     ConceptId parent = world.eks.finding_root;
-    std::vector<ConceptId> native = dag.NativeParents(id);
-    if (!native.empty()) parent = native.front();
+    const std::span<const ConceptId> parents = dag.parents(id);
+    if (!parents.empty()) parent = parents.front();
     uint8_t inherited = world.participation[parent];
     uint8_t mask = 0;
     double keep = 0.85;
@@ -261,7 +261,7 @@ Result<GeneratedWorld> GenerateWorld(const SnomedGeneratorOptions& eks_options,
   auto site_of = [&](ConceptId c) {
     ConceptId cur = c;
     while (world.eks.depth[cur] > 2) {
-      std::vector<ConceptId> parents = dag.NativeParents(cur);
+      const std::span<const ConceptId> parents = dag.parents(cur);
       if (parents.empty()) break;
       cur = parents.front();
     }

@@ -30,8 +30,7 @@ class GoldStandard {
  public:
   /// Builds judgments over the candidate pool `flagged_concepts` (the
   /// concepts relaxation can return) for every (query, context) that will
-  /// be evaluated. Distances use native subsumption edges only, so gold is
-  /// independent of shortcut edges.
+  /// be evaluated. Distances are subsumption hops.
   GoldStandard(const GeneratedWorld* world,
                const GoldStandardOptions& options);
 

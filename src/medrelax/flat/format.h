@@ -34,8 +34,13 @@ inline constexpr char kImageMagic[8] = {'M', 'R', 'X', 'I', 'M', 'G',
 /// its names and the name index from the mapping. Version 3: the
 /// frequency model as per-row defaults plus the columns of the concepts
 /// that differ from them (kFrequencyColumns, kFrequencyRows) instead of
-/// the dense table of retired section 11.
-inline constexpr uint32_t kImageVersion = 3;
+/// the dense table of retired section 11. Version 4: native edges only,
+/// each a bare uint32 concept id (sections 3 and 5), the shortcut meta
+/// fields retired, and each normalized surface stored once: a name
+/// entry references the concept-name or synonym table unless
+/// normalization changed the raw string, and only those surfaces fill
+/// sections 30-31.
+inline constexpr uint32_t kImageVersion = 4;
 
 /// Written as a native uint32; a reader on an opposite-endian host sees
 /// the byte-swapped value and refuses the image.
@@ -50,9 +55,9 @@ inline constexpr uint64_t kSectionAlignment = 16;
 enum class SectionId : uint32_t {
   kMeta = 1,
   // Concept DAG: CSR adjacency per side; edge i of concept c lives in
-  // edges[offsets[c] .. offsets[c + 1]). Edges are graph/concept_dag.h
-  // DagEdge records (12 bytes: target, original distance, flags); the
-  // two sides mirror each other.
+  // edges[offsets[c] .. offsets[c + 1]). An edge is the uint32 id of the
+  // concept at its other end (native subsumption, one hop); the two sides
+  // mirror each other.
   kDagParentOffsets = 2,
   kDagParentEdges = 3,
   kDagChildOffsets = 4,
@@ -90,9 +95,12 @@ enum class SectionId : uint32_t {
   kInstanceNameBlob = 27,
   kInstanceConcepts = 28,  ///< ontology concept id per instance
   kTriples = 29,           ///< (subject, relationship, object) uint32 triples
-  // Name index (matching/name_index.h NameIndexViews): normalized
-  // surfaces as a string table, one NameEntryRecord per surface, and the
-  // exact-match slot table of uint32 entry indexes.
+  // Name index (matching/name_index.h NameIndexViews): the normalized
+  // surfaces that differ from their raw string (a string table, one per
+  // record with kSurfaceStored, in record order), one NameEntryRecord per
+  // entry whose surface reference names that table or the concept-name
+  // (6-7) or synonym (9-10) table, and the exact-match slot table of
+  // uint32 entry indexes.
   kNameSurfaceOffsets = 30,
   kNameSurfaceBlob = 31,
   kNameEntryRecords = 32,
@@ -141,7 +149,9 @@ static_assert(std::is_trivially_copyable_v<SectionEntry>);
 // FlatMeta::flags bits: the snapshot-option booleans the image
 // round-trips (serve/snapshot.h SnapshotOptions).
 inline constexpr uint32_t kMetaFlagUseTfidf = 1u << 0;
-inline constexpr uint32_t kMetaFlagAddShortcutEdges = 1u << 1;
+/// Reserved: the add-shortcut-edges switch, retired in version 4. Must be
+/// zero.
+inline constexpr uint32_t kMetaFlagReservedBit1 = 1u << 1;
 inline constexpr uint32_t kMetaFlagUsePathPenalty = 1u << 2;
 inline constexpr uint32_t kMetaFlagUseContext = 1u << 3;
 /// Reserved: the removed geometry-memo switch. Never written; older
@@ -157,8 +167,8 @@ inline constexpr uint32_t kMetaFlagReservedBit7 = 1u << 7;
 /// sections, plus the serialized snapshot options.
 struct FlatMeta {
   uint64_t num_concepts;
-  uint64_t num_edges;            ///< native + shortcut, one side
-  uint64_t num_shortcut_edges;
+  uint64_t num_edges;            ///< one side
+  uint64_t reserved_shortcut_edges;  ///< retired in version 4; zero
   uint64_t num_synonyms;         ///< total synonym strings
   uint64_t num_contexts;
   uint64_t num_mappings;
@@ -168,7 +178,7 @@ struct FlatMeta {
   uint64_t num_instances;
   uint64_t num_triples;
   uint64_t unmapped_instances;
-  uint64_t shortcuts_added;
+  uint64_t reserved_shortcuts_added;  ///< retired in version 4; zero
   uint64_t options_fingerprint;  ///< FingerprintOptions of the knobs below
   uint64_t relax_top_k;
   double ic_smoothing;
@@ -177,7 +187,7 @@ struct FlatMeta {
   uint32_t root_concept;
   uint32_t relax_radius;
   uint32_t relax_max_radius;
-  uint32_t max_shortcut_distance;
+  uint32_t reserved_max_shortcut_distance;  ///< retired in version 4; zero
   uint32_t flags;  ///< kMetaFlag*
   /// Columns of kFrequencyRows before each row's default column.
   uint32_t num_frequency_columns;

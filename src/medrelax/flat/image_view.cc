@@ -164,7 +164,6 @@ Result<std::unique_ptr<FlatImageView>> FlatImageView::Open(
   } counts[] = {
       {"num_concepts", view->meta_->num_concepts},
       {"num_edges", view->meta_->num_edges},
-      {"num_shortcut_edges", view->meta_->num_shortcut_edges},
       {"num_synonyms", view->meta_->num_synonyms},
       {"num_contexts", view->meta_->num_contexts},
       {"num_mappings", view->meta_->num_mappings},
@@ -183,14 +182,25 @@ Result<std::unique_ptr<FlatImageView>> FlatImageView::Open(
                     view->file_.size()));
     }
   }
-  if (view->meta_->num_shortcut_edges > view->meta_->num_edges) {
-    return Status::InvalidArgument(
-        StrFormat("'%s': meta declares %llu shortcut edges out of %llu"
-                  " total",
-                  path.c_str(),
-                  static_cast<unsigned long long>(
-                      view->meta_->num_shortcut_edges),
-                  static_cast<unsigned long long>(view->meta_->num_edges)));
+  // 8. The fields retired with the shortcut edges are zero: a nonzero
+  // one comes from a producer this build does not know.
+  const struct {
+    const char* name;
+    uint64_t value;
+  } retired[] = {
+      {"reserved_shortcut_edges", view->meta_->reserved_shortcut_edges},
+      {"reserved_shortcuts_added", view->meta_->reserved_shortcuts_added},
+      {"reserved_max_shortcut_distance",
+       view->meta_->reserved_max_shortcut_distance},
+      {"flags bit 1", view->meta_->flags & kMetaFlagReservedBit1},
+  };
+  for (const auto& field : retired) {
+    if (field.value != 0) {
+      return Status::InvalidArgument(
+          StrFormat("'%s': retired meta field %s is %llu, want 0",
+                    path.c_str(), field.name,
+                    static_cast<unsigned long long>(field.value)));
+    }
   }
   return view;
 }

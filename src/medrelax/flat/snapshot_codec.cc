@@ -42,9 +42,31 @@ Status CheckOffsets(std::span<const OffsetT> offsets, uint64_t groups,
 }
 
 /// Checks that every value is below `limit`, or is kEmptySlot when
-/// `free_slots` (a slot table).
+/// `free_slots` (a slot table). The postings of an edit-distance image
+/// are megabytes, checked at every load, so the pass is a maximum with
+/// no early exit over eight independent lanes, which the compiler turns
+/// into vector code. Only a span that fails is scanned again, for the
+/// first offending index, so the message is the one a first-failure scan
+/// would give.
 Status CheckBelow(std::span<const uint32_t> values, uint64_t limit,
                   bool free_slots, const char* what) {
+  // Mapping 0 to 0 leaves a non-slot array as it is.
+  const uint32_t ignored = free_slots ? kEmptySlot : 0;
+  uint32_t lanes[8] = {};
+  size_t tail = 0;
+  for (; tail + 8 <= values.size(); tail += 8) {
+    for (size_t k = 0; k < 8; ++k) {
+      const uint32_t v = values[tail + k];
+      lanes[k] = std::max(lanes[k], v == ignored ? 0u : v);
+    }
+  }
+  for (; tail < values.size(); ++tail) {
+    const uint32_t v = values[tail];
+    lanes[0] = std::max(lanes[0], v == ignored ? 0u : v);
+  }
+  if (*std::max_element(std::begin(lanes), std::end(lanes)) < limit) {
+    return Status::OK();
+  }
   for (size_t i = 0; i < values.size(); ++i) {
     if (values[i] >= limit && !(free_slots && values[i] == kEmptySlot)) {
       return Status::InvalidArgument(
@@ -53,7 +75,7 @@ Status CheckBelow(std::span<const uint32_t> values, uint64_t limit,
                     static_cast<unsigned long long>(limit)));
     }
   }
-  return Status::OK();
+  return Status::OK();  // limit 0 over free slots only
 }
 
 /// A probe over a linear-probing table ends only at a free slot, so the
@@ -68,16 +90,15 @@ Status CheckSlotTable(size_t num_slots, size_t num_free, const char* what) {
   return Status::OK();
 }
 
-/// Reads one CSR edge side, checking its offsets, every target, flag
-/// word and distance, and counting shortcuts for the cross-check against
-/// meta.
+/// Reads one CSR edge side, checking its offsets and every target.
 Result<DagCsr> ReadEdgeCsr(const FlatImageView& image, SectionId offsets_id,
                            SectionId edges_id, size_t num_concepts,
-                           uint64_t num_edges, uint64_t* shortcut_count) {
+                           uint64_t num_edges) {
   DagCsr csr;
   MEDRELAX_ASSIGN_OR_RETURN(csr.offsets,
                             image.SectionArray<uint64_t>(offsets_id));
-  MEDRELAX_ASSIGN_OR_RETURN(csr.edges, image.SectionArray<DagEdge>(edges_id));
+  MEDRELAX_ASSIGN_OR_RETURN(csr.edges,
+                            image.SectionArray<ConceptId>(edges_id));
   if (csr.edges.size() != num_edges) {
     return Status::InvalidArgument(
         StrFormat("edge CSR %u: %zu edges do not match the declared %llu",
@@ -86,105 +107,88 @@ Result<DagCsr> ReadEdgeCsr(const FlatImageView& image, SectionId offsets_id,
   }
   MEDRELAX_RETURN_NOT_OK(CheckOffsets(csr.offsets, num_concepts,
                                       csr.edges.size(), "edge CSR offsets"));
-  uint64_t shortcuts = 0;
-  for (size_t j = 0; j < csr.edges.size(); ++j) {
-    const DagEdge& e = csr.edges[j];
-    if (e.target >= num_concepts) {
-      return Status::InvalidArgument(
-          StrFormat("edge CSR %u: edge %zu targets concept %u, only %zu"
-                    " exist",
-                    static_cast<unsigned>(edges_id), j,
-                    static_cast<unsigned>(e.target), num_concepts));
-    }
-    if ((e.flags & ~kEdgeFlagShortcut) != 0) {
-      return Status::InvalidArgument(
-          StrFormat("edge CSR %u: unknown edge flags %#x",
-                    static_cast<unsigned>(edges_id),
-                    static_cast<unsigned>(e.flags)));
-    }
-    // As ConceptDagBuilder enforces: a native edge is one hop, and a
-    // shortcut stands for at least two.
-    if (e.is_shortcut() ? e.original_distance < 2
-                        : e.original_distance != 1) {
-      return Status::InvalidArgument(
-          StrFormat("edge CSR %u: %s edge %zu has original distance %u",
-                    static_cast<unsigned>(edges_id),
-                    e.is_shortcut() ? "shortcut" : "native", j,
-                    static_cast<unsigned>(e.original_distance)));
-    }
-    if (e.is_shortcut()) ++shortcuts;
-  }
-  *shortcut_count = shortcuts;
+  MEDRELAX_RETURN_NOT_OK(CheckBelow(csr.edges, num_concepts,
+                                    /*free_slots=*/false, "edge CSR targets"));
   return csr;
 }
 
 /// Regroups `from` by edge target: group t of the result holds, in
 /// ascending source order, one edge back to each source s with an edge
-/// s -> t, with that edge's distance and flags. `into_offsets` sizes the
-/// groups; false when a group would overflow its size.
+/// s -> t. `into_offsets` sizes the groups; false when a group would
+/// overflow its size.
 bool Transpose(const DagCsr& from, std::span<const uint64_t> into_offsets,
-               std::vector<DagEdge>* out) {
+               std::vector<ConceptId>* out) {
   out->resize(from.edges.size());
   std::vector<uint64_t> cursor(into_offsets.begin(), into_offsets.end() - 1);
   for (size_t s = 0; s + 1 < from.offsets.size(); ++s) {
     for (uint64_t j = from.offsets[s]; j < from.offsets[s + 1]; ++j) {
-      const DagEdge& e = from.edges[j];
-      uint64_t& at = cursor[e.target];
-      if (at == into_offsets[e.target + 1]) return false;
-      (*out)[at++] = {static_cast<ConceptId>(s), e.original_distance,
-                      e.flags};
+      const ConceptId t = from.edges[j];
+      uint64_t& at = cursor[t];
+      if (at == into_offsets[t + 1]) return false;
+      (*out)[at++] = static_cast<ConceptId>(s);
     }
   }
   return true;
 }
 
 /// True iff the child side is the parent side reversed: every parent edge
-/// c -> p appears as a child edge p -> c with the same distance and
-/// flags. Both sides were bounds-checked and hold the same edge count.
-/// Transposing the parent side orders each child group by source;
-/// transposing the child side twice puts it in the same order, so the
-/// two agree element for element iff the sides mirror — three linear
-/// passes over two scratch arrays, no hashing, no sort.
+/// c -> p appears as a child edge p -> c. Both sides were bounds-checked
+/// and hold the same edge count. Transposing the parent side orders each
+/// child group by source; transposing the child side twice puts it in
+/// the same order, so the two agree element for element iff the sides
+/// mirror — three linear passes over two scratch arrays, no hashing, no
+/// sort.
 bool SidesMirror(const DagCsr& parents, const DagCsr& children) {
-  std::vector<DagEdge> scratch;
-  std::vector<DagEdge> canonical_children;
+  std::vector<ConceptId> scratch;
+  std::vector<ConceptId> canonical_children;
   if (!Transpose(children, parents.offsets, &scratch) ||
       !Transpose({parents.offsets, scratch}, children.offsets,
                  &canonical_children) ||
       !Transpose(parents, children.offsets, &scratch)) {
     return false;
   }
-  for (size_t j = 0; j < scratch.size(); ++j) {
-    const DagEdge& a = scratch[j];
-    const DagEdge& b = canonical_children[j];
-    if (a.target != b.target || a.original_distance != b.original_distance ||
-        a.flags != b.flags) {
-      return false;
-    }
-  }
-  return true;
+  return scratch == canonical_children;
 }
 
 /// Reads and checks the name index sections; the fuzzy ones only when
 /// `fuzzy` (edit-distance images).
 Result<NameIndexViews> ReadNameIndex(const FlatImageView& image,
-                                     size_t num_concepts, bool fuzzy) {
+                                     const DagViews& dag, bool fuzzy) {
   NameIndexViews views;
   MEDRELAX_ASSIGN_OR_RETURN(
       views.records,
       image.SectionArray<NameEntryRecord>(SectionId::kNameEntryRecords));
   const size_t num_entries = views.records.size();
+  const size_t num_concepts = dag.names.size();
+  // Every surface reference must land inside the table it names: the
+  // stored table holds one surface per record that references it.
+  const auto num_stored = static_cast<size_t>(
+      std::count_if(views.records.begin(), views.records.end(),
+                    [](const NameEntryRecord& record) {
+                      return (record.surface & kSurfaceStored) != 0;
+                    }));
   MEDRELAX_ASSIGN_OR_RETURN(
-      views.surfaces, image.Strings(SectionId::kNameSurfaceOffsets,
-                                    SectionId::kNameSurfaceBlob, num_entries));
+      views.stored, image.Strings(SectionId::kNameSurfaceOffsets,
+                                  SectionId::kNameSurfaceBlob, num_stored));
   for (size_t e = 0; e < num_entries; ++e) {
     const NameEntryRecord& record = views.records[e];
-    if (record.concept_id >= num_concepts ||
-        (record.flags & ~kNameEntryCanonical) != 0) {
+    if (record.concept_id >= num_concepts) {
       return Status::InvalidArgument(
-          StrFormat("name entry %zu: concept %u / flags %#x out of range", e,
-                    static_cast<unsigned>(record.concept_id),
-                    static_cast<unsigned>(record.flags)));
+          StrFormat("name entry %zu: concept %u out of range", e,
+                    static_cast<unsigned>(record.concept_id)));
+    }
+    const uint32_t ref = record.surface;
+    const size_t index = ref & kSurfaceIndexMask;
+    const bool stored = (ref & kSurfaceStored) != 0;
+    const bool canonical = (ref & kSurfaceCanonical) != 0;
+    const size_t table_size = stored      ? num_stored
+                              : canonical ? num_concepts
+                                          : dag.synonyms.size();
+    if (index >= table_size) {
+      return Status::InvalidArgument(StrFormat(
+          "name entry %zu: surface %zu is past the %zu-string %s table", e,
+          index, table_size,
+          stored ? "stored-surface" : canonical ? "concept-name" : "synonym"));
     }
   }
   MEDRELAX_ASSIGN_OR_RETURN(
@@ -303,10 +307,10 @@ Status WriteSnapshotImage(const ConceptDag& dag, const NameIndex& index,
   const DagViews& views = dag.views();
   writer.AddArray<uint64_t>(SectionId::kDagParentOffsets,
                             views.parents.offsets);
-  writer.AddArray<DagEdge>(SectionId::kDagParentEdges, views.parents.edges);
+  writer.AddArray<ConceptId>(SectionId::kDagParentEdges, views.parents.edges);
   writer.AddArray<uint64_t>(SectionId::kDagChildOffsets,
                             views.children.offsets);
-  writer.AddArray<DagEdge>(SectionId::kDagChildEdges, views.children.edges);
+  writer.AddArray<ConceptId>(SectionId::kDagChildEdges, views.children.edges);
   AddStrings(&writer, views.names, SectionId::kConceptNameOffsets,
              SectionId::kConceptNameBlob);
   writer.AddArray<uint64_t>(SectionId::kSynonymGroupOffsets,
@@ -315,7 +319,7 @@ Status WriteSnapshotImage(const ConceptDag& dag, const NameIndex& index,
              SectionId::kSynonymNameBlob);
 
   const NameIndexViews& names = index.views();
-  AddStrings(&writer, names.surfaces, SectionId::kNameSurfaceOffsets,
+  AddStrings(&writer, names.stored, SectionId::kNameSurfaceOffsets,
              SectionId::kNameSurfaceBlob);
   writer.AddArray<NameEntryRecord>(SectionId::kNameEntryRecords,
                                    names.records);
@@ -428,7 +432,6 @@ Status WriteSnapshotImage(const ConceptDag& dag, const NameIndex& index,
   FlatMeta meta{};
   meta.num_concepts = n;
   meta.num_edges = dag.num_edges();
-  meta.num_shortcut_edges = dag.num_shortcut_edges();
   meta.num_synonyms = views.synonyms.size();
   meta.num_contexts = num_contexts;
   meta.num_mappings = ingestion.mappings.size();
@@ -438,7 +441,6 @@ Status WriteSnapshotImage(const ConceptDag& dag, const NameIndex& index,
   meta.num_instances = kb.instances.num_instances();
   meta.num_triples = kb.triples.num_triples();
   meta.unmapped_instances = ingestion.unmapped_instances;
-  meta.shortcuts_added = ingestion.shortcuts_added;
   meta.options_fingerprint = options_fingerprint;
   meta.relax_top_k = config.relaxation.top_k;
   meta.ic_smoothing = config.ingestion.ic_smoothing;
@@ -448,10 +450,8 @@ Status WriteSnapshotImage(const ConceptDag& dag, const NameIndex& index,
   meta.root_concept = roots.size() == 1 ? roots[0] : kInvalidConcept;
   meta.relax_radius = config.relaxation.radius;
   meta.relax_max_radius = config.relaxation.max_radius;
-  meta.max_shortcut_distance = config.ingestion.max_shortcut_distance;
   meta.flags =
       (config.ingestion.use_tfidf ? kMetaFlagUseTfidf : 0u) |
-      (config.ingestion.add_shortcut_edges ? kMetaFlagAddShortcutEdges : 0u) |
       (config.similarity.use_path_penalty ? kMetaFlagUsePathPenalty : 0u) |
       (config.similarity.use_context ? kMetaFlagUseContext : 0u) |
       (config.relaxation.dynamic_radius ? kMetaFlagDynamicRadius : 0u) |
@@ -486,36 +486,23 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
   MEDRELAX_RETURN_NOT_OK(CheckOffsets(dag_views.synonym_groups, n,
                                       meta.num_synonyms,
                                       "synonym group offsets"));
-  uint64_t parent_shortcuts = 0;
-  uint64_t child_shortcuts = 0;
   MEDRELAX_ASSIGN_OR_RETURN(
       dag_views.parents,
       ReadEdgeCsr(*image, SectionId::kDagParentOffsets,
-                  SectionId::kDagParentEdges, n, meta.num_edges,
-                  &parent_shortcuts));
+                  SectionId::kDagParentEdges, n, meta.num_edges));
   MEDRELAX_ASSIGN_OR_RETURN(
       dag_views.children,
       ReadEdgeCsr(*image, SectionId::kDagChildOffsets,
-                  SectionId::kDagChildEdges, n, meta.num_edges,
-                  &child_shortcuts));
-  if (parent_shortcuts != meta.num_shortcut_edges ||
-      child_shortcuts != meta.num_shortcut_edges) {
-    return Status::InvalidArgument(
-        StrFormat("shortcut edge count mismatch: meta declares %llu, sides"
-                  " hold %llu / %llu",
-                  static_cast<unsigned long long>(meta.num_shortcut_edges),
-                  static_cast<unsigned long long>(parent_shortcuts),
-                  static_cast<unsigned long long>(child_shortcuts)));
-  }
+                  SectionId::kDagChildEdges, n, meta.num_edges));
   if (!SidesMirror(dag_views.parents, dag_views.children)) {
     return Status::InvalidArgument(
         "edge CSR: the child side does not mirror the parent side");
   }
-  dag_views.num_shortcut_edges = meta.num_shortcut_edges;
 
   MEDRELAX_ASSIGN_OR_RETURN(
       NameIndexViews index_views,
-      ReadNameIndex(*image, n, (meta.flags & kMetaFlagExactMapper) == 0));
+      ReadNameIndex(*image, dag_views,
+                    (meta.flags & kMetaFlagExactMapper) == 0));
 
   // --- KB rebuild: ids are insertion-order dense on both sides, so
   // re-adding in serialized order reproduces every id exactly.
@@ -740,14 +727,10 @@ Result<DecodedSnapshotImage> ReadSnapshotImage(const std::string& path) {
                      "concept-context index"));
 
   ingestion.unmapped_instances = meta.unmapped_instances;
-  ingestion.shortcuts_added = meta.shortcuts_added;
 
   // --- Options round-trip.
   ImageSnapshotConfig config;
   config.ingestion.use_tfidf = (meta.flags & kMetaFlagUseTfidf) != 0;
-  config.ingestion.add_shortcut_edges =
-      (meta.flags & kMetaFlagAddShortcutEdges) != 0;
-  config.ingestion.max_shortcut_distance = meta.max_shortcut_distance;
   config.ingestion.ic_smoothing = meta.ic_smoothing;
   config.similarity.generalization_weight = meta.generalization_weight;
   config.similarity.specialization_weight = meta.specialization_weight;

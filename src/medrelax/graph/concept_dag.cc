@@ -12,31 +12,15 @@ struct ConceptDag::Storage {
   std::vector<uint64_t> synonym_groups;
   StringTableBuilder synonyms;
   std::vector<uint64_t> parent_offsets;
-  std::vector<DagEdge> parent_edges;
+  std::vector<ConceptId> parent_edges;
   std::vector<uint64_t> child_offsets;
-  std::vector<DagEdge> child_edges;
+  std::vector<ConceptId> child_edges;
 };
 
 ConceptDag ConceptDag::Borrow(const DagViews& views) {
   ConceptDag dag;
   dag.views_ = views;
   return dag;
-}
-
-std::vector<ConceptId> ConceptDag::NativeParents(ConceptId id) const {
-  std::vector<ConceptId> out;
-  for (const DagEdge& e : parents(id)) {
-    if (!e.is_shortcut()) out.push_back(e.target);
-  }
-  return out;
-}
-
-std::vector<ConceptId> ConceptDag::NativeChildren(ConceptId id) const {
-  std::vector<ConceptId> out;
-  for (const DagEdge& e : children(id)) {
-    if (!e.is_shortcut()) out.push_back(e.target);
-  }
-  return out;
 }
 
 ConceptId ConceptDag::FindByName(std::string_view name) const {
@@ -66,12 +50,11 @@ ConceptDagBuilder::ConceptDagBuilder(const ConceptDag& dag) {
     parents_[id].assign(dag.parents(id).begin(), dag.parents(id).end());
     children_[id].assign(dag.children(id).begin(), dag.children(id).end());
   }
-  num_shortcuts_ = dag.num_shortcut_edges();
 }
 
 Result<ConceptId> ConceptDagBuilder::AddConcept(std::string name) {
   // A builder started from a DAG indexes its names on the first
-  // AddConcept: ingestion's shortcut pass never pays for the map.
+  // AddConcept: a caller that only adds edges never pays for the map.
   if (name_to_id_.size() < names_.size()) {
     name_to_id_.reserve(names_.size() + 1);
     for (ConceptId id = 0; id < names_.size(); ++id) {
@@ -107,47 +90,25 @@ Status ConceptDagBuilder::AddSubsumption(ConceptId child, ConceptId parent) {
     return Status::InvalidArgument(
         StrFormat("AddSubsumption: self-edge on '%s'", names_[child].c_str()));
   }
-  for (const DagEdge& e : parents_[child]) {
-    if (e.target == parent && !e.is_shortcut()) {
-      return Status::AlreadyExists(
-          StrFormat("edge '%s' -> '%s' already exists",
-                    names_[child].c_str(), names_[parent].c_str()));
-    }
+  const std::vector<ConceptId>& have = parents_[child];
+  if (std::find(have.begin(), have.end(), parent) != have.end()) {
+    return Status::AlreadyExists(
+        StrFormat("edge '%s' -> '%s' already exists", names_[child].c_str(),
+                  names_[parent].c_str()));
   }
-  parents_[child].push_back({parent, 1, 0});
-  children_[parent].push_back({child, 1, 0});
-  return Status::OK();
-}
-
-Status ConceptDagBuilder::AddShortcut(ConceptId child, ConceptId parent,
-                                      uint32_t original_distance) {
-  if (!IsValid(child) || !IsValid(parent)) {
-    return Status::InvalidArgument("AddShortcut: invalid concept id");
-  }
-  if (child == parent) {
-    return Status::InvalidArgument("AddShortcut: self-edge");
-  }
-  if (original_distance < 2) {
-    return Status::InvalidArgument(
-        "AddShortcut: shortcut must replace >= 2 native hops");
-  }
-  for (const DagEdge& e : parents_[child]) {
-    if (e.target == parent) return Status::OK();  // already connected
-  }
-  parents_[child].push_back({parent, original_distance, kEdgeFlagShortcut});
-  children_[parent].push_back({child, original_distance, kEdgeFlagShortcut});
-  ++num_shortcuts_;
+  parents_[child].push_back(parent);
+  children_[parent].push_back(child);
   return Status::OK();
 }
 
 ConceptDag ConceptDagBuilder::Build() && {
   auto storage = std::make_shared<ConceptDag::Storage>();
-  const auto flatten = [](const std::vector<std::vector<DagEdge>>& side,
+  const auto flatten = [](const std::vector<std::vector<ConceptId>>& side,
                           std::vector<uint64_t>* offsets,
-                          std::vector<DagEdge>* edges) {
+                          std::vector<ConceptId>* edges) {
     offsets->reserve(side.size() + 1);
     offsets->push_back(0);
-    for (const std::vector<DagEdge>& group : side) {
+    for (const std::vector<ConceptId>& group : side) {
       edges->insert(edges->end(), group.begin(), group.end());
       offsets->push_back(edges->size());
     }
@@ -170,7 +131,6 @@ ConceptDag ConceptDagBuilder::Build() && {
   dag.views_.synonyms = storage->synonyms.view();
   dag.views_.parents = {storage->parent_offsets, storage->parent_edges};
   dag.views_.children = {storage->child_offsets, storage->child_edges};
-  dag.views_.num_shortcut_edges = num_shortcuts_;
   dag.storage_ = std::move(storage);
   return dag;
 }

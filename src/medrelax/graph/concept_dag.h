@@ -22,35 +22,14 @@ using ConceptId = uint32_t;
 /// Sentinel for "no concept".
 inline constexpr ConceptId kInvalidConcept = UINT32_MAX;
 
-/// DagEdge::flags bit of a shortcut edge.
-inline constexpr uint32_t kEdgeFlagShortcut = 1u;
-
-/// One subsumption (or shortcut) edge of the external knowledge source.
-///
-/// An edge is stored on the child (more specific) side pointing to the
-/// parent (more general) side: child ⊑ parent. `original_distance` is 1 for
-/// native subsumption edges; shortcut edges added during ingestion
-/// (Section 5.1, "sparsity of external knowledge source") carry the number
-/// of native hops they replace so the original semantics are preserved.
-///
-/// The layout is also the flat image's edge record (three little-endian
-/// words, no padding), so a DAG can borrow its edges from a mapping.
-struct DagEdge {
-  ConceptId target = kInvalidConcept;
-  uint32_t original_distance = 1;
-  uint32_t flags = 0;  ///< kEdgeFlagShortcut
-
-  [[nodiscard]] bool is_shortcut() const {
-    return (flags & kEdgeFlagShortcut) != 0;
-  }
-};
-static_assert(sizeof(DagEdge) == 12, "on-disk layout is frozen");
-
-/// One side of the adjacency in CSR form: the edges of concept c are
-/// edges[offsets[c] .. offsets[c + 1]).
+/// One side of the adjacency in CSR form: the neighbors of concept c are
+/// edges[offsets[c] .. offsets[c + 1]). An edge is a bare ConceptId: the
+/// DAG holds native subsumption edges only, each one hop, so the target
+/// is all there is to store. The layout is also the flat image's edge
+/// sections, so a DAG can borrow its edges from a mapping.
 struct DagCsr {
   std::span<const uint64_t> offsets;
-  std::span<const DagEdge> edges;
+  std::span<const ConceptId> edges;
 };
 
 /// Everything a ConceptDag reads, as views. The DAG either owns the
@@ -64,7 +43,6 @@ struct DagViews {
   StringTableView synonyms;
   DagCsr parents;
   DagCsr children;
-  size_t num_shortcut_edges = 0;
 };
 
 /// In-memory external knowledge source: a DAG of named concepts under
@@ -74,9 +52,12 @@ struct DagViews {
 /// freezes them once into this compressed form — per side an offsets
 /// array plus an edge array, and the names and synonyms as NUL-terminated
 /// string tables. The same form is what a flat image stores, so a served
-/// DAG borrows it from the mapping instead of decoding a copy. The two
-/// sides mirror each other: every parent edge c -> p appears as a child
-/// edge p -> c with the same distance and flags. Acyclicity is checked by
+/// DAG borrows it from the mapping instead of decoding a copy. Every edge
+/// is a native subsumption edge (child ⊑ parent, one hop); the shortcut
+/// edges of Algorithm 1 lines 19-23 are never stored, since each spans
+/// exactly its native distance and so changes no distance (ShortcutEdges
+/// in traversal.h computes them). The two sides mirror each other: every
+/// parent edge c -> p appears as a child edge p -> c. Acyclicity is checked by
 /// ValidateAcyclic() (topology.h); ingestion refuses cyclic inputs.
 class ConceptDag {
  public:
@@ -104,14 +85,9 @@ class ConceptDag {
   /// Number of concepts.
   [[nodiscard]] size_t num_concepts() const { return views_.names.size(); }
 
-  /// Total number of edges (native + shortcut).
+  /// Total number of (native subsumption) edges.
   [[nodiscard]] size_t num_edges() const {
     return views_.parents.edges.size();
-  }
-
-  /// Number of shortcut edges.
-  [[nodiscard]] size_t num_shortcut_edges() const {
-    return views_.num_shortcut_edges;
   }
 
   /// Canonical name of a concept. Precondition: id is valid.
@@ -126,23 +102,17 @@ class ConceptDag {
                                  views_.synonym_groups[id + 1] - first);
   }
 
-  /// Outgoing generalization edges: everything `id` is a (possibly shortcut)
-  /// direct child of.
-  [[nodiscard]] std::span<const DagEdge> parents(ConceptId id) const {
+  /// Direct generalizations: everything `id` is a direct child of, in
+  /// insertion order.
+  [[nodiscard]] std::span<const ConceptId> parents(ConceptId id) const {
     return Side(views_.parents, id);
   }
 
-  /// Incoming specialization edges: everything that directly (possibly via
-  /// shortcut) specializes `id`.
-  [[nodiscard]] std::span<const DagEdge> children(ConceptId id) const {
+  /// Direct specializations: everything that directly specializes `id`,
+  /// in insertion order.
+  [[nodiscard]] std::span<const ConceptId> children(ConceptId id) const {
     return Side(views_.children, id);
   }
-
-  /// Native (non-shortcut) parents only.
-  [[nodiscard]] std::vector<ConceptId> NativeParents(ConceptId id) const;
-
-  /// Native (non-shortcut) children only.
-  [[nodiscard]] std::vector<ConceptId> NativeChildren(ConceptId id) const;
 
   /// Looks up a concept by exact canonical name; kInvalidConcept if absent.
   /// A linear scan: serving maps terms through the NameIndex instead.
@@ -164,7 +134,7 @@ class ConceptDag {
   friend class ConceptDagBuilder;
   struct Storage;
 
-  static std::span<const DagEdge> Side(const DagCsr& csr, ConceptId id) {
+  static std::span<const ConceptId> Side(const DagCsr& csr, ConceptId id) {
     return csr.edges.subspan(csr.offsets[id],
                              csr.offsets[id + 1] - csr.offsets[id]);
   }
@@ -180,8 +150,7 @@ class ConceptDag {
 class ConceptDagBuilder {
  public:
   ConceptDagBuilder() = default;
-  /// Starts from a copy of `dag`, to extend it (ingestion's shortcut
-  /// pass, tests).
+  /// Starts from a copy of `dag`, to extend it.
   explicit ConceptDagBuilder(const ConceptDag& dag);
 
   /// Adds a concept with a unique canonical name. Fails with AlreadyExists
@@ -196,14 +165,7 @@ class ConceptDagBuilder {
   /// Fails on out-of-range ids, self-edges, and duplicate native edges.
   [[nodiscard]] Status AddSubsumption(ConceptId child, ConceptId parent);
 
-  /// Adds a shortcut edge child ⊑ parent annotated with the original hop
-  /// distance it replaces (Algorithm 1, line 21). Duplicate shortcuts are
-  /// ignored (idempotent).
-  [[nodiscard]] Status AddShortcut(ConceptId child, ConceptId parent,
-                                   uint32_t original_distance);
-
   [[nodiscard]] size_t num_concepts() const { return names_.size(); }
-  [[nodiscard]] size_t num_shortcut_edges() const { return num_shortcuts_; }
   [[nodiscard]] const std::string& name(ConceptId id) const {
     return names_[id];
   }
@@ -219,10 +181,9 @@ class ConceptDagBuilder {
 
   std::vector<std::string> names_;
   std::vector<std::vector<std::string>> synonyms_;
-  std::vector<std::vector<DagEdge>> parents_;
-  std::vector<std::vector<DagEdge>> children_;
+  std::vector<std::vector<ConceptId>> parents_;
+  std::vector<std::vector<ConceptId>> children_;
   std::unordered_map<std::string, ConceptId> name_to_id_;
-  size_t num_shortcuts_ = 0;
 };
 
 }  // namespace medrelax

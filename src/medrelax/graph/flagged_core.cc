@@ -19,19 +19,15 @@ FlaggedCore::FlaggedCore(const ConceptDag& dag,
     return v < flagged.size() && flagged[v];
   };
 
-  // Leaf stripping over native edges: degree[v] counts v's incident
-  // native edges whose other end is not yet removed; `order` is the peel
-  // queue and, once drained, the removal order.
+  // Leaf stripping: degree[v] counts v's incident edges whose other end
+  // is not yet removed; `order` is the peel queue and, once drained, the
+  // removal order.
   std::vector<uint32_t> degree(n, 0);
   std::vector<Peel> state(n, Peel::kKept);
   std::vector<ConceptId> order;
   for (ConceptId v = 0; v < n; ++v) {
-    for (const DagEdge& e : dag.parents(v)) {
-      if (!e.is_shortcut()) ++degree[v];
-    }
-    for (const DagEdge& e : dag.children(v)) {
-      if (!e.is_shortcut()) ++degree[v];
-    }
+    degree[v] =
+        static_cast<uint32_t>(dag.parents(v).size() + dag.children(v).size());
     if (degree[v] <= 1 && !is_flagged(v)) {
       state[v] = Peel::kQueued;
       order.push_back(v);
@@ -43,20 +39,18 @@ FlaggedCore::FlaggedCore(const ConceptDag& dag,
   for (size_t head = 0; head < order.size(); ++head) {
     const ConceptId v = order[head];
     state[v] = Peel::kRemoved;
-    auto hang = [&](const DagEdge& e) {
-      if (e.is_shortcut() || tree_parent[v] != kInvalidConcept ||
-          state[e.target] == Peel::kRemoved) {
+    auto hang = [&](ConceptId u) {
+      if (tree_parent[v] != kInvalidConcept || state[u] == Peel::kRemoved) {
         return;
       }
-      tree_parent[v] = e.target;
-      if (--degree[e.target] <= 1 && state[e.target] == Peel::kKept &&
-          !is_flagged(e.target)) {
-        state[e.target] = Peel::kQueued;
-        order.push_back(e.target);
+      tree_parent[v] = u;
+      if (--degree[u] <= 1 && state[u] == Peel::kKept && !is_flagged(u)) {
+        state[u] = Peel::kQueued;
+        order.push_back(u);
       }
     };
-    for (const DagEdge& e : dag.parents(v)) hang(e);
-    for (const DagEdge& e : dag.children(v)) hang(e);
+    for (ConceptId u : dag.parents(v)) hang(u);
+    for (ConceptId u : dag.children(v)) hang(u);
   }
 
   // Number the kept concepts in id order, then attach the removed trees
@@ -81,13 +75,11 @@ FlaggedCore::FlaggedCore(const ConceptDag& dag,
   offsets_.reserve(concepts_.size() + 1);
   offsets_.push_back(0);
   for (ConceptId v : concepts_) {
-    auto keep = [&](const DagEdge& e) {
-      if (!e.is_shortcut() && state[e.target] != Peel::kRemoved) {
-        edges_.push_back(attachments_[e.target].node);
-      }
+    auto keep = [&](ConceptId u) {
+      if (state[u] != Peel::kRemoved) edges_.push_back(attachments_[u].node);
     };
-    for (const DagEdge& e : dag.parents(v)) keep(e);
-    for (const DagEdge& e : dag.children(v)) keep(e);
+    for (ConceptId u : dag.parents(v)) keep(u);
+    for (ConceptId u : dag.children(v)) keep(u);
     offsets_.push_back(static_cast<uint32_t>(edges_.size()));
   }
 }

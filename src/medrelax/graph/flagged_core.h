@@ -14,11 +14,9 @@ namespace medrelax {
 /// The part of a DAG a search for flagged concepts (Algorithm 2 line 2)
 /// ever needs to walk, built once per (DAG, flag set).
 ///
-/// Native edges only: the search counts original taxonomy hops, and
-/// every shortcut edge spans exactly its native up-distance, so dropping
-/// shortcuts changes no distance; every core edge is one hop.
+/// The search counts taxonomy hops; every core edge is one hop.
 ///
-/// Peeling: unflagged concepts with at most one remaining incident native
+/// Peeling: unflagged concepts with at most one remaining incident
 /// edge (both directions, counted with multiplicity) are removed
 /// repeatedly until none is left, in O(V + E). A removed concept had at
 /// most one edge left when it went, so it lies on no shortest path

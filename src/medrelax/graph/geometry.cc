@@ -26,21 +26,19 @@ void GeometryEngine::SetSource(ConceptId source) {
     source_epoch_ = 1;
   }
   if (!dag_->IsValid(source)) return;  // nothing reachable
-  // Sparse upward BFS over native edges: original-hop distances to the
-  // source's reflexive ancestors.
+  // Sparse upward BFS: hop distances to the source's reflexive ancestors.
   cone_.clear();
   slots_[source].source_stamp = source_epoch_;
   slots_[source].source_up = 0;
   cone_.push_back(source);
   for (size_t head = 0; head < cone_.size(); ++head) {
     ConceptId u = cone_[head];
-    for (const DagEdge& e : dag_->parents(u)) {
-      if (e.is_shortcut()) continue;
-      Slot& parent = slots_[e.target];
+    for (ConceptId p : dag_->parents(u)) {
+      Slot& parent = slots_[p];
       if (parent.source_stamp != source_epoch_) {
         parent.source_stamp = source_epoch_;
         parent.source_up = slots_[u].source_up + 1;
-        cone_.push_back(e.target);
+        cone_.push_back(p);
       }
     }
   }
@@ -54,9 +52,9 @@ const PairGeometry& GeometryEngine::Compute(ConceptId target) {
   g.lcs.clear();
   if (!dag_->IsValid(source_) || !dag_->IsValid(target)) return g;
 
-  // Sparse upward BFS from the target over native edges: the reflexive
-  // ancestor cone with original-hop distances. The same sweep does the
-  // LCS minimality check parent-side: every native parent of a common
+  // Sparse upward BFS from the target: the reflexive ancestor cone with
+  // hop distances. The same sweep does the LCS minimality check
+  // parent-side: every parent of a common
   // subsumer (a cone member the source also reaches) is a common
   // subsumer with a common subsumer below it, hence not least.
   if (++target_epoch_ == 0) {
@@ -70,19 +68,18 @@ const PairGeometry& GeometryEngine::Compute(ConceptId target) {
   for (size_t head = 0; head < cone_.size(); ++head) {
     ConceptId u = cone_[head];
     const bool common = ReachedFromSource(u);
-    for (const DagEdge& e : dag_->parents(u)) {
-      if (e.is_shortcut()) continue;
-      Slot& parent = slots_[e.target];
+    for (ConceptId p : dag_->parents(u)) {
+      Slot& parent = slots_[p];
       if (common) parent.parent_stamp = target_epoch_;
       if (parent.target_stamp != target_epoch_) {
         parent.target_stamp = target_epoch_;
         parent.target_up = slots_[u].target_up + 1;
-        cone_.push_back(e.target);
+        cone_.push_back(p);
       }
     }
   }
 
-  // Best apex: minimal total original-hop length, ties broken towards the
+  // Best apex: minimal total hop length, ties broken towards the
   // fewest generalization hops (matching ShortestTaxonomicPath).
   uint32_t best_total = kUnreachable;
   uint32_t best_up = kUnreachable;

@@ -27,9 +27,8 @@ LcsResult LeastCommonSubsumers(const ConceptDag& dag, ConceptId a,
   for (ConceptId c = 0; c < dag.num_concepts(); ++c) {
     if (!is_common(c)) continue;
     bool minimal = true;
-    for (const DagEdge& e : dag.children(c)) {
-      if (e.is_shortcut()) continue;
-      if (is_common(e.target)) {
+    for (ConceptId child : dag.children(c)) {
+      if (is_common(child)) {
         minimal = false;
         break;
       }

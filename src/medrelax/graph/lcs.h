@@ -19,7 +19,7 @@ struct LcsResult {
   /// when one subsumes the other (a concept subsumes itself for LCS
   /// purposes, matching the IC-similarity convention sim(A, A) = 1).
   std::vector<ConceptId> concepts;
-  /// Combined original-hop distance up(A -> lcs) + up(B -> lcs).
+  /// Combined hop distance up(A -> lcs) + up(B -> lcs).
   uint32_t combined_distance = 0;
   /// up(A -> lcs): generalization hops from A.
   uint32_t distance_from_a = 0;

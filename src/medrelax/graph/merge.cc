@@ -48,10 +48,9 @@ Result<MergeResult> MergeExternalSources(const ConceptDag& a,
     }
   }
   for (ConceptId id = 0; id < a.num_concepts(); ++id) {
-    for (const DagEdge& e : a.parents(id)) {
-      if (e.is_shortcut()) continue;
+    for (ConceptId parent : a.parents(id)) {
       MEDRELAX_RETURN_NOT_OK(merged_dag.AddSubsumption(
-          result.from_a[id], result.from_a[e.target]));
+          result.from_a[id], result.from_a[parent]));
     }
   }
 
@@ -103,10 +102,9 @@ Result<MergeResult> MergeExternalSources(const ConceptDag& a,
     result.from_b[id] = merged;
   }
   for (ConceptId id = 0; id < b.num_concepts(); ++id) {
-    for (const DagEdge& e : b.parents(id)) {
-      if (e.is_shortcut()) continue;
+    for (ConceptId source_parent : b.parents(id)) {
       ConceptId child = result.from_b[id];
-      ConceptId parent = result.from_b[e.target];
+      ConceptId parent = result.from_b[source_parent];
       if (child == parent) continue;  // unification collapsed the edge
       Status st = merged_dag.AddSubsumption(child, parent);
       if (!st.ok() && !st.IsAlreadyExists()) return st;

@@ -37,9 +37,7 @@ struct MergeResult {
 /// SNOMED CT, Gene Ontology; this is the union step that lets ingestion
 /// and relaxation run over several at once).
 ///
-/// Native subsumption edges are copied; shortcut edges are intentionally
-/// dropped (re-run ingestion over the merged source to re-derive them for
-/// the application). Fails with FailedPrecondition when unification would
+/// Subsumption edges are copied. Fails with FailedPrecondition when unification would
 /// introduce a subsumption cycle (contradictory hierarchies), leaving the
 /// caller to resolve the conflict.
 [[nodiscard]] Result<MergeResult> MergeExternalSources(const ConceptDag& a,

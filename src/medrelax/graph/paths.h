@@ -17,8 +17,7 @@ enum class HopDirection : uint8_t {
 };
 
 /// A shortest up-then-down path between two concepts through a common
-/// subsumer, expanded to *original* hops (shortcut edges contribute their
-/// annotated distance as that many unit hops). This is the |D|-hop path of
+/// subsumer, in subsumption hops. This is the |D|-hop path of
 /// Equation (4).
 struct TaxonomicPath {
   /// True iff the two concepts are connected (always true in a rooted DAG).
@@ -35,16 +34,17 @@ struct TaxonomicPath {
   uint32_t length() const { return static_cast<uint32_t>(hops.size()); }
 };
 
-/// Computes the shortest (in original hops) generalize-then-specialize path
+/// Computes the shortest (in hops) generalize-then-specialize path
 /// from `from` to `to`. Among apexes with equal total length, the one with
 /// the fewest generalization hops wins (generalizations are the penalized
 /// direction, so this is the path a ranker would prefer).
 TaxonomicPath ShortestTaxonomicPath(const ConceptDag& dag, ConceptId from,
                                     ConceptId to);
 
-/// Shortest original-hop distance |shortestPath(A, B)| between a descendant
-/// A and its ancestor B, used to annotate shortcut edges (Algorithm 1 line
-/// 21). Returns UINT32_MAX if B does not subsume A.
+/// Shortest hop distance |shortestPath(A, B)| between a descendant A and
+/// its ancestor B, the distance a shortcut edge carries (Algorithm 1 line
+/// 21; ShortcutEdges in traversal.h). Returns UINT32_MAX if B does not
+/// subsume A.
 uint32_t SubsumptionDistance(const ConceptDag& dag, ConceptId descendant,
                              ConceptId ancestor);
 

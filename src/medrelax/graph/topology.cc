@@ -10,14 +10,10 @@ Result<std::vector<ConceptId>> TopologicalSortChildrenFirst(
     const ConceptDag& dag) {
   const size_t n = dag.num_concepts();
   // In-degree of a node in the child->parent orientation is its number of
-  // native children: a concept can be emitted once all its children are.
+  // children: a concept can be emitted once all its children are.
   std::vector<uint32_t> pending_children(n, 0);
   for (ConceptId id = 0; id < n; ++id) {
-    uint32_t native = 0;
-    for (const DagEdge& e : dag.children(id)) {
-      if (!e.is_shortcut()) ++native;
-    }
-    pending_children[id] = native;
+    pending_children[id] = static_cast<uint32_t>(dag.children(id).size());
   }
 
   std::vector<ConceptId> queue;
@@ -31,9 +27,8 @@ Result<std::vector<ConceptId>> TopologicalSortChildrenFirst(
   for (size_t head = 0; head < queue.size(); ++head) {
     ConceptId id = queue[head];
     order.push_back(id);
-    for (const DagEdge& e : dag.parents(id)) {
-      if (e.is_shortcut()) continue;
-      if (--pending_children[e.target] == 0) queue.push_back(e.target);
+    for (ConceptId parent : dag.parents(id)) {
+      if (--pending_children[parent] == 0) queue.push_back(parent);
     }
   }
 
@@ -73,9 +68,8 @@ Result<std::vector<uint32_t>> DepthsFromRoot(const ConceptDag& dag) {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     ConceptId id = *it;
     uint32_t d = 0;
-    for (const DagEdge& e : dag.parents(id)) {
-      if (e.is_shortcut()) continue;
-      d = std::max(d, depth[e.target] + 1);
+    for (ConceptId parent : dag.parents(id)) {
+      d = std::max(d, depth[parent] + 1);
     }
     depth[id] = d;
   }

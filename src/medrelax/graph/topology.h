@@ -8,21 +8,21 @@
 
 namespace medrelax {
 
-/// Kahn topological sort over the *native* subsumption edges, children
+/// Kahn topological sort over the subsumption edges, children
 /// before parents (descendants precede ancestors), as required by
 /// Algorithm 1 line 12 for bottom-up frequency propagation (Equation 2).
 /// Fails with FailedPrecondition if the graph contains a cycle.
 Result<std::vector<ConceptId>> TopologicalSortChildrenFirst(
     const ConceptDag& dag);
 
-/// Validates that the native subsumption relation is acyclic.
+/// Validates that the subsumption relation is acyclic.
 [[nodiscard]] Status ValidateAcyclic(const ConceptDag& dag);
 
 /// Validates the well-formedness assumptions of Section 2.2: acyclic and a
 /// single root of which every concept is a descendant.
 [[nodiscard]] Status ValidateExternalSource(const ConceptDag& dag);
 
-/// Depth of every concept: length of the longest native generalization
+/// Depth of every concept: length of the longest generalization
 /// chain from the concept up to a root (roots have depth 0).
 Result<std::vector<uint32_t>> DepthsFromRoot(const ConceptDag& dag);
 

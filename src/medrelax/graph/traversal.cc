@@ -9,15 +9,7 @@ namespace {
 
 constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
 
-/// The search weight of an edge: its original distance, with a malformed
-/// zero clamped to 1 so the Dial queue always advances.
-uint32_t HopWeight(const DagEdge& e) {
-  return e.original_distance == 0 ? 1 : e.original_distance;
-}
-
-// BFS over native edges in one direction; returns per-concept hop counts.
-// Shortcut edges preserve original distances by construction, so original
-// hop distances are exactly the native-edge BFS distances.
+// BFS in one direction; returns per-concept hop counts.
 std::vector<uint32_t> DirectedDistances(const ConceptDag& dag, ConceptId start,
                                         bool upward) {
   std::vector<uint32_t> dist(dag.num_concepts(), kUnreachable);
@@ -25,13 +17,10 @@ std::vector<uint32_t> DirectedDistances(const ConceptDag& dag, ConceptId start,
   std::vector<ConceptId> queue = {start};
   for (size_t head = 0; head < queue.size(); ++head) {
     ConceptId u = queue[head];
-    const std::span<const DagEdge> edges =
-        upward ? dag.parents(u) : dag.children(u);
-    for (const DagEdge& e : edges) {
-      if (e.is_shortcut()) continue;
-      if (dist[e.target] == kUnreachable) {
-        dist[e.target] = dist[u] + 1;
-        queue.push_back(e.target);
+    for (ConceptId v : upward ? dag.parents(u) : dag.children(u)) {
+      if (dist[v] == kUnreachable) {
+        dist[v] = dist[u] + 1;
+        queue.push_back(v);
       }
     }
   }
@@ -66,12 +55,11 @@ bool IsAncestorOf(const ConceptDag& dag, ConceptId ancestor,
   seen[descendant] = true;
   std::vector<ConceptId> queue = {descendant};
   for (size_t head = 0; head < queue.size(); ++head) {
-    for (const DagEdge& e : dag.parents(queue[head])) {
-      if (e.is_shortcut()) continue;
-      if (e.target == ancestor) return true;
-      if (!seen[e.target]) {
-        seen[e.target] = true;
-        queue.push_back(e.target);
+    for (ConceptId parent : dag.parents(queue[head])) {
+      if (parent == ancestor) return true;
+      if (!seen[parent]) {
+        seen[parent] = true;
+        queue.push_back(parent);
       }
     }
   }
@@ -84,28 +72,20 @@ std::vector<Neighbor> NeighborsWithinRadius(const ConceptDag& dag,
   if (radius == 0 || !dag.IsValid(start)) return out;
   std::vector<uint32_t> dist(dag.num_concepts(), kUnreachable);
   dist[start] = 0;
-  // Dial queue: buckets[d] holds concepts tentatively at distance d; an
-  // entry whose distance has since shrunk is stale and skipped.
-  std::vector<std::vector<ConceptId>> buckets = {{start}};
-  for (uint32_t d = 0; d < buckets.size(); ++d) {
-    // Index-based loop: relaxations grow `buckets` but never bucket d.
-    for (size_t i = 0; i < buckets[d].size(); ++i) {
-      const ConceptId u = buckets[d][i];
-      if (dist[u] != d) continue;
-      if (d > 0) out.push_back({u, d});
-      auto relax = [&](const DagEdge& e) {
-        const uint32_t weight = HopWeight(e);
-        if (weight > radius - d) return;
-        const uint32_t candidate = d + weight;
-        if (candidate < dist[e.target]) {
-          dist[e.target] = candidate;
-          if (candidate >= buckets.size()) buckets.resize(candidate + 1);
-          buckets[candidate].push_back(e.target);
-        }
-      };
-      for (const DagEdge& e : dag.parents(u)) relax(e);
-      for (const DagEdge& e : dag.children(u)) relax(e);
-    }
+  std::vector<ConceptId> queue = {start};
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const ConceptId u = queue[head];
+    const uint32_t d = dist[u];
+    if (d > 0) out.push_back({u, d});
+    if (d == radius) continue;
+    auto visit = [&](ConceptId v) {
+      if (dist[v] == kUnreachable) {
+        dist[v] = d + 1;
+        queue.push_back(v);
+      }
+    };
+    for (ConceptId v : dag.parents(u)) visit(v);
+    for (ConceptId v : dag.children(u)) visit(v);
   }
   return out;
 }
@@ -120,6 +100,31 @@ std::vector<uint32_t> UpDistances(const ConceptDag& dag, ConceptId start) {
 
 std::vector<uint32_t> DownDistances(const ConceptDag& dag, ConceptId start) {
   return DirectedDistances(dag, start, /*upward=*/false);
+}
+
+std::vector<ShortcutEdge> ShortcutEdges(const ConceptDag& dag,
+                                        const std::vector<bool>& flagged) {
+  auto is_flagged = [&](ConceptId v) {
+    return v < flagged.size() && flagged[v];
+  };
+  // Adjacent pairs (distance 1) already have their native edge.
+  auto want = [](uint32_t d) { return d >= 2 && d != kUnreachable; };
+  std::vector<ShortcutEdge> out;
+  for (ConceptId a = 0; a < dag.num_concepts(); ++a) {
+    if (!is_flagged(a)) continue;
+    // Flagged A: connect to every non-adjacent ancestor B.
+    const std::vector<uint32_t> up = UpDistances(dag, a);
+    for (ConceptId b = 0; b < dag.num_concepts(); ++b) {
+      if (want(up[b])) out.push_back({a, b, up[b]});
+    }
+    // Flagged B (= a): connect every non-adjacent descendant to it. A
+    // flagged descendant already has this edge from its own upward pass.
+    const std::vector<uint32_t> down = DownDistances(dag, a);
+    for (ConceptId d = 0; d < dag.num_concepts(); ++d) {
+      if (!is_flagged(d) && want(down[d])) out.push_back({d, a, down[d]});
+    }
+  }
+  return out;
 }
 
 }  // namespace medrelax

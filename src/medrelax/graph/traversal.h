@@ -8,15 +8,15 @@
 
 namespace medrelax {
 
-/// All (direct and transitive) generalizations of `id` over native edges,
-/// excluding `id` itself (the paper's "ancestors", Section 2.2).
+/// All (direct and transitive) generalizations of `id`, excluding `id`
+/// itself (the paper's "ancestors", Section 2.2).
 std::vector<ConceptId> Ancestors(const ConceptDag& dag, ConceptId id);
 
-/// All (direct and transitive) specializations of `id` over native edges,
-/// excluding `id` itself (the paper's "descendants").
+/// All (direct and transitive) specializations of `id`, excluding `id`
+/// itself (the paper's "descendants").
 std::vector<ConceptId> Descendants(const ConceptDag& dag, ConceptId id);
 
-/// True iff `ancestor` subsumes `descendant` (strictly; native edges).
+/// True iff `ancestor` subsumes `descendant` (strictly).
 bool IsAncestorOf(const ConceptDag& dag, ConceptId ancestor,
                   ConceptId descendant);
 
@@ -24,36 +24,60 @@ bool IsAncestorOf(const ConceptDag& dag, ConceptId ancestor,
 /// distance from the start concept.
 struct Neighbor {
   ConceptId id = kInvalidConcept;
-  /// Shortest distance in *original* hops: a native edge counts 1 and a
-  /// shortcut edge counts its annotated original distance, which is its
-  /// native up-distance. The radius-r ball is therefore identical whether
-  /// or not shortcut edges were materialized (DESIGN.md ablation promise:
-  /// shortcut edges on/off yields the same candidates); the relaxer's
-  /// core search (flagged_core.h) walks native edges only.
+  /// Shortest distance in native subsumption hops. A shortcut edge of
+  /// Algorithm 1 would span exactly its native distance (ShortcutEdges),
+  /// so the radius-r ball is the same with or without shortcuts.
   uint32_t hops = 0;
 };
 
-/// Concepts within `radius` original hops of `start`, traversing edges in
-/// both directions (generalization and specialization), excluding `start`
-/// itself, in nondecreasing hop order: an eager bounded Dijkstra over the
+/// Concepts within `radius` hops of `start`, traversing edges in both
+/// directions (generalization and specialization), excluding `start`
+/// itself, in nondecreasing hop order: an eager bounded BFS over the
 /// whole DAG with a |V|-sized distance array. The reference the
 /// relaxer's core search (flagged_core.h) is tested against; serving
 /// never calls it.
 std::vector<Neighbor> NeighborsWithinRadius(const ConceptDag& dag,
                                             ConceptId start, uint32_t radius);
 
-/// Shortest directed generalization distance from `from` up to `to` in
-/// *original* hops (shortcuts contribute their annotated distance), or
-/// UINT32_MAX when `to` does not subsume `from`.
+/// Shortest directed generalization distance in hops from `from` up to
+/// `to`, or UINT32_MAX when `to` does not subsume `from`.
 uint32_t UpDistance(const ConceptDag& dag, ConceptId from, ConceptId to);
 
-/// Original-hop shortest generalization distances from `start` to every
+/// Shortest generalization distances in hops from `start` to every
 /// ancestor; UINT32_MAX where unreachable. Index = ConceptId.
 std::vector<uint32_t> UpDistances(const ConceptDag& dag, ConceptId start);
 
-/// Original-hop shortest specialization distances from `start` down to every
+/// Shortest specialization distances in hops from `start` down to every
 /// descendant; UINT32_MAX where unreachable. Index = ConceptId.
 std::vector<uint32_t> DownDistances(const ConceptDag& dag, ConceptId start);
+
+/// One application-specific shortcut edge of Algorithm 1 (lines 19-23):
+/// `child` ⊑ `ancestor`, standing for the `distance` >= 2 native hops of
+/// the shortest path it replaces.
+struct ShortcutEdge {
+  ConceptId child = kInvalidConcept;
+  ConceptId ancestor = kInvalidConcept;
+  uint32_t distance = 0;
+
+  bool operator==(const ShortcutEdge&) const = default;
+};
+
+/// The paper's shortcut rule as a pure function (Section 5.1, "Sparsity
+/// of external knowledge source"): every flagged concept gets an edge to
+/// each non-adjacent ancestor, and every unflagged non-adjacent
+/// descendant of a flagged concept an edge to it, each carrying its
+/// native up-distance. Ordered by flagged concept, then its upward edges
+/// by ancestor id, then its downward ones by descendant id; no pair
+/// appears twice. Ids past the end of `flagged` are unflagged. Two
+/// |V|-sized BFS per flagged concept.
+///
+/// Ingestion does not apply it: every shortcut spans exactly its native
+/// distance, so no radius ball changes with or without them, and the
+/// served DAG keeps native edges only. The Figure 5 tests, the frequency
+/// walkthrough and the ablation bench call it to show the rule and the
+/// invariance.
+std::vector<ShortcutEdge> ShortcutEdges(const ConceptDag& dag,
+                                        const std::vector<bool>& flagged);
 
 }  // namespace medrelax
 

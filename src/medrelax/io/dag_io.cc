@@ -35,9 +35,8 @@ Status SaveDag(const ConceptDag& dag, std::ostream& out) {
     }
   }
   for (ConceptId id = 0; id < dag.num_concepts(); ++id) {
-    for (const DagEdge& e : dag.parents(id)) {
-      out << "E\t" << id << "\t" << e.target << "\t" << e.original_distance
-          << "\t" << (e.is_shortcut() ? 1 : 0) << "\n";
+    for (ConceptId parent : dag.parents(id)) {
+      out << "E\t" << id << "\t" << parent << "\t1\t0\n";
     }
   }
   if (!out.good()) return Status::Internal("SaveDag: stream write failed");
@@ -85,14 +84,13 @@ Result<ConceptDag> LoadDag(std::istream& in) {
       ConceptId child, parent;
       MEDRELAX_RETURN_NOT_OK(parse_id(fields[1], &child));
       MEDRELAX_RETURN_NOT_OK(parse_id(fields[2], &parent));
-      uint32_t distance =
-          static_cast<uint32_t>(std::strtoul(fields[3].c_str(), nullptr, 10));
-      bool shortcut = fields[4] == "1";
-      if (shortcut) {
-        MEDRELAX_RETURN_NOT_OK(dag.AddShortcut(child, parent, distance));
-      } else {
-        MEDRELAX_RETURN_NOT_OK(dag.AddSubsumption(child, parent));
+      if (fields[3] != "1" || fields[4] != "0") {
+        return Status::InvalidArgument(StrFormat(
+            "LoadDag line %zu: edge with distance '%s' and shortcut flag"
+            " '%s'; only native edges (1, 0) are stored",
+            line_number, fields[3].c_str(), fields[4].c_str()));
       }
+      MEDRELAX_RETURN_NOT_OK(dag.AddSubsumption(child, parent));
     } else {
       return Status::InvalidArgument(StrFormat(
           "LoadDag line %zu: unrecognized record '%s'", line_number,

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "medrelax/common/checksum.h"
+#include "medrelax/common/logging.h"
 #include "medrelax/text/normalize.h"
 
 namespace medrelax {
@@ -94,9 +95,11 @@ size_t ProbeTrigram(std::span<const TrigramSlot> slots, uint32_t key) {
 
 }  // namespace
 
-/// The heap arrays behind an index built from a DAG.
+/// The heap arrays behind an index built from a DAG. The Build* steps
+/// read the entries' surfaces through `entries` (the stored table and
+/// records below, and the DAG's name tables).
 struct NameIndex::Storage {
-  StringTableBuilder surfaces;
+  StringTableBuilder stored;
   std::vector<NameEntryRecord> records;
   std::vector<uint32_t> exact_slots;
   std::vector<TrigramSlot> trigram_slots;
@@ -105,9 +108,9 @@ struct NameIndex::Storage {
   std::vector<uint32_t> length_offsets;
   std::vector<uint32_t> by_length;
 
-  void BuildExactSlots();
-  void BuildTrigramPostings();
-  void BuildLengthBuckets();
+  void BuildExactSlots(const NameIndexViews& entries);
+  void BuildTrigramPostings(const NameIndexViews& entries);
+  void BuildLengthBuckets(const NameIndexViews& entries);
 };
 
 size_t ExactSlotHash(std::string_view normalized, size_t num_slots) {
@@ -117,15 +120,14 @@ size_t ExactSlotHash(std::string_view normalized, size_t num_slots) {
   return static_cast<size_t>(mixed >> (64 - bits));
 }
 
-void NameIndex::Storage::BuildExactSlots() {
+void NameIndex::Storage::BuildExactSlots(const NameIndexViews& entries) {
   // More than twice the entries, so the load stays under 1/2 and at
   // least one slot is free: a probe for an absent surface terminates.
   size_t num_slots = 2;
   while (num_slots <= 2 * records.size()) num_slots *= 2;
   exact_slots.assign(num_slots, kEmptySlot);
-  const StringTableView view = surfaces.view();
   for (size_t e = 0; e < records.size(); ++e) {
-    size_t slot = ExactSlotHash(view[e], num_slots);
+    size_t slot = ExactSlotHash(entries.surface(e), num_slots);
     while (exact_slots[slot] != kEmptySlot) {
       slot = (slot + 1) & (num_slots - 1);
     }
@@ -133,7 +135,7 @@ void NameIndex::Storage::BuildExactSlots() {
   }
 }
 
-void NameIndex::Storage::BuildTrigramPostings() {
+void NameIndex::Storage::BuildTrigramPostings(const NameIndexViews& entries) {
   // Pass 1: intern keys by linear probing over a power-of-two slot array
   // (load kept under 1/2), count postings per key (counts staged in
   // trigram_offsets[id + 1]), and record each posting's dense id — grams
@@ -158,11 +160,10 @@ void NameIndex::Storage::BuildTrigramPostings() {
     }
     return trigram_slots[slot].id;
   };
-  const StringTableView view = surfaces.view();
   std::vector<uint32_t> ids;
   ids.reserve(4 * records.size());
   for (size_t e = 0; e < records.size(); ++e) {
-    ForEachTrigramKey(view[e], [&](uint32_t key) {
+    ForEachTrigramKey(entries.surface(e), [&](uint32_t key) {
       const uint32_t id = intern(key);
       ++trigram_offsets[id + 1];
       ids.push_back(id);
@@ -180,7 +181,7 @@ void NameIndex::Storage::BuildTrigramPostings() {
                                trigram_offsets.end() - 1);
   size_t next = 0;
   for (size_t e = 0; e < records.size(); ++e) {
-    const size_t length = view[e].size();
+    const size_t length = entries.surface(e).size();
     if (length == 0) continue;
     const size_t grams = length <= 3 ? 1 : length - 2;
     for (size_t g = 0; g < grams; ++g) {
@@ -189,17 +190,16 @@ void NameIndex::Storage::BuildTrigramPostings() {
   }
 }
 
-void NameIndex::Storage::BuildLengthBuckets() {
+void NameIndex::Storage::BuildLengthBuckets(const NameIndexViews& entries) {
   // Counting sort of entry indexes by surface length; the stable
   // placement keeps each bucket in ascending entry order.
-  const StringTableView view = surfaces.view();
   size_t max_length = 0;
   for (size_t e = 0; e < records.size(); ++e) {
-    max_length = std::max(max_length, view[e].size());
+    max_length = std::max(max_length, entries.surface(e).size());
   }
   length_offsets.assign(max_length + 2, 0);
   for (size_t e = 0; e < records.size(); ++e) {
-    ++length_offsets[view[e].size() + 1];
+    ++length_offsets[entries.surface(e).size() + 1];
   }
   for (size_t n = 1; n < length_offsets.size(); ++n) {
     length_offsets[n] += length_offsets[n - 1];
@@ -208,33 +208,46 @@ void NameIndex::Storage::BuildLengthBuckets() {
   std::vector<uint32_t> cursor(length_offsets.begin(),
                                length_offsets.end() - 1);
   for (size_t e = 0; e < records.size(); ++e) {
-    by_length[cursor[view[e].size()]++] = static_cast<uint32_t>(e);
+    by_length[cursor[entries.surface(e).size()]++] = static_cast<uint32_t>(e);
   }
 }
 
 NameIndex::NameIndex(const ConceptDag* dag, bool fuzzy_tables) : dag_(dag) {
   auto storage = std::make_unique<Storage>();
+  // `ref` points at the raw string; a surface that normalization changes
+  // is stored instead, and the record points at that copy.
   const auto add_entry = [&storage](ConceptId id, std::string_view raw,
-                                    bool canonical) {
+                                    uint32_t ref) {
     const std::string normalized = NormalizeTerm(raw);
     if (normalized.empty()) return;
-    storage->surfaces.Add(normalized);
-    storage->records.push_back(
-        {id, canonical ? kNameEntryCanonical : 0u});
+    if (normalized != raw) {
+      const size_t index = storage->stored.offsets.size() - 1;
+      MEDRELAX_CHECK(index <= kSurfaceIndexMask);
+      ref = (ref & kSurfaceCanonical) | kSurfaceStored |
+            static_cast<uint32_t>(index);
+      storage->stored.Add(normalized);
+    }
+    storage->records.push_back({id, ref});
   };
+  MEDRELAX_CHECK(dag_->num_concepts() <= kSurfaceIndexMask + size_t{1} &&
+                 dag_->views().synonyms.size() <=
+                     kSurfaceIndexMask + size_t{1});
+  uint32_t synonym_index = 0;
   for (ConceptId id = 0; id < dag_->num_concepts(); ++id) {
-    add_entry(id, dag_->name(id), /*canonical=*/true);
+    add_entry(id, dag_->name(id), kSurfaceCanonical | id);
     for (std::string_view synonym : dag_->synonyms(id)) {
-      add_entry(id, synonym, /*canonical=*/false);
+      add_entry(id, synonym, synonym_index++);
     }
   }
-  storage->BuildExactSlots();
-  if (fuzzy_tables) {
-    storage->BuildTrigramPostings();
-    storage->BuildLengthBuckets();
-  }
-  views_.surfaces = storage->surfaces.view();
+  views_.stored = storage->stored.view();
+  views_.names = dag_->views().names;
+  views_.synonyms = dag_->views().synonyms;
   views_.records = storage->records;
+  storage->BuildExactSlots(views_);
+  if (fuzzy_tables) {
+    storage->BuildTrigramPostings(views_);
+    storage->BuildLengthBuckets(views_);
+  }
   views_.exact_slots = storage->exact_slots;
   views_.trigram_slots = storage->trigram_slots;
   views_.trigram_offsets = storage->trigram_offsets;
@@ -245,7 +258,10 @@ NameIndex::NameIndex(const ConceptDag* dag, bool fuzzy_tables) : dag_(dag) {
 }
 
 NameIndex::NameIndex(const ConceptDag* dag, const NameIndexViews& views)
-    : dag_(dag), views_(views) {}
+    : dag_(dag), views_(views) {
+  views_.names = dag_->views().names;
+  views_.synonyms = dag_->views().synonyms;
+}
 
 NameIndex::~NameIndex() = default;
 
@@ -270,7 +286,7 @@ std::vector<ConceptId> NameIndex::FindExact(std::string_view surface) const {
   for (size_t slot = ExactSlotHash(normalized, slots.size());
        slots[slot] != kEmptySlot; slot = (slot + 1) & mask) {
     const uint32_t e = slots[slot];
-    if (views_.surfaces[e] != normalized) continue;
+    if (views_.surface(e) != normalized) continue;
     const ConceptId id = views_.records[e].concept_id;
     if (std::find(out.begin(), out.end(), id) == out.end()) out.push_back(id);
   }
@@ -322,7 +338,7 @@ std::vector<size_t> NameIndex::CandidatesWithin(std::string_view normalized,
     for (size_t g = 0; g < scanned; ++g) {
       for (uint32_t entry : postings[g]) {
         if (counter.Add(entry) != 1) continue;  // already seen
-        const size_t n = views_.surfaces[entry].size();
+        const size_t n = views_.surface(entry).size();
         if (n >= lo && n <= hi) out.push_back(entry);
       }
     }

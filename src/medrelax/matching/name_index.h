@@ -23,13 +23,21 @@ struct NameEntry {
   bool is_canonical = false;
 };
 
-/// NameEntryRecord::flags bit of a canonical name.
-inline constexpr uint32_t kNameEntryCanonical = 1u;
+/// NameEntryRecord::surface bits. The low 30 bits are an index. With
+/// kSurfaceStored set it indexes the stored-surface table (the surfaces
+/// whose normalization changes the raw string); without it, the raw
+/// string is its own normalized surface, and the index addresses the
+/// DAG's concept-name table (kSurfaceCanonical set) or its flat synonym
+/// table (unset).
+inline constexpr uint32_t kSurfaceCanonical = 1u << 31;
+inline constexpr uint32_t kSurfaceStored = 1u << 30;
+inline constexpr uint32_t kSurfaceIndexMask = kSurfaceStored - 1;
 
-/// Stored form of an entry's owner (the surface lives in a string table).
+/// One indexed entry: its owner and a reference to its normalized
+/// surface, so each surface is stored once.
 struct NameEntryRecord {
   ConceptId concept_id;
-  uint32_t flags;  ///< kNameEntryCanonical
+  uint32_t surface;  ///< kSurfaceCanonical | kSurfaceStored | index
 };
 static_assert(sizeof(NameEntryRecord) == 8, "on-disk layout is frozen");
 
@@ -50,8 +58,14 @@ inline constexpr uint32_t kEmptySlot = UINT32_MAX;
 /// length buckets) are empty for an index borrowed from an exact-mapper
 /// image, which never reads them.
 struct NameIndexViews {
-  /// Normalized surfaces, one per entry.
-  StringTableView surfaces;
+  /// The normalized surfaces that differ from their raw name or synonym,
+  /// in entry order: what a record with kSurfaceStored points into.
+  StringTableView stored;
+  /// The DAG's concept names and flat synonym table, which every other
+  /// record points into. Not part of the index's own storage: a NameIndex
+  /// takes them from its DAG.
+  StringTableView names;
+  StringTableView synonyms;
   std::span<const NameEntryRecord> records;
   /// Open-addressing table of entry indexes keyed by
   /// ExactSlotHash(surface), linear probing, power-of-two size, at least
@@ -72,6 +86,19 @@ struct NameIndexViews {
 
   [[nodiscard]] bool has_fuzzy_tables() const {
     return length_offsets.size() >= 2;
+  }
+
+  /// The normalized surface of entry `e`: record, then offsets, then
+  /// bytes, whichever table the record names. The table is picked by
+  /// indexing on the reference's top two bits, not by branching on
+  /// them: canonical names and synonyms alternate entry by entry, so a
+  /// branch would mispredict on about every other entry a lookup scans.
+  [[nodiscard]] CStringView surface(size_t e) const {
+    static_assert(kSurfaceCanonical >> 30 == 2 && kSurfaceStored >> 30 == 1);
+    const uint32_t ref = records[e].surface;
+    const StringTableView* const tables[4] = {&synonyms, &stored, &names,
+                                              &stored};
+    return (*tables[ref >> 30])[ref & kSurfaceIndexMask];
   }
 };
 
@@ -109,12 +136,14 @@ class NameIndex {
  public:
   /// Builds the tables from each concept's canonical name and synonyms;
   /// the fuzzy ones only when `fuzzy_tables` (an exact-match deployment
-  /// never reads them). Borrows `dag`, which must outlive the index.
+  /// never reads them). Borrows `dag` and its name tables, which must
+  /// outlive the index unchanged.
   explicit NameIndex(const ConceptDag* dag, bool fuzzy_tables = true);
 
-  /// An index reading `views`, whose storage must outlive it. The caller
-  /// vouches for their consistency (the image reader bounds-checks every
-  /// slot, offset and posting before it borrows).
+  /// An index reading `views` (their `names` and `synonyms` are taken
+  /// from `dag`), whose storage must outlive it. The caller vouches for
+  /// their consistency (the image reader bounds-checks every surface
+  /// reference, slot, offset and posting before it borrows).
   NameIndex(const ConceptDag* dag, const NameIndexViews& views);
 
   ~NameIndex();
@@ -169,8 +198,8 @@ class NameIndex {
     [[nodiscard]] size_t size() const { return views_->records.size(); }
     [[nodiscard]] NameEntry operator[](size_t i) const {
       const NameEntryRecord& record = views_->records[i];
-      return {views_->surfaces[i], record.concept_id,
-              (record.flags & kNameEntryCanonical) != 0};
+      return {views_->surface(i), record.concept_id,
+              (record.surface & kSurfaceCanonical) != 0};
     }
 
     class Iterator {

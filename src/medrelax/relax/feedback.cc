@@ -19,12 +19,8 @@ void FeedbackRelaxer::Apply(ConceptId candidate, ContextId context,
   bump(candidate, factor);
   // Attenuated propagation to direct taxonomy neighbors (log-space share).
   double shared = std::exp(options_.neighborhood_share * std::log(factor));
-  for (const DagEdge& e : dag_->parents(candidate)) {
-    if (!e.is_shortcut()) bump(e.target, shared);
-  }
-  for (const DagEdge& e : dag_->children(candidate)) {
-    if (!e.is_shortcut()) bump(e.target, shared);
-  }
+  for (ConceptId parent : dag_->parents(candidate)) bump(parent, shared);
+  for (ConceptId child : dag_->children(candidate)) bump(child, shared);
 }
 
 void FeedbackRelaxer::Accept(ConceptId candidate, ContextId context) {

@@ -167,7 +167,7 @@ Result<FrequencyModel> PropagateFrequencies(
       double f = id < direct_per_context[ctx].size()
                      ? direct_per_context[ctx][id]
                      : 0.0;
-      for (ConceptId child : dag.NativeChildren(id)) {
+      for (ConceptId child : dag.children(id)) {
         f += propagated[ctx][child];
       }
       propagated[ctx][id] = f;

@@ -1,11 +1,9 @@
 #include "medrelax/relax/ingestion.h"
 
 #include <algorithm>
-#include <tuple>
 
 #include "medrelax/corpus/corpus_stats.h"
 #include "medrelax/graph/topology.h"
-#include "medrelax/graph/traversal.h"
 #include "medrelax/text/normalize.h"
 
 namespace medrelax {
@@ -64,11 +62,12 @@ ConceptCsr ConceptCsr::Borrow(std::span<const uint64_t> offsets,
   return csr;
 }
 
-Result<IngestionResult> RunIngestion(const KnowledgeBase& kb, ConceptDag* eks,
+Result<IngestionResult> RunIngestion(const KnowledgeBase& kb,
+                                     const ConceptDag& eks,
                                      const MappingFunction& mapper,
                                      const Corpus* corpus,
                                      const IngestionOptions& options) {
-  MEDRELAX_RETURN_NOT_OK(ValidateExternalSource(*eks));
+  MEDRELAX_RETURN_NOT_OK(ValidateExternalSource(eks));
 
   IngestionResult result;
 
@@ -77,9 +76,9 @@ Result<IngestionResult> RunIngestion(const KnowledgeBase& kb, ConceptDag* eks,
   const size_t num_contexts = result.contexts.size();
 
   // --- Mappings (lines 5-11). ---
-  result.flagged.assign(eks->num_concepts(), false);
-  std::vector<std::vector<InstanceId>> instances_of(eks->num_concepts());
-  std::vector<std::vector<ContextId>> contexts_of(eks->num_concepts());
+  result.flagged.assign(eks.num_concepts(), false);
+  std::vector<std::vector<InstanceId>> instances_of(eks.num_concepts());
+  std::vector<std::vector<ContextId>> contexts_of(eks.num_concepts());
   for (InstanceId i = 0; i < kb.instances.num_instances(); ++i) {
     const Instance& instance = kb.instances.instance(i);
     std::optional<ConceptMatch> match = mapper.Map(instance.name);
@@ -108,10 +107,10 @@ Result<IngestionResult> RunIngestion(const KnowledgeBase& kb, ConceptDag* eks,
   // --- Concept frequency (lines 12-18). ---
   // Direct mention weight |A| per context, Equation 2's base term.
   std::vector<std::vector<double>> direct(
-      num_contexts, std::vector<double>(eks->num_concepts(), 0.0));
+      num_contexts, std::vector<double>(eks.num_concepts(), 0.0));
   if (corpus != nullptr) {
     ConceptMentions mentions =
-        CountConceptMentions(*eks, *corpus, num_contexts);
+        CountConceptMentions(eks, *corpus, num_contexts);
     for (size_t p = 0; p < mentions.owner.size(); ++p) {
       ConceptId owner = mentions.owner[p];
       for (ContextId ctx = 0; ctx < num_contexts; ++ctx) {
@@ -125,47 +124,16 @@ Result<IngestionResult> RunIngestion(const KnowledgeBase& kb, ConceptDag* eks,
     // Corpus-free (QR-no-corpus): intrinsic structural IC — every concept
     // counts once, so freq reduces to subtree mass (Seco et al. style).
     for (ContextId ctx = 0; ctx < num_contexts; ++ctx) {
-      for (ConceptId id = 0; id < eks->num_concepts(); ++id) {
+      for (ConceptId id = 0; id < eks.num_concepts(); ++id) {
         direct[ctx][id] = 1.0;
       }
     }
   }
 
-  std::vector<ConceptId> roots = eks->Roots();
+  std::vector<ConceptId> roots = eks.Roots();
   MEDRELAX_ASSIGN_OR_RETURN(
       result.frequencies,
-      PropagateFrequencies(*eks, direct, roots.front(), options.ic_smoothing));
-
-  // --- External knowledge source customization (lines 19-23). ---
-  if (options.add_shortcut_edges) {
-    std::vector<std::tuple<ConceptId, ConceptId, uint32_t>> shortcuts;
-    auto want = [&](uint32_t d) {
-      return d >= 2 && d != UINT32_MAX &&
-             (options.max_shortcut_distance == 0 ||
-              d <= options.max_shortcut_distance);
-    };
-    for (ConceptId a = 0; a < eks->num_concepts(); ++a) {
-      if (!result.flagged[a]) continue;
-      // Flagged A: connect to every non-adjacent ancestor B.
-      std::vector<uint32_t> up = UpDistances(*eks, a);
-      for (ConceptId b = 0; b < eks->num_concepts(); ++b) {
-        if (want(up[b])) shortcuts.emplace_back(a, b, up[b]);
-      }
-      // Flagged B(=a): connect every non-adjacent descendant to it.
-      std::vector<uint32_t> down = DownDistances(*eks, a);
-      for (ConceptId d = 0; d < eks->num_concepts(); ++d) {
-        if (result.flagged[d]) continue;  // already handled by its own pass
-        if (want(down[d])) shortcuts.emplace_back(d, a, down[d]);
-      }
-    }
-    ConceptDagBuilder builder(*eks);
-    for (const auto& [child, parent, distance] : shortcuts) {
-      const size_t before = builder.num_shortcut_edges();
-      MEDRELAX_RETURN_NOT_OK(builder.AddShortcut(child, parent, distance));
-      if (builder.num_shortcut_edges() > before) ++result.shortcuts_added;
-    }
-    *eks = std::move(builder).Build();
-  }
+      PropagateFrequencies(eks, direct, roots.front(), options.ic_smoothing));
 
   return result;
 }

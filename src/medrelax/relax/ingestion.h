@@ -21,12 +21,6 @@ namespace medrelax {
 struct IngestionOptions {
   /// tf-idf-adjust raw mention counts (Section 5.1). Off = raw counts.
   bool use_tfidf = true;
-  /// Add application-specific shortcut edges (Section 5.1, "Sparsity of
-  /// external knowledge source"); the ablation bench switches this off.
-  bool add_shortcut_edges = true;
-  /// Cap on the original distance a shortcut may replace; 0 = unlimited
-  /// (the paper's formulation). Large flagged fan-outs can be bounded here.
-  uint32_t max_shortcut_distance = 0;
   /// Laplace smoothing added before frequency normalization so unmentioned
   /// concepts keep a finite IC.
   double ic_smoothing = 1.0;
@@ -106,8 +100,6 @@ struct IngestionResult {
   ConceptCsr concept_contexts;
   /// Number of KB instances the mapper could not map.
   size_t unmapped_instances = 0;
-  /// Shortcut edges added to the external source.
-  size_t shortcuts_added = 0;
 };
 
 /// Runs the offline ingestion (Algorithm 1) of the external knowledge
@@ -119,13 +111,17 @@ struct IngestionResult {
 ///      order (Equation 2, lines 12-18), seeding |A| from `corpus` mention
 ///      statistics (tf-idf adjusted) when a corpus is given, or from the
 ///      intrinsic structure (|A| = 1 per concept — the corpus-free
-///      QR-no-corpus configuration) otherwise;
-///   4. shortcut-edge insertion for flagged concepts (lines 19-23):
-///      `*eks` is rebuilt once with the shortcuts added.
+///      QR-no-corpus configuration) otherwise.
+///
+/// Lines 19-23 (shortcut edges for flagged concepts) are not applied:
+/// every shortcut spans exactly its native distance, so the relaxation
+/// radius means the same without them, and `eks` stays as it is
+/// (ShortcutEdges in graph/traversal.h computes them).
 ///
 /// Fails if `eks` is not a single-rooted DAG.
 [[nodiscard]]
-Result<IngestionResult> RunIngestion(const KnowledgeBase& kb, ConceptDag* eks,
+Result<IngestionResult> RunIngestion(const KnowledgeBase& kb,
+                                     const ConceptDag& eks,
                                      const MappingFunction& mapper,
                                      const Corpus* corpus,
                                      const IngestionOptions& options);

@@ -17,10 +17,10 @@ namespace medrelax {
 
 /// Knobs of the online query relaxation (Algorithm 2).
 struct RelaxationOptions {
-  /// Search radius r in original taxonomy hops. Shortcut edges do not
-  /// change the radius-r ball: they carry their pre-customization distance
+  /// Search radius r in taxonomy hops. Shortcut edges would not change
+  /// the radius-r ball: they carry their pre-customization distance
   /// (Section 4.2), so the same concepts are reachable with or without
-  /// customization.
+  /// them, and the DAG keeps native edges only.
   uint32_t radius = 4;
   /// Grow the radius when fewer than k candidates are found ("dynamically
   /// decided if a fixed r cannot provide k results", Section 5.2).
@@ -64,7 +64,7 @@ struct ConceptQuery {
 
 /// The online query relaxation engine (Algorithm 2 + Equation 5).
 ///
-/// Borrows the external DAG (with shortcut edges applied), the ingestion
+/// Borrows the external DAG, the ingestion
 /// result, and a mapping function for resolving query terms; all must
 /// outlive the relaxer.
 ///

@@ -53,7 +53,7 @@ Result<std::shared_ptr<Snapshot>> Snapshot::Build(
     const SnapshotOptions& options) {
   return Assemble(std::move(dag), std::move(kb), /*index_views=*/nullptr,
                   options, [corpus, &options](Snapshot& snap) {
-                    return RunIngestion(snap.kb_, &snap.dag_, *snap.mapper_,
+                    return RunIngestion(snap.kb_, snap.dag_, *snap.mapper_,
                                         corpus, options.ingestion);
                   });
 }

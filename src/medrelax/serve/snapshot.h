@@ -49,8 +49,8 @@ struct SnapshotOptions {
 class Snapshot {
  public:
   /// Runs the offline phase end-to-end: moves `dag` and `kb` in, builds a
-  /// name index + mapper over the snapshot's own DAG, runs Algorithm 1
-  /// (customizing the DAG with shortcut edges), and configures the relaxer.
+  /// name index + mapper over the snapshot's own DAG, runs Algorithm 1,
+  /// and configures the relaxer.
   /// `corpus` may be null (the QR-no-corpus configuration) and is only read
   /// during the build. Fails when ingestion fails (e.g. a multi-rooted DAG).
   /// MEDRELAX_BLOCKING: the whole offline phase runs inline — seconds of

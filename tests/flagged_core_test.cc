@@ -1,10 +1,13 @@
 // Property tests of the flagged core (graph/flagged_core.h) and of the
 // relaxer's candidate search over it, against the eager whole-DAG search
-// (NeighborsWithinRadius). The worlds are random DAGs with shortcut edges,
-// a 1000-child hub with a native chain below it, a dangling chain, two
-// isolated concepts and a detached component, under empty, all, one and
-// sparse flag sets; some worlds also give the root a shortcut from every
-// concept 2-6 hops below it, as "clinical finding" has:
+// over the native edges and a list of shortcut edges (ShortcutSearch, the
+// graph the paper's customization would serve). The worlds are random
+// DAGs whose every up-distance 2..3 has a shortcut, a 1000-child hub with
+// a native chain below it, a dangling chain, two isolated concepts and a
+// detached component, under empty, all, one and sparse flag sets; some
+// worlds also give the root a shortcut from every concept 2-6 hops below
+// it, as "clinical finding" would have. The DAG itself holds native
+// edges only:
 //   * every flagged concept stays in the core, and for every concept v
 //     and flagged f, d(v, f) = δ(v) + d_core(a(v), f);
 //   * the core holds exactly the native edges between kept concepts, and
@@ -32,6 +35,7 @@
 #include "medrelax/graph/traversal.h"
 #include "medrelax/relax/ingestion.h"
 #include "medrelax/relax/query_relaxer.h"
+#include "tests/shortcut_reference.h"
 
 namespace medrelax {
 namespace {
@@ -43,6 +47,8 @@ enum class Flags { kEmpty, kAll, kOne, kSparse };
 
 struct CoreWorld {
   ConceptDag dag;
+  /// Shortcut edges the reference search walks besides the native ones.
+  std::vector<ShortcutEdge> shortcuts;
   ConceptId root = 0;
   std::vector<ConceptId> hub_leaves;
   /// The dangling chain, top (attached to the random part) to tip.
@@ -51,12 +57,12 @@ struct CoreWorld {
 };
 
 // Random rooted DAG on `n` concepts (1-3 parents of smaller index each)
-// with every up-distance 2..3 materialized as a shortcut, then: a hub
+// with a shortcut for every up-distance 2..3, then: a hub
 // under a random concept with kHubChildren leaves (every tenth also under
 // a random concept) and a native 3-chain below it; a dangling 4-chain
 // under a random concept; two isolated concepts; and a detached 5-concept
 // tree. With `root_shortcuts`, every concept 2-6 native hops below the
-// root also gets a shortcut to it. Flags and instances per `flags`; two
+// root also gets a shortcut to it. The shortcuts go to w.shortcuts. Flags and instances per `flags`; two
 // contexts.
 CoreWorld MakeCoreWorld(size_t n, Flags flags, uint64_t seed,
                         bool root_shortcuts) {
@@ -77,9 +83,7 @@ CoreWorld MakeCoreWorld(size_t n, Flags flags, uint64_t seed,
   for (ConceptId a = 0; a < n; ++a) {
     const std::vector<uint32_t> up = UpDistances(random_part, a);
     for (ConceptId c = 0; c < n; ++c) {
-      if (up[c] >= 2 && up[c] <= 3) {
-        EXPECT_TRUE(dag.AddShortcut(a, c, up[c]).ok());
-      }
+      if (up[c] >= 2 && up[c] <= 3) w.shortcuts.push_back({a, c, up[c]});
     }
   }
   auto random_core = [&] {
@@ -115,16 +119,13 @@ CoreWorld MakeCoreWorld(size_t n, Flags flags, uint64_t seed,
     EXPECT_TRUE(dag.AddSubsumption(add("detached"), detached).ok());
   }
 
+  w.dag = std::move(dag).Build();
   if (root_shortcuts) {
-    const ConceptDag native = ConceptDagBuilder(dag).Build();
-    for (ConceptId v = 0; v < native.num_concepts(); ++v) {
-      const uint32_t up = UpDistance(native, v, w.root);
-      if (up >= 2 && up <= 6) {
-        EXPECT_TRUE(dag.AddShortcut(v, w.root, up).ok());
-      }
+    for (ConceptId v = 0; v < w.dag.num_concepts(); ++v) {
+      const uint32_t up = UpDistance(w.dag, v, w.root);
+      if (up >= 2 && up <= 6) w.shortcuts.push_back({v, w.root, up});
     }
   }
-  w.dag = std::move(dag).Build();
   const size_t total = w.dag.num_concepts();
   IngestionResult& ingestion = w.ingestion;
   ingestion.frequencies = FrequencyModel(total, 2);
@@ -228,10 +229,11 @@ TEST_P(FlaggedCoreSweep, CoreDistancesAddUpThroughTheAttachment) {
 
   // Far enough to cover every component.
   constexpr uint32_t kFar = 64;
+  const ShortcutSearch reference(w.dag, w.shortcuts);
   RadiusExpander expander;
   for (ConceptId v = 0; v < n; ++v) {
     std::unordered_map<ConceptId, uint32_t> want;
-    for (const Neighbor& nb : NeighborsWithinRadius(w.dag, v, kFar)) {
+    for (const Neighbor& nb : reference.Within(v, kFar)) {
       if (IsFlagged(ing, nb.id)) want[nb.id] = nb.hops;
     }
     std::unordered_map<ConceptId, uint32_t> got;
@@ -253,10 +255,7 @@ TEST_P(FlaggedCoreSweep, CoreDistancesAddUpThroughTheAttachment) {
 }
 
 size_t NativeDegree(const ConceptDag& dag, ConceptId v) {
-  size_t degree = 0;
-  for (const DagEdge& e : dag.parents(v)) degree += e.is_shortcut() ? 0 : 1;
-  for (const DagEdge& e : dag.children(v)) degree += e.is_shortcut() ? 0 : 1;
-  return degree;
+  return dag.parents(v).size() + dag.children(v).size();
 }
 
 TEST_P(FlaggedCoreSweep, CoreWalksOnlyNativeEdges) {
@@ -267,15 +266,15 @@ TEST_P(FlaggedCoreSweep, CoreWalksOnlyNativeEdges) {
     return a.node != FlaggedCore::kNoNode && a.offset == 0;
   };
   // A node's core edges are its native edges to kept concepts, parents
-  // first, in DAG order: no shortcut survives.
+  // first, in DAG order.
   for (FlaggedCore::Node u = 0; u < core.num_nodes(); ++u) {
     const ConceptId v = core.concept_of(u);
     std::vector<ConceptId> want;
-    for (const DagEdge& e : w.dag.parents(v)) {
-      if (!e.is_shortcut() && kept(e.target)) want.push_back(e.target);
+    for (ConceptId t : w.dag.parents(v)) {
+      if (kept(t)) want.push_back(t);
     }
-    for (const DagEdge& e : w.dag.children(v)) {
-      if (!e.is_shortcut() && kept(e.target)) want.push_back(e.target);
+    for (ConceptId t : w.dag.children(v)) {
+      if (kept(t)) want.push_back(t);
     }
     std::vector<ConceptId> got;
     for (FlaggedCore::Node t : core.edges(u)) got.push_back(core.concept_of(t));
@@ -379,9 +378,9 @@ TEST_P(FlaggedCoreSweep, RelaxerMatchesWholeDagSearch) {
   // k past every world's instance total makes the outcome the full
   // candidate set, ranked.
   const std::vector<size_t> ks = {1, 4, 100000};
+  const ShortcutSearch reference(w.dag, w.shortcuts);
   for (ConceptId query : Starts(w, GetParam().flags)) {
-    const std::vector<Neighbor> ball =
-        NeighborsWithinRadius(w.dag, query, kMaxRadius);
+    const std::vector<Neighbor> ball = reference.Within(query, kMaxRadius);
     const ContextId context = query % 2 == 0 ? kNoContext : 0;
     for (uint32_t radius = 0; radius <= kMaxRadius; ++radius) {
       const QueryRelaxer& relaxer = relaxers[radius];

@@ -5,6 +5,7 @@
 // this honest).
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -25,12 +26,14 @@
 #include <gtest/gtest.h>
 
 #include "medrelax/common/checksum.h"
+#include "medrelax/common/string_util.h"
 #include "medrelax/datasets/corpus_generator.h"
 #include "medrelax/datasets/kb_generator.h"
 #include "medrelax/flat/format.h"
 #include "medrelax/flat/image_view.h"
 #include "medrelax/relax/frequency_model.h"
 #include "medrelax/serve/snapshot.h"
+#include "medrelax/text/normalize.h"
 
 namespace medrelax {
 namespace {
@@ -167,23 +170,18 @@ TEST(FlatImageRoundTrip, MappedSnapshotMatchesTheBuiltOne) {
   EXPECT_GT((*mapped)->load_micros(), 0u);
   EXPECT_EQ((*mapped)->options_fingerprint(), built->options_fingerprint());
 
-  // The customized DAG round-trips structurally: same concepts, same
-  // native + shortcut edge counts, same names and adjacency per concept.
+  // The DAG round-trips structurally: same concepts, same edge count,
+  // same names and adjacency per concept.
   const ConceptDag& a = built->dag();
   const ConceptDag& b = (*mapped)->dag();
   ASSERT_EQ(a.num_concepts(), b.num_concepts());
   EXPECT_EQ(a.num_edges(), b.num_edges());
-  EXPECT_EQ(a.num_shortcut_edges(), b.num_shortcut_edges());
   for (ConceptId id = 0; id < a.num_concepts(); ++id) {
     ASSERT_EQ(a.name(id), b.name(id)) << "concept " << id;
-    const auto& ap = a.parents(id);
-    const auto& bp = b.parents(id);
-    ASSERT_EQ(ap.size(), bp.size()) << "parents of " << id;
-    for (size_t e = 0; e < ap.size(); ++e) {
-      EXPECT_EQ(ap[e].target, bp[e].target);
-      EXPECT_EQ(ap[e].original_distance, bp[e].original_distance);
-      EXPECT_EQ(ap[e].is_shortcut(), bp[e].is_shortcut());
-    }
+    const std::span<const ConceptId> ap = a.parents(id);
+    const std::span<const ConceptId> bp = b.parents(id);
+    ASSERT_TRUE(std::equal(ap.begin(), ap.end(), bp.begin(), bp.end()))
+        << "parents of " << id;
   }
 
   // Ingestion artifacts: contexts, mappings, FEC flags, and the
@@ -210,7 +208,6 @@ TEST(FlatImageRoundTrip, MappedSnapshotMatchesTheBuiltOne) {
         << "contexts of concept " << id;
   }
   EXPECT_EQ(ia.unmapped_instances, ib.unmapped_instances);
-  EXPECT_EQ(ia.shortcuts_added, ib.shortcuts_added);
   for (ConceptId id = 0; id < a.num_concepts(); ++id) {
     EXPECT_EQ(ia.frequencies.Frequency(id, kNoContext),
               ib.frequencies.Frequency(id, kNoContext));
@@ -338,7 +335,7 @@ TEST(FlatImageRoundTrip, ReservedMetaFlagsAreNeverWritten) {
 
 TEST(FlatImageCompat, CommittedImageWithReservedFlagsStillLoads) {
   // Written by an ingest that still set the reserved geometry-memo flag
-  // (and converted to format versions 2 and 3 section for section); the
+  // (and converted to format versions 2, 3 and 4 section for section); the
   // fingerprint scheme is unchanged, so it must load and keep its stored
   // fingerprint.
   const std::string path = std::string(MEDRELAX_SOURCE_DIR) +
@@ -546,13 +543,13 @@ TEST(FlatImageHardening, CorruptEdgeTargetIsRejectedByTheCodec) {
   std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
   SectionEntry entry;
   ASSERT_TRUE(FindSection(bytes, SectionId::kDagParentEdges, &entry));
-  ASSERT_GE(entry.size, sizeof(DagEdge));
+  ASSERT_GE(entry.size, sizeof(ConceptId));
   // A structurally valid image whose first parent edge points at a
   // nonexistent concept: the view opens fine (checksum restamped), the
   // codec's semantic validation must catch it.
-  const uint32_t bogus_target = 0xFFFFFFFFu;
-  std::memcpy(bytes.data() + entry.offset + offsetof(DagEdge, target),
-              &bogus_target, sizeof(bogus_target));
+  const ConceptId bogus_target = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + entry.offset, &bogus_target,
+              sizeof(bogus_target));
   Restamp(bytes);
   const std::string path = WriteCorrupted("flat_bad_edge.img", bytes);
   ASSERT_TRUE(FlatImageView::Open(path).ok())
@@ -613,11 +610,73 @@ TEST(FlatImageHardening, VersionTwoImageIsFailedPrecondition) {
   EXPECT_TRUE(snap.status().IsFailedPrecondition()) << snap.status();
 }
 
-/// Patches the uint32 at `index` of a section, restamps, and returns the
-/// load status of the result, which must pass whole-file validation.
-Status LoadWithPatchedWord(SectionId id, size_t index, uint32_t value,
-                           const std::string& name) {
+TEST(FlatImageHardening, VersionThreeImageIsFailedPrecondition) {
+  // Version 3 stored 12-byte edges with shortcut distances and flags, and
+  // a second copy of every normalized surface; the reader refuses it
+  // rather than guessing.
+  ASSERT_FALSE(SharedImagePath().empty());
   std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  const uint32_t version_three = 3;
+  std::memcpy(bytes.data() + offsetof(ImageHeader, version), &version_three,
+              sizeof(version_three));
+  const std::string path = WriteCorrupted("flat_version_three.img", bytes);
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_TRUE(snap.status().IsFailedPrecondition()) << snap.status();
+}
+
+TEST(FlatImageHardening, RetiredMetaFieldIsInvalidArgument) {
+  // The shortcut fields of version 3 are reserved and zero; a nonzero
+  // one comes from a producer this build does not know.
+  ASSERT_FALSE(SharedImagePath().empty());
+  const std::vector<std::byte> clean = ReadFileBytes(SharedImagePath());
+  SectionEntry meta;
+  ASSERT_TRUE(FindSection(clean, SectionId::kMeta, &meta));
+  struct Field {
+    size_t offset;
+    size_t size;
+    uint64_t value;
+  };
+  const Field fields[] = {
+      {offsetof(flat::FlatMeta, reserved_shortcut_edges), 8, 1},
+      {offsetof(flat::FlatMeta, reserved_shortcuts_added), 8, 7},
+      {offsetof(flat::FlatMeta, reserved_max_shortcut_distance), 4, 3},
+  };
+  for (const Field& field : fields) {
+    std::vector<std::byte> bytes = clean;
+    std::memcpy(bytes.data() + meta.offset + field.offset, &field.value,
+                field.size);
+    Restamp(bytes);
+    const std::string path = WriteCorrupted("flat_retired_meta.img", bytes);
+    Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+    ASSERT_FALSE(snap.ok()) << "field at " << field.offset;
+    EXPECT_TRUE(snap.status().IsInvalidArgument()) << snap.status();
+    EXPECT_NE(snap.status().message().find("retired meta field"),
+              std::string::npos)
+        << snap.status();
+  }
+  std::vector<std::byte> bytes = clean;
+  uint32_t flags = 0;
+  const size_t flags_at = meta.offset + offsetof(flat::FlatMeta, flags);
+  std::memcpy(&flags, bytes.data() + flags_at, sizeof(flags));
+  flags |= flat::kMetaFlagReservedBit1;
+  std::memcpy(bytes.data() + flags_at, &flags, sizeof(flags));
+  Restamp(bytes);
+  const std::string path = WriteCorrupted("flat_retired_flag.img", bytes);
+  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_TRUE(snap.status().IsInvalidArgument()) << snap.status();
+  EXPECT_NE(snap.status().message().find("flags bit 1"), std::string::npos)
+      << snap.status();
+}
+
+/// Patches the uint32 at `index` of a section of the image at `source`,
+/// restamps, and returns the load status of the result, which must pass
+/// whole-file validation.
+Status LoadWithPatchedWord(SectionId id, size_t index, uint32_t value,
+                           const std::string& name,
+                           const std::string& source = SharedImagePath()) {
+  std::vector<std::byte> bytes = ReadFileBytes(source);
   SectionEntry entry;
   EXPECT_TRUE(FindSection(bytes, id, &entry));
   EXPECT_LT(index * sizeof(uint32_t), entry.size);
@@ -630,84 +689,194 @@ Status LoadWithPatchedWord(SectionId id, size_t index, uint32_t value,
   return snap.ok() ? Status::OK() : snap.status();
 }
 
-/// The edges of one edge-CSR section of the shared image.
-std::vector<DagEdge> SharedImageEdges(SectionId id) {
-  const std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
-  SectionEntry entry;
-  EXPECT_TRUE(FindSection(bytes, id, &entry));
-  std::vector<DagEdge> edges(entry.size / sizeof(DagEdge));
-  std::memcpy(edges.data(), bytes.data() + entry.offset,
-              edges.size() * sizeof(DagEdge));
-  return edges;
-}
-
 TEST(FlatImageHardening, UnmirroredEdgeSidesAreInvalidArgument) {
-  // Both sides are borrowed as they are, so a child edge whose distance
-  // disagrees with its parent edge must be caught at load. The edge is a
-  // shortcut whose distance stays at least 2, so only the mirroring is
-  // wrong.
+  // Both sides are borrowed as they are, so a child edge that names
+  // another (existing) concept than its parent edge must be caught at
+  // load: every target stays in range, so only the mirroring is wrong.
   ASSERT_FALSE(SharedImagePath().empty());
-  const std::vector<DagEdge> children =
-      SharedImageEdges(SectionId::kDagChildEdges);
-  const auto shortcut =
-      std::find_if(children.begin(), children.end(),
-                   [](const DagEdge& e) { return e.is_shortcut(); });
-  ASSERT_NE(shortcut, children.end()) << "the world has no shortcut edge";
-  const auto index = static_cast<size_t>(shortcut - children.begin());
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  SectionEntry entry;
+  ASSERT_TRUE(FindSection(bytes, SectionId::kDagChildEdges, &entry));
+  ASSERT_GE(entry.size, sizeof(ConceptId));
+  ConceptId target = 0;
+  std::memcpy(&target, bytes.data() + entry.offset, sizeof(target));
   const Status status = LoadWithPatchedWord(
-      SectionId::kDagChildEdges,
-      (index * sizeof(DagEdge) + offsetof(DagEdge, original_distance)) / 4,
-      shortcut->original_distance + 1, "flat_unmirrored.img");
+      SectionId::kDagChildEdges, 0, target == 0 ? 1 : target - 1,
+      "flat_unmirrored.img");
   EXPECT_TRUE(status.IsInvalidArgument()) << status;
   EXPECT_NE(status.message().find("mirror"), std::string::npos) << status;
 }
 
-/// Rewrites every edge of both edge-CSR sides with `patch`, which keeps
-/// the sides mirrored, restamps, and returns the load status.
-template <typename Patch>
-Status LoadWithPatchedEdges(const std::string& name, Patch patch) {
-  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
-  for (SectionId id : {SectionId::kDagParentEdges, SectionId::kDagChildEdges}) {
-    SectionEntry entry;
-    EXPECT_TRUE(FindSection(bytes, id, &entry));
-    for (size_t j = 0; j < entry.size / sizeof(DagEdge); ++j) {
-      std::byte* at = bytes.data() + entry.offset + j * sizeof(DagEdge);
-      DagEdge e;
-      std::memcpy(&e, at, sizeof(e));
-      patch(e);
-      std::memcpy(at, &e, sizeof(e));
+/// The name entry records of the image at `path`, and the directory
+/// entry of their section.
+std::vector<NameEntryRecord> ImageRecords(const std::string& path,
+                                          SectionEntry* entry) {
+  const std::vector<std::byte> bytes = ReadFileBytes(path);
+  EXPECT_TRUE(FindSection(bytes, SectionId::kNameEntryRecords, entry));
+  std::vector<NameEntryRecord> records(entry->size / sizeof(NameEntryRecord));
+  std::memcpy(records.data(), bytes.data() + entry->offset,
+              records.size() * sizeof(NameEntryRecord));
+  return records;
+}
+
+TEST(FlatImageHardening, SurfaceReferencePastItsTableIsInvalidArgument) {
+  // A record whose surface is the raw name or synonym itself indexes the
+  // concept-name or synonym table; one past either is refused at load.
+  ASSERT_FALSE(SharedImagePath().empty());
+  Result<std::unique_ptr<FlatImageView>> image =
+      FlatImageView::Open(SharedImagePath());
+  ASSERT_TRUE(image.ok()) << image.status();
+  const flat::FlatMeta& meta = (*image)->meta();
+  SectionEntry entry;
+  const std::vector<NameEntryRecord> records =
+      ImageRecords(SharedImagePath(), &entry);
+  const auto synonym = std::find_if(
+      records.begin(), records.end(), [](const NameEntryRecord& record) {
+        return (record.surface & (kSurfaceCanonical | kSurfaceStored)) == 0;
+      });
+  ASSERT_NE(synonym, records.end()) << "the world has no synonym entry";
+  ASSERT_NE(records[0].surface & kSurfaceCanonical, 0u);
+  const struct {
+    size_t record;
+    uint32_t surface;
+    const char* table;
+  } cases[] = {
+      {0, kSurfaceCanonical | static_cast<uint32_t>(meta.num_concepts),
+       "concept-name"},
+      {static_cast<size_t>(synonym - records.begin()),
+       static_cast<uint32_t>(meta.num_synonyms), "synonym"},
+  };
+  for (const auto& c : cases) {
+    const Status status = LoadWithPatchedWord(
+        SectionId::kNameEntryRecords,
+        (c.record * sizeof(NameEntryRecord) +
+         offsetof(NameEntryRecord, surface)) /
+            sizeof(uint32_t),
+        c.surface, "flat_surface_past_table.img");
+    EXPECT_TRUE(status.IsInvalidArgument()) << status;
+    EXPECT_NE(status.message().find(c.table), std::string::npos) << status;
+  }
+}
+
+/// The seed-7 world with surfaces that normalization changes (the
+/// generated names are normalized already): every fifth concept gets its
+/// name in capitals as a synonym, every seventh a punctuated one, and a
+/// new concept under the root has a canonical name in mixed case.
+std::shared_ptr<Snapshot> BuildStoredSurfaceSnapshot() {
+  Result<GeneratedWorld> world = SmallWorld();
+  EXPECT_TRUE(world.ok()) << world.status();
+  ConceptDagBuilder dag(world->eks.dag);
+  const ConceptId root = world->eks.dag.Roots().front();
+  for (ConceptId id = 0; id < world->eks.dag.num_concepts(); ++id) {
+    std::string name = world->eks.dag.name(id);
+    if (id % 5 == 0) {
+      std::string upper = name;
+      for (char& c : upper) {
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+      }
+      EXPECT_TRUE(dag.AddSynonym(id, upper).ok());
+    }
+    if (id % 7 == 0) {
+      EXPECT_TRUE(dag.AddSynonym(id, " (" + name + "),  nos ").ok());
     }
   }
-  Restamp(bytes);
-  const std::string path = WriteCorrupted(name, bytes);
-  EXPECT_TRUE(FlatImageView::Open(path).ok());
-  Result<std::shared_ptr<Snapshot>> snap = Snapshot::LoadFromImage(path);
-  return snap.ok() ? Status::OK() : snap.status();
+  Result<ConceptId> extra = dag.AddConcept("Extra-Renal Finding (Disorder)");
+  EXPECT_TRUE(extra.ok()) << extra.status();
+  EXPECT_TRUE(dag.AddSubsumption(*extra, root).ok());
+  Result<std::shared_ptr<Snapshot>> snapshot =
+      Snapshot::Build(std::move(dag).Build(), std::move(world->kb), nullptr,
+                      SnapshotOptions{});
+  EXPECT_TRUE(snapshot.ok()) << snapshot.status();
+  return snapshot.ok() ? *snapshot : nullptr;
 }
 
-TEST(FlatImageHardening, NativeEdgeOfTwoHopsIsInvalidArgument) {
-  // ConceptDagBuilder makes every native edge one hop; the candidate
-  // search counts it as one, so the loader refuses any other distance.
-  ASSERT_FALSE(SharedImagePath().empty());
-  const Status status =
-      LoadWithPatchedEdges("flat_native_two_hops.img", [](DagEdge& e) {
-        if (!e.is_shortcut()) e.original_distance = 2;
-      });
-  EXPECT_TRUE(status.IsInvalidArgument()) << status;
-  EXPECT_NE(status.message().find("native edge"), std::string::npos)
-      << status;
+/// BuildStoredSurfaceSnapshot's image, written once per process.
+const std::string& StoredSurfaceImagePath() {
+  static const std::string path = []() -> std::string {
+    std::shared_ptr<Snapshot> snap = BuildStoredSurfaceSnapshot();
+    if (snap == nullptr) return {};
+    std::string candidate = testing::TempDir() + "flat_image_stored." +
+                            std::to_string(::getpid()) + ".img";
+    return snap->WriteImage(candidate).ok() ? candidate : std::string();
+  }();
+  return path;
 }
 
-TEST(FlatImageHardening, ShortcutOfOneHopIsInvalidArgument) {
-  // A shortcut stands for at least two native hops, as AddShortcut
-  // requires.
-  ASSERT_FALSE(SharedImagePath().empty());
-  const Status status =
-      LoadWithPatchedEdges("flat_shortcut_one_hop.img", [](DagEdge& e) {
-        if (e.is_shortcut()) e.original_distance = 1;
+TEST(FlatImageRoundTrip, StoredSurfacesServeTheBuiltLookups) {
+  // Only the surfaces that normalization changes are stored; every other
+  // entry reads its raw name or synonym. Built and borrowed indexes
+  // resolve every entry to the same normalized surface and answer the
+  // same lookups.
+  std::shared_ptr<Snapshot> built = BuildStoredSurfaceSnapshot();
+  ASSERT_NE(built, nullptr);
+  ASSERT_FALSE(StoredSurfaceImagePath().empty());
+  Result<std::shared_ptr<Snapshot>> mapped =
+      Snapshot::LoadFromImage(StoredSurfaceImagePath());
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  const NameIndex& a = built->name_index();
+  const NameIndex& b = (*mapped)->name_index();
+  ASSERT_EQ(a.entries().size(), b.entries().size());
+  size_t stored = 0;
+  for (size_t e = 0; e < a.entries().size(); ++e) {
+    const uint32_t ref = b.views().records[e].surface;
+    const NameEntry entry = b.entries()[e];
+    ASSERT_EQ(entry.surface, a.entries()[e].surface) << "entry " << e;
+    EXPECT_EQ(entry.concept_id, a.entries()[e].concept_id);
+    EXPECT_EQ(entry.is_canonical, a.entries()[e].is_canonical);
+    const ConceptDag& dag = (*mapped)->dag();
+    const size_t index = ref & kSurfaceIndexMask;
+    const std::string raw = (ref & kSurfaceStored) != 0 ? std::string()
+                            : entry.is_canonical
+                                ? std::string(dag.name(index))
+                                : std::string(dag.views().synonyms[index]);
+    if ((ref & kSurfaceStored) != 0) {
+      ++stored;
+      EXPECT_NE(std::string(entry.surface), raw);
+    } else {
+      EXPECT_EQ(std::string(entry.surface), raw) << "entry " << e;
+    }
+    EXPECT_EQ(std::string(entry.surface), NormalizeTerm(entry.surface));
+  }
+  EXPECT_GT(stored, 100u);
+  EXPECT_EQ(b.views().stored.size(), stored);
+  for (ConceptId id = 0; id < built->dag().num_concepts(); id += 3) {
+    const std::string name = built->dag().name(id);
+    for (const std::string& term :
+         {name, name + "x", " (" + name + "),  nos ", std::string("EXTRA RENAL")}) {
+      EXPECT_EQ(b.FindExact(term), a.FindExact(term)) << term;
+      const std::string normalized = NormalizeTerm(term);
+      EXPECT_EQ(b.CandidatesWithin(normalized, 2),
+                a.CandidatesWithin(normalized, 2))
+          << term;
+    }
+  }
+  EXPECT_FALSE(b.FindExact("extra renal finding disorder").empty());
+}
+
+TEST(FlatImageHardening, StoredSurfaceIndexPastTheStoredTableIsInvalidArgument) {
+  ASSERT_FALSE(StoredSurfaceImagePath().empty());
+  SectionEntry entry;
+  const std::vector<NameEntryRecord> records =
+      ImageRecords(StoredSurfaceImagePath(), &entry);
+  const auto num_stored = static_cast<uint32_t>(
+      std::count_if(records.begin(), records.end(),
+                    [](const NameEntryRecord& record) {
+                      return (record.surface & kSurfaceStored) != 0;
+                    }));
+  const auto stored = std::find_if(
+      records.begin(), records.end(), [](const NameEntryRecord& record) {
+        return (record.surface & kSurfaceStored) != 0;
       });
+  ASSERT_NE(stored, records.end());
+  const auto record = static_cast<size_t>(stored - records.begin());
+  const Status status = LoadWithPatchedWord(
+      SectionId::kNameEntryRecords,
+      (record * sizeof(NameEntryRecord) + offsetof(NameEntryRecord, surface)) /
+          sizeof(uint32_t),
+      (stored->surface & ~kSurfaceIndexMask) | num_stored,
+      "flat_stored_past_table.img", StoredSurfaceImagePath());
   EXPECT_TRUE(status.IsInvalidArgument()) << status;
-  EXPECT_NE(status.message().find("shortcut edge"), std::string::npos)
+  EXPECT_NE(status.message().find("stored-surface"), std::string::npos)
       << status;
 }
 
@@ -784,6 +953,30 @@ TEST(FlatImageHardening, TrigramPostingBeyondTheEntriesIsInvalidArgument) {
   const Status status = LoadWithPatchedWord(
       SectionId::kTrigramPostings, 0, num_entries, "flat_bad_posting.img");
   EXPECT_TRUE(status.IsInvalidArgument()) << status;
+}
+
+TEST(FlatImageHardening, LastTrigramPostingBeyondTheEntriesIsInvalidArgument) {
+  // The only bad value is the last one, in a postings array whose length
+  // is not a multiple of 8: a vectorized check must not drop its tail,
+  // and the message still names the offending index.
+  ASSERT_FALSE(SharedImagePath().empty());
+  std::vector<std::byte> bytes = ReadFileBytes(SharedImagePath());
+  SectionEntry records;
+  ASSERT_TRUE(FindSection(bytes, SectionId::kNameEntryRecords, &records));
+  SectionEntry postings;
+  ASSERT_TRUE(FindSection(bytes, SectionId::kTrigramPostings, &postings));
+  const size_t count = postings.size / sizeof(uint32_t);
+  ASSERT_NE(count % 8, 0u) << "pick a world with a ragged postings tail";
+  const auto num_entries =
+      static_cast<uint32_t>(records.size / sizeof(NameEntryRecord));
+  const Status status =
+      LoadWithPatchedWord(SectionId::kTrigramPostings, count - 1, num_entries,
+                          "flat_bad_last_posting.img");
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find(StrFormat("value %u at %zu", num_entries,
+                                            count - 1)),
+            std::string::npos)
+      << status;
 }
 
 /// Rewrites the shared image's concept-instance offsets with `patch`,
@@ -919,7 +1112,9 @@ TEST(FlatImageRoundTrip, ServedStructuresAreReadFromTheMapping) {
   EXPECT_TRUE(InMapping(views.trigram_slots.data(), ranges));
   EXPECT_TRUE(InMapping(views.by_length.data(), ranges));
   EXPECT_TRUE(InMapping(views.exact_slots.data(), ranges));
-  EXPECT_TRUE(InMapping(views.surfaces.blob().data(), ranges));
+  EXPECT_TRUE(InMapping(views.records.data(), ranges));
+  EXPECT_TRUE(InMapping(views.names.blob().data(), ranges));
+  EXPECT_TRUE(InMapping(views.synonyms.blob().data(), ranges));
   EXPECT_EQ(index.FindExact(name).front(), index.entries()[0].concept_id);
 
   const ConceptDag& dag = (*snap)->dag();

@@ -5,7 +5,11 @@
 // code and the obvious-but-slow definitions fails here. The hub cases
 // pin the deferred frontier shell and the parent-side LCS check against
 // the eager whole-DAG search (NeighborsWithinRadius) and the naive
-// per-pair formulation on DAGs with a 1000+-child concept.
+// per-pair formulation on DAGs with a 1000+-child concept. The shortcut
+// cases keep the invariance argument that lets the served DAG hold
+// native edges only: every shortcut of Algorithm 1 spans exactly its
+// native distance, so a search that walks shortcuts too finds the same
+// ball at the same hops.
 
 #include <algorithm>
 #include <limits>
@@ -15,12 +19,19 @@
 
 #include "medrelax/common/random.h"
 #include "medrelax/common/string_util.h"
+#include "medrelax/datasets/corpus_generator.h"
+#include "medrelax/datasets/kb_generator.h"
+#include "medrelax/datasets/paper_fixtures.h"
 #include "medrelax/graph/concept_dag.h"
 #include "medrelax/graph/flagged_core.h"
 #include "medrelax/graph/geometry.h"
 #include "medrelax/graph/lcs.h"
 #include "medrelax/graph/paths.h"
 #include "medrelax/graph/traversal.h"
+#include "medrelax/matching/edit_matcher.h"
+#include "medrelax/matching/exact_matcher.h"
+#include "medrelax/relax/ingestion.h"
+#include "tests/shortcut_reference.h"
 
 namespace medrelax {
 namespace {
@@ -52,9 +63,7 @@ std::vector<std::vector<uint32_t>> RefUpDistances(const ConceptDag& dag) {
   std::vector<std::vector<uint32_t>> d(n, std::vector<uint32_t>(n, kInf));
   for (ConceptId i = 0; i < n; ++i) {
     d[i][i] = 0;
-    for (const DagEdge& e : dag.parents(i)) {
-      if (!e.is_shortcut()) d[i][e.target] = 1;
-    }
+    for (ConceptId parent : dag.parents(i)) d[i][parent] = 1;
   }
   for (size_t k = 0; k < n; ++k) {
     for (size_t i = 0; i < n; ++i) {
@@ -159,7 +168,7 @@ TEST_P(GraphReferenceSweep, LcsMatchesSpecTranscription) {
   for (ConceptId a = 0; a < n; ++a) {
     for (ConceptId b = 0; b < n; ++b) {
       // Reference: common reflexive subsumers, keep the minimal ones (no
-      // native child is also common), then the shortest combined distance.
+      // child is also common), then the shortest combined distance.
       auto common = [&](ConceptId c) {
         return ref[a][c] != kInf && ref[b][c] != kInf;
       };
@@ -167,8 +176,8 @@ TEST_P(GraphReferenceSweep, LcsMatchesSpecTranscription) {
       for (ConceptId c = 0; c < n; ++c) {
         if (!common(c)) continue;
         bool is_minimal = true;
-        for (const DagEdge& e : dag.children(c)) {
-          if (!e.is_shortcut() && common(e.target)) {
+        for (ConceptId child : dag.children(c)) {
+          if (common(child)) {
             is_minimal = false;
             break;
           }
@@ -210,8 +219,8 @@ TEST_P(GraphReferenceSweep, NeighborsHopsMatchUndirectedBfs) {
           queue.push_back(v);
         }
       };
-      for (const DagEdge& e : dag.parents(u)) visit(e.target);
-      for (const DagEdge& e : dag.children(u)) visit(e.target);
+      for (ConceptId v : dag.parents(u)) visit(v);
+      for (ConceptId v : dag.children(u)) visit(v);
     }
     const uint32_t radius = 3;
     std::vector<Neighbor> got = NeighborsWithinRadius(dag, start, radius);
@@ -228,57 +237,53 @@ TEST_P(GraphReferenceSweep, NeighborsHopsMatchUndirectedBfs) {
   }
 }
 
+// (id, hops) of every neighbor, sorted by id.
+std::vector<std::pair<ConceptId, uint32_t>> ById(
+    const std::vector<Neighbor>& neighbors) {
+  std::vector<std::pair<ConceptId, uint32_t>> out;
+  for (const Neighbor& nb : neighbors) out.emplace_back(nb.id, nb.hops);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST_P(GraphReferenceSweep, NeighborsUnchangedByShortcuts) {
-  // Shortcut edges carry their original distance, so materializing them
-  // must leave every radius-bounded search result untouched.
-  ConceptDag dag = RandomDag(20, GetParam() + 500);
+  // Shortcut edges carry their original distance, so a search that also
+  // walks them must find every radius-bounded ball of the native search:
+  // a shortcut for every strictly-transitive up-distance <= 4 (the
+  // Algorithm 1 customization, exhaustively), and the rule's own edges
+  // under a random flag set.
+  const ConceptDag dag = RandomDag(20, GetParam() + 500);
   const size_t n = dag.num_concepts();
   const uint32_t radius = 3;
-  std::vector<std::vector<Neighbor>> before(n);
-  for (ConceptId start = 0; start < n; ++start) {
-    before[start] = NeighborsWithinRadius(dag, start, radius);
-  }
-  // Materialize a shortcut for every strictly-transitive up-distance <= 4
-  // (the Algorithm 1 customization, exhaustively).
   auto ref = RefUpDistances(dag);
-  ConceptDagBuilder builder(dag);
+  std::vector<ShortcutEdge> exhaustive;
   for (ConceptId a = 0; a < n; ++a) {
     for (ConceptId c = 0; c < n; ++c) {
       if (ref[a][c] != kInf && ref[a][c] >= 2 && ref[a][c] <= 4) {
-        ASSERT_TRUE(builder.AddShortcut(a, c, ref[a][c]).ok());
+        exhaustive.push_back({a, c, ref[a][c]});
       }
     }
   }
-  dag = std::move(builder).Build();
-  for (ConceptId start = 0; start < n; ++start) {
-    std::vector<Neighbor> after = NeighborsWithinRadius(dag, start, radius);
-    auto sorted = [](std::vector<Neighbor> v) {
-      std::vector<std::pair<ConceptId, uint32_t>> out;
-      for (const Neighbor& nb : v) out.emplace_back(nb.id, nb.hops);
-      std::sort(out.begin(), out.end());
-      return out;
-    };
-    EXPECT_EQ(sorted(before[start]), sorted(after))
-        << "neighbors of " << start << " changed by shortcuts";
+  Rng rng(GetParam() + 501);
+  std::vector<bool> flagged(n);
+  for (ConceptId id = 0; id < n; ++id) flagged[id] = rng.Bernoulli(0.3);
+  for (const std::vector<ShortcutEdge>& shortcuts :
+       {exhaustive, ShortcutEdges(dag, flagged)}) {
+    const ShortcutSearch with_shortcuts(dag, shortcuts);
+    for (ConceptId start = 0; start < n; ++start) {
+      EXPECT_EQ(ById(NeighborsWithinRadius(dag, start, radius)),
+                ById(with_shortcuts.Within(start, radius)))
+          << "neighbors of " << start << " changed by shortcuts";
+    }
   }
 }
 
 TEST_P(GraphReferenceSweep, GeometryEngineMatchesNaiveFormulation) {
   // The shared-frontier engine must reproduce, pair for pair, what the
   // naive formulation (ShortestTaxonomicPath + Equation 4 loop +
-  // LeastCommonSubsumers) computes — including on customized graphs.
-  ConceptDag dag = RandomDag(18, GetParam() + 600);
+  // LeastCommonSubsumers) computes.
+  const ConceptDag dag = RandomDag(18, GetParam() + 600);
   const size_t n = dag.num_concepts();
-  auto ref = RefUpDistances(dag);
-  ConceptDagBuilder builder(dag);
-  for (ConceptId a = 0; a < n; ++a) {
-    for (ConceptId c = 0; c < n; ++c) {
-      if (ref[a][c] != kInf && ref[a][c] >= 2 && ref[a][c] <= 3) {
-        ASSERT_TRUE(builder.AddShortcut(a, c, ref[a][c]).ok());
-      }
-    }
-  }
-  dag = std::move(builder).Build();
   GeometryEngine engine(&dag);
   for (ConceptId a = 0; a < n; ++a) {
     engine.SetSource(a);
@@ -286,8 +291,93 @@ TEST_P(GraphReferenceSweep, GeometryEngineMatchesNaiveFormulation) {
   }
 }
 
-// RandomDag with every up-distance 2..3 materialized as a shortcut, plus a
-// hub: a concept under a random node with `hub_children` leaf children
+// Checks every edge ShortcutEdges returns for `flagged` on `dag`: at
+// least two hops, no pair twice, its distance exactly the native
+// up-distance (a plain BFS here, not the library's), a flagged end, and a
+// whole-DAG search that walks the edges too finds the native balls.
+void ExpectShortcutsSpanNativeDistance(const ConceptDag& dag,
+                                       const std::vector<bool>& flagged,
+                                       uint32_t radius, size_t start_step) {
+  const std::vector<ShortcutEdge> shortcuts = ShortcutEdges(dag, flagged);
+  ASSERT_FALSE(shortcuts.empty());
+  std::vector<std::pair<ConceptId, ConceptId>> pairs;
+  ConceptId last_child = kInvalidConcept;
+  std::vector<uint32_t> up;
+  for (const ShortcutEdge& e : shortcuts) {
+    if (e.child != last_child) {
+      // Native up-distances from the child, by BFS over parents.
+      up.assign(dag.num_concepts(), kInf);
+      up[e.child] = 0;
+      std::vector<ConceptId> queue = {e.child};
+      for (size_t head = 0; head < queue.size(); ++head) {
+        for (ConceptId p : dag.parents(queue[head])) {
+          if (up[p] != kInf) continue;
+          up[p] = up[queue[head]] + 1;
+          queue.push_back(p);
+        }
+      }
+      last_child = e.child;
+    }
+    EXPECT_GE(e.distance, 2u);
+    EXPECT_EQ(e.distance, up[e.ancestor])
+        << dag.name(e.child) << " -> " << dag.name(e.ancestor);
+    EXPECT_TRUE(flagged[e.child] || flagged[e.ancestor]);
+    pairs.emplace_back(e.child, e.ancestor);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end());
+  const ShortcutSearch with_shortcuts(dag, shortcuts);
+  for (ConceptId start = 0; start < dag.num_concepts(); start += start_step) {
+    ASSERT_EQ(ById(NeighborsWithinRadius(dag, start, radius)),
+              ById(with_shortcuts.Within(start, radius)))
+        << "neighbors of " << dag.name(start);
+  }
+}
+
+TEST(ShortcutInvariance, Figure5ShortcutsSpanTheirNativeDistance) {
+  Result<Figure5Fixture> fx = BuildFigure5Fixture();
+  ASSERT_TRUE(fx.ok());
+  KnowledgeBase kb;
+  Result<DomainOntology> onto = BuildFigure1Ontology();
+  ASSERT_TRUE(onto.ok());
+  kb.ontology = std::move(*onto);
+  const OntologyConceptId finding = kb.ontology.FindConcept("Finding");
+  ASSERT_TRUE(kb.instances.AddInstance("kidney disease", finding).ok());
+  ASSERT_TRUE(
+      kb.instances.AddInstance("hypertensive renal disease", finding).ok());
+  NameIndex index(&fx->dag);
+  ExactMatcher matcher(&index);
+  Result<IngestionResult> ingestion =
+      RunIngestion(kb, fx->dag, matcher, nullptr, IngestionOptions{});
+  ASSERT_TRUE(ingestion.ok()) << ingestion.status();
+  ExpectShortcutsSpanNativeDistance(fx->dag, ingestion->flagged,
+                                    /*radius=*/4, /*start_step=*/1);
+}
+
+TEST(ShortcutInvariance, BenchWorldShortcutsSpanTheirNativeDistance) {
+  // The ablation bench's standard world, flagged by its own ingestion.
+  SnomedGeneratorOptions eks;
+  eks.num_concepts = 4000;
+  eks.seed = 2026;
+  KbGeneratorOptions kb;
+  kb.num_drugs = 120;
+  kb.num_findings = 800;
+  kb.seed = 2027;
+  Result<GeneratedWorld> world = GenerateWorld(eks, kb);
+  ASSERT_TRUE(world.ok()) << world.status();
+  CorpusGeneratorOptions corpus_opts;
+  corpus_opts.seed = 2028;
+  const Corpus corpus = GenerateMonographCorpus(*world, corpus_opts);
+  NameIndex index(&world->eks.dag);
+  EditDistanceMatcher matcher(&index, EditMatcherOptions{});
+  Result<IngestionResult> ingestion = RunIngestion(
+      world->kb, world->eks.dag, matcher, &corpus, IngestionOptions{});
+  ASSERT_TRUE(ingestion.ok()) << ingestion.status();
+  ExpectShortcutsSpanNativeDistance(world->eks.dag, ingestion->flagged,
+                                    /*radius=*/4, /*start_step=*/7);
+}
+
+// RandomDag plus a hub: a concept under a random node with `hub_children` leaf children
 // (every tenth also under a random node, so the hub's fan-out is reachable
 // from both sides) and a native chain hub <- chain[0] <- chain[1] <-
 // chain[2] hanging below it.
@@ -300,16 +390,7 @@ struct HubDag {
 
 HubDag RandomHubDag(size_t n, size_t hub_children, uint64_t seed) {
   HubDag h;
-  const ConceptDag random_part = RandomDag(n, seed);
-  auto ref = RefUpDistances(random_part);
-  ConceptDagBuilder h_dag(random_part);
-  for (ConceptId a = 0; a < n; ++a) {
-    for (ConceptId c = 0; c < n; ++c) {
-      if (ref[a][c] != kInf && ref[a][c] >= 2 && ref[a][c] <= 3) {
-        EXPECT_TRUE(h_dag.AddShortcut(a, c, ref[a][c]).ok());
-      }
-    }
-  }
+  ConceptDagBuilder h_dag(RandomDag(n, seed));
   Rng rng(seed + 1);
   h.hub = *h_dag.AddConcept("hub");
   EXPECT_TRUE(h_dag.AddSubsumption(
@@ -338,8 +419,8 @@ HubDag RandomHubDag(size_t n, size_t hub_children, uint64_t seed) {
 
 // (hops, id) of every neighbor, each hop level sorted by id, after
 // checking that hops never decrease. The expander emits a level in
-// breadth-first order over the core and the eager search in Dial-queue
-// order, so only the levels' contents, not their order, must agree: the
+// breadth-first order over the core and the eager search over the whole
+// DAG, so only the levels' contents, not their order, must agree: the
 // same ball, and every concept at the same hop.
 std::vector<std::pair<uint32_t, ConceptId>> Levels(
     const std::vector<Neighbor>& neighbors) {

@@ -69,15 +69,29 @@ TEST(ConceptDag, RejectsInvalidIds) {
 
 TEST(ConceptDag, ShortcutRequiresDistanceAtLeastTwo) {
   Diamond d = MakeDiamond();
-  ConceptDagBuilder builder(d.dag);
-  EXPECT_TRUE(builder.AddShortcut(d.leaf, d.root, 1).IsInvalidArgument());
-  EXPECT_TRUE(builder.AddShortcut(d.leaf, d.root, 3).ok());
-  EXPECT_EQ(builder.num_shortcut_edges(), 1u);
-  // Idempotent: adding again is a no-op.
-  EXPECT_TRUE(builder.AddShortcut(d.leaf, d.root, 3).ok());
-  const ConceptDag dag = std::move(builder).Build();
-  EXPECT_EQ(dag.num_shortcut_edges(), 1u);
-  EXPECT_EQ(dag.num_edges(), d.dag.num_edges() + 1);
+  // Flagged leaf: one edge to each non-adjacent ancestor, in ancestor id
+  // order, carrying the native distance; the adjacent ab gets none.
+  std::vector<bool> flagged(d.dag.num_concepts(), false);
+  flagged[d.leaf] = true;
+  const std::vector<ShortcutEdge> want = {
+      {d.leaf, d.root, 3}, {d.leaf, d.a, 2}, {d.leaf, d.b, 2}};
+  EXPECT_EQ(ShortcutEdges(d.dag, flagged), want);
+  // Everything flagged: every pair at most once, none shorter than two
+  // hops, and the DAG itself keeps its native edges only.
+  flagged.assign(d.dag.num_concepts(), true);
+  const std::vector<ShortcutEdge> all = ShortcutEdges(d.dag, flagged);
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_GE(all[i].distance, 2u);
+    EXPECT_EQ(all[i].distance,
+              UpDistance(d.dag, all[i].child, all[i].ancestor));
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_FALSE(all[j].child == all[i].child &&
+                   all[j].ancestor == all[i].ancestor);
+    }
+  }
+  // leaf -> {root, a, b} and ab -> root.
+  EXPECT_EQ(all.size(), 4u);
+  EXPECT_EQ(d.dag.num_edges(), 5u);
 }
 
 TEST(ConceptDag, FindByNameAndRoots) {
@@ -167,7 +181,7 @@ TEST(Traversal, NeighborsRespectRadius) {
 
 TEST(Traversal, ShortcutPreservesOriginalDistance) {
   Diamond d = MakeDiamond();
-  // Without shortcut, root is 3 hops from leaf.
+  // Root is 3 hops from leaf.
   auto hops_of = [&](uint32_t radius) {
     for (const Neighbor& n : NeighborsWithinRadius(d.dag, d.leaf, radius)) {
       if (n.id == d.root) return n.hops;
@@ -176,21 +190,25 @@ TEST(Traversal, ShortcutPreservesOriginalDistance) {
   };
   EXPECT_EQ(hops_of(2), UINT32_MAX);
   EXPECT_EQ(hops_of(3), 3u);
-  // A shortcut carries the original distance it replaces, so the radius-r
-  // ball (and every reported hop count) is unchanged by customization.
-  ConceptDagBuilder builder(d.dag);
-  ASSERT_TRUE(builder.AddShortcut(d.leaf, d.root, 3).ok());
-  d.dag = std::move(builder).Build();
-  EXPECT_EQ(hops_of(2), UINT32_MAX);
-  EXPECT_EQ(hops_of(3), 3u);
-  // Original distances are unchanged: UpDistance still 3 (native edges).
-  EXPECT_EQ(UpDistance(d.dag, d.leaf, d.root), 3u);
+  // The shortcut a flagged leaf would get carries the distance it
+  // replaces, so the radius-r ball (and every reported hop count) is the
+  // same with or without it: the DAG does not store it.
+  std::vector<bool> flagged(d.dag.num_concepts(), false);
+  flagged[d.leaf] = true;
+  bool found = false;
+  for (const ShortcutEdge& e : ShortcutEdges(d.dag, flagged)) {
+    if (e.child != d.leaf || e.ancestor != d.root) continue;
+    found = true;
+    EXPECT_EQ(e.distance, hops_of(3));
+    EXPECT_EQ(e.distance, UpDistance(d.dag, d.leaf, d.root));
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(Traversal, ShortcutNeverShortensBelowOriginalDistance) {
-  // Chain a <- b <- c <- d plus a shortcut (d -> a, distance 3): nodes on
-  // the native path keep their distances even though the shortcut edge
-  // could otherwise act as a 1-hop bypass.
+  // Chain a <- b <- c <- e with e flagged: its shortcuts (e -> a,
+  // distance 3; e -> b, distance 2) each match the hop count the native
+  // search reports, so none could act as a bypass.
   ConceptDagBuilder builder;
   ConceptId a = *builder.AddConcept("a");
   ConceptId b = *builder.AddConcept("b");
@@ -199,8 +217,11 @@ TEST(Traversal, ShortcutNeverShortensBelowOriginalDistance) {
   ASSERT_TRUE(builder.AddSubsumption(b, a).ok());
   ASSERT_TRUE(builder.AddSubsumption(c, b).ok());
   ASSERT_TRUE(builder.AddSubsumption(e, c).ok());
-  ASSERT_TRUE(builder.AddShortcut(e, a, 3).ok());
   ConceptDag dag = std::move(builder).Build();
+  std::vector<bool> flagged(dag.num_concepts(), false);
+  flagged[e] = true;
+  const std::vector<ShortcutEdge> want = {{e, a, 3}, {e, b, 2}};
+  ASSERT_EQ(ShortcutEdges(dag, flagged), want);
   std::vector<Neighbor> within = NeighborsWithinRadius(dag, e, 4);
   ASSERT_EQ(within.size(), 3u);
   for (const Neighbor& n : within) {

@@ -1,6 +1,11 @@
 // Tests of the offline external-knowledge-source ingestion (Algorithm 1):
 // context generation, mappings/flags, per-context frequencies, and the
-// Figure 5 shortcut-edge customization.
+// Figure 5 shortcut edges, which ShortcutEdges computes and ingestion no
+// longer adds to the DAG.
+
+#include <algorithm>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +14,7 @@
 #include "medrelax/matching/name_index.h"
 #include "medrelax/datasets/corpus_generator.h"
 #include "medrelax/datasets/kb_generator.h"
+#include "medrelax/graph/traversal.h"
 #include "medrelax/relax/ingestion.h"
 
 namespace medrelax {
@@ -41,7 +47,7 @@ TEST(Ingestion, GeneratesAllContexts) {
   NameIndex index(&w.fx.dag);
   ExactMatcher matcher(&index);
   IngestionOptions options;
-  auto result = RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, options);
+  auto result = RunIngestion(w.kb, w.fx.dag, matcher, nullptr, options);
   ASSERT_TRUE(result.ok()) << result.status();
   // Algorithm 1 lines 1-4: one context per relationship.
   EXPECT_EQ(result->contexts.size(), w.kb.ontology.num_relationships());
@@ -52,7 +58,7 @@ TEST(Ingestion, MapsAndFlagsInstances) {
   NameIndex index(&w.fx.dag);
   ExactMatcher matcher(&index);
   auto result =
-      RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, IngestionOptions{});
+      RunIngestion(w.kb, w.fx.dag, matcher, nullptr, IngestionOptions{});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->mappings.size(), 1u);
   EXPECT_EQ(result->mappings[0].first, w.kidney_instance);
@@ -72,7 +78,7 @@ TEST(Ingestion, ConceptContextsComeFromTheInstanceConcept) {
   NameIndex index(&w.fx.dag);
   ExactMatcher matcher(&index);
   auto result =
-      RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, IngestionOptions{});
+      RunIngestion(w.kb, w.fx.dag, matcher, nullptr, IngestionOptions{});
   ASSERT_TRUE(result.ok());
   // Figure 1 ontology has exactly 2 relationships with range Finding.
   EXPECT_EQ(result->concept_contexts[w.fx.kidney_disease].size(), 2u);
@@ -83,19 +89,18 @@ TEST(Ingestion, Figure5ShortcutEdges) {
   NameIndex index(&w.fx.dag);
   ExactMatcher matcher(&index);
   auto result =
-      RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, IngestionOptions{});
+      RunIngestion(w.kb, w.fx.dag, matcher, nullptr, IngestionOptions{});
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->shortcuts_added, 0u);
 
-  // Example 2: ckd-stage-1-due-to-hypertension was 3 hops from kidney
-  // disease; after ingestion they are directly connected with the original
+  // Example 2: ckd-stage-1-due-to-hypertension is 3 hops from kidney
+  // disease; the shortcut rule connects them directly with the original
   // distance 3 attached.
   bool found = false;
-  for (const DagEdge& e :
-       w.fx.dag.parents(w.fx.ckd_stage1_due_to_hypertension)) {
-    if (e.target == w.fx.kidney_disease && e.is_shortcut()) {
+  for (const ShortcutEdge& e : ShortcutEdges(w.fx.dag, result->flagged)) {
+    if (e.child == w.fx.ckd_stage1_due_to_hypertension &&
+        e.ancestor == w.fx.kidney_disease) {
       found = true;
-      EXPECT_EQ(e.original_distance, 3u);
+      EXPECT_EQ(e.distance, 3u);
     }
   }
   EXPECT_TRUE(found) << "expected the Figure 5 dashed edge";
@@ -106,43 +111,41 @@ TEST(Ingestion, NoShortcutsBetweenAdjacentConcepts) {
   NameIndex index(&w.fx.dag);
   ExactMatcher matcher(&index);
   auto result =
-      RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, IngestionOptions{});
+      RunIngestion(w.kb, w.fx.dag, matcher, nullptr, IngestionOptions{});
   ASSERT_TRUE(result.ok());
   // hypertensive renal disease is a direct child of kidney disease: no
   // shortcut may duplicate that edge.
-  size_t edges_to_kidney = 0;
-  for (const DagEdge& e : w.fx.dag.parents(w.fx.hypertensive_renal_disease)) {
-    if (e.target == w.fx.kidney_disease) ++edges_to_kidney;
+  for (const ShortcutEdge& e : ShortcutEdges(w.fx.dag, result->flagged)) {
+    EXPECT_FALSE(e.child == w.fx.hypertensive_renal_disease &&
+                 e.ancestor == w.fx.kidney_disease);
+    EXPECT_GE(e.distance, 2u);
   }
-  EXPECT_EQ(edges_to_kidney, 1u);
+  const std::span<const ConceptId> parents =
+      w.fx.dag.parents(w.fx.hypertensive_renal_disease);
+  EXPECT_EQ(std::count(parents.begin(), parents.end(), w.fx.kidney_disease),
+            1);
 }
 
-TEST(Ingestion, ShortcutsCanBeDisabled) {
+TEST(Ingestion, LeavesTheDagNativeOnly) {
+  // Lines 19-23 are not applied: the DAG keeps exactly its native edges.
   Fig5World w = MakeFig5World();
-  NameIndex index(&w.fx.dag);
-  ExactMatcher matcher(&index);
-  IngestionOptions options;
-  options.add_shortcut_edges = false;
-  auto result = RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->shortcuts_added, 0u);
-  EXPECT_EQ(w.fx.dag.num_shortcut_edges(), 0u);
-}
-
-TEST(Ingestion, MaxShortcutDistanceCaps) {
-  Fig5World w = MakeFig5World();
-  NameIndex index(&w.fx.dag);
-  ExactMatcher matcher(&index);
-  IngestionOptions options;
-  options.max_shortcut_distance = 2;
-  auto result = RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, options);
-  ASSERT_TRUE(result.ok());
+  const size_t edges = w.fx.dag.num_edges();
+  std::vector<std::vector<ConceptId>> parents;
   for (ConceptId id = 0; id < w.fx.dag.num_concepts(); ++id) {
-    for (const DagEdge& e : w.fx.dag.parents(id)) {
-      if (e.is_shortcut()) {
-        EXPECT_LE(e.original_distance, 2u);
-      }
-    }
+    const std::span<const ConceptId> p = w.fx.dag.parents(id);
+    parents.emplace_back(p.begin(), p.end());
+  }
+  NameIndex index(&w.fx.dag);
+  ExactMatcher matcher(&index);
+  auto result =
+      RunIngestion(w.kb, w.fx.dag, matcher, nullptr, IngestionOptions{});
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(ShortcutEdges(w.fx.dag, result->flagged).empty());
+  EXPECT_EQ(w.fx.dag.num_edges(), edges);
+  for (ConceptId id = 0; id < w.fx.dag.num_concepts(); ++id) {
+    const std::span<const ConceptId> p = w.fx.dag.parents(id);
+    EXPECT_TRUE(std::equal(p.begin(), p.end(), parents[id].begin(),
+                           parents[id].end()));
   }
 }
 
@@ -151,7 +154,7 @@ TEST(Ingestion, StructuralFrequenciesWithoutCorpus) {
   NameIndex index(&w.fx.dag);
   ExactMatcher matcher(&index);
   auto result =
-      RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, IngestionOptions{});
+      RunIngestion(w.kb, w.fx.dag, matcher, nullptr, IngestionOptions{});
   ASSERT_TRUE(result.ok());
   const FrequencyModel& freq = result->frequencies;
   // Corpus-free: freq = subtree size; leaf gets the minimum, root 1.
@@ -183,7 +186,7 @@ TEST(Ingestion, CorpusFrequenciesRespectContextSections) {
   corpus.AddDocument(std::move(doc));
 
   auto result =
-      RunIngestion(w.kb, &w.fx.dag, matcher, &corpus, IngestionOptions{});
+      RunIngestion(w.kb, w.fx.dag, matcher, &corpus, IngestionOptions{});
   ASSERT_TRUE(result.ok());
   const FrequencyModel& freq = result->frequencies;
   EXPECT_GT(freq.Raw(w.fx.kidney_disease, ind), 0.0);
@@ -209,18 +212,13 @@ TEST(Ingestion, TfIdfToggleChangesWeights) {
 
   IngestionOptions raw_opts;
   raw_opts.use_tfidf = false;
-  // Fresh DAG copies (shortcut mutation): rebuild fixtures.
-  Fig5World w2 = MakeFig5World();
   auto with_tfidf =
-      RunIngestion(w.kb, &w.fx.dag, matcher, &corpus, IngestionOptions{});
-  NameIndex index2(&w2.fx.dag);
-  ExactMatcher matcher2(&index2);
-  auto without =
-      RunIngestion(w2.kb, &w2.fx.dag, matcher2, &corpus, raw_opts);
+      RunIngestion(w.kb, w.fx.dag, matcher, &corpus, IngestionOptions{});
+  auto without = RunIngestion(w.kb, w.fx.dag, matcher, &corpus, raw_opts);
   ASSERT_TRUE(with_tfidf.ok());
   ASSERT_TRUE(without.ok());
   // Raw count = 1 mention; tf-idf = 1 * log(1 + N/df) = log(2) != 1.
-  EXPECT_DOUBLE_EQ(without->frequencies.Raw(w2.fx.kidney_disease, ind), 1.0);
+  EXPECT_DOUBLE_EQ(without->frequencies.Raw(w.fx.kidney_disease, ind), 1.0);
   EXPECT_NE(with_tfidf->frequencies.Raw(w.fx.kidney_disease, ind), 1.0);
 }
 
@@ -232,7 +230,7 @@ TEST(Ingestion, UnmappedInstancesAreCounted) {
   NameIndex index(&w.fx.dag);
   ExactMatcher matcher(&index);
   auto result =
-      RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, IngestionOptions{});
+      RunIngestion(w.kb, w.fx.dag, matcher, nullptr, IngestionOptions{});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->unmapped_instances, 1u);
 }
@@ -246,7 +244,7 @@ TEST(Ingestion, RejectsMultiRootSource) {
   NameIndex index(&broken);
   ExactMatcher matcher(&index);
   auto result =
-      RunIngestion(w.kb, &broken, matcher, nullptr, IngestionOptions{});
+      RunIngestion(w.kb, broken, matcher, nullptr, IngestionOptions{});
   EXPECT_TRUE(result.status().IsFailedPrecondition());
 }
 
@@ -258,7 +256,7 @@ TEST(Ingestion, SynonymMappingFlagsSameConcept) {
   NameIndex index(&w.fx.dag);
   ExactMatcher matcher(&index);
   auto result =
-      RunIngestion(w.kb, &w.fx.dag, matcher, nullptr, IngestionOptions{});
+      RunIngestion(w.kb, w.fx.dag, matcher, nullptr, IngestionOptions{});
   ASSERT_TRUE(result.ok());
   // Both instances map to the same external concept.
   EXPECT_EQ(result->concept_instances.count(w.fx.kidney_disease), 2u);
@@ -281,7 +279,7 @@ TEST_P(IngestionSweep, InvariantsHold) {
   Corpus corpus = GenerateMonographCorpus(*world, CorpusGeneratorOptions{});
   NameIndex index(&world->eks.dag);
   ExactMatcher matcher(&index);
-  auto result = RunIngestion(world->kb, &world->eks.dag, matcher, &corpus,
+  auto result = RunIngestion(world->kb, world->eks.dag, matcher, &corpus,
                              IngestionOptions{});
   ASSERT_TRUE(result.ok()) << result.status();
 
@@ -292,11 +290,10 @@ TEST_P(IngestionSweep, InvariantsHold) {
   // (1) Monotonicity: a parent's propagated frequency dominates each
   // child's in every context (Equation 2 sums children into parents).
   for (ConceptId child = 0; child < dag.num_concepts(); ++child) {
-    for (const DagEdge& e : dag.parents(child)) {
-      if (e.is_shortcut()) continue;
+    for (ConceptId parent : dag.parents(child)) {
       for (ContextId ctx = 0; ctx < result->contexts.size(); ++ctx) {
-        ASSERT_GE(freq.Raw(e.target, ctx), freq.Raw(child, ctx))
-            << dag.name(e.target) << " < " << dag.name(child);
+        ASSERT_GE(freq.Raw(parent, ctx), freq.Raw(child, ctx))
+            << dag.name(parent) << " < " << dag.name(child);
       }
     }
   }
@@ -321,21 +318,12 @@ TEST_P(IngestionSweep, InvariantsHold) {
   }
   // (4) Shortcut edges never connect direct native neighbors, always have
   // distance >= 2, and always touch at least one flagged endpoint.
-  for (ConceptId child = 0; child < dag.num_concepts(); ++child) {
-    size_t native_and_shortcut_to_same_target = 0;
-    std::vector<ConceptId> native_targets;
-    for (const DagEdge& e : dag.parents(child)) {
-      if (!e.is_shortcut()) native_targets.push_back(e.target);
-    }
-    for (const DagEdge& e : dag.parents(child)) {
-      if (!e.is_shortcut()) continue;
-      EXPECT_GE(e.original_distance, 2u);
-      EXPECT_TRUE(result->flagged[child] || result->flagged[e.target]);
-      for (ConceptId nt : native_targets) {
-        if (nt == e.target) ++native_and_shortcut_to_same_target;
-      }
-    }
-    EXPECT_EQ(native_and_shortcut_to_same_target, 0u);
+  for (const ShortcutEdge& e : ShortcutEdges(dag, result->flagged)) {
+    EXPECT_GE(e.distance, 2u);
+    EXPECT_TRUE(result->flagged[e.child] || result->flagged[e.ancestor]);
+    const std::span<const ConceptId> parents = dag.parents(e.child);
+    EXPECT_EQ(std::find(parents.begin(), parents.end(), e.ancestor),
+              parents.end());
   }
 }
 

@@ -46,14 +46,14 @@ std::unique_ptr<Pipeline> MakePipeline() {
   p->index = std::make_unique<NameIndex>(&p->world.eks.dag);
   p->matcher = std::make_unique<EditDistanceMatcher>(p->index.get(),
                                                      EditMatcherOptions{});
-  auto with = RunIngestion(p->world.kb, &p->world.eks.dag, *p->matcher,
+  auto with = RunIngestion(p->world.kb, p->world.eks.dag, *p->matcher,
                            &p->corpus, IngestionOptions{});
   EXPECT_TRUE(with.ok()) << with.status();
   p->with_corpus = std::move(*with);
 
-  // The QR-no-corpus configuration shares the (already customized) DAG;
-  // ingestion is idempotent on shortcut edges.
-  auto without = RunIngestion(p->world.kb, &p->world.eks.dag, *p->matcher,
+  // The QR-no-corpus configuration shares the DAG, which ingestion leaves
+  // as it is.
+  auto without = RunIngestion(p->world.kb, p->world.eks.dag, *p->matcher,
                               nullptr, IngestionOptions{});
   EXPECT_TRUE(without.ok());
   p->without_corpus = std::move(*without);
@@ -97,8 +97,9 @@ TEST(Integration, ShortcutsAccelerateWithoutChangingScores) {
   ConceptId a = p->world.kb_finding_concepts[0];
   ConceptId b = p->world.kb_finding_concepts[1];
   double sim_with = model.Similarity(a, b, p->world.ctx_indication);
-  // Distances/paths/LCS all use native edges only, so this equals the
-  // pre-shortcut value by construction; sanity-check it is a valid score.
+  // Distances/paths/LCS use native edges, the only ones the DAG holds, so
+  // this is the value without shortcuts by construction; sanity-check it
+  // is a valid score.
   EXPECT_GE(sim_with, 0.0);
   EXPECT_LE(sim_with, 1.0 + 1e-9);
 }

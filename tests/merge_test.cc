@@ -134,7 +134,7 @@ TEST(Merge, IngestionAndRelaxationRunOverMergedSource) {
 
   NameIndex index(&merged->dag);
   ExactMatcher matcher(&index);
-  auto ingestion = RunIngestion(kb, &merged->dag, matcher, nullptr,
+  auto ingestion = RunIngestion(kb, merged->dag, matcher, nullptr,
                                 IngestionOptions{});
   ASSERT_TRUE(ingestion.ok()) << ingestion.status();
 

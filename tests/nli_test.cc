@@ -93,7 +93,7 @@ std::unique_ptr<NliWorld> MakeNliWorld() {
       std::make_unique<EditDistanceMatcher>(w->index.get(),
                                             EditMatcherOptions{});
   auto ingestion =
-      RunIngestion(w->kb, &w->fx.dag, *w->exact, nullptr, IngestionOptions{});
+      RunIngestion(w->kb, w->fx.dag, *w->exact, nullptr, IngestionOptions{});
   EXPECT_TRUE(ingestion.ok());
   w->ingestion = std::move(*ingestion);
   w->contexts = ContextRegistry::FromOntology(w->kb.ontology);

@@ -44,7 +44,7 @@ ConcurrencyWorld MakeWorld() {
   w.index = std::make_unique<NameIndex>(&w.fx.dag);
   w.matcher = std::make_unique<ExactMatcher>(w.index.get());
   auto ingestion =
-      RunIngestion(w.kb, &w.fx.dag, *w.matcher, nullptr, IngestionOptions{});
+      RunIngestion(w.kb, w.fx.dag, *w.matcher, nullptr, IngestionOptions{});
   EXPECT_TRUE(ingestion.ok());
   w.ingestion = std::move(*ingestion);
   return w;
@@ -74,7 +74,7 @@ std::unique_ptr<GeneratedRig> MakeGeneratedRig(size_t concepts,
   rig->index = std::make_unique<NameIndex>(&rig->world.eks.dag);
   rig->matcher = std::make_unique<ExactMatcher>(rig->index.get());
   Result<IngestionResult> ingestion =
-      RunIngestion(rig->world.kb, &rig->world.eks.dag, *rig->matcher,
+      RunIngestion(rig->world.kb, rig->world.eks.dag, *rig->matcher,
                    nullptr, IngestionOptions{});
   EXPECT_TRUE(ingestion.ok()) << ingestion.status();
   rig->ingestion = std::move(*ingestion);

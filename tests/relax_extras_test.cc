@@ -161,7 +161,7 @@ std::unique_ptr<FeedbackWorld> MakeFeedbackWorld() {
   w->index = std::make_unique<NameIndex>(&w->fx.dag);
   w->matcher = std::make_unique<ExactMatcher>(w->index.get());
   auto ingestion =
-      RunIngestion(w->kb, &w->fx.dag, *w->matcher, nullptr,
+      RunIngestion(w->kb, w->fx.dag, *w->matcher, nullptr,
                    IngestionOptions{});
   EXPECT_TRUE(ingestion.ok());
   w->ingestion = std::move(*ingestion);

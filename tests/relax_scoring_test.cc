@@ -4,7 +4,7 @@
 // four whole-graph traversals, no GeometryEngine), with std::pow for the
 // Equation 4 penalty (no power table) and the query's IC read per
 // candidate; then sorted and truncated at exactly k instances. The worlds
-// are random DAGs with shortcut edges and a deep native chain, whose far
+// are random DAGs with a deep native chain, whose far
 // candidates have Equation 4 exponents past the power table; flags and
 // instance counts (zero included) are random; one context has mostly
 // zero raw frequencies. Every option set, context (kNoContext included),
@@ -44,8 +44,8 @@ struct ScoringWorld {
   std::vector<PairGeometry> geometry;
 };
 
-// Random rooted DAG (1-3 parents of smaller index each, up-distances 2-3
-// materialized as shortcuts) with a native chain of kChainLength concepts
+// Random rooted DAG (1-3 parents of smaller index each) with a native
+// chain of kChainLength concepts
 // under a random concept; about a third of the concepts flagged, each
 // with 0-3 instances.
 ScoringWorld MakeScoringWorld(uint64_t seed) {
@@ -60,15 +60,6 @@ ScoringWorld MakeScoringWorld(uint64_t seed) {
     const size_t parents = 1 + rng.UniformU64(3);
     for (size_t p = 0; p < parents; ++p) {
       (void)dag.AddSubsumption(i, static_cast<ConceptId>(rng.UniformU64(i)));
-    }
-  }
-  const ConceptDag random_part = ConceptDagBuilder(dag).Build();
-  for (ConceptId a = 0; a < kRandomConcepts; ++a) {
-    const std::vector<uint32_t> up = UpDistances(random_part, a);
-    for (ConceptId c = 0; c < kRandomConcepts; ++c) {
-      if (up[c] >= 2 && up[c] <= 3) {
-        EXPECT_TRUE(dag.AddShortcut(a, c, up[c]).ok());
-      }
     }
   }
   ConceptId below = static_cast<ConceptId>(rng.UniformU64(kRandomConcepts));

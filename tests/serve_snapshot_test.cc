@@ -37,9 +37,8 @@ TEST(Snapshot, BuildRunsIngestionAndWiresTheRelaxer) {
   std::shared_ptr<Snapshot> snap = BuildSmallSnapshot();
   EXPECT_EQ(snap->generation(), 0u) << "unpublished snapshots have gen 0";
   EXPECT_GT(snap->ingestion().mappings.size(), 0u);
-  EXPECT_GT(snap->ingestion().shortcuts_added, 0u);
-  EXPECT_GT(snap->dag().num_shortcut_edges(), 0u)
-      << "Build must customize the snapshot's own DAG";
+  EXPECT_EQ(snap->ingestion().flagged.size(), snap->dag().num_concepts())
+      << "Build must flag over the snapshot's own DAG";
 
   // The relaxer answers through the bundle's own members: resolve a mapped
   // instance's name and relax it.

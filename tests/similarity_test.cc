@@ -327,7 +327,7 @@ TEST(IntroExample, PertussisRelaxesToBronchitis) {
   NameIndex index(&dag);
   ExactMatcher matcher(&index);
   auto ingestion =
-      RunIngestion(kb, &dag, matcher, nullptr, IngestionOptions{});
+      RunIngestion(kb, dag, matcher, nullptr, IngestionOptions{});
   ASSERT_TRUE(ingestion.ok());
   RelaxationOptions ropts;
   // Radius counts original hops (shortcuts keep their annotated

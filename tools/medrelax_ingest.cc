@@ -3,8 +3,8 @@
 //   medrelax_ingest <dir> <out-image> [--exact]
 //       Loads <dir>/eks.tsv + <dir>/kb.tsv (as written by
 //       `medrelax_tool generate`), runs the full offline phase
-//       (Algorithm 1: contexts, mappings, frequency propagation,
-//       shortcut edges), then freezes the result into a flat snapshot
+//       (Algorithm 1: contexts, mappings, frequency propagation), then
+//       freezes the result into a flat snapshot
 //       image at <out-image> (format: docs/SNAPSHOT_FORMAT.md). --exact
 //       bakes the exact-match term mapper into the image (edit distance
 //       otherwise). The image is the only artifact medrelax_server
@@ -19,9 +19,11 @@
 //   medrelax_ingest info <image>
 //       Loads the image as the server would, with every check that runs
 //       (so `ok` means `serve --image` and `RELOAD` accept it), and
-//       prints its meta block (counts, options fingerprint, file size)
-//       — the operator's sanity check before pointing a server at it —
-//       then one `section id=<n> bytes=<b>` line per directory entry.
+//       prints its meta block (counts, options fingerprint, file size,
+//       and `stored_surfaces=`, the name surfaces that normalization
+//       changed and the image therefore stores a second time) — the
+//       operator's sanity check before pointing a server at it — then
+//       one `section id=<n> bytes=<b>` line per directory entry.
 //
 // Summary lines go to stdout (machine-greppable "ok ingest ..."), timing
 // to stderr, mirroring the medrelax_server convention.
@@ -66,14 +68,14 @@ int RunInfo(const std::string& path) {
   }
   const flat::FlatMeta& meta = (*image)->meta();
   std::printf(
-      "ok image bytes=%zu concepts=%llu edges=%llu shortcuts=%llu"
-      " synonyms=%llu contexts=%llu mappings=%llu instances=%llu"
+      "ok image bytes=%zu concepts=%llu edges=%llu synonyms=%llu"
+      " stored_surfaces=%zu contexts=%llu mappings=%llu instances=%llu"
       " triples=%llu freq_columns=%u fingerprint=%016llx\n",
       (*image)->file_size(),
       static_cast<unsigned long long>(meta.num_concepts),
       static_cast<unsigned long long>(meta.num_edges),
-      static_cast<unsigned long long>(meta.num_shortcut_edges),
       static_cast<unsigned long long>(meta.num_synonyms),
+      (*loaded)->name_index().views().stored.size(),
       static_cast<unsigned long long>(meta.num_contexts),
       static_cast<unsigned long long>(meta.num_mappings),
       static_cast<unsigned long long>(meta.num_instances),
@@ -141,11 +143,10 @@ int RunIngest(int argc, char** argv) {
   }
   const flat::FlatMeta& meta = (*image)->meta();
   std::printf(
-      "ok ingest concepts=%llu edges=%llu shortcuts=%llu contexts=%llu"
+      "ok ingest concepts=%llu edges=%llu contexts=%llu"
       " instances=%llu triples=%llu bytes=%zu\n",
       static_cast<unsigned long long>(meta.num_concepts),
       static_cast<unsigned long long>(meta.num_edges),
-      static_cast<unsigned long long>(meta.num_shortcut_edges),
       static_cast<unsigned long long>(meta.num_contexts),
       static_cast<unsigned long long>(meta.num_instances),
       static_cast<unsigned long long>(meta.num_triples),
