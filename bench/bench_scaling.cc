@@ -6,7 +6,6 @@
 //     candidate search walks the flagged core's native edges and the
 //     ranking orders only the candidates that fill k
 //     (BM_OnlineRelaxationByRadius shows the cost growing with r);
-//   * BM_RelaxBatch measures multi-threaded batch throughput;
 //   * BM_RelaxationVIndependence times the same small-ball relaxation on a
 //     1k- and a 64k-concept synthetic DAG in one run; its counter
 //     v_independence (small ÷ large time per query) is CI-floored, so a
@@ -166,40 +165,6 @@ BENCHMARK(BM_OnlineRelaxation)
     ->Arg(16000)
     ->Arg(64000)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_RelaxBatch(benchmark::State& state) {
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  auto& s = WorldForSize(8000);
-  if (s == nullptr) {
-    state.SkipWithError("world build failed");
-    return;
-  }
-  RelaxationOptions ropts;
-  ropts.radius = 4;
-  ropts.top_k = 10;
-  QueryRelaxer relaxer(&s->world.eks.dag, &s->with_corpus, s->edit.get(),
-                       SimilarityOptions{}, ropts);
-  const std::vector<ConceptId>& region = s->world.eks.finding_concepts;
-  std::vector<ConceptQuery> queries;
-  queries.reserve(64);
-  for (size_t i = 0; i < 64; ++i) {
-    queries.push_back({region[i % region.size()], s->world.ctx_indication});
-  }
-  for (auto _ : state) {
-    std::vector<RelaxationOutcome> outcomes =
-        relaxer.RelaxBatch(queries, threads);
-    benchmark::DoNotOptimize(outcomes);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(queries.size()));
-  state.SetLabel("threads=" + std::to_string(threads));
-}
-BENCHMARK(BM_RelaxBatch)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 // A synthetic taxonomy whose query ball is 16 concepts at any |V|:
 // root <- hub <- a <- b <- c <- query, where a, b and c each have three

@@ -238,7 +238,7 @@ fi
 
 printf 'STATS\nQUIT\n' | "${CLIENT}" session "${PORT}" \
   > "${WORK}/img_stats.out"
-grep -q '^reloads_completed=1$' "${WORK}/img_stats.out"
+grep -q '^snapshot_swaps=1$' "${WORK}/img_stats.out"
 
 stop_server
 

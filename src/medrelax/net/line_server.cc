@@ -68,7 +68,6 @@ void LineServer::OnAcceptable() {
     (void)send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
     close(fd);
     rejected_capacity_.fetch_add(1, std::memory_order_relaxed);
-    if (callbacks_.on_reject) callbacks_.on_reject();
   }
 }
 
@@ -96,7 +95,6 @@ void LineServer::Open(uint64_t id, int fd) {
   Connection& ref = *conn;
   shard.connections.emplace(id, std::move(conn));
   if (!options_.greeting.empty()) ref.Send(options_.greeting);
-  if (callbacks_.on_accept && !ref.closed()) callbacks_.on_accept(ref);
 }
 
 void LineServer::OnLine(Connection& conn, std::string line) {

@@ -51,14 +51,10 @@ struct LineServerStats {
 class LineServer : private Connection::Handler {
  public:
   using LineCallback = std::function<void(Connection&, std::string line)>;
-  /// Observes an accepted session, after the greeting was queued.
-  using AcceptCallback = std::function<void(Connection&)>;
   /// Observes teardown; the connection object is already closed (but
   /// still alive — destruction is deferred past the callback).
   using DisconnectCallback =
       std::function<void(const Connection&, const Status& reason)>;
-  /// Observes an accept rejected at the connection cap.
-  using RejectCallback = std::function<void()>;
 
   /// Protocol-layer hooks; only on_line is required. Every hook fires on
   /// a loop thread (the MEDRELAX_LOOP_THREAD_ONLY on the members is how
@@ -66,9 +62,7 @@ class LineServer : private Connection::Handler {
   /// so with several loops they must be safe to run concurrently.
   struct Callbacks {
     LineCallback on_line MEDRELAX_LOOP_THREAD_ONLY;
-    AcceptCallback on_accept MEDRELAX_LOOP_THREAD_ONLY;
     DisconnectCallback on_disconnect MEDRELAX_LOOP_THREAD_ONLY;
-    RejectCallback on_reject MEDRELAX_LOOP_THREAD_ONLY;
   };
 
   /// Serves on one loop.

@@ -1,9 +1,7 @@
 #include "medrelax/relax/query_relaxer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <thread>
 
 #include "medrelax/common/logging.h"
 #include "medrelax/common/string_util.h"
@@ -83,13 +81,6 @@ RelaxationOutcome QueryRelaxer::RelaxConcept(ConceptId query,
 RelaxationOutcome QueryRelaxer::RelaxConceptWithK(ConceptId query,
                                                   ContextId context,
                                                   size_t k) const {
-  ThreadScratch().engine.Reset(eks_);
-  return RelaxOnThread(query, context, k);
-}
-
-RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
-                                              ContextId context,
-                                              size_t k) const {
   // Every entry point passes through here. A context past the frequency
   // model's would read past its table while scoring; an out-of-range
   // query concept is fine — it is in no table row and finds nothing.
@@ -97,8 +88,9 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
   MEDRELAX_CHECK(context == kNoContext || context < num_contexts)
       << "context " << context << " is out of range: the frequency model has "
       << num_contexts << " contexts";
-  const auto t_start = std::chrono::steady_clock::now();
   RelaxScratch& scratch = ThreadScratch();
+  scratch.engine.Reset(eks_);
+  const auto t_start = std::chrono::steady_clock::now();
   RelaxationOutcome outcome;
   outcome.query_concept = query;
 
@@ -223,38 +215,6 @@ RelaxationOutcome QueryRelaxer::RelaxOnThread(ConceptId query,
   outcome.stats.rank_ns = ElapsedNs(t_scored, t_ranked);
   outcome.stats.total_ns = ElapsedNs(t_start, t_ranked);
   return outcome;
-}
-
-std::vector<RelaxationOutcome> QueryRelaxer::RelaxBatch(
-    std::span<const ConceptQuery> queries, unsigned num_threads) const {
-  std::vector<RelaxationOutcome> outcomes(queries.size());
-  if (queries.empty()) return outcomes;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  num_threads = static_cast<unsigned>(
-      std::min<size_t>(num_threads, queries.size()));
-
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    ThreadScratch().engine.Reset(eks_);
-    for (;;) {
-      size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= queries.size()) return;
-      outcomes[i] = RelaxOnThread(queries[i].concept_id, queries[i].context,
-                                  relaxation_options_.top_k);
-    }
-  };
-  if (num_threads == 1) {
-    worker();
-    return outcomes;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  for (unsigned t = 0; t < num_threads; ++t) workers.emplace_back(worker);
-  for (std::thread& t : workers) t.join();
-  return outcomes;
 }
 
 }  // namespace medrelax

@@ -1,7 +1,6 @@
 #ifndef MEDRELAX_RELAX_QUERY_RELAXER_H_
 #define MEDRELAX_RELAX_QUERY_RELAXER_H_
 
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,12 +55,6 @@ struct RelaxationOutcome {
   RelaxStats stats;
 };
 
-/// A concept-level query for batch relaxation.
-struct ConceptQuery {
-  ConceptId concept_id = kInvalidConcept;
-  ContextId context = kNoContext;
-};
-
 /// The online query relaxation engine (Algorithm 2 + Equation 5).
 ///
 /// Borrows the external DAG, the ingestion
@@ -79,8 +72,9 @@ struct ConceptQuery {
 /// concurrent queries. The scratch (a RadiusExpander, a GeometryEngine,
 /// and the neighbor, candidate and score vectors) is thread_local and
 /// shared by every relaxer on the thread: it is epoch-stamped or cleared
-/// per query, so a query allocates and fills nothing |V|-sized, and each
-/// top-level call below re-anchors it, so no call inherits state from
+/// per query, so a query allocates and fills nothing |V|-sized, and
+/// RelaxConceptWithK, which every entry point reaches, re-anchors it on
+/// entry, so no call inherits state from
 /// another DAG or an earlier call. A warm thread allocates only the
 /// returned outcome: one ScoredConcept per concept that fills k.
 class QueryRelaxer {
@@ -104,16 +98,12 @@ class QueryRelaxer {
 
   /// Like RelaxConcept but with an explicit k, so wrappers (e.g. the
   /// relevance-feedback layer) can over-fetch candidates before re-ranking.
+  /// The core of Algorithm 2 on this thread's scratch, re-anchored on
+  /// entry: incremental radius growth, per-candidate geometry, scoring
+  /// into flat records, ranking, exact-k truncation.
   [[nodiscard]] RelaxationOutcome RelaxConceptWithK(ConceptId query,
                                                     ContextId context,
                                                     size_t k) const;
-
-  /// Relaxes a batch of concept-level queries on `num_threads` workers
-  /// (0 = hardware concurrency). Outcomes are returned in input order and
-  /// are identical to sequential RelaxConcept calls; each worker reuses
-  /// its thread's scratch across its share of the batch.
-  [[nodiscard]] std::vector<RelaxationOutcome> RelaxBatch(
-      std::span<const ConceptQuery> queries, unsigned num_threads = 0) const;
 
   /// The underlying similarity model (exposed for diagnostics and tests).
   [[nodiscard]]
@@ -123,13 +113,6 @@ class QueryRelaxer {
   const RelaxationOptions& options() const { return relaxation_options_; }
 
  private:
-  /// The core of Algorithm 2 on this thread's scratch: incremental
-  /// radius growth, per-candidate geometry, scoring into flat records,
-  /// ranking, exact-k truncation. Precondition: the calling entry point has Reset the
-  /// thread's GeometryEngine on eks_ during the current top-level call.
-  RelaxationOutcome RelaxOnThread(ConceptId query, ContextId context,
-                                  size_t k) const;
-
   const ConceptDag* eks_;
   const IngestionResult* ingestion_;
   const MappingFunction* mapper_;

@@ -38,7 +38,7 @@ struct SimilarityOptions {
 /// frequencies and the direction-weighted path penalty of Equation 4.
 ///
 /// Thread-safe: the model holds no mutable state, so one model can serve
-/// concurrent queries (QueryRelaxer::RelaxBatch relies on this). The
+/// concurrent queries (the serving event loops share one). The
 /// paper's "retrieves the pre-computed similarity" step is realized by
 /// scoring each candidate's geometry as the relaxer computes it
 /// (QueryRelaxer, through a GeometryEngine); that is cheaper than a

@@ -36,7 +36,7 @@ std::string LineProtocol::Answer(
     case Verb::kStats:
       return StrFormat(
           "ok stats\n%send\n",
-          service_.Stats().ToString(/*deterministic_only=*/true).c_str());
+          service_.Stats().ToString().c_str());
     default:
       return StrFormat("err InvalidArgument: unknown verb '%s'\n",
                        std::string(split.verb).c_str());
@@ -85,9 +85,7 @@ std::string LineProtocol::Reload(std::string_view path) {
   // A successful explicit-path reload makes that image the one later
   // plain RELOADs map (sticky, like booting with --image).
   image_path_ = image;
-  service_.TransportStats().RecordImageLoad((*reloaded)->load_micros());
   const uint64_t generation = service_.PublishSnapshot(std::move(*reloaded));
-  service_.TransportStats().RecordReloadCompleted();
   return StrFormat("ok reload gen=%llu\n",
                    static_cast<unsigned long long>(generation));
 }

@@ -47,8 +47,6 @@ class LineProtocol {
   [[nodiscard]] std::string Banner(unsigned workers,
                                    size_t cache_capacity) const;
 
-  [[nodiscard]] RelaxationService& service() { return service_; }
-
  private:
   /// RELAX [k=N] [timeout_ms=N] [ctx=LABEL] <term...>: parses `args`,
   /// resolves the context label against the snapshot it pins, and relaxes

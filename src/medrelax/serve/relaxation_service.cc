@@ -61,9 +61,7 @@ Result<RelaxResponse> RelaxationService::Relax(RelaxRequest request) {
 
   ConceptId concept_id = request.concept_id;
   if (concept_id == kInvalidConcept) {
-    const Clock::time_point map_start = Clock::now();
     std::optional<ConceptMatch> match = snap.mapper().Map(request.term);
-    stats_.RecordTermMapped(ElapsedNs(map_start, Clock::now()));
     if (!match.has_value()) {
       stats_.RecordFailed();
       return Status::NotFound(StrFormat(
@@ -103,13 +101,11 @@ Result<RelaxResponse> RelaxationService::Relax(RelaxRequest request) {
   if (!response.cache_hit) {
     auto outcome = std::make_shared<const RelaxationOutcome>(
         snap.relaxer().RelaxConceptWithK(concept_id, request.context, k));
-    stats_.RecordRelaxStats(outcome->stats);
     cache_.Insert(key, outcome);
     response.outcome = std::move(outcome);
   }
   response.snapshot = std::move(pinned);
-  response.latency_ns = ElapsedNs(received, Clock::now());
-  stats_.RecordCompleted(response.cache_hit, response.latency_ns);
+  stats_.RecordCompleted(response.cache_hit);
   return response;
 }
 

@@ -43,7 +43,7 @@ struct RelaxRequest {
   /// ServiceOptions::default_deadline.
   std::chrono::steady_clock::duration timeout{0};
   /// When the request arrived (the TCP transport stamps the moment it
-  /// framed the line); the deadline and the latency count from here. The
+  /// framed the line); the deadline counts from here. The
   /// default, the epoch, means "when Relax is called".
   std::chrono::steady_clock::time_point received_at{};
   /// The snapshot to answer from, pinned by a caller that already
@@ -65,8 +65,6 @@ struct RelaxResponse {
   /// Always false: requests are no longer coalesced. Kept so existing
   /// readers still compile.
   bool coalesced = false;
-  /// Receipt-to-answer wall time.
-  uint64_t latency_ns = 0;
 };
 
 /// The serving layer over QueryRelaxer: a synchronous, thread-safe call
@@ -119,11 +117,6 @@ class RelaxationService {
     return stats_.Snapshot();
   }
 
-  /// Mutable counter sink for the transport layer: the TCP frontend
-  /// records connection lifecycle events (opened/closed/rejected,
-  /// oversized lines) into the same block the STATS verb prints.
-  /// ServiceStats is internally atomic, so this is thread-safe.
-  [[nodiscard]] ServiceStats& TransportStats() { return stats_; }
   [[nodiscard]] const ResultCache& cache() const { return cache_; }
 
   /// Makes every later call fail with FailedPrecondition; calls already
@@ -136,7 +129,7 @@ class RelaxationService {
   // or written under two locks at once.
   SnapshotRegistry registry_;  // lint:allow(guarded-by) internally locked
   ResultCache cache_;          // lint:allow(guarded-by) internally locked
-  ServiceStats stats_;         // lint:allow(guarded-by) internally locked
+  ServiceStats stats_;         // lint:allow(guarded-by) relaxed atomics
   std::atomic<bool> shut_down_{false};
 };
 

@@ -65,19 +65,12 @@ ResultCache::ResultCache(ShardSizing sizing)
 
 std::shared_ptr<const RelaxationOutcome> ResultCache::Lookup(
     const CacheKey& key) {
-  if (shard_capacity_ == 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
+  if (shard_capacity_ == 0) return nullptr;
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
+  if (it == shard.index.end()) return nullptr;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second->outcome;
 }
 
@@ -98,14 +91,6 @@ void ResultCache::Insert(const CacheKey& key,
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ResultCache::Clear() {
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
   }
 }
 

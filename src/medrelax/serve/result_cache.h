@@ -80,7 +80,8 @@ struct ResultCacheOptions {
 /// a full shard evicts that shard's least-recently-used entry.
 ///
 /// Thread-safe: each shard holds its own mutex and no operation holds two
-/// at once (docs/CONCURRENCY.md); counters are atomics.
+/// at once (docs/CONCURRENCY.md); the eviction counter is an atomic. Hits
+/// and misses are counted once, by the service (ServiceStats).
 class ResultCache {
  public:
   explicit ResultCache(const ResultCacheOptions& options);
@@ -98,18 +99,9 @@ class ResultCache {
   void Insert(const CacheKey& key,
               std::shared_ptr<const RelaxationOutcome> outcome);
 
-  /// Drops every entry (the counters survive).
-  void Clear();
-
   /// Current number of cached entries across all shards.
   [[nodiscard]] size_t size() const;
 
-  [[nodiscard]] uint64_t hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
@@ -148,8 +140,6 @@ class ResultCache {
   const size_t shard_capacity_;
   const uint64_t shard_mask_;
   std::vector<Shard> shards_;  // lint:allow(guarded-by) per-shard mu inside
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
 };
 

@@ -83,22 +83,13 @@ Status TcpServer::Start(const net::LineServerOptions& options) {
     }
   }
 
-  ServiceStats& stats = protocol_.service().TransportStats();
   net::LineServer::Callbacks callbacks;
   callbacks.on_line = [this](net::Connection& conn, std::string line) {
     OnLine(conn, std::move(line));
   };
-  callbacks.on_accept = [&stats](net::Connection&) {
-    stats.RecordConnectionOpened();
-  };
-  callbacks.on_reject = [&stats]() { stats.RecordConnectionRejected(); };
-  callbacks.on_disconnect = [&stats](const net::Connection& conn,
-                                     const Status& reason) {
+  callbacks.on_disconnect = [](const net::Connection& conn,
+                               const Status& reason) {
     const net::ConnectionStats& counts = conn.stats();
-    stats.RecordConnectionClosed();
-    if (counts.oversize_rejects > 0) {
-      stats.RecordLineRejected(counts.oversize_rejects);
-    }
     std::fprintf(stderr,
                  "conn %llu closed (%s): lines_in=%llu bytes_in=%llu"
                  " bytes_out=%llu writes_deferred=%llu\n",

@@ -1,8 +1,9 @@
 // Concurrency tests of the online relaxation stack: one SimilarityModel /
 // QueryRelaxer instance serving overlapping queries from many threads.
-// Run under the tsan preset, these pin the thread-safety contract of
-// RelaxBatch and the per-thread traversal scratch every relaxer on a
-// thread shares.
+// Run under the tsan preset, these pin the thread-safety contract of a
+// relaxer shared by plain threads, the way the serving event loops share
+// one, and of the per-thread traversal scratch every relaxer on a thread
+// shares.
 
 #include <cstddef>
 #include <memory>
@@ -100,6 +101,32 @@ void ExpectSameOutcome(const RelaxationOutcome& got,
   EXPECT_EQ(got.instances, want.instances) << "query " << index;
 }
 
+struct Query {
+  ConceptId concept_id;
+  ContextId context;
+};
+
+// Relaxes `queries` on `num_threads` plain threads sharing `relaxer`:
+// thread t takes queries t, t + num_threads, ... Outcomes come back in
+// input order.
+std::vector<RelaxationOutcome> RelaxFromThreads(
+    const QueryRelaxer& relaxer, const std::vector<Query>& queries,
+    size_t num_threads) {
+  std::vector<RelaxationOutcome> outcomes(queries.size());
+  std::vector<std::thread> threads;
+  threads.reserve(num_threads);
+  for (size_t t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = t; i < queries.size(); i += num_threads) {
+        outcomes[i] =
+            relaxer.RelaxConcept(queries[i].concept_id, queries[i].context);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return outcomes;
+}
+
 TEST(Concurrency, ConcurrentSimilarityCallsShareTheCache) {
   ConcurrencyWorld w = MakeWorld();
   QueryRelaxer relaxer(&w.fx.dag, &w.ingestion, w.matcher.get(),
@@ -134,19 +161,21 @@ TEST(Concurrency, ConcurrentSimilarityCallsShareTheCache) {
   }
 }
 
-TEST(Concurrency, ParallelRelaxBatchMatchesSequential) {
+TEST(Concurrency, ThreadsOnOneRelaxerMatchSequential) {
   ConcurrencyWorld w = MakeWorld();
   QueryRelaxer relaxer(&w.fx.dag, &w.ingestion, w.matcher.get(),
                        SimilarityOptions{}, RelaxationOptions{});
-  std::vector<ConceptQuery> queries;
+  std::vector<Query> queries;
   const std::vector<ConceptId> rotation = {
       w.fx.ckd_stage1_due_to_hypertension, w.fx.kidney_disease,
       w.fx.hypertensive_renal_disease, w.fx.hypertensive_nephropathy};
   for (size_t i = 0; i < 64; ++i) {
     queries.push_back({rotation[i % rotation.size()], 0});
   }
-  std::vector<RelaxationOutcome> parallel = relaxer.RelaxBatch(queries, 4);
-  std::vector<RelaxationOutcome> sequential = relaxer.RelaxBatch(queries, 1);
+  std::vector<RelaxationOutcome> parallel =
+      RelaxFromThreads(relaxer, queries, 4);
+  std::vector<RelaxationOutcome> sequential =
+      RelaxFromThreads(relaxer, queries, 1);
   ASSERT_EQ(parallel.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_EQ(parallel[i].concepts.size(), sequential[i].concepts.size())
@@ -165,12 +194,15 @@ TEST(Concurrency, ConcurrentBatchesOnOneRelaxer) {
   ConcurrencyWorld w = MakeWorld();
   QueryRelaxer relaxer(&w.fx.dag, &w.ingestion, w.matcher.get(),
                        SimilarityOptions{}, RelaxationOptions{});
-  std::vector<ConceptQuery> queries = {
+  const std::vector<Query> queries = {
       {w.fx.ckd_stage1_due_to_hypertension, 0},
       {w.fx.kidney_disease, 0},
       {w.fx.hypertensive_renal_disease, 0},
   };
-  RelaxationOutcome expected = relaxer.RelaxConcept(queries[0].concept_id, 0);
+  std::vector<RelaxationOutcome> expected;
+  for (const Query& q : queries) {
+    expected.push_back(relaxer.RelaxConcept(q.concept_id, q.context));
+  }
 
   constexpr int kThreads = 3;
   std::vector<std::thread> workers;
@@ -179,10 +211,13 @@ TEST(Concurrency, ConcurrentBatchesOnOneRelaxer) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t]() {
       for (int i = 0; i < 20; ++i) {
-        std::vector<RelaxationOutcome> got = relaxer.RelaxBatch(queries, 2);
-        if (got[0].concepts.size() != expected.concepts.size() ||
-            got[0].instances != expected.instances) {
-          ++mismatches[t];
+        for (size_t q = 0; q < queries.size(); ++q) {
+          const RelaxationOutcome got =
+              relaxer.RelaxConcept(queries[q].concept_id, queries[q].context);
+          if (got.concepts.size() != expected[q].concepts.size() ||
+              got.instances != expected[q].instances) {
+            ++mismatches[t];
+          }
         }
       }
     });
@@ -193,7 +228,7 @@ TEST(Concurrency, ConcurrentBatchesOnOneRelaxer) {
   }
 }
 
-TEST(Concurrency, ParallelRelaxBatchOnGeneratedWorldMatchesSequential) {
+TEST(Concurrency, ThreadsOnGeneratedWorldMatchSequential) {
   std::unique_ptr<GeneratedRig> rig = MakeGeneratedRig(1500, 41);
   QueryRelaxer relaxer(&rig->world.eks.dag, &rig->ingestion,
                        rig->matcher.get(), SimilarityOptions{},
@@ -203,13 +238,14 @@ TEST(Concurrency, ParallelRelaxBatchOnGeneratedWorldMatchesSequential) {
                          RelaxationOptions{});
   const std::vector<ConceptId>& region = rig->world.eks.finding_concepts;
   ASSERT_FALSE(region.empty());
-  std::vector<ConceptQuery> queries;
+  std::vector<Query> queries;
   for (size_t i = 0; i < 48; ++i) {
-    // Runs of duplicates exercise the within-batch SetSource early-out.
+    // Runs of duplicates: a repeated query re-anchors like a new one.
     queries.push_back({region[(i / 2 * 7) % region.size()],
                        i % 3 == 0 ? kNoContext : rig->world.ctx_indication});
   }
-  std::vector<RelaxationOutcome> parallel = relaxer.RelaxBatch(queries, 4);
+  std::vector<RelaxationOutcome> parallel =
+      RelaxFromThreads(relaxer, queries, 4);
   ASSERT_EQ(parallel.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ExpectSameOutcome(
@@ -244,22 +280,23 @@ TEST(Concurrency, ThreadScratchDoesNotCarryAnchorAcrossDags) {
     }
   }).join();
 
-  std::vector<RelaxationOutcome> single, batch;
+  // Both entry points, each after the big DAG re-anchored the scratch.
+  const size_t k = small_relaxer.options().top_k;
+  std::vector<RelaxationOutcome> single, with_k;
   std::thread([&] {
     for (ConceptId q : queries) {
       (void)big_relaxer.RelaxConcept(q, kNoContext);
       single.push_back(small_relaxer.RelaxConcept(q, kNoContext));
       (void)big_relaxer.RelaxConcept(q, kNoContext);
-      const ConceptQuery query[] = {{q, kNoContext}};
-      batch.push_back(small_relaxer.RelaxBatch(query, 1).front());
+      with_k.push_back(small_relaxer.RelaxConceptWithK(q, kNoContext, k));
     }
   }).join();
 
   ASSERT_EQ(single.size(), fresh.size());
-  ASSERT_EQ(batch.size(), fresh.size());
+  ASSERT_EQ(with_k.size(), fresh.size());
   for (size_t i = 0; i < fresh.size(); ++i) {
     ExpectSameOutcome(single[i], fresh[i], i);
-    ExpectSameOutcome(batch[i], fresh[i], i);
+    ExpectSameOutcome(with_k[i], fresh[i], i);
   }
 }
 

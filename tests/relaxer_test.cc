@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -372,9 +373,6 @@ TEST(RelaxerDeathTest, OutOfRangeContextAbortsNamingIt) {
   EXPECT_DEATH((void)relaxer.RelaxConcept(w.a, 7), "context 7 is out of range");
   EXPECT_DEATH((void)relaxer.RelaxConceptWithK(w.a, 7, 1),
                "context 7 is out of range");
-  const std::vector<ConceptQuery> batch = {{w.a, 0}, {w.a, 7}};
-  EXPECT_DEATH((void)relaxer.RelaxBatch(batch, 1),
-               "context 7 is out of range");
 }
 
 TEST(RelaxerDeathTest, SimilarityRejectsOutOfRangeIds) {
@@ -513,31 +511,39 @@ TEST(Relaxer, InstancesTruncatedToExactlyK) {
   EXPECT_EQ(outcome.concepts[1].instances.size(), 3u);
 }
 
-TEST(Relaxer, RelaxBatchMatchesSequential) {
+TEST(Relaxer, TwoThreadsMatchSequential) {
   RelaxWorld w = MakeRelaxWorld();
   QueryRelaxer relaxer(&w.fx.dag, &w.ingestion, w.matcher.get(),
                        SimilarityOptions{}, RelaxationOptions{});
-  std::vector<ConceptQuery> queries = {
-      {w.fx.ckd_stage1_due_to_hypertension, 0},
-      {w.fx.kidney_disease, 0},
-      {w.fx.hypertensive_renal_disease, 0},
-      {w.fx.hypertensive_nephropathy, 0},
-      {w.fx.ckd_stage1_due_to_hypertension, 0},
+  const std::vector<ConceptId> queries = {
+      w.fx.ckd_stage1_due_to_hypertension, w.fx.kidney_disease,
+      w.fx.hypertensive_renal_disease,     w.fx.hypertensive_nephropathy,
+      w.fx.ckd_stage1_due_to_hypertension,
   };
-  std::vector<RelaxationOutcome> batch = relaxer.RelaxBatch(queries, 2);
-  ASSERT_EQ(batch.size(), queries.size());
+  // Two plain threads share the relaxer, each taking every other query.
+  std::vector<RelaxationOutcome> threaded(queries.size());
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = t; i < queries.size(); i += 2) {
+        threaded[i] = relaxer.RelaxConcept(queries[i], 0);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
   for (size_t i = 0; i < queries.size(); ++i) {
-    RelaxationOutcome seq =
-        relaxer.RelaxConcept(queries[i].concept_id, queries[i].context);
-    EXPECT_EQ(batch[i].query_concept, seq.query_concept);
-    EXPECT_EQ(batch[i].effective_radius, seq.effective_radius);
-    ASSERT_EQ(batch[i].concepts.size(), seq.concepts.size()) << "query " << i;
+    RelaxationOutcome seq = relaxer.RelaxConcept(queries[i], 0);
+    EXPECT_EQ(threaded[i].query_concept, seq.query_concept);
+    EXPECT_EQ(threaded[i].effective_radius, seq.effective_radius);
+    ASSERT_EQ(threaded[i].concepts.size(), seq.concepts.size())
+        << "query " << i;
     for (size_t j = 0; j < seq.concepts.size(); ++j) {
-      EXPECT_EQ(batch[i].concepts[j].concept_id, seq.concepts[j].concept_id);
-      EXPECT_DOUBLE_EQ(batch[i].concepts[j].similarity,
+      EXPECT_EQ(threaded[i].concepts[j].concept_id,
+                seq.concepts[j].concept_id);
+      EXPECT_DOUBLE_EQ(threaded[i].concepts[j].similarity,
                        seq.concepts[j].similarity);
     }
-    EXPECT_EQ(batch[i].instances, seq.instances) << "query " << i;
+    EXPECT_EQ(threaded[i].instances, seq.instances) << "query " << i;
   }
 }
 

@@ -384,7 +384,6 @@ TEST(ServeConcurrency, PublishStormKeepsLockOrderAcyclic) {
   const std::vector<int> sites = {
       detector.RegisterSite("SnapshotRegistry::mu"),
       detector.RegisterSite("ResultCache::Shard::mu"),
-      detector.RegisterSite("ServiceStats::relax_mu"),
   };
   for (int site : sites) {
     for (int other = 0; other < detector.num_sites(); ++other) {

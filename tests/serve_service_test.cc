@@ -75,38 +75,6 @@ TEST(RelaxationService, ServesTermAndConceptQueries) {
             term_response->outcome->instances);
 }
 
-TEST(RelaxationService, StatsTimeTermMappingOnlyForTermRequests) {
-  std::shared_ptr<Snapshot> snap = BuildSmallSnapshot();
-  const auto& [instance, mapped_concept] = snap->ingestion().mappings.front();
-  RelaxationService service(snap, ServiceOptions{});
-
-  ASSERT_TRUE(service.Relax(ConceptRequest(mapped_concept)).ok());
-  ServiceStatsSnapshot stats = service.Stats();
-  EXPECT_EQ(stats.map_ns, 0u);
-  EXPECT_EQ(stats.map_terms, 0u);
-
-  // Mapping runs before the cache probe, so this term is timed even
-  // though its answer is the cached one.
-  RelaxRequest by_term;
-  by_term.term = snap->kb().instances.instance(instance).name;
-  Result<RelaxResponse> response = service.Relax(by_term);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_TRUE(response->cache_hit);
-  stats = service.Stats();
-  EXPECT_EQ(stats.map_terms, 1u);
-  EXPECT_GT(stats.map_ns, 0u);
-  const uint64_t first_map_ns = stats.map_ns;
-
-  ASSERT_TRUE(service.Relax(by_term).ok());
-  stats = service.Stats();
-  EXPECT_EQ(stats.map_terms, 2u);
-  EXPECT_GT(stats.map_ns, first_map_ns);
-  EXPECT_NE(stats.ToString().find("map_terms=2\n"), std::string::npos);
-  EXPECT_EQ(stats.ToString(/*deterministic_only=*/true).find("map_"),
-            std::string::npos)
-      << "mapping time must stay out of the deterministic block";
-}
-
 TEST(RelaxationService, CachesRepeatedQueriesAndCountsThem) {
   std::shared_ptr<Snapshot> snap = BuildSmallSnapshot();
   ConceptId query = FirstFlagged(*snap);
@@ -133,8 +101,6 @@ TEST(RelaxationService, CachesRepeatedQueriesAndCountsThem) {
   EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.cache_misses, 2u);
-  EXPECT_GT(stats.relax.candidates_scanned, 0u)
-      << "RelaxStats must flow into the service aggregate";
 }
 
 TEST(RelaxationService, ExpiredRequestsFailFastWithDeadlineExceeded) {
@@ -263,16 +229,23 @@ TEST(RelaxationService, ShutdownFailsLaterCalls) {
 
 TEST(ServiceStats, ToStringDeterministicSubsetIsStable) {
   ServiceStats stats;
-  stats.RecordRequest();
-  stats.RecordCompleted(/*cache_hit=*/false, /*latency_ns=*/2'000'000);
-  stats.RecordCompleted(/*cache_hit=*/true, /*latency_ns=*/1'000);
+  for (int i = 0; i < 5; ++i) stats.RecordRequest();
+  stats.RecordCompleted(/*cache_hit=*/false);
+  stats.RecordCompleted(/*cache_hit=*/true);
+  stats.RecordCompleted(/*cache_hit=*/true);
   stats.RecordRejectedDeadline();
-  const std::string block = stats.Snapshot().ToString(true);
-  EXPECT_NE(block.find("requests=1\n"), std::string::npos) << block;
-  EXPECT_NE(block.find("cache_hits=1\n"), std::string::npos) << block;
-  EXPECT_NE(block.find("rejected_deadline=1\n"), std::string::npos);
-  EXPECT_EQ(block.find("latency"), std::string::npos)
-      << "wall-clock fields must stay out of the deterministic block";
+  stats.RecordFailed();
+  stats.RecordSnapshotSwap();
+  // The whole block the STATS verb prints, line for line: every counter,
+  // in this order, and nothing else.
+  EXPECT_EQ(stats.Snapshot().ToString(),
+            "requests=5\n"
+            "completed=3\n"
+            "cache_hits=2\n"
+            "cache_misses=1\n"
+            "rejected_deadline=1\n"
+            "failed=1\n"
+            "snapshot_swaps=1\n");
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 // event loops answering RELAX lines run to completion while RELOADs swap
 // the image under them. Written for the tsan preset; the oracle is exact:
 // every `ok relax` reply must be, byte for byte (but for its gen= and hit=
-// fields), what the generation it names computes in-process.
+// fields), what the generation it names computes in-process, and the
+// STATS block must count each request once, whichever loop answered it.
 
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -16,6 +18,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -348,6 +351,105 @@ TEST(ServeTcp, ReloadStormAgainstThreeLoopsAnswersEveryGeneration) {
     }
   }
   EXPECT_FALSE(answered_per_generation.empty());
+}
+
+// The STATS block over the wire counts each request once, whichever loop
+// answered it: six distinct lines miss on one session, then three
+// sessions on three loops repeat them (hits) together with one unknown
+// term (failed) and one unknown ctx= label, which LineProtocol refuses
+// before the service sees it, so it counts nowhere.
+TEST(ServeTcp, StatsCountEachRequestOnceAcrossLoops) {
+  TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  const std::string image = dir.File("a.img");
+  WriteWorldImage(7, image);
+  Result<std::shared_ptr<Snapshot>> boot = Snapshot::LoadFromImage(image);
+  ASSERT_TRUE(boot.ok()) << boot.status();
+
+  // Names whose terms map to distinct concepts, so each first RELAX of
+  // one is a miss and every later one a hit.
+  std::vector<std::string> names;
+  std::vector<ConceptId> mapped;
+  const Snapshot& snap = **boot;
+  for (const auto& mapping : snap.ingestion().mappings) {
+    const std::string& name =
+        snap.kb().instances.instance(mapping.first).name;
+    const std::optional<ConceptMatch> match = snap.mapper().Map(name);
+    ASSERT_TRUE(match.has_value()) << name;
+    if (std::find(mapped.begin(), mapped.end(), match->id) != mapped.end()) {
+      continue;
+    }
+    mapped.push_back(match->id);
+    names.push_back(name);
+    if (names.size() == 6) break;
+  }
+  ASSERT_EQ(names.size(), 6u);
+
+  RelaxationService service(std::move(*boot), ServiceOptions{});
+  serve::LineProtocol protocol(service, image);
+  serve::TcpServer server(protocol, /*num_loops=*/3);
+  ASSERT_TRUE(server.Start(net::LineServerOptions{}).ok());
+
+  // Three sessions, adopted in turn, land on the three loops.
+  constexpr int kSessions = 3;
+  std::vector<int> fds;
+  for (int c = 0; c < kSessions; ++c) {
+    int server_fd = -1;
+    fds.push_back(ConnectPair(&server_fd));
+    ASSERT_GE(fds.back(), 0);
+    server.Adopt(server_fd);
+  }
+  std::vector<LineReader> readers(fds.begin(), fds.end());
+
+  std::string reply;
+  for (const std::string& name : names) {
+    SendAll(fds[0], "RELAX " + name + "\n");
+    ASSERT_TRUE(readers[0].Reply(&reply));
+    EXPECT_NE(reply.find(" hit=0 "), std::string::npos) << reply;
+  }
+
+  std::string mix;
+  for (const std::string& name : names) mix += "RELAX " + name + "\n";
+  mix += "RELAX zzzz no such term\n";
+  mix += "RELAX ctx=no-such-context " + names[0] + "\n";
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kSessions; ++c) {
+    clients.emplace_back([&, c] {
+      SendAll(fds[c], mix);
+      std::string got;
+      for (size_t i = 0; i < names.size(); ++i) {
+        ASSERT_TRUE(readers[c].Reply(&got));
+        EXPECT_NE(got.find(" hit=1 "), std::string::npos) << got;
+      }
+      ASSERT_TRUE(readers[c].Reply(&got));
+      EXPECT_EQ(got.rfind("err NotFound: ", 0), 0u) << got;
+      ASSERT_TRUE(readers[c].Reply(&got));
+      EXPECT_EQ(got.rfind("err InvalidArgument: ", 0), 0u) << got;
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  SendAll(fds[1], "STATS\n");
+  ASSERT_TRUE(readers[1].Reply(&reply));
+  for (int fd : fds) close(fd);
+  server.Stop();
+
+  // 6 misses, then 3 x (6 hits + 1 unknown term); the bad ctx= lines
+  // never reach the service.
+  EXPECT_EQ(reply,
+            "ok stats\n"
+            "requests=27\n"
+            "completed=24\n"
+            "cache_hits=18\n"
+            "cache_misses=6\n"
+            "rejected_deadline=0\n"
+            "failed=3\n"
+            "snapshot_swaps=0\n"
+            "end\n");
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.requests,
+            stats.completed + stats.failed + stats.rejected_deadline);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.completed);
 }
 
 }  // namespace

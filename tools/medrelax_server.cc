@@ -15,7 +15,7 @@
 //         RELOAD [path]                       hot-swap: map `path` (a flat
 //                                             image) when given, else
 //                                             re-map the boot image
-//         STATS                               deterministic counter block
+//         STATS                               the seven service counters
 //         QUIT                                end the session (EOF too)
 //
 //       To rebuild, run medrelax_ingest onto the boot image's path and
@@ -165,9 +165,7 @@ int RunServe(int argc, char** argv) {
                  snapshot.status().ToString().c_str());
     return 1;
   }
-  const uint64_t load_micros = (*snapshot)->load_micros();
   RelaxationService service(std::move(*snapshot), service_options);
-  service.TransportStats().RecordImageLoad(load_micros);
   serve::LineProtocol protocol(service, image);
   const std::string banner =
       protocol.Banner(workers, service_options.cache.capacity);
